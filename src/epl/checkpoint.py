@@ -1,4 +1,4 @@
-"""Versioned binary checkpoints shared by the encoder and probe models.
+"""Versioned binary checkpoints of the contrastive encoder.
 
 Layout: 8-byte magic, one byte of model kind, a u32 array count, then an
 array table (u16 name length, utf-8 name, u8 ndim, u32 dims) followed by
@@ -16,8 +16,6 @@ import numpy as np
 MAGIC = b"EPLCKPT1"
 
 KIND_ENCODER = 0
-KIND_LINEAR = 1
-KIND_SOFTMAX = 2
 
 
 class CheckpointError(ValueError):
@@ -58,6 +56,13 @@ def load_checkpoint(path):
     blob = path.read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic")
+    try:
+        return _parse(blob)
+    except (struct.error, ValueError) as exc:
+        raise CheckpointError(f"{path}: corrupt or truncated checkpoint: {exc}") from exc
+
+
+def _parse(blob: bytes):
     off = len(MAGIC)
     kind, count = struct.unpack_from("<BI", blob, off)
     off += 5

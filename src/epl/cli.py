@@ -20,13 +20,14 @@ from . import __version__, contrastive
 from .checkpoint import CheckpointError
 from .config import ConfigError, ExperimentConfig, load_config
 from .contrastive import ContrastiveError, EncoderParams
-from .dataset import (Dataset, DatasetError, Role, SplitError, UNLABELED,
-                      LabelVector, generate_blobs, load_features, load_split,
-                      merge_labels, save_features, save_split, stratified_split)
+from .dataset import (Dataset, DatasetError, Role, SplitError, generate_blobs,
+                      load_features, load_split, save_features, save_split,
+                      stratified_split)
 from .metrics import MetricError, ScoreReport, confusion
-from .opf import OpfError, opfsemi_propagate
-from .pipeline import (PipelineError, read_embedding_csv, read_results_csv,
-                       run_experiment, write_embedding_csv, write_report)
+from .opf import OpfError, OptimumPathForest, opfsemi_propagate
+from .pipeline import (PipelineError, propagation_seeds, read_embedding_csv,
+                       read_results_csv, run_experiment, train_config_from,
+                       write_embedding_csv, write_report)
 from .probe import ProbeError, SoftmaxConfig, predict, train_linear, train_softmax
 from .projection import ProjectionConfig, ProjectionError, tsne_project
 
@@ -59,21 +60,23 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _train_config(args, warm_start=None):
-    from .contrastive import AugmentConfig, TrainConfig
-    init_mode = "scratch" if warm_start is None else "warm_start"
-    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                       temperature=args.temperature, learning_rate=args.learning_rate,
-                       weight_decay=args.weight_decay, seed=args.seed,
-                       init_mode=init_mode, warm_start=warm_start,
-                       augment=AugmentConfig(noise=args.noise, dropout=args.dropout))
+def _load_split_of(data: Dataset, path):
+    split = load_split(path)
+    if split.roles.size != data.sample_count:
+        raise SplitError(f"{path}: split covers {split.roles.size} samples "
+                         f"but the dataset has {data.sample_count}")
+    return split
 
 
 def _cmd_train(args) -> int:
     data = load_features(args.data)
-    split = load_split(args.split)
+    split = _load_split_of(data, args.split)
     warm = EncoderParams.load(args.init_from) if args.init_from else None
-    cfg = _train_config(args, warm)
+    exp = ExperimentConfig(epochs=args.epochs, batch_size=args.batch_size,
+                           temperature=args.temperature, learning_rate=args.learning_rate,
+                           weight_decay=args.weight_decay, noise=args.noise,
+                           dropout=args.dropout)
+    cfg = train_config_from(exp, args.seed, warm)
     params = contrastive.train(args.mode, data, split, cfg)
     params.save(args.out, {"mode": args.mode, "seed": args.seed,
                            "epochs": args.epochs, "init_from": args.init_from or "scratch"})
@@ -95,11 +98,8 @@ def _cmd_extract(args) -> int:
     if args.roles:
         if not args.split:
             raise ConfigError("--roles requires --split")
-        split = load_split(args.split)
-        mask = np.zeros(data.sample_count, dtype=bool)
-        for role in _roles_from_arg(args.roles):
-            mask |= split.roles == int(role)
-        idx = np.flatnonzero(mask)
+        split = _load_split_of(data, args.split)
+        idx = contrastive.role_indices(split, _roles_from_arg(args.roles))
     else:
         idx = np.arange(data.sample_count)
     latent = contrastive.extract_features(params, data, idx)
@@ -119,25 +119,20 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _propagation_inputs(args):
-    data = load_features(args.data)
-    split = load_split(args.split)
-    if not data.has_labels:
-        raise DatasetError("propagation needs a labeled dataset for its seeds")
-    nodes, coords, _ = read_embedding_csv(args.embedding)
-    idx = np.sort(np.concatenate([split.supervised, split.unsupervised]))
-    if coords.shape[0] != idx.size:
-        raise PipelineError(
-            f"embedding has {coords.shape[0]} rows but the split has "
-            f"{idx.size} supervised + unsupervised samples")
-    seed_values = np.full(idx.size, UNLABELED, dtype=np.int64)
-    is_sup = np.isin(idx, split.supervised)
-    seed_values[is_sup] = data.labels[idx[is_sup]]
-    return data, split, coords, idx, seed_values, is_sup
+def _check_rows(what: str, rows: int, expected: int) -> None:
+    if rows != expected:
+        raise PipelineError(f"{what} has {rows} rows but the split has "
+                            f"{expected} supervised + unsupervised samples")
 
 
 def _cmd_propagate(args) -> int:
-    data, split, coords, idx, seed_values, is_sup = _propagation_inputs(args)
+    data = load_features(args.data)
+    split = _load_split_of(data, args.split)
+    if not data.has_labels:
+        raise DatasetError("propagation needs a labeled dataset for its seeds")
+    _, coords, _ = read_embedding_csv(args.embedding)
+    idx, seed_values, is_sup = propagation_seeds(data, split)
+    _check_rows("embedding", coords.shape[0], idx.size)
     forest = opfsemi_propagate(coords, seed_values)
     forest.to_csv(args.out)
     pseudo = np.asarray(forest.label)
@@ -148,32 +143,18 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-def _read_forest_labels(path, expected: int) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "node,cost,pred,root,label":
-        raise PipelineError(f"{path}: missing forest header")
-    labels = np.full(expected, UNLABELED, dtype=np.int64)
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        node = int(parts[0])
-        if node >= expected:
-            raise PipelineError(f"{path}: node {node} out of range")
-        labels[node] = int(parts[4])
-    return labels
-
-
 def _cmd_probe(args) -> int:
     data = load_features(args.data)
-    split = load_split(args.split)
+    split = _load_split_of(data, args.split)
+    if not data.has_labels:
+        raise DatasetError("probes need a labeled dataset")
     feats = data.features
     if args.features:
         fset = load_features(args.features)
         if fset.sample_count != data.sample_count:
             raise PipelineError("--features must cover the whole dataset")
         feats = fset.features
-    sup, uns, test = split.supervised, split.unsupervised, split.test
+    sup, test = split.supervised, split.test
     labels_t = data.labels[test]
     if args.kind == "linear":
         model = train_linear(feats[sup], data.labels[sup], seed=args.seed,
@@ -182,16 +163,10 @@ def _cmd_probe(args) -> int:
         pred = predict(model, feats[test])
     else:
         if args.pseudo:
-            idx = np.sort(np.concatenate([sup, uns]))
-            row_labels = _read_forest_labels(args.pseudo, idx.size)
-            pseudo = LabelVector.unlabeled(data.sample_count)
-            u_rows = np.isin(idx, uns)
-            pseudo.values[idx[u_rows]] = row_labels[u_rows]
-            true_s = LabelVector.from_true(
-                np.where(split.roles == int(Role.SUPERVISED), data.labels, UNLABELED))
-            merged = merge_labels(split, true_s, pseudo)
-            train_idx = idx
-            labels_train = merged.values[train_idx]
+            train_idx, seed_values, is_sup = propagation_seeds(data, split)
+            forest = OptimumPathForest.from_csv(args.pseudo)
+            _check_rows("forest", forest.label.size, train_idx.size)
+            labels_train = np.where(is_sup, seed_values, forest.label)
             method = "softmax+pseudo"
         else:
             train_idx = sup

@@ -1,14 +1,19 @@
 """Flat key = value experiment configuration with section headers.
 
 The format is deliberately diffable: '[section]' lines, 'key = value'
-pairs, '#' comments, nothing nested. A parsed config resolves against the
-defaults below and can be echoed back verbatim into the run manifest.
+pairs, '#' comments, nothing nested. A '#' starts a comment only at the
+start of a line or after whitespace, so a value such as a path may
+contain one. A parsed config resolves against the defaults below and can
+be echoed back verbatim into the run manifest.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
+
+from .dataset import read_text
 
 
 class ConfigError(ValueError):
@@ -17,12 +22,14 @@ class ConfigError(ValueError):
 
 VALID_MODES = ("simclr", "supcon", "combined")
 
+_COMMENT = re.compile(r"(^|\s)#.*")
+
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -128,131 +135,86 @@ class ExperimentConfig:
             raise ConfigError(f"dataset file not found: {self.source}")
 
     def to_sections(self) -> dict[str, dict[str, str]]:
-        return {
-            "dataset": {
-                "source": self.source,
-                "classes": str(self.classes),
-                "per_class": str(self.per_class),
-                "dims": str(self.dims),
-                "spread": repr(self.spread),
-                "center_dist": repr(self.center_dist),
-                "seed": str(self.dataset_seed),
-                "name": self.dataset_name,
-            },
-            "split": {
-                "s_frac": repr(self.s_frac),
-                "u_frac": repr(self.u_frac),
-                "t_frac": repr(self.t_frac),
-            },
-            "run": {
-                "seed": str(self.base_seed),
-                "replicas": str(self.replicas),
-                "modes": " ".join(self.modes),
-                "out": self.out_dir,
-            },
-            "contrastive": {
-                "init": self.init_mode,
-                "warm_start_checkpoint": self.warm_start_checkpoint,
-                "epochs": str(self.epochs),
-                "batch_size": str(self.batch_size),
-                "temperature": repr(self.temperature),
-                "learning_rate": repr(self.learning_rate),
-                "weight_decay": repr(self.weight_decay),
-                "validation_fraction": repr(self.validation_fraction),
-                "noise": repr(self.noise),
-                "dropout": repr(self.dropout),
-                "supcon_batch_rule": "paired-views",
-            },
-            "projection": {
-                "perplexity": repr(self.perplexity),
-                "iterations": str(self.iterations),
-                "learning_rate": repr(self.projection_learning_rate),
-                "early_exaggeration": repr(self.early_exaggeration),
-                "exaggeration_iters": str(self.exaggeration_iters),
-                "momentum_start": repr(self.momentum_start),
-                "momentum_final": repr(self.momentum_final),
-                "momentum_switch": str(self.momentum_switch),
-                "entropy_tolerance": repr(self.entropy_tolerance),
-                "init": "random-gaussian",
-            },
-            "probe": {
-                "linear_lambda": repr(self.linear_lambda),
-                "linear_epochs": str(self.linear_epochs),
-                "softmax_epochs": str(self.softmax_epochs),
-                "softmax_learning_rate": repr(self.softmax_learning_rate),
-                "softmax_momentum": repr(self.softmax_momentum),
-                "softmax_hidden": str(self.softmax_hidden),
-                "softmax_batch": str(self.softmax_batch),
-                "knn_k": str(self.knn_k),
-            },
-        }
+        sections: dict[str, dict[str, str]] = {}
+        for section, key, attr in _KEYS:
+            value = attr if isinstance(attr, _Echo) else getattr(self, attr)
+            sections.setdefault(section, {})[key] = (
+                " ".join(value) if isinstance(value, tuple) else str(value))
+        return sections
 
 
-_PARSERS = {
-    ("dataset", "source"): ("source", str),
-    ("dataset", "classes"): ("classes", int),
-    ("dataset", "per_class"): ("per_class", int),
-    ("dataset", "dims"): ("dims", int),
-    ("dataset", "spread"): ("spread", float),
-    ("dataset", "center_dist"): ("center_dist", float),
-    ("dataset", "seed"): ("dataset_seed", int),
-    ("dataset", "name"): ("dataset_name", str),
-    ("split", "s_frac"): ("s_frac", float),
-    ("split", "u_frac"): ("u_frac", float),
-    ("split", "t_frac"): ("t_frac", float),
-    ("run", "seed"): ("base_seed", int),
-    ("run", "replicas"): ("replicas", int),
-    ("run", "out"): ("out_dir", str),
-    ("contrastive", "init"): ("init_mode", str),
-    ("contrastive", "warm_start_checkpoint"): ("warm_start_checkpoint", str),
-    ("contrastive", "epochs"): ("epochs", int),
-    ("contrastive", "batch_size"): ("batch_size", int),
-    ("contrastive", "temperature"): ("temperature", float),
-    ("contrastive", "learning_rate"): ("learning_rate", float),
-    ("contrastive", "weight_decay"): ("weight_decay", float),
-    ("contrastive", "validation_fraction"): ("validation_fraction", float),
-    ("contrastive", "noise"): ("noise", float),
-    ("contrastive", "dropout"): ("dropout", float),
-    ("projection", "perplexity"): ("perplexity", float),
-    ("projection", "iterations"): ("iterations", int),
-    ("projection", "learning_rate"): ("projection_learning_rate", float),
-    ("projection", "early_exaggeration"): ("early_exaggeration", float),
-    ("projection", "exaggeration_iters"): ("exaggeration_iters", int),
-    ("projection", "momentum_start"): ("momentum_start", float),
-    ("projection", "momentum_final"): ("momentum_final", float),
-    ("projection", "momentum_switch"): ("momentum_switch", int),
-    ("projection", "entropy_tolerance"): ("entropy_tolerance", float),
-    ("probe", "linear_lambda"): ("linear_lambda", float),
-    ("probe", "linear_epochs"): ("linear_epochs", int),
-    ("probe", "softmax_epochs"): ("softmax_epochs", int),
-    ("probe", "softmax_learning_rate"): ("softmax_learning_rate", float),
-    ("probe", "softmax_momentum"): ("softmax_momentum", float),
-    ("probe", "softmax_hidden"): ("softmax_hidden", int),
-    ("probe", "softmax_batch"): ("softmax_batch", int),
-    ("probe", "knn_k"): ("knn_k", int),
-}
+class _Echo(str):
+    """A constant written into the config echo and ignored when read back."""
 
-_IGNORED_KEYS = {("contrastive", "supcon_batch_rule"), ("projection", "init")}
+
+# Every config key in echo order: (section, key, ExperimentConfig field or
+# echo-only constant). A value is written as str(value), modes space-joined;
+# it is read back by the type of the field's default.
+_KEYS = (
+    ("dataset", "source", "source"),
+    ("dataset", "classes", "classes"),
+    ("dataset", "per_class", "per_class"),
+    ("dataset", "dims", "dims"),
+    ("dataset", "spread", "spread"),
+    ("dataset", "center_dist", "center_dist"),
+    ("dataset", "seed", "dataset_seed"),
+    ("dataset", "name", "dataset_name"),
+    ("split", "s_frac", "s_frac"),
+    ("split", "u_frac", "u_frac"),
+    ("split", "t_frac", "t_frac"),
+    ("run", "seed", "base_seed"),
+    ("run", "replicas", "replicas"),
+    ("run", "modes", "modes"),
+    ("run", "out", "out_dir"),
+    ("contrastive", "init", "init_mode"),
+    ("contrastive", "warm_start_checkpoint", "warm_start_checkpoint"),
+    ("contrastive", "epochs", "epochs"),
+    ("contrastive", "batch_size", "batch_size"),
+    ("contrastive", "temperature", "temperature"),
+    ("contrastive", "learning_rate", "learning_rate"),
+    ("contrastive", "weight_decay", "weight_decay"),
+    ("contrastive", "validation_fraction", "validation_fraction"),
+    ("contrastive", "noise", "noise"),
+    ("contrastive", "dropout", "dropout"),
+    ("contrastive", "supcon_batch_rule", _Echo("paired-views")),
+    ("projection", "perplexity", "perplexity"),
+    ("projection", "iterations", "iterations"),
+    ("projection", "learning_rate", "projection_learning_rate"),
+    ("projection", "early_exaggeration", "early_exaggeration"),
+    ("projection", "exaggeration_iters", "exaggeration_iters"),
+    ("projection", "momentum_start", "momentum_start"),
+    ("projection", "momentum_final", "momentum_final"),
+    ("projection", "momentum_switch", "momentum_switch"),
+    ("projection", "entropy_tolerance", "entropy_tolerance"),
+    ("projection", "init", _Echo("random-gaussian")),
+    ("probe", "linear_lambda", "linear_lambda"),
+    ("probe", "linear_epochs", "linear_epochs"),
+    ("probe", "softmax_epochs", "softmax_epochs"),
+    ("probe", "softmax_learning_rate", "softmax_learning_rate"),
+    ("probe", "softmax_momentum", "softmax_momentum"),
+    ("probe", "softmax_hidden", "softmax_hidden"),
+    ("probe", "softmax_batch", "softmax_batch"),
+    ("probe", "knn_k", "knn_k"),
+)
+_FIELD_OF = {(section, key): attr for section, key, attr in _KEYS}
 
 
 def config_from_sections(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for section, entries in sections.items():
         for key, raw in entries.items():
-            if (section, key) in _IGNORED_KEYS:
-                continue
-            if (section, key) == ("run", "modes"):
-                modes = tuple(raw.replace(",", " ").split())
-                cfg.modes = modes
-                continue
-            target = _PARSERS.get((section, key))
-            if target is None:
+            if (section, key) not in _FIELD_OF:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            attr, cast = target
+            attr = _FIELD_OF[section, key]
+            if isinstance(attr, _Echo):
+                continue
+            cast = type(getattr(ExperimentConfig, attr))
             try:
-                setattr(cfg, attr, cast(raw))
+                value = (tuple(raw.replace(",", " ").split()) if cast is tuple
+                         else cast(raw))
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            setattr(cfg, attr, value)
     return cfg
 
 
@@ -260,4 +222,4 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
-    return config_from_sections(parse_config_text(path.read_text()))
+    return config_from_sections(parse_config_text(read_text(path, ConfigError)))

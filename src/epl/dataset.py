@@ -155,6 +155,14 @@ class LabelVector:
 # File ingestion
 # ---------------------------------------------------------------------------
 
+def read_text(path, error: type[Exception]) -> str:
+    """A text file's contents; an unreadable or non-UTF-8 file raises ``error``."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def save_features(dataset: Dataset, path, format: str = "text") -> None:
     """Write a dataset in the delimited-text or raw-binary format."""
     path = Path(path)
@@ -205,7 +213,7 @@ def load_features(path, format: str | None = None, name: str | None = None) -> D
 
 
 def _load_text(path: Path, name: str) -> Dataset:
-    lines = path.read_text().splitlines()
+    lines = read_text(path, DatasetError).splitlines()
     if not lines or not lines[0].startswith("#"):
         raise DatasetError(f"{path}: missing '# d=... labels=... k=...' header")
     header = {}
@@ -255,8 +263,10 @@ def _load_binary(path: Path, name: str) -> Dataset:
     blob = path.read_bytes()
     if blob[:4] != _BINARY_MAGIC:
         raise DatasetError(f"{path}: bad magic")
-    n, d, has = struct.unpack_from("<IIB", blob, 4)
     off = 4 + 9
+    if len(blob) < off:
+        raise DatasetError(f"{path}: truncated header ({len(blob)} < {off} bytes)")
+    n, d, has = struct.unpack_from("<IIB", blob, 4)
     need = off + n * d * 8 + (n * 4 if has else 0)
     if len(blob) < need:
         raise DatasetError(f"{path}: truncated file ({len(blob)} < {need} bytes)")
@@ -417,20 +427,29 @@ def load_split(path) -> SplitAssignment:
     path = Path(path)
     if not path.exists():
         raise SplitError(f"no such split file: {path}")
-    lines = path.read_text().splitlines()
+    lines = read_text(path, SplitError).splitlines()
     if len(lines) < 2 or not lines[0].startswith("#") or lines[1] != "index,role":
         raise SplitError(f"{path}: missing split header")
-    params = dict(tok.split("=", 1) for tok in lines[0].lstrip("#").split())
-    seed = int(params.get("seed", 0))
-    fracs = tuple(float(params.get(k, 0.0)) for k in ("s_frac", "u_frac", "t_frac"))
+    try:
+        params = dict(tok.split("=", 1) for tok in lines[0].lstrip("#").split())
+        seed = int(params.get("seed", 0))
+        fracs = tuple(float(params.get(k, 0.0)) for k in ("s_frac", "u_frac", "t_frac"))
+    except ValueError as exc:
+        raise SplitError(f"{path}: bad split header: {exc}") from exc
     entries = {}
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        idx_str, letter = line.split(",")
+        try:
+            idx_str, letter = line.split(",")
+            index = int(idx_str)
+        except ValueError as exc:
+            raise SplitError(f"{path}: line {lineno}: expected 'index,role': {exc}") from exc
         if letter not in _LETTER_ROLES:
             raise SplitError(f"{path}: line {lineno}: unknown role {letter!r}")
-        entries[int(idx_str)] = int(_LETTER_ROLES[letter])
+        if index in entries:
+            raise SplitError(f"{path}: line {lineno}: index {index} listed twice")
+        entries[index] = int(_LETTER_ROLES[letter])
     n = len(entries)
     if sorted(entries) != list(range(n)):
         raise SplitError(f"{path}: indices must cover 0..{n - 1} exactly")

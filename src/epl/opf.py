@@ -20,11 +20,14 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED
+from .dataset import UNLABELED, read_text
 
 
 class OpfError(ValueError):
     """Raised for invalid propagation or training inputs."""
+
+
+_CSV_HEADER = "node,cost,pred,root,label"
 
 
 @dataclass
@@ -37,13 +40,40 @@ class OptimumPathForest:
     label: np.ndarray
 
     def to_csv(self, path) -> None:
-        lines = ["node,cost,pred,root,label"]
+        lines = [_CSV_HEADER]
         for i in range(len(self.cost)):
             pred = "" if self.predecessor[i] < 0 else str(int(self.predecessor[i]))
             lines.append(
                 f"{i},{float(self.cost[i])!r},{pred},{int(self.root[i])},{int(self.label[i])}"
             )
         Path(path).write_text("\n".join(lines) + "\n")
+
+    @classmethod
+    def from_csv(cls, path) -> "OptimumPathForest":
+        """Read a forest written by ``to_csv``: rows for nodes 0..n-1, once each."""
+        lines = read_text(path, OpfError).splitlines()
+        if not lines or lines[0] != _CSV_HEADER:
+            raise OpfError(f"{path}: missing forest header")
+        rows = [(lineno, line.split(",")) for lineno, line in enumerate(lines[1:], start=2)
+                if line.strip()]
+        n = len(rows)
+        cost = np.zeros(n)
+        links = np.zeros((3, n), dtype=np.int64)  # predecessor, root, label
+        seen = np.zeros(n, dtype=bool)
+        for lineno, parts in rows:
+            try:
+                if len(parts) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(parts)}")
+                node = int(parts[0])
+                if not 0 <= node < n or seen[node]:
+                    raise ValueError(f"node {node} is not one of 0..{n - 1} listed once each")
+                cost[node] = float(parts[1])
+                links[:, node] = (int(parts[2]) if parts[2] else -1, int(parts[3]),
+                                  int(parts[4]))
+            except (ValueError, OverflowError) as exc:
+                raise OpfError(f"{path}: line {lineno}: {exc}") from exc
+            seen[node] = True
+        return cls(cost, *links)
 
 
 def _seed_indices(seed_labels: np.ndarray) -> np.ndarray:

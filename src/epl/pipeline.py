@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from . import __version__
 from . import contrastive
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams, TrainConfig, AugmentConfig
-from .dataset import (Dataset, LabelVector, Role, SplitAssignment, UNLABELED,
-                      generate_blobs, load_features, merge_labels, stratified_split)
+from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs,
+                      load_features, read_text, stratified_split)
 from .metrics import ScoreReport, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import SoftmaxConfig, predict, train_linear, train_softmax
@@ -65,11 +66,14 @@ class ResultRow:
     @classmethod
     def from_csv(cls, line: str) -> "ResultRow":
         parts = line.split(",")
-        if len(parts) != 7:
-            raise PipelineError(f"bad result row: {line!r}")
-        cons = float(parts[6]) if parts[6] else None
-        return cls(parts[0], parts[1], parts[2], int(parts[3]),
-                   float(parts[4]), float(parts[5]), cons)
+        try:
+            if len(parts) != 7:
+                raise ValueError(f"expected 7 fields, got {len(parts)}")
+            cons = float(parts[6]) if parts[6] else None
+            return cls(parts[0], parts[1], parts[2], int(parts[3]),
+                       float(parts[4]), float(parts[5]), cons)
+        except ValueError as exc:
+            raise PipelineError(f"bad result row {line!r}: {exc}") from exc
 
 
 def write_results_csv(rows, path) -> None:
@@ -78,7 +82,7 @@ def write_results_csv(rows, path) -> None:
 
 
 def read_results_csv(path) -> list[ResultRow]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, PipelineError).splitlines()
     if not lines or lines[0] != RESULTS_HEADER:
         raise PipelineError(f"{path}: missing results header")
     return [ResultRow.from_csv(line) for line in lines[1:] if line.strip()]
@@ -96,7 +100,6 @@ class RunManifest:
         self.config_echo = config_echo
         self.timings: list[tuple[str, float]] = []
         self.errors: list[tuple[str, str]] = []
-        self.notes: list[str] = []
 
     def add_timing(self, stage: str, seconds: float) -> None:
         self.timings.append((stage, seconds))
@@ -176,58 +179,51 @@ def projection_config_from(cfg: ExperimentConfig, seed: int) -> ProjectionConfig
     )
 
 
-def train_arm(mode: str, data: Dataset, split: SplitAssignment,
-              cfg: ExperimentConfig, seed: int) -> EncoderParams:
-    """Train one contrastive arm; "combined" fine-tunes a fresh simclr run."""
-    if mode == "combined":
-        base = contrastive.train("simclr", data, split, train_config_from(cfg, seed))
-        return contrastive.finetune_supcon(base, data, split, train_config_from(cfg, seed))
-    return contrastive.train(mode, data, split, train_config_from(cfg, seed))
-
-
 @dataclass
 class _Propagation:
     embedding: Embedding2D
     indices: np.ndarray        # dataset indices of the embedded rows (S then U, ascending)
-    pseudo: LabelVector        # full-length, pseudo labels on U only
     merged_values: np.ndarray  # row-aligned labels: true on S rows, propagated on U rows
     seed_values: np.ndarray    # row-aligned labels: true on S rows, UNLABELED on U rows
     consistency: float
     report: ScoreReport
 
 
+def propagation_seeds(data: Dataset, split: SplitAssignment):
+    """The embedded rows and their seed vector.
+
+    Returns (idx, seed_values, is_sup): the dataset indices of S and U in
+    ascending order, the row-aligned seed labels (true on S rows,
+    UNLABELED on U rows), and the mask of S rows.
+    """
+    idx = np.sort(np.concatenate([split.supervised, split.unsupervised]))
+    is_sup = np.isin(idx, split.supervised)
+    seed_values = np.full(idx.size, UNLABELED, dtype=np.int64)
+    seed_values[is_sup] = data.labels[idx[is_sup]]
+    return idx, seed_values, is_sup
+
+
 def propagate_embedding(data: Dataset, split: SplitAssignment, params: EncoderParams,
                         proj_cfg: ProjectionConfig, knn_k: int = 10) -> _Propagation:
     """Project latent features of S and U to 2D and propagate the S labels."""
-    sup = split.supervised
-    uns = split.unsupervised
-    sup_classes = np.unique(data.labels[sup])
+    sup_classes = np.unique(data.labels[split.supervised])
     if sup_classes.size < data.class_count:
         raise PipelineError(
             f"supervised set covers {sup_classes.size} of {data.class_count} classes;"
             " every class needs a seed"
         )
-    idx = np.sort(np.concatenate([sup, uns]))
+    idx, seed_values, is_sup = propagation_seeds(data, split)
     latent = contrastive.extract_features(params, data, idx)
     embedding = tsne_project(latent, proj_cfg)
-
-    seed_values = np.full(idx.size, UNLABELED, dtype=np.int64)
-    is_sup = np.isin(idx, sup)
-    seed_values[is_sup] = data.labels[idx[is_sup]]
     forest = opfsemi_propagate(embedding.coordinates, seed_values)
 
-    pseudo = LabelVector.unlabeled(data.sample_count)
-    u_rows = ~is_sup
-    pseudo.values[idx[u_rows]] = forest.label[u_rows]
-    pseudo.provenance[idx[u_rows]] = 1
-
+    truth = data.labels[idx]
     report = ScoreReport.from_confusion(
-        confusion(pseudo.values, data.labels, uns, data.class_count)
+        confusion(forest.label, truth, np.flatnonzero(~is_sup), data.class_count)
     )
-    consistency = knn_consistency(embedding.coordinates, data.labels[idx], knn_k)
+    consistency = knn_consistency(embedding.coordinates, truth, knn_k)
     merged_values = np.where(is_sup, seed_values, forest.label)
-    return _Propagation(embedding, idx, pseudo, merged_values, seed_values,
-                        consistency, report)
+    return _Propagation(embedding, idx, merged_values, seed_values, consistency, report)
 
 
 def write_embedding_csv(path, indices, coordinates, labels=None) -> None:
@@ -243,19 +239,25 @@ def write_embedding_csv(path, indices, coordinates, labels=None) -> None:
 
 
 def read_embedding_csv(path):
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, PipelineError).splitlines()
     if not lines or not lines[0].startswith("node,x,y"):
         raise PipelineError(f"{path}: missing embedding header")
     has_label = lines[0] == "node,x,y,label"
+    width = lines[0].count(",") + 1
     nodes, coords, labels = [], [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        nodes.append(int(parts[0]))
-        coords.append((float(parts[1]), float(parts[2])))
-        if has_label:
-            labels.append(int(parts[3]))
+        try:
+            if len(parts) != width:
+                raise ValueError(f"expected {width} fields, got {len(parts)}")
+            nodes.append(int(parts[0]))
+            coords.append((float(parts[1]), float(parts[2])))
+            if has_label:
+                labels.append(int(parts[3]))
+        except ValueError as exc:
+            raise PipelineError(f"{path}: line {lineno}: {exc}") from exc
     return (np.asarray(nodes), np.asarray(coords, dtype=np.float64),
             np.asarray(labels, dtype=np.int64) if has_label else None)
 
@@ -290,6 +292,17 @@ class RunState:
         finally:
             if self.manifest is not None:
                 self.manifest.add_timing(stage, time.perf_counter() - start)
+
+    @contextmanager
+    def arm(self, stage: str):
+        """Arm isolation: a failure inside is recorded under ``stage`` and the
+        run moves on to the next arm; without a manifest it propagates."""
+        try:
+            yield
+        except Exception as exc:
+            if self.manifest is None:
+                raise
+            self.manifest.add_error(stage, f"{type(exc).__name__}: {exc}")
 
     def encoder(self, r: int, mode: str) -> EncoderParams:
         key = (r, mode)
@@ -329,6 +342,12 @@ def _c1_modes(cfg: ExperimentConfig):
     return [m for m in cfg.modes if m in C1_IDS]
 
 
+def _scored_row(data: Dataset, experiment: str, classifier: str, seed: int,
+                pred: np.ndarray, truth: np.ndarray) -> ResultRow:
+    rep = ScoreReport.from_confusion(confusion(pred, truth, class_count=data.class_count))
+    return ResultRow(data.name, experiment, classifier, seed, rep.accuracy, rep.kappa)
+
+
 def run_c1(state: RunState) -> list[ResultRow]:
     """Latent-space separability: linear and forest probes on S, scored on T."""
     cfg = state.cfg
@@ -337,8 +356,7 @@ def run_c1(state: RunState) -> list[ResultRow]:
         seed = cfg.base_seed + r
         split = state.split(r)
         for mode in _c1_modes(cfg):
-            stage = f"r{r}.{mode}.c1"
-            try:
+            with state.arm(f"r{r}.{mode}.c1"):
                 params = state.encoder(r, mode)
                 feats_s = contrastive.extract_features(params, state.data, split.supervised)
                 feats_t = contrastive.extract_features(params, state.data, split.test)
@@ -347,23 +365,13 @@ def run_c1(state: RunState) -> list[ResultRow]:
 
                 linear = train_linear(feats_s, labels_s, cfg.linear_lambda,
                                       cfg.linear_epochs, seed, state.data.class_count)
-                pred_lin = predict(linear, feats_t)
-                rep = ScoreReport.from_confusion(
-                    confusion(pred_lin, labels_t, class_count=state.data.class_count))
-                rows.append(ResultRow(state.data.name, C1_IDS[mode], "linear", seed,
-                                      rep.accuracy, rep.kappa))
+                rows.append(_scored_row(state.data, C1_IDS[mode], "linear", seed,
+                                        predict(linear, feats_t), labels_t))
 
                 forest_model = opfsup_train(feats_s, labels_s)
-                pred_opf = opfsup_classify_batch(forest_model, feats_t)
-                rep = ScoreReport.from_confusion(
-                    confusion(pred_opf, labels_t, class_count=state.data.class_count))
-                rows.append(ResultRow(state.data.name, C1_IDS[mode], "opfsup", seed,
-                                      rep.accuracy, rep.kappa))
-            except Exception as exc:  # arm isolation: record, move on
-                if state.manifest is not None:
-                    state.manifest.add_error(stage, f"{type(exc).__name__}: {exc}")
-                else:
-                    raise
+                rows.append(_scored_row(state.data, C1_IDS[mode], "opfsup", seed,
+                                        opfsup_classify_batch(forest_model, feats_t),
+                                        labels_t))
     return rows
 
 
@@ -374,8 +382,7 @@ def run_c2(state: RunState) -> list[ResultRow]:
     for r in range(cfg.replicas):
         seed = cfg.base_seed + r
         for mode in cfg.modes:
-            stage = f"r{r}.{mode}.c2"
-            try:
+            with state.arm(f"r{r}.{mode}.c2"):
                 prop = state.propagation(r, mode)
                 rows.append(ResultRow(state.data.name, C2_IDS[mode], "propagation",
                                       seed, prop.report.accuracy, prop.report.kappa,
@@ -386,11 +393,6 @@ def run_c2(state: RunState) -> list[ResultRow]:
                                         prop.merged_values)
                     emit_scatter(prop.embedding, prop.seed_values,
                                  state.out_dir / f"scatter_{mode}_{seed}.svg")
-            except Exception as exc:
-                if state.manifest is not None:
-                    state.manifest.add_error(stage, f"{type(exc).__name__}: {exc}")
-                else:
-                    raise
     return rows
 
 
@@ -400,51 +402,26 @@ def run_c3(state: RunState) -> list[ResultRow]:
     data = state.data
     rows = []
 
-    def softmax_cfg(seed):
-        return SoftmaxConfig(
+    def softmax_row(r: int, arm: str, train_idx, labels) -> ResultRow:
+        seed = cfg.base_seed + r
+        softmax_cfg = SoftmaxConfig(
             epochs=cfg.softmax_epochs, learning_rate=cfg.softmax_learning_rate,
             momentum=cfg.softmax_momentum, batch_size=cfg.softmax_batch,
             hidden_dim=cfg.softmax_hidden, seed=seed)
+        model = state.timed(f"r{r}.{arm}.softmax", lambda: train_softmax(
+            data.features[train_idx], labels, softmax_cfg, data.class_count))
+        test_idx = state.split(r).test
+        return _scored_row(data, C3_IDS[arm], "softmax", seed,
+                           predict(model, data.features[test_idx]), data.labels[test_idx])
+
     for r in range(cfg.replicas):
-        seed = cfg.base_seed + r
-        split = state.split(r)
-        test_idx = split.test
-        labels_t = data.labels[test_idx]
-        try:
-            model = state.timed(f"r{r}.baseline.softmax", lambda: train_softmax(
-                data.features[split.supervised], data.labels[split.supervised],
-                softmax_cfg(seed), data.class_count))
-            pred = predict(model, data.features[test_idx])
-            rep = ScoreReport.from_confusion(
-                confusion(pred, labels_t, class_count=data.class_count))
-            rows.append(ResultRow(data.name, C3_IDS["baseline"], "softmax", seed,
-                                  rep.accuracy, rep.kappa))
-        except Exception as exc:
-            if state.manifest is not None:
-                state.manifest.add_error(f"r{r}.baseline.c3", f"{type(exc).__name__}: {exc}")
-            else:
-                raise
+        sup = state.split(r).supervised
+        with state.arm(f"r{r}.baseline.c3"):
+            rows.append(softmax_row(r, "baseline", sup, data.labels[sup]))
         for mode in cfg.modes:
-            stage = f"r{r}.{mode}.c3"
-            try:
+            with state.arm(f"r{r}.{mode}.c3"):
                 prop = state.propagation(r, mode)
-                true_s = LabelVector.from_true(np.where(
-                    split.roles == int(Role.SUPERVISED), data.labels, UNLABELED))
-                merged = merge_labels(split, true_s, prop.pseudo)
-                train_idx = np.sort(np.concatenate([split.supervised, split.unsupervised]))
-                model = state.timed(f"r{r}.{mode}.softmax", lambda: train_softmax(
-                    data.features[train_idx], merged.values[train_idx],
-                    softmax_cfg(seed), data.class_count))
-                pred = predict(model, data.features[test_idx])
-                rep = ScoreReport.from_confusion(
-                    confusion(pred, labels_t, class_count=data.class_count))
-                rows.append(ResultRow(data.name, C3_IDS[mode], "softmax", seed,
-                                      rep.accuracy, rep.kappa))
-            except Exception as exc:
-                if state.manifest is not None:
-                    state.manifest.add_error(stage, f"{type(exc).__name__}: {exc}")
-                else:
-                    raise
+                rows.append(softmax_row(r, mode, prop.indices, prop.merged_values))
     return rows
 
 

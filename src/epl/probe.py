@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from .dataset import UNLABELED, LabelVector
 
 
@@ -47,20 +46,6 @@ class LinearModel:
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights.T + self.bias
-
-    def save(self, path, config_lines: dict | None = None) -> None:
-        arrays = {"weights": self.weights, "bias": self.bias,
-                  "lam": np.array([self.lam]), "epochs": np.array([float(self.epochs)]),
-                  "seed": np.array([float(self.seed)])}
-        ckpt.save_checkpoint(path, ckpt.KIND_LINEAR, arrays, config_lines)
-
-    @classmethod
-    def load(cls, path) -> "LinearModel":
-        kind, arrays = ckpt.load_checkpoint(path)
-        if kind != ckpt.KIND_LINEAR:
-            raise ProbeError(f"{path}: not a linear checkpoint")
-        return cls(arrays["weights"], arrays["bias"], float(arrays["lam"][0]),
-                   int(arrays["epochs"][0]), int(arrays["seed"][0]))
 
 
 def train_linear(features, labels, lam: float = 1.0, epochs: int = 200,
@@ -137,21 +122,6 @@ class SoftmaxModel:
         hidden = np.maximum(self._standardize(X) @ self.w1 + self.b1, 0.0)
         return hidden @ self.w2 + self.b2
 
-    def save(self, path, config_lines: dict | None = None) -> None:
-        arrays = {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-        if self.mean is not None:
-            arrays["mean"] = self.mean
-            arrays["scale"] = self.scale
-        ckpt.save_checkpoint(path, ckpt.KIND_SOFTMAX, arrays, config_lines)
-
-    @classmethod
-    def load(cls, path) -> "SoftmaxModel":
-        kind, arrays = ckpt.load_checkpoint(path)
-        if kind != ckpt.KIND_SOFTMAX:
-            raise ProbeError(f"{path}: not a softmax checkpoint")
-        return cls(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
-                   SoftmaxConfig(), arrays.get("mean"), arrays.get("scale"))
-
 
 def softmax_probabilities(model: SoftmaxModel, features) -> np.ndarray:
     """Row-stochastic class probabilities."""
@@ -211,6 +181,8 @@ def train_softmax(features, labels, config: SoftmaxConfig | None = None,
         bad = int(np.argmax(y == UNLABELED))
         raise ProbeError(f"training index {bad} is unlabeled")
     k = class_count if class_count is not None else int(y.max()) + 1
+    if y.min() < 0 or y.max() >= k:
+        raise ProbeError(f"training labels must lie in [0, {k})")
     rng = np.random.default_rng(cfg.seed)
     model = _init_softmax(X.shape[1], k, cfg, rng)
     model.mean = X.mean(axis=0)

@@ -81,6 +81,92 @@ class TestStages:
         assert "requires --split" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One valid file of every kind the stage commands read."""
+    tmp = tmp_path_factory.mktemp("artifacts")
+    files = {name: tmp / name for name in
+             ("data.csv", "split.csv", "enc.bin", "feats.bin", "emb.csv", "forest.csv",
+              "results.csv")}
+    steps = [
+        ["gen", "--classes", 3, "--per-class", 12, "--dims", 3, "--seed", 5,
+         "--out", files["data.csv"]],
+        ["split", "--data", files["data.csv"], "--s-frac", 0.1, "--u-frac", 0.6,
+         "--t-frac", 0.3, "--seed", 2, "--out", files["split.csv"]],
+        ["train", "--data", files["data.csv"], "--split", files["split.csv"],
+         "--mode", "simclr", "--epochs", 1, "--batch-size", 8, "--out", files["enc.bin"]],
+        ["extract", "--data", files["data.csv"], "--checkpoint", files["enc.bin"],
+         "--split", files["split.csv"], "--roles", "S,U", "--out", files["feats.bin"]],
+        ["project", "--features", files["feats.bin"], "--perplexity", 5,
+         "--iterations", 30, "--out", files["emb.csv"]],
+        ["propagate", "--embedding", files["emb.csv"], "--data", files["data.csv"],
+         "--split", files["split.csv"], "--out", files["forest.csv"]],
+    ]
+    for step in steps:
+        assert run(step) == 0
+    files["results.csv"].write_text(
+        "dataset,experiment,classifier,seed,accuracy,kappa,consistency\n"
+        "ds,C1a,linear,7,0.5,0.25,\n")
+    return files
+
+
+def _set_line(i, text):
+    def mutate(blob):
+        lines = blob.decode().splitlines()
+        lines[i] = text
+        return ("\n".join(lines) + "\n").encode()
+    return mutate
+
+
+def _keep_lines(count):
+    return lambda blob: b"\n".join(blob.splitlines()[:count]) + b"\n"
+
+
+def _command(kind, files, bad, tmp):
+    return {
+        "split.csv": ["probe", "--data", files["data.csv"], "--split", bad, "--kind", "linear"],
+        "emb.csv": ["propagate", "--embedding", bad, "--data", files["data.csv"],
+                    "--split", files["split.csv"], "--out", tmp / "forest.csv"],
+        "enc.bin": ["extract", "--data", files["data.csv"], "--checkpoint", bad,
+                    "--out", tmp / "feats.bin"],
+        "forest.csv": ["probe", "--data", files["data.csv"], "--split", files["split.csv"],
+                       "--kind", "softmax", "--pseudo", bad],
+        "results.csv": ["report", "--results", bad, "--out", tmp / "report"],
+    }[kind]
+
+
+MALFORMED = {
+    "split_extra_column": ("split.csv", _set_line(2, "0,S,S")),
+    "split_non_integer_index": ("split.csv", _set_line(2, "zero,S")),
+    "split_bad_header": ("split.csv", _set_line(0, "# seed")),
+    "split_duplicate_index": ("split.csv", _set_line(3, "0,U")),
+    "split_not_utf8": ("split.csv", lambda blob: b"\xff" + blob),
+    "split_shorter_than_dataset": ("split.csv", _keep_lines(12)),
+    "embedding_non_numeric": ("emb.csv", _set_line(1, "0,abc,1.0")),
+    "embedding_short_row": ("emb.csv", _set_line(1, "0,1.0")),
+    "checkpoint_10_bytes": ("enc.bin", lambda blob: blob[:10]),
+    "checkpoint_200_bytes": ("enc.bin", lambda blob: blob[:200]),
+    "forest_two_fields": ("forest.csv", _set_line(1, "0,0.0")),
+    "forest_negative_node": ("forest.csv", _set_line(1, "-5,0.0,,0,0")),
+    "forest_duplicate_node": ("forest.csv", _set_line(2, "0,0.0,,0,0")),
+    "forest_missing_node": ("forest.csv", _keep_lines(5)),
+    "forest_node_out_of_range": ("forest.csv", _set_line(1, "1000,0.0,,0,0")),
+    "forest_non_integer_label": ("forest.csv", _set_line(1, "0,0.0,,0,zero")),
+    "forest_label_out_of_range": ("forest.csv", lambda blob: blob.replace(b",0\n", b",7\n")),
+    "results_non_numeric": ("results.csv", _set_line(1, "ds,C1a,linear,seven,0.5,0.25,")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_exits_one(artifacts, tmp_path, capsys, case):
+    kind, mutate = MALFORMED[case]
+    bad = tmp_path / f"bad_{kind}"
+    bad.write_bytes(mutate(artifacts[kind].read_bytes()))
+    capsys.readouterr()
+    assert run(_command(kind, artifacts, bad, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestExperimentCommand:
     def test_config_error_exits_one(self, tmp_path, capsys):
         assert run(["experiment", "c1", "--config", tmp_path / "missing.cfg"]) == 1

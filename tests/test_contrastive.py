@@ -318,7 +318,7 @@ class TestCheckpoint:
     def test_kind_mismatch(self, tmp_path):
         from epl import checkpoint as ckpt
         path = tmp_path / "other.bin"
-        ckpt.save_checkpoint(path, ckpt.KIND_SOFTMAX, {"w": np.zeros((2, 2))})
+        ckpt.save_checkpoint(path, ckpt.KIND_ENCODER + 1, {"w": np.zeros((2, 2))})
         with pytest.raises(ContrastiveError, match="not an encoder"):
             EncoderParams.load(path)
 

@@ -5,8 +5,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from epl.dataset import UNLABELED
-from epl.opf import (OpfError, minimax_oracle, mst, opfsemi_propagate,
-                     opfsup_classify, opfsup_classify_batch, opfsup_train)
+from epl.opf import (OpfError, OptimumPathForest, minimax_oracle, mst,
+                     opfsemi_propagate, opfsup_classify, opfsup_classify_batch,
+                     opfsup_train)
 
 
 def random_instance(rng, n_max=12):
@@ -132,6 +133,34 @@ class TestOpfSemi:
         assert lines[0] == "node,cost,pred,root,label"
         assert len(lines) == 4
         assert lines[1] == "0,0.0,,0,0"
+
+    def test_forest_csv_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "forest.csv"
+        for _ in range(20):
+            X, seeds = random_instance(rng)
+            forest = opfsemi_propagate(X, seeds)
+            forest.to_csv(path)
+            back = OptimumPathForest.from_csv(path)
+            for name in ("cost", "predecessor", "root", "label"):
+                assert np.array_equal(getattr(back, name), getattr(forest, name))
+                assert getattr(back, name).dtype == getattr(forest, name).dtype
+
+    @pytest.mark.parametrize("row, match", [
+        ("0,0.0", "expected 5 fields"),
+        ("0,0.0,,0,0,0", "expected 5 fields"),
+        ("-5,0.0,,0,0", "node -5"),
+        ("3,0.0,,0,0", "node 3"),
+        ("1,0.0,,0,0", "node 1"),      # duplicate of the next row
+        ("0,0.0,,zero,0", "invalid literal"),
+        ("0,cheap,,0,0", "could not convert"),
+        ("0,0.0,,0,99999999999999999999", "too large"),
+    ])
+    def test_forest_csv_rejects_malformed_rows(self, tmp_path, row, match):
+        path = tmp_path / "forest.csv"
+        path.write_text(f"node,cost,pred,root,label\n{row}\n1,1.0,0,0,0\n")
+        with pytest.raises(OpfError, match=match):
+            OptimumPathForest.from_csv(path)
 
 
 class TestMinimaxOracle:

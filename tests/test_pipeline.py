@@ -136,26 +136,49 @@ class TestRunC3:
                        == data.labels[test_idx]).mean()
         assert boosted_acc >= base_acc
 
-    def test_baseline_survives_arm_failure(self, tmp_path, monkeypatch):
-        import epl.contrastive as contrastive_module
-        real_train = contrastive_module.train
 
-        def broken_train(mode, data, split, config):
-            if mode == "simclr":
-                raise RuntimeError("injected failure")
-            return real_train(mode, data, split, config)
+def _break_simclr_training(monkeypatch):
+    real_train = pipeline.contrastive.train
 
-        monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
+    def broken_train(mode, data, split, config):
+        if mode == "simclr":
+            raise RuntimeError("injected failure")
+        return real_train(mode, data, split, config)
+
+    monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
+
+
+class TestArmIsolation:
+    # kind -> (surviving experiments, experiments of the failed arm); the
+    # combined arm fine-tunes the simclr encoder, so it fails with it.
+    CASES = {
+        "c1": ({"C1b"}, {"C1a"}),
+        "c2": ({"C2b"}, {"C2a", "C2c"}),
+        "c3": ({"C3a", "C3c"}, {"C3b", "C3d"}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_failed_arm_is_recorded_and_others_survive(self, tmp_path, monkeypatch, kind):
+        _break_simclr_training(monkeypatch)
         cfg = small_config(tmp_path / "fail", replicas=1)
-        rows, code = run_experiment("c3", cfg)
+        rows, code = run_experiment(kind, cfg)
         assert code == 2
+        survivors, failed = self.CASES[kind]
         experiments = {r.experiment for r in rows}
-        assert "C3a" in experiments          # baseline always present
-        assert "C3c" in experiments          # supcon arm unaffected
-        assert "C3b" not in experiments      # simclr arm failed
-        manifest = (tmp_path / "fail" / "manifest.txt").read_text()
-        assert "injected failure" in manifest
+        assert survivors <= experiments
+        assert not failed & experiments
+        manifest = (tmp_path / "fail" / "manifest.txt").read_text().splitlines()
         assert "status = partial" in manifest
+        errors = manifest[manifest.index("[errors]") + 1:manifest.index("[digests]") - 1]
+        assert f"r0.simclr.{kind} = RuntimeError: injected failure" in errors
+        assert read_results_csv(tmp_path / "fail" / "results.csv") == rows
+
+    def test_failure_propagates_without_a_manifest(self, monkeypatch):
+        _break_simclr_training(monkeypatch)
+        cfg = small_config("unused", replicas=1)
+        state = RunState(cfg, pipeline.dataset_from_config(cfg), None, None)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_c1(state)
 
 
 class TestManifest:

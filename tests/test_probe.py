@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epl.dataset import LabelVector, UNLABELED, generate_blobs
-from epl.probe import (LinearModel, ProbeError, SoftmaxConfig, SoftmaxModel,
+from epl.probe import (LinearModel, ProbeError, SoftmaxConfig,
                        predict, softmax_probabilities, train_linear,
                        train_softmax, _init_softmax, _softmax_loss_grads)
 
@@ -43,15 +43,6 @@ class TestLinearProbe:
         lv = LabelVector.from_true(ds.labels)
         model = train_linear(ds.features, lv)
         assert model.class_count == 2
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        ds = generate_blobs(2, 20, 3, 0.3, 9.0, seed=5)
-        model = train_linear(ds.features, ds.labels)
-        path = tmp_path / "lin.bin"
-        model.save(path)
-        back = LinearModel.load(path)
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(predict(back, ds.features), predict(model, ds.features))
 
 
 class TestSoftmaxProbe:
@@ -115,14 +106,6 @@ class TestSoftmaxProbe:
         a = train_softmax(ds.features, ds.labels, SoftmaxConfig(seed=5))
         b = train_softmax(ds.features, ds.labels, SoftmaxConfig(seed=5))
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        ds = generate_blobs(2, 25, 3, 0.4, 9.0, seed=12)
-        model = train_softmax(ds.features, ds.labels, SoftmaxConfig(seed=6))
-        path = tmp_path / "soft.bin"
-        model.save(path)
-        back = SoftmaxModel.load(path)
-        assert np.array_equal(predict(back, ds.features), predict(model, ds.features))
 
 
 class TestPredict:
