@@ -24,7 +24,10 @@ UNLABELED = -1
 PROVENANCE_TRUE = 0
 PROVENANCE_PSEUDO = 1
 
-_BINARY_MAGIC = b"EPL1"
+# Binary header after the magic: n, d, has_labels and, from EPL2 on, the
+# class count. EPL2 is written; EPL1 files stay readable.
+_BINARY_MAGIC = b"EPL2"
+_BINARY_HEADERS = {_BINARY_MAGIC: "<IIBI", b"EPL1": "<IIB"}
 
 
 class DatasetError(ValueError):
@@ -71,6 +74,8 @@ class Dataset:
             labs = _readonly(np.asarray(self.labels, dtype=np.int64))
             if labs.shape != (n,):
                 raise DatasetError("labels must have one entry per sample")
+            if self.class_count > n:
+                raise DatasetError(f"class count {self.class_count} exceeds {n} samples")
             if labs.size and (labs.min() < 0 or labs.max() >= self.class_count):
                 raise DatasetError("labels must lie in [0, class_count)")
             object.__setattr__(self, "labels", labs)
@@ -181,7 +186,8 @@ def save_features(dataset: Dataset, path, format: str = "text") -> None:
         has = 1 if dataset.has_labels else 0
         blob = bytearray()
         blob += _BINARY_MAGIC
-        blob += struct.pack("<IIB", n, d, has)
+        blob += struct.pack(_BINARY_HEADERS[_BINARY_MAGIC], n, d, has,
+                            dataset.class_count if has else 0)
         blob += np.ascontiguousarray(dataset.features, dtype="<f8").tobytes()
         if has:
             blob += np.ascontiguousarray(dataset.labels, dtype="<u4").tobytes()
@@ -202,7 +208,7 @@ def load_features(path, format: str | None = None, name: str | None = None) -> D
         raise DatasetError(f"no such file: {path}")
     if format is None:
         with open(path, "rb") as fh:
-            format = "binary" if fh.read(4) == _BINARY_MAGIC else "text"
+            format = "binary" if fh.read(4) in _BINARY_HEADERS else "text"
     if name is None:
         name = path.stem
     if format == "binary":
@@ -261,12 +267,13 @@ def _load_text(path: Path, name: str) -> Dataset:
 
 def _load_binary(path: Path, name: str) -> Dataset:
     blob = path.read_bytes()
-    if blob[:4] != _BINARY_MAGIC:
+    header = _BINARY_HEADERS.get(blob[:4])
+    if header is None:
         raise DatasetError(f"{path}: bad magic")
-    off = 4 + 9
+    off = 4 + struct.calcsize(header)
     if len(blob) < off:
         raise DatasetError(f"{path}: truncated header ({len(blob)} < {off} bytes)")
-    n, d, has = struct.unpack_from("<IIB", blob, 4)
+    n, d, has, *stored_k = struct.unpack_from(header, blob, 4)
     need = off + n * d * 8 + (n * 4 if has else 0)
     if len(blob) < need:
         raise DatasetError(f"{path}: truncated file ({len(blob)} < {need} bytes)")
@@ -277,7 +284,8 @@ def _load_binary(path: Path, name: str) -> Dataset:
     if has:
         labels = np.frombuffer(blob, dtype="<u4", count=n, offset=off + n * d * 8)
         labels = labels.astype(np.int64)
-        k = int(labels.max()) + 1 if n else 0
+        # EPL1 stores no class count: infer it from the largest label.
+        k = stored_k[0] if stored_k else (int(labels.max()) + 1 if n else 0)
         return Dataset(feats.copy(), labels, k, name)
     return Dataset(feats.copy(), None, 0, name)
 

@@ -7,9 +7,14 @@ propagation roots the forest at externally supplied seed nodes; the
 supervised classifier roots it at prototypes found on the minimum spanning
 tree where classes meet.
 
-A cubic Floyd-Warshall minimax oracle and an MST builder are included; by
-the bottleneck shortest path property all three routes must agree, which
-the test suite exploits.
+Every forest comes from one Prim sweep over the pairwise distances. Under
+the strict (weight, i, j) edge order the minimum spanning tree is unique,
+and the sweep fills in, for every pair of nodes, the largest edge on their
+tree path and the first hop along it; the forest is then a column-wise
+minimum over the seed rows (the image foresting transform of Falcao,
+Stolfi and Lotufo, restricted to a tree). A cubic Floyd-Warshall minimax
+oracle is included; by the bottleneck shortest path property both routes
+must agree, which the test suite exploits.
 """
 
 from __future__ import annotations
@@ -83,99 +88,90 @@ def _seed_indices(seed_labels: np.ndarray) -> np.ndarray:
     return seeds
 
 
-def _prim_adjacency(D: np.ndarray):
-    """Prim MST over a dense distance matrix, as an adjacency list.
-
-    Candidate ties resolve to the lower node index (argmin order for the
-    extraction, strict improvement for the attachment), so the tree is a
-    pure function of the input. Edge weights are taken verbatim from D,
-    keeping every downstream cost an exact selection from its entries.
-    """
-    n = D.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best_w = D[0].copy()
-    best_from = np.zeros(n, dtype=np.int64)
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best_w)
-        nxt = int(np.argmin(masked))
-        src = int(best_from[nxt])
-        w = float(best_w[nxt])
-        adjacency[src].append((nxt, w))
-        adjacency[nxt].append((src, w))
-        in_tree[nxt] = True
-        closer = ~in_tree & (D[nxt] < best_w)
-        best_w[closer] = D[nxt][closer]
-        best_from[closer] = nxt
-    return adjacency
+def _checked(features, labels=None):
+    """``features`` as a finite 2-d float64 matrix and ``labels`` as int64,
+    one entry per feature row."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise OpfError("features must be a 2-d matrix")
+    n = X.shape[0]
+    y = None if labels is None else np.asarray(labels, dtype=np.int64)
+    if y is not None and y.shape != (n,):
+        raise OpfError(f"have {n} feature rows but labels of shape {y.shape}")
+    if not np.isfinite(X).all():
+        raise OpfError("features must be finite")
+    return X, y
 
 
-def _tree_bottleneck_from(adjacency, start: int, n: int):
-    """Max edge weight along the unique tree path from ``start`` to each node,
-    plus each node's first hop back toward ``start``."""
-    cost = np.full(n, np.inf)
-    toward = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    cost[start] = 0.0
-    visited[start] = True
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nbr, w in adjacency[node]:
-            if not visited[nbr]:
-                visited[nbr] = True
-                toward[nbr] = node
-                cost[nbr] = max(cost[node], w)
-                stack.append(nbr)
-    return cost, toward
+def _prim_sweep(X: np.ndarray):
+    """Prim minimum spanning tree of the complete Euclidean graph, with path tables.
 
-
-def _minimax_forest(X: np.ndarray, seeds: np.ndarray, seed_labels: np.ndarray,
-                    prefer_labels: np.ndarray | None = None) -> OptimumPathForest:
-    """fmax forest rooted at ``seeds``: minimax costs plus deterministic ownership.
-
-    Ownership of cost-tied nodes goes to the lowest-ranked tying seed
-    (seeds ranked by ascending node index); when ``prefer_labels`` is
-    given, a tying seed whose label matches the node's own entry there
-    wins over any mismatched one first.
+    Edges are ordered strictly by (weight, lower endpoint, higher endpoint):
+    each outside node keeps its lightest link into the tree (equal weights
+    to the lower tree node) and each step adopts the least link, so the
+    tree is the unique MST under that order, the one Kruskal would build.
+    A node joins as a leaf, so its path tables follow from its parent's.
+    Returns ``(edges, bottleneck, hop)``: the (parent, child) edges in
+    adoption order; ``bottleneck[s, t]``, the largest edge weight on the
+    tree path s-t, taken verbatim from the distance matrix so that costs
+    stay exact selections; and ``hop[s, t]``, the node after t on that
+    path toward s (-1 when s = t). The bottlenecks overwrite the distances
+    in place: a distance is last read when the first of its nodes joins.
     """
     n = X.shape[0]
-    cost = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    root = np.arange(n, dtype=np.int64)
-    label = np.full(n, UNLABELED, dtype=np.int64)
-    if n == 1:
-        cost[0] = 0.0
-        label[0] = seed_labels[seeds[0]]
-        return OptimumPathForest(cost, pred, root, label)
+    bottleneck = cdist(X, X)
+    hop = np.full((n, n), -1, dtype=np.int32)
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best_w = bottleneck[0].copy()
+    best_from = np.zeros(n, dtype=np.int64)
+    for step in range(n - 1):
+        masked = np.where(in_tree, np.inf, best_w)
+        cand = np.flatnonzero(masked == masked.min())
+        # among the lightest links, the smallest (lower, higher) endpoint pair
+        ends = np.sort(np.stack([cand, best_from[cand]]), axis=0)
+        child = int(cand[np.lexsort(ends[::-1])[0]])
+        parent, w = int(best_from[child]), best_w[child]
+        tree = np.flatnonzero(in_tree)
+        bottleneck[child, tree] = np.maximum(bottleneck[parent, tree], w)
+        bottleneck[tree, child] = bottleneck[child, tree]
+        hop[child, tree] = hop[parent, tree]
+        hop[child, parent] = child
+        hop[tree, child] = parent
+        edges[step] = parent, child
+        in_tree[child] = True
+        dist = bottleneck[child]
+        closer = ~in_tree & ((dist < best_w) | ((dist == best_w) & (child < best_from)))
+        best_w[closer] = dist[closer]
+        best_from[closer] = child
+    return edges, bottleneck, hop
 
-    adjacency = _prim_adjacency(cdist(X, X))
-    owner_pos = np.full(n, -1, dtype=np.int64)
-    mismatch = np.ones(n, dtype=bool)
-    hops = []
-    for pos, seed in enumerate(seeds):
-        seed_cost, toward = _tree_bottleneck_from(adjacency, int(seed), n)
-        hops.append(toward)
-        if prefer_labels is None:
-            better = seed_cost < cost
-        else:
-            seed_match = prefer_labels == seed_labels[seed]
-            better = (seed_cost < cost) | ((seed_cost == cost) & seed_match & mismatch)
-            mismatch = np.where(better, ~seed_match, mismatch)
-        cost[better] = seed_cost[better]
-        owner_pos[better] = pos
-    for t in range(n):
-        owner = int(seeds[owner_pos[t]])
-        root[t] = owner
-        label[t] = seed_labels[owner]
-        pred[t] = hops[owner_pos[t]][t]
+
+def _forest(bottleneck: np.ndarray, hop: np.ndarray, seeds: np.ndarray,
+            seed_labels: np.ndarray, prefer_labels: np.ndarray | None = None
+            ) -> OptimumPathForest:
+    """fmax forest rooted at ``seeds`` over one ``_prim_sweep``'s path tables.
+
+    Each node goes to the seed with the smallest tree bottleneck to it;
+    cost ties go to the lowest-ranked tying seed (seeds ranked by
+    ascending node index), except that when ``prefer_labels`` is given a
+    tying seed whose label matches the node's own entry there wins over
+    any mismatched one first.
+    """
+    per_seed = bottleneck[seeds]
+    cost = per_seed.min(axis=0)
+    mismatch = (False if prefer_labels is None
+                else seed_labels[seeds][:, None] != prefer_labels[None, :])
+    # 0: ties the cost (with a preferred label), 1: ties it without, 2: dearer
+    rank = np.where(per_seed == cost, mismatch, 2)
+    root = seeds[np.argmin(rank, axis=0)]
+    pred = hop[root, np.arange(len(cost))].astype(np.int64)
     # Seeds root themselves regardless of coincident rivals.
     cost[seeds] = 0.0
     pred[seeds] = -1
     root[seeds] = seeds
-    label[seeds] = seed_labels[seeds]
-    return OptimumPathForest(cost, pred, root, label)
+    return OptimumPathForest(cost, pred, root, seed_labels[root])
 
 
 def opfsemi_propagate(features, seed_labels) -> OptimumPathForest:
@@ -183,13 +179,15 @@ def opfsemi_propagate(features, seed_labels) -> OptimumPathForest:
 
     Every node's cost is its minimax distance to the seed set: the
     minimum over paths of the maximal edge weight, realized on a minimum
-    spanning tree by the bottleneck property. Equal minimax costs through
-    different seeds are common, not exotic (any bottleneck edge shared by
-    the paths toward two seeds produces a whole region of exact ties), so
-    ownership is resolved lexicographically: a node belongs to the
-    lowest-ranked seed among those tying at its cost, seeds ranked by
-    ascending node index. Seeds always keep themselves, even when another
-    seed sits at distance zero.
+    spanning tree by the bottleneck property. One Prim sweep builds that
+    tree, its ties broken by the (weight, i, j) edge order, together with
+    every pairwise tree bottleneck. Equal minimax costs through different
+    seeds are common, not exotic (any bottleneck edge shared by the paths
+    toward two seeds produces a whole region of exact ties), so ownership
+    is resolved lexicographically: a node belongs to the lowest-ranked
+    seed among those tying at its cost, seeds ranked by ascending node
+    index. Seeds always keep themselves, even when another seed sits at
+    distance zero.
 
     The recorded predecessor is the node's first hop toward its owner on
     the spanning tree; the relation cost(t) = max(cost(pred), |x_pred -
@@ -199,17 +197,10 @@ def opfsemi_propagate(features, seed_labels) -> OptimumPathForest:
     nodes owned by the other seed on its way down; the stored root and
     label always name the owner.
     """
-    X = np.asarray(features, dtype=np.float64)
-    seed_labels = np.asarray(seed_labels, dtype=np.int64)
-    if X.ndim != 2:
-        raise OpfError("features must be a 2-d matrix")
-    n = X.shape[0]
-    if seed_labels.shape[0] != n:
-        raise OpfError(f"have {n} nodes but {seed_labels.shape[0]} seed entries")
-    if not np.isfinite(X).all():
-        raise OpfError("features must be finite")
+    X, seed_labels = _checked(features, seed_labels)
     seeds = _seed_indices(seed_labels)
-    return _minimax_forest(X, seeds, seed_labels)
+    _, bottleneck, hop = _prim_sweep(X)
+    return _forest(bottleneck, hop, seeds, seed_labels)
 
 
 def minimax_oracle(features, seed_labels):
@@ -238,49 +229,20 @@ def minimax_oracle(features, seed_labels):
     return labels, costs
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def mst(features) -> np.ndarray:
-    """Kruskal minimum spanning tree of the complete Euclidean graph.
+    """Minimum spanning tree of the complete Euclidean graph: the Prim sweep's edges.
 
-    Edges are examined by (weight, i, j), so equal-weight ties resolve to
-    the lexicographically first edge. Returns an (n-1) x 2 index array in
-    adoption order.
+    Equal-weight ties resolve by the (weight, i, j) edge order. Returns an
+    (n-1) x 2 index array of edges (i, j), i < j, sorted in that order
+    (the order in which Kruskal would adopt them).
     """
-    X = np.asarray(features, dtype=np.float64)
-    n = X.shape[0]
-    if n < 2:
+    X, _ = _checked(features)
+    if X.shape[0] < 2:
         raise OpfError("need at least 2 nodes")
-    iu, ju = np.triu_indices(n, 1)
-    w = cdist(X, X)[iu, ju]
-    order = np.lexsort((ju, iu, w))
-    uf = _UnionFind(n)
-    edges = np.empty((n - 1, 2), dtype=np.int64)
-    taken = 0
-    for e in order:
-        a, b = int(iu[e]), int(ju[e])
-        if uf.union(a, b):
-            edges[taken] = (a, b)
-            taken += 1
-            if taken == n - 1:
-                break
-    return edges
+    edges, bottleneck, _ = _prim_sweep(X)
+    edges.sort(axis=1)
+    weight = bottleneck[edges[:, 0], edges[:, 1]]
+    return edges[np.lexsort((edges[:, 1], edges[:, 0], weight))]
 
 
 @dataclass
@@ -303,24 +265,19 @@ def opfsup_train(features, labels) -> OpfSupModel:
 
     Prototypes are the endpoints of MST edges that join distinct classes;
     they root an fmax forest over the training set at cost 0, from which
-    every other training node receives its optimum-path cost. Cost ties
-    between prototypes of different classes are resolved in favor of the
-    node's own class, which keeps the training set perfectly labeled by
-    its own forest (for every node, walking its spanning-tree path toward
-    any prototype meets a same-class prototype no more expensively).
+    every other training node receives its optimum-path cost. One Prim
+    sweep yields both the tree and the forest. Cost ties between
+    prototypes of different classes are resolved in favor of the node's
+    own class, which keeps the training set perfectly labeled by its own
+    forest (for every node, walking its spanning-tree path toward any
+    prototype meets a same-class prototype no more expensively).
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.shape[0] != y.shape[0]:
-        raise OpfError("features and labels must align")
+    X, y = _checked(features, labels)
     if np.unique(y).size < 2:
         raise OpfError("training set must contain at least 2 classes")
-    edges = mst(X)
-    cross = edges[y[edges[:, 0]] != y[edges[:, 1]]]
-    protos = np.unique(cross)
-    seed_vec = np.full(X.shape[0], UNLABELED, dtype=np.int64)
-    seed_vec[protos] = y[protos]
-    forest = _minimax_forest(X, protos, seed_vec, prefer_labels=y)
+    edges, bottleneck, hop = _prim_sweep(X)
+    protos = np.unique(edges[y[edges[:, 0]] != y[edges[:, 1]]])
+    forest = _forest(bottleneck, hop, protos, y, prefer_labels=y)
     proto_mask = np.zeros(X.shape[0], dtype=bool)
     proto_mask[protos] = True
     return OpfSupModel(X, y, proto_mask, forest.cost, forest.label)

@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epl.cli import main
 from epl.dataset import load_features, load_split
@@ -238,3 +241,37 @@ class TestReportCommand:
         assert summary[0].startswith("dataset,experiment,classifier")
         assert len(summary) == 4  # header + 3 modes
         assert (report_dir / "correlation.csv").exists()
+
+
+def _binary_dataset(magic):
+    """A 30-sample, k=3 labeled dataset file in the EPL1 or EPL2 layout."""
+    rng = np.random.default_rng(4)
+    labels = np.repeat(np.arange(3), 10)
+    header = (struct.pack("<IIBI", 30, 2, 1, 3) if magic == b"EPL2"
+              else struct.pack("<IIB", 30, 2, 1))
+    return (magic + header + rng.normal(size=(30, 2)).astype("<f8").tobytes()
+            + labels.astype("<u4").tobytes())
+
+
+# The last label word set to 0x7fffffff (little-endian, counted from the end).
+_HUGE_LAST_LABEL = [(17, 0x7F), (18, 0xFF), (19, 0xFF), (20, 0xFF)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(magic=st.sampled_from([b"EPL1", b"EPL2"]),
+       edits=st.lists(st.tuples(st.integers(0, 16 + 120), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+@example(magic=b"EPL1", edits=_HUGE_LAST_LABEL)
+@example(magic=b"EPL2", edits=_HUGE_LAST_LABEL)
+def test_split_of_byte_mutated_binary_dataset_exits_zero_or_one(tmp_path_factory, magic,
+                                                                edits):
+    # Edits at 0..16 land in the header, the rest (counted from the end) in
+    # the label words; any exception other than a typed error fails here.
+    blob = bytearray(_binary_dataset(magic))
+    for pos, value in edits:
+        blob[pos if pos < 17 else -1 - (pos - 17)] = value
+    tmp = tmp_path_factory.mktemp("mutated")
+    data = tmp / "data.bin"
+    data.write_bytes(bytes(blob))
+    assert run(["split", "--data", data, "--s-frac", 0.2, "--u-frac", 0.5,
+                "--t-frac", 0.3, "--out", tmp / "split.csv"]) in (0, 1)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,29 @@ class TestIngestion:
             back = load_features(path, fmt)
             assert np.array_equal(back.features, ds.features)
             assert np.array_equal(back.labels, ds.labels)
+
+    def test_class_count_survives_a_missing_class(self, tmp_path):
+        # k = 3 but no sample of class 2: both formats keep k = 3
+        ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 0, 1], 3)
+        for fmt in ("text", "binary"):
+            path = tmp_path / f"k3.{fmt}"
+            save_features(ds, path, fmt)
+            assert load_features(path).class_count == 3
+        assert (tmp_path / "k3.binary").read_bytes()[:4] == b"EPL2"
+
+    def test_epl1_still_reads(self, tmp_path):
+        feats = np.arange(8.0).reshape(4, 2)
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"EPL1" + struct.pack("<IIB", 4, 2, 1) + feats.astype("<f8").tobytes()
+                         + np.array([0, 2, 1, 2], dtype="<u4").tobytes())
+        ds = load_features(path)  # sniffed format
+        assert ds.class_count == 3  # EPL1 stores no count: max label + 1
+        assert np.array_equal(ds.features, feats)
+        assert ds.labels.tolist() == [0, 2, 1, 2]
+
+    def test_class_count_above_sample_count_rejected(self):
+        with pytest.raises(DatasetError, match="class count 5 exceeds 4 samples"):
+            Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 5)
 
     def test_round_trip_unlabeled(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from epl.dataset import UNLABELED
@@ -20,6 +22,19 @@ def random_instance(rng, n_max=12):
     seeds = np.full(n, UNLABELED)
     seeds[seed_idx] = rng.integers(0, k, n_seeds)
     return X, seeds
+
+
+def grid_points(rng, n_max=12):
+    """Points on a 3-per-axis integer grid: duplicates and equal distances abound."""
+    n = int(rng.integers(2, n_max + 1))
+    return rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(np.float64)
+
+
+# Tied inputs: up to 10 points of a 3-per-axis integer grid in 1-3 dimensions.
+grid_clouds = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                       min_size=2, max_size=10)
+).map(lambda rows: np.array(rows, dtype=np.float64))
 
 
 def assert_forest_valid(forest, X, seeds):
@@ -71,6 +86,11 @@ class TestOpfSemi:
         forest = opfsemi_propagate(X, seeds)
         assert forest.label[1] == 0
         assert forest.root[1] == 0
+
+    def test_single_node_is_its_own_seed(self):
+        forest = opfsemi_propagate(np.array([[2.0, 3.0]]), np.array([4]))
+        assert (forest.cost.tolist(), forest.predecessor.tolist(), forest.root.tolist(),
+                forest.label.tolist()) == ([0.0], [-1], [0], [4])
 
     def test_no_seeds_is_an_error(self):
         with pytest.raises(OpfError, match="seed"):
@@ -252,6 +272,25 @@ class TestMst:
                 assert np.array_equal(path_max, costs)
 
 
+@pytest.mark.parametrize("fit", [opfsemi_propagate, opfsup_train])
+@pytest.mark.parametrize("features, match", [
+    ([[0.0], [np.nan], [1.0]], "finite"),
+    ([[0.0], [1.0], [np.inf]], "finite"),
+    ([0.0, 1.0, 2.0], "2-d"),
+    (np.zeros((3, 1, 1)), "2-d"),
+    (np.zeros((4, 2)), "4 feature rows"),
+])
+def test_malformed_features_raise_opf_error(fit, features, match):
+    with pytest.raises(OpfError, match=match):
+        fit(features, np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("features", [[[0.0], [np.nan]], [0.0, 1.0]])
+def test_mst_rejects_malformed_features(features):
+    with pytest.raises(OpfError):
+        mst(features)
+
+
 class TestOpfSup:
     def test_two_blobs_two_prototypes(self):
         rng = np.random.default_rng(7)
@@ -299,3 +338,73 @@ class TestOpfSup:
         model = opfsup_train(np.array([[0.0], [2.0]]), np.array([0, 1]))
         with pytest.raises(OpfError, match="dimension"):
             opfsup_classify(model, np.array([0.0, 1.0]))
+
+
+class TestTiedInputs:
+    """Grid points: equal edge weights and coincident nodes everywhere."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_clouds)
+    def test_mst_cycle_property(self, X):
+        # Under the strict (w, i, j) edge order every non-tree edge is the
+        # largest on the cycle it closes, so the tree is the unique MST.
+        n = X.shape[0]
+        D = cdist(X, X)
+        edges = mst(X)
+        assert edges.shape == (n - 1, 2)
+        assert (edges[:, 0] < edges[:, 1]).all()
+
+        def key(a, b):
+            return (D[a, b], min(a, b), max(a, b))
+
+        adj = [[] for _ in range(n)]
+        for a, b in edges.tolist():
+            adj[a].append(b)
+            adj[b].append(a)
+        tree = set(map(tuple, edges.tolist()))
+        for a in range(n):
+            parent = {a: None}  # DFS from a: parent links lead back to a
+            stack = [a]
+            while stack:
+                u = stack.pop()
+                for v in adj[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        stack.append(v)
+            assert len(parent) == n
+            for b in range(a + 1, n):
+                node = b
+                while (a, b) not in tree and parent[node] is not None:
+                    assert key(parent[node], node) < key(a, b)
+                    node = parent[node]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_clouds, st.data())
+    def test_propagation_matches_oracle(self, X, data):
+        n = X.shape[0]
+        seed_idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                                      unique=True))
+        seeds = np.full(n, UNLABELED)
+        seeds[seed_idx] = data.draw(st.lists(st.integers(0, 2), min_size=len(seed_idx),
+                                             max_size=len(seed_idx)))
+        forest = opfsemi_propagate(X, seeds)
+        assert_forest_valid(forest, X, seeds)
+        labels, costs = minimax_oracle(X, seeds)
+        assert np.array_equal(forest.label, labels)
+        assert np.array_equal(forest.cost, costs)
+
+    def test_opfsup_grid_golden(self):
+        # sha256 of (prototype, cost, forest_label) over a seeded batch of
+        # grid instances, recorded before the forest became one Prim sweep.
+        rng = np.random.default_rng(31)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            X = grid_points(rng)
+            y = rng.integers(0, 3, X.shape[0])
+            if np.unique(y).size < 2:
+                continue
+            model = opfsup_train(X, y)
+            for part in (model.prototype, model.cost, model.forest_label):
+                digest.update(part.tobytes())
+        assert digest.hexdigest() == (
+            "9013010d72b8c3dda742d0e80ddc280d8f2302f992fd2b963cf574f00b28f143")
