@@ -23,11 +23,11 @@ from .contrastive import ContrastiveError, EncoderParams
 from .dataset import (Dataset, DatasetError, Role, SplitError, generate_blobs,
                       load_features, load_split, save_features, save_split,
                       stratified_split)
-from .metrics import MetricError, ScoreReport, confusion
-from .opf import OpfError, OptimumPathForest, opfsemi_propagate
-from .pipeline import (PipelineError, propagation_seeds, read_embedding_csv,
-                       read_results_csv, run_experiment, train_config_from,
-                       write_embedding_csv, write_report)
+from .metrics import MetricError
+from .opf import OpfError, OptimumPathForest
+from .pipeline import (PipelineError, propagate_labels, propagation_seeds,
+                       read_embedding_csv, read_results_csv, run_experiment, score,
+                       train_config_from, write_embedding_csv, write_report)
 from .probe import ProbeError, SoftmaxConfig, predict, train_linear, train_softmax
 from .projection import ProjectionConfig, ProjectionError, tsne_project
 
@@ -119,7 +119,8 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _check_rows(what: str, rows: int, expected: int) -> None:
+def _check_rows(what: str, rows: int, split) -> None:
+    expected = split.supervised.size + split.unsupervised.size
     if rows != expected:
         raise PipelineError(f"{what} has {rows} rows but the split has "
                             f"{expected} supervised + unsupervised samples")
@@ -131,14 +132,9 @@ def _cmd_propagate(args) -> int:
     if not data.has_labels:
         raise DatasetError("propagation needs a labeled dataset for its seeds")
     _, coords, _ = read_embedding_csv(args.embedding)
-    idx, seed_values, is_sup = propagation_seeds(data, split)
-    _check_rows("embedding", coords.shape[0], idx.size)
-    forest = opfsemi_propagate(coords, seed_values)
+    _check_rows("embedding", coords.shape[0], split)
+    forest, rep, _ = propagate_labels(data, split, coords)
     forest.to_csv(args.out)
-    pseudo = np.asarray(forest.label)
-    truth = data.labels[idx]
-    rep = ScoreReport.from_confusion(
-        confusion(pseudo[~is_sup], truth[~is_sup], class_count=data.class_count))
     print(rep.csv_row(data.name, "propagation", split.seed))
     return 0
 
@@ -165,7 +161,7 @@ def _cmd_probe(args) -> int:
         if args.pseudo:
             train_idx, seed_values, is_sup = propagation_seeds(data, split)
             forest = OptimumPathForest.from_csv(args.pseudo)
-            _check_rows("forest", forest.label.size, train_idx.size)
+            _check_rows("forest", forest.label.size, split)
             labels_train = np.where(is_sup, seed_values, forest.label)
             method = "softmax+pseudo"
         else:
@@ -175,9 +171,7 @@ def _cmd_probe(args) -> int:
         model = train_softmax(feats[train_idx], labels_train,
                               SoftmaxConfig(seed=args.seed), data.class_count)
         pred = predict(model, feats[test])
-    rep = ScoreReport.from_confusion(confusion(pred, labels_t,
-                                               class_count=data.class_count))
-    print(rep.csv_row(data.name, method, args.seed))
+    print(score(pred, labels_t, data.class_count).csv_row(data.name, method, args.seed))
     return 0
 
 

@@ -59,8 +59,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     cosine_period: int | None = None      # defaults to epochs
     min_learning_rate: float | None = None  # defaults to learning_rate / 50
-    init_mode: str = "scratch"            # "scratch" or "warm_start"
-    warm_start: "EncoderParams | None" = None
+    warm_start: "EncoderParams | None" = None  # start from these weights, not at random
     validation_fraction: float = 0.1
     seed: int = 0
     hidden_dim: int = HIDDEN_DIM
@@ -76,10 +75,6 @@ class TrainConfig:
             raise ContrastiveError("batch size must be at least 2")
         if not 0.0 < self.validation_fraction < 0.5:
             raise ContrastiveError("validation fraction must be in (0, 0.5)")
-        if self.init_mode not in ("scratch", "warm_start"):
-            raise ContrastiveError(f"unknown init mode {self.init_mode!r}")
-        if self.init_mode == "warm_start" and self.warm_start is None:
-            raise ContrastiveError("warm_start init requires checkpoint parameters")
 
 
 @dataclass
@@ -437,13 +432,13 @@ def finetune_supcon(params: EncoderParams, data: Dataset, split: SplitAssignment
     idx = role_indices(split, (Role.SUPERVISED,))
     if idx.size == 0:
         raise ContrastiveError("empty training role set")
-    cfg = replace(config, init_mode="warm_start", warm_start=params)
+    cfg = replace(config, warm_start=params)
     return _train_on("supcon", data.features[idx], data.labels[idx], cfg)
 
 
 def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderParams:
     rng = np.random.default_rng(config.seed)
-    if config.init_mode == "warm_start":
+    if config.warm_start is not None:
         params = config.warm_start.copy()
         if params.input_dim != X.shape[1]:
             raise ContrastiveError(

@@ -146,14 +146,15 @@ class LabelVector:
         values = np.asarray(values, dtype=np.int64)
         return cls(values, np.zeros(values.shape[0], dtype=np.uint8))
 
-    def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.values != UNLABELED)
-
-    def is_labeled(self, idx) -> np.ndarray:
-        return self.values[idx] != UNLABELED
-
     def __len__(self) -> int:
         return self.values.shape[0]
+
+
+def label_array(labels) -> np.ndarray:
+    """The label values of a LabelVector or of any integer sequence."""
+    if isinstance(labels, LabelVector):
+        return labels.values
+    return np.asarray(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +169,89 @@ def read_text(path, error: type[Exception]) -> str:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
+# Every CSV table (datasets, splits, embeddings, forests, results, reports)
+# goes through write_table and read_table: header line(s), then one row per
+# line, cells joined by commas. Rows are split from the right, so the first
+# column is the only one that may hold commas.
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(int(value))
+
+
+def write_table(path, header: list[str], rows) -> None:
+    """Write the header lines, then each row's cells: None as empty, a float
+    as ``repr(float(v))``, an integer as ``str(int(v))``, a string as is."""
+    lines = header + [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path, error: type[Exception], header, header_lines: int = 1,
+               nodes: bool = False) -> list:
+    """The rows of a table written by ``write_table``, each through a parser.
+
+    ``header`` gets the first ``header_lines`` lines and returns the field
+    count and the row parser, raising ValueError when they are not the
+    table's header. Blank lines are skipped; each row must split from the
+    right into exactly that many fields. With ``nodes`` the first parsed
+    value of each row is a node id: the rows must be nodes 0..n-1, each
+    once, and come back in node order. Every failure raises ``error``, a
+    row's prefixed with ``path: line N:``.
+    """
+    lines = read_text(path, error).splitlines()
+    try:
+        width, parse = header(lines[:header_lines])
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+    body = [(lineno, line) for lineno, line in enumerate(lines[header_lines:], header_lines + 1)
+            if line.strip()]
+    rows = [None] * len(body)
+    for at, (lineno, line) in enumerate(body):
+        try:
+            cells = line.rsplit(",", width - 1)
+            if len(cells) != width:
+                raise ValueError(f"expected {width} fields, got {len(cells)}")
+            row = parse(cells)
+            slot = row[0] if nodes else at  # a file-order slot is always free
+            if not 0 <= slot < len(rows) or rows[slot] is not None:
+                raise ValueError(f"node {slot} is not one of 0..{len(rows) - 1} listed once each")
+            rows[slot] = row
+        except (ValueError, OverflowError) as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from exc
+    return rows
+
+
+def int64(cell: str) -> int:
+    """An integer cell that fits in int64; larger values raise OverflowError."""
+    return int(np.int64(int(cell)))
+
+
+def _header_params(line: str) -> dict[str, str]:
+    """The key=value tokens of a '# key=value ...' header line."""
+    params = {}
+    for token in line.lstrip("#").split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"bad header token {token!r}")
+        params[key] = value
+    return params
+
+
 def save_features(dataset: Dataset, path, format: str = "text") -> None:
     """Write a dataset in the delimited-text or raw-binary format."""
     path = Path(path)
     if format == "text":
         has = 1 if dataset.has_labels else 0
         k = dataset.class_count if dataset.has_labels else 0
-        lines = [f"# d={dataset.dim} labels={has} k={k}"]
-        for i in range(dataset.sample_count):
-            cells = [repr(float(v)) for v in dataset.features[i]]
-            if dataset.has_labels:
-                cells.append(str(int(dataset.labels[i])))
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
+        rows = dataset.features.tolist()
+        if has:
+            rows = [row + [label] for row, label in zip(rows, dataset.labels.tolist())]
+        write_table(path, [f"# d={dataset.dim} labels={has} k={k}"], rows)
     elif format == "binary":
         n, d = dataset.features.shape
         has = 1 if dataset.has_labels else 0
@@ -219,49 +290,26 @@ def load_features(path, format: str | None = None, name: str | None = None) -> D
 
 
 def _load_text(path: Path, name: str) -> Dataset:
-    lines = read_text(path, DatasetError).splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise DatasetError(f"{path}: missing '# d=... labels=... k=...' header")
-    header = {}
-    for tok in lines[0].lstrip("#").split():
-        if "=" not in tok:
-            raise DatasetError(f"{path}: bad header token {tok!r}")
-        key, val = tok.split("=", 1)
-        header[key] = val
-    try:
-        d = int(header["d"])
-        has_labels = int(header["labels"]) != 0
-        k = int(header["k"])
-    except (KeyError, ValueError) as exc:
-        raise DatasetError(f"{path}: bad header: {exc}") from exc
-    expected_cols = d + (1 if has_labels else 0)
-    rows, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != expected_cols:
-            raise DatasetError(
-                f"{path}: line {lineno}: expected {expected_cols} columns, got {len(cells)}"
-            )
+    head = {}
+
+    def header(lines):
+        if not lines or not lines[0].startswith("#"):
+            raise ValueError("missing '# d=... labels=... k=...' header")
         try:
-            values = [float(c) for c in cells[:d]]
-        except ValueError as exc:
-            raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
-        for col, v in enumerate(values):
-            if not math.isfinite(v):
-                raise DatasetError(
-                    f"{path}: non-finite value at row {lineno - 2}, column {col}"
-                )
-        rows.append(values)
-        if has_labels:
-            try:
-                labels.append(int(cells[d]))
-            except ValueError as exc:
-                raise DatasetError(f"{path}: line {lineno}: bad label: {exc}") from exc
-    feats = np.asarray(rows, dtype=np.float64)
-    if has_labels:
-        return Dataset(feats, np.asarray(labels, dtype=np.int64), k, name)
+            params = _header_params(lines[0])
+            head.update(d=int(params["d"]), labels=int(params["labels"]) != 0,
+                        k=int(params["k"]))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad header: {exc}") from exc
+        d, has = head["d"], head["labels"]
+        return d + has, lambda cells: ([float(c) for c in cells[:d]],
+                                       int64(cells[d]) if has else None)
+
+    rows = read_table(path, DatasetError, header)
+    feats = np.asarray([feats for feats, _ in rows], dtype=np.float64)
+    if head["labels"]:
+        labels = np.asarray([label for _, label in rows], dtype=np.int64)
+        return Dataset(feats, labels, head["k"], name)
     return Dataset(feats, None, 0, name)
 
 
@@ -278,9 +326,6 @@ def _load_binary(path: Path, name: str) -> Dataset:
     if len(blob) < need:
         raise DatasetError(f"{path}: truncated file ({len(blob)} < {need} bytes)")
     feats = np.frombuffer(blob, dtype="<f8", count=n * d, offset=off).reshape(n, d)
-    if not np.isfinite(feats).all():
-        bad = np.argwhere(~np.isfinite(feats))[0]
-        raise DatasetError(f"{path}: non-finite value at row {bad[0]}, column {bad[1]}")
     if has:
         labels = np.frombuffer(blob, dtype="<u4", count=n, offset=off + n * d * 8)
         labels = labels.astype(np.int64)
@@ -424,45 +469,38 @@ _LETTER_ROLES = {v: k for k, v in _ROLE_LETTERS.items()}
 
 def save_split(split: SplitAssignment, path) -> None:
     """Write a split as 'index,role' CSV with the parameters in the header."""
-    s, u, t = split.fractions
-    lines = [f"# seed={split.seed} s_frac={s!r} u_frac={u!r} t_frac={t!r}", "index,role"]
-    for i, role in enumerate(split.roles):
-        lines.append(f"{i},{_ROLE_LETTERS[Role(int(role))]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    s, u, t = map(_cell, split.fractions)
+    write_table(path, [f"# seed={split.seed} s_frac={s} u_frac={u} t_frac={t}", "index,role"],
+                ((i, _ROLE_LETTERS[Role(int(role))]) for i, role in enumerate(split.roles)))
+
+
+def _role(letter: str) -> int:
+    if letter not in _LETTER_ROLES:
+        raise ValueError(f"unknown role {letter!r}")
+    return int(_LETTER_ROLES[letter])
 
 
 def load_split(path) -> SplitAssignment:
     path = Path(path)
     if not path.exists():
         raise SplitError(f"no such split file: {path}")
-    lines = read_text(path, SplitError).splitlines()
-    if len(lines) < 2 or not lines[0].startswith("#") or lines[1] != "index,role":
-        raise SplitError(f"{path}: missing split header")
-    try:
-        params = dict(tok.split("=", 1) for tok in lines[0].lstrip("#").split())
-        seed = int(params.get("seed", 0))
-        fracs = tuple(float(params.get(k, 0.0)) for k in ("s_frac", "u_frac", "t_frac"))
-    except ValueError as exc:
-        raise SplitError(f"{path}: bad split header: {exc}") from exc
-    entries = {}
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
+    head = {}
+
+    def header(lines):
+        if len(lines) < 2 or not lines[0].startswith("#") or lines[1] != "index,role":
+            raise ValueError("missing split header")
         try:
-            idx_str, letter = line.split(",")
-            index = int(idx_str)
+            params = _header_params(lines[0])
+            head.update(seed=int(params.get("seed", 0)),
+                        fracs=tuple(float(params.get(k, 0.0))
+                                    for k in ("s_frac", "u_frac", "t_frac")))
         except ValueError as exc:
-            raise SplitError(f"{path}: line {lineno}: expected 'index,role': {exc}") from exc
-        if letter not in _LETTER_ROLES:
-            raise SplitError(f"{path}: line {lineno}: unknown role {letter!r}")
-        if index in entries:
-            raise SplitError(f"{path}: line {lineno}: index {index} listed twice")
-        entries[index] = int(_LETTER_ROLES[letter])
-    n = len(entries)
-    if sorted(entries) != list(range(n)):
-        raise SplitError(f"{path}: indices must cover 0..{n - 1} exactly")
-    roles = np.array([entries[i] for i in range(n)], dtype=np.uint8)
-    return SplitAssignment(roles, seed, fracs)
+            raise ValueError(f"bad split header: {exc}") from exc
+        return 2, lambda cells: (int(cells[0]), _role(cells[1]))
+
+    rows = read_table(path, SplitError, header, header_lines=2, nodes=True)
+    roles = np.array([role for _, role in rows], dtype=np.uint8)
+    return SplitAssignment(roles, head["seed"], head["fracs"])
 
 
 def merge_labels(split: SplitAssignment, true_s: LabelVector,

@@ -13,17 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED, LabelVector
+from .dataset import UNLABELED, label_array
 
 
 class MetricError(ValueError):
     """Raised for empty or unlabeled inputs."""
-
-
-def _label_array(labels) -> np.ndarray:
-    if isinstance(labels, LabelVector):
-        return labels.values
-    return np.asarray(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,8 @@ class ConfusionMatrix:
 
 def confusion(pred, truth, indices=None, class_count: int | None = None) -> ConfusionMatrix:
     """Count (truth, prediction) pairs over the given index set."""
-    pred = _label_array(pred)
-    truth = _label_array(truth)
+    pred = label_array(pred)
+    truth = label_array(truth)
     if indices is None:
         indices = np.arange(len(truth))
     indices = np.asarray(indices, dtype=np.int64)
@@ -125,7 +119,7 @@ def knn_consistency(points, labels, k: int = 10) -> float:
     if hasattr(points, "coordinates"):
         points = points.coordinates
     points = np.asarray(points, dtype=np.float64)
-    labels = _label_array(labels)
+    labels = label_array(labels)
     n = points.shape[0]
     if labels.shape[0] != n:
         raise MetricError("labels must match points")

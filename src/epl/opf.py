@@ -20,12 +20,11 @@ must agree, which the test suite exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED, read_text
+from .dataset import UNLABELED, int64, read_table, write_table
 
 
 class OpfError(ValueError):
@@ -45,40 +44,23 @@ class OptimumPathForest:
     label: np.ndarray
 
     def to_csv(self, path) -> None:
-        lines = [_CSV_HEADER]
-        for i in range(len(self.cost)):
-            pred = "" if self.predecessor[i] < 0 else str(int(self.predecessor[i]))
-            lines.append(
-                f"{i},{float(self.cost[i])!r},{pred},{int(self.root[i])},{int(self.label[i])}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_table(path, [_CSV_HEADER], (
+            (i, self.cost[i], self.predecessor[i] if self.predecessor[i] >= 0 else None,
+             self.root[i], self.label[i]) for i in range(len(self.cost))))
 
     @classmethod
     def from_csv(cls, path) -> "OptimumPathForest":
         """Read a forest written by ``to_csv``: rows for nodes 0..n-1, once each."""
-        lines = read_text(path, OpfError).splitlines()
-        if not lines or lines[0] != _CSV_HEADER:
-            raise OpfError(f"{path}: missing forest header")
-        rows = [(lineno, line.split(",")) for lineno, line in enumerate(lines[1:], start=2)
-                if line.strip()]
-        n = len(rows)
-        cost = np.zeros(n)
-        links = np.zeros((3, n), dtype=np.int64)  # predecessor, root, label
-        seen = np.zeros(n, dtype=bool)
-        for lineno, parts in rows:
-            try:
-                if len(parts) != 5:
-                    raise ValueError(f"expected 5 fields, got {len(parts)}")
-                node = int(parts[0])
-                if not 0 <= node < n or seen[node]:
-                    raise ValueError(f"node {node} is not one of 0..{n - 1} listed once each")
-                cost[node] = float(parts[1])
-                links[:, node] = (int(parts[2]) if parts[2] else -1, int(parts[3]),
-                                  int(parts[4]))
-            except (ValueError, OverflowError) as exc:
-                raise OpfError(f"{path}: line {lineno}: {exc}") from exc
-            seen[node] = True
-        return cls(cost, *links)
+        def header(lines):
+            if lines != [_CSV_HEADER]:
+                raise ValueError("missing forest header")
+            return 5, lambda c: (int64(c[0]), float(c[1]), int64(c[2]) if c[2] else -1,
+                                 int64(c[3]), int64(c[4]))
+
+        rows = read_table(path, OpfError, header, nodes=True)
+        cost = np.array([row[1] for row in rows], dtype=np.float64)
+        return cls(cost, *(np.array([row[j] for row in rows], dtype=np.int64)
+                           for j in (2, 3, 4)))
 
 
 def _seed_indices(seed_labels: np.ndarray) -> np.ndarray:

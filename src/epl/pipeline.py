@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from . import __version__
 from . import contrastive
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams, TrainConfig, AugmentConfig
-from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs,
-                      load_features, read_text, stratified_split)
+from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs, int64,
+                      load_features, read_table, stratified_split, write_table)
 from .metrics import ScoreReport, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import SoftmaxConfig, predict, train_linear, train_softmax
@@ -58,34 +58,19 @@ class ResultRow:
     kappa: float
     consistency: float | None = None
 
-    def to_csv(self) -> str:
-        cons = "" if self.consistency is None else repr(self.consistency)
-        return (f"{self.dataset},{self.experiment},{self.classifier},{self.seed},"
-                f"{self.accuracy!r},{self.kappa!r},{cons}")
-
-    @classmethod
-    def from_csv(cls, line: str) -> "ResultRow":
-        parts = line.split(",")
-        try:
-            if len(parts) != 7:
-                raise ValueError(f"expected 7 fields, got {len(parts)}")
-            cons = float(parts[6]) if parts[6] else None
-            return cls(parts[0], parts[1], parts[2], int(parts[3]),
-                       float(parts[4]), float(parts[5]), cons)
-        except ValueError as exc:
-            raise PipelineError(f"bad result row {line!r}: {exc}") from exc
-
 
 def write_results_csv(rows, path) -> None:
-    lines = [RESULTS_HEADER] + [row.to_csv() for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, [RESULTS_HEADER], (astuple(row) for row in rows))
 
 
 def read_results_csv(path) -> list[ResultRow]:
-    lines = read_text(path, PipelineError).splitlines()
-    if not lines or lines[0] != RESULTS_HEADER:
-        raise PipelineError(f"{path}: missing results header")
-    return [ResultRow.from_csv(line) for line in lines[1:] if line.strip()]
+    def header(lines):
+        if lines != [RESULTS_HEADER]:
+            raise ValueError("missing results header")
+        return 7, lambda c: ResultRow(c[0], c[1], c[2], int(c[3]), float(c[4]), float(c[5]),
+                                      float(c[6]) if c[6] else None)
+
+    return read_table(path, PipelineError, header)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +137,12 @@ def dataset_from_config(cfg: ExperimentConfig) -> Dataset:
 
 def train_config_from(cfg: ExperimentConfig, seed: int,
                       warm_start: EncoderParams | None = None) -> TrainConfig:
-    init_mode = "scratch"
-    ws = None
-    if warm_start is not None:
-        init_mode, ws = "warm_start", warm_start
-    elif cfg.init_mode == "warm_start":
-        init_mode, ws = "warm_start", EncoderParams.load(cfg.warm_start_checkpoint)
+    if warm_start is None and cfg.init_mode == "warm_start":
+        warm_start = EncoderParams.load(cfg.warm_start_checkpoint)
     return TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, temperature=cfg.temperature,
         learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
-        validation_fraction=cfg.validation_fraction, seed=seed,
-        init_mode=init_mode, warm_start=ws,
+        validation_fraction=cfg.validation_fraction, seed=seed, warm_start=warm_start,
         augment=AugmentConfig(noise=cfg.noise, dropout=cfg.dropout),
     )
 
@@ -203,6 +183,24 @@ def propagation_seeds(data: Dataset, split: SplitAssignment):
     return idx, seed_values, is_sup
 
 
+def score(pred, truth, class_count: int) -> ScoreReport:
+    """Accuracy, kappa and per-class recall of a prediction against the truth."""
+    return ScoreReport.from_confusion(confusion(pred, truth, class_count=class_count))
+
+
+def propagate_labels(data: Dataset, split: SplitAssignment, coordinates):
+    """Propagate the S labels over embedded S and U rows and score the U rows.
+
+    ``coordinates`` has one row per index of ``propagation_seeds``. Returns
+    the forest, the score of its U labels, and the merged labels (true on S
+    rows, propagated on U rows).
+    """
+    idx, seed_values, is_sup = propagation_seeds(data, split)
+    forest = opfsemi_propagate(coordinates, seed_values)
+    report = score(forest.label[~is_sup], data.labels[idx[~is_sup]], data.class_count)
+    return forest, report, np.where(is_sup, seed_values, forest.label)
+
+
 def propagate_embedding(data: Dataset, split: SplitAssignment, params: EncoderParams,
                         proj_cfg: ProjectionConfig, knn_k: int = 10) -> _Propagation:
     """Project latent features of S and U to 2D and propagate the S labels."""
@@ -212,54 +210,38 @@ def propagate_embedding(data: Dataset, split: SplitAssignment, params: EncoderPa
             f"supervised set covers {sup_classes.size} of {data.class_count} classes;"
             " every class needs a seed"
         )
-    idx, seed_values, is_sup = propagation_seeds(data, split)
+    idx, seed_values, _ = propagation_seeds(data, split)
     latent = contrastive.extract_features(params, data, idx)
     embedding = tsne_project(latent, proj_cfg)
-    forest = opfsemi_propagate(embedding.coordinates, seed_values)
-
-    truth = data.labels[idx]
-    report = ScoreReport.from_confusion(
-        confusion(forest.label, truth, np.flatnonzero(~is_sup), data.class_count)
-    )
-    consistency = knn_consistency(embedding.coordinates, truth, knn_k)
-    merged_values = np.where(is_sup, seed_values, forest.label)
+    _, report, merged_values = propagate_labels(data, split, embedding.coordinates)
+    consistency = knn_consistency(embedding.coordinates, data.labels[idx], knn_k)
     return _Propagation(embedding, idx, merged_values, seed_values, consistency, report)
 
 
 def write_embedding_csv(path, indices, coordinates, labels=None) -> None:
-    header = "node,x,y" + (",label" if labels is not None else "")
-    lines = [header]
-    for row in range(len(indices)):
-        x, y = float(coordinates[row][0]), float(coordinates[row][1])
-        line = f"{int(indices[row])},{x!r},{y!r}"
-        if labels is not None:
-            line += f",{int(labels[row])}"
-        lines.append(line)
-    Path(path).write_text("\n".join(lines) + "\n")
+    coordinates = np.asarray(coordinates)
+    header, columns = "node,x,y", [indices, coordinates[:, 0], coordinates[:, 1]]
+    if labels is not None:
+        header, columns = header + ",label", columns + [labels]
+    write_table(path, [header], zip(*columns))
 
 
 def read_embedding_csv(path):
-    lines = read_text(path, PipelineError).splitlines()
-    if not lines or not lines[0].startswith("node,x,y"):
-        raise PipelineError(f"{path}: missing embedding header")
-    has_label = lines[0] == "node,x,y,label"
-    width = lines[0].count(",") + 1
-    nodes, coords, labels = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != width:
-                raise ValueError(f"expected {width} fields, got {len(parts)}")
-            nodes.append(int(parts[0]))
-            coords.append((float(parts[1]), float(parts[2])))
-            if has_label:
-                labels.append(int(parts[3]))
-        except ValueError as exc:
-            raise PipelineError(f"{path}: line {lineno}: {exc}") from exc
-    return (np.asarray(nodes), np.asarray(coords, dtype=np.float64),
-            np.asarray(labels, dtype=np.int64) if has_label else None)
+    """Nodes, coordinates and labels (None without a label column) of an embedding."""
+    head = {}
+
+    def header(lines):
+        if lines not in (["node,x,y"], ["node,x,y,label"]):
+            raise ValueError("missing embedding header")
+        head["labeled"] = lines[0].endswith(",label")
+        return 3 + head["labeled"], lambda c: (int64(c[0]), float(c[1]), float(c[2]),
+                                               *map(int64, c[3:]))
+
+    rows = read_table(path, PipelineError, header)
+    nodes = np.array([row[0] for row in rows], dtype=np.int64)
+    coords = np.array([row[1:3] for row in rows], dtype=np.float64)
+    labels = np.array([row[3] for row in rows], dtype=np.int64) if head["labeled"] else None
+    return nodes, coords, labels
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +326,7 @@ def _c1_modes(cfg: ExperimentConfig):
 
 def _scored_row(data: Dataset, experiment: str, classifier: str, seed: int,
                 pred: np.ndarray, truth: np.ndarray) -> ResultRow:
-    rep = ScoreReport.from_confusion(confusion(pred, truth, class_count=data.class_count))
+    rep = score(pred, truth, data.class_count)
     return ResultRow(data.name, experiment, classifier, seed, rep.accuracy, rep.kappa)
 
 
@@ -547,23 +529,15 @@ def correlation_report(rows, min_cells: int = 5) -> dict:
 def write_report(rows, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    agg = aggregate_rows(rows)
-    lines = ["dataset,experiment,classifier,replicas,"
-             "accuracy_mean,accuracy_std,kappa_mean,kappa_std"]
-    for entry in agg:
-        lines.append(
-            f"{entry['dataset']},{entry['experiment']},{entry['classifier']},"
-            f"{entry['replicas']},{entry['accuracy_mean']!r},{entry['accuracy_std']!r},"
-            f"{entry['kappa_mean']!r},{entry['kappa_std']!r}")
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
-
-    corr_lines = ["series,rho,cells"]
+    write_table(out_dir / "summary.csv",
+                ["dataset,experiment,classifier,replicas,"
+                 "accuracy_mean,accuracy_std,kappa_mean,kappa_std"],
+                (entry.values() for entry in aggregate_rows(rows)))
     try:
         corr = correlation_report(rows)
-        for name, rho in (("consistency_vs_propagation_kappa", corr["rho_propagation"]),
-                          ("consistency_vs_classifier_kappa", corr["rho_classifier"])):
-            text = "undefined" if rho is None else repr(rho)
-            corr_lines.append(f"{name},{text},{corr['cells']}")
+        series = [(name, "undefined" if rho is None else rho, corr["cells"])
+                  for name, rho in (("consistency_vs_propagation_kappa", corr["rho_propagation"]),
+                                    ("consistency_vs_classifier_kappa", corr["rho_classifier"]))]
     except PipelineError as exc:
-        corr_lines.append(f"unavailable,{exc},0")
-    (out_dir / "correlation.csv").write_text("\n".join(corr_lines) + "\n")
+        series = [("unavailable", str(exc), 0)]
+    write_table(out_dir / "correlation.csv", ["series,rho,cells"], series)

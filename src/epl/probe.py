@@ -14,17 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import UNLABELED, LabelVector
+from .dataset import UNLABELED, label_array
 
 
 class ProbeError(ValueError):
     """Raised for unusable training inputs."""
-
-
-def _labels_array(labels) -> np.ndarray:
-    if isinstance(labels, LabelVector):
-        return labels.values
-    return np.asarray(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +51,7 @@ def train_linear(features, labels, lam: float = 1.0, epochs: int = 200,
     The per-epoch regularized objective is kept on the model.
     """
     X = np.asarray(features, dtype=np.float64)
-    y = _labels_array(labels)
+    y = label_array(labels)
     if (y == UNLABELED).any():
         raise ProbeError("linear probe requires labeled training samples")
     k = class_count if class_count is not None else int(y.max()) + 1
@@ -176,7 +170,7 @@ def train_softmax(features, labels, config: SoftmaxConfig | None = None,
     """
     cfg = config if config is not None else SoftmaxConfig()
     X = np.asarray(features, dtype=np.float64)
-    y = _labels_array(labels)
+    y = label_array(labels)
     if (y == UNLABELED).any():
         bad = int(np.argmax(y == UNLABELED))
         raise ProbeError(f"training index {bad} is unlabeled")

@@ -1,0 +1,30 @@
+"""Every function the benchmark traces is still reached under its traced name.
+
+perfbench/spans.py wraps pipeline functions where the pipeline looks them
+up. Renaming one, or calling around it, would only surface as a failed
+traced benchmark run; this test makes it a test failure instead.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import spans  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from epl.config import ExperimentConfig  # noqa: E402
+from epl.pipeline import run_experiment  # noqa: E402
+
+
+def test_smoke_workload_calls_every_traced_name(tmp_path):
+    workload = WORKLOADS["smoke"]
+    cfg = ExperimentConfig(**workload.config_fields(11, str(tmp_path)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rows, code = run_experiment(workload.kind, cfg)
+    finally:
+        tracer.uninstall()
+    assert code == 0 and len(rows) == workload.rows
+    assert tracer.uncovered(frozenset()) == []

@@ -267,10 +267,6 @@ class TestTraining:
         with pytest.raises(ContrastiveError, match="mode"):
             train("banana", ds, split, TrainConfig(epochs=1))
 
-    def test_warm_start_requires_params(self):
-        with pytest.raises(ContrastiveError):
-            TrainConfig(init_mode="warm_start").validate()
-
     def test_finetune_zero_epochs_is_identity(self, blob_world):
         ds, split = blob_world
         base = train("simclr", ds, split, TrainConfig(epochs=2, batch_size=16, seed=4))
@@ -328,7 +324,6 @@ class TestCheckpoint:
         path = tmp_path / "warm.bin"
         base.save(path)
         warm = EncoderParams.load(path)
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=5,
-                          init_mode="warm_start", warm_start=warm)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=5, warm_start=warm)
         out = train("simclr", ds, split, cfg)
         assert not params_equal(out, base)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from epl.dataset import (Dataset, DatasetError, LabelVector, Role, SplitError,
-                         UNLABELED, generate_blobs, load_features, load_split,
+from epl.dataset import (Dataset, DatasetError, LabelVector, Role, SplitAssignment,
+                         SplitError, UNLABELED, generate_blobs, load_features, load_split,
                          merge_labels, save_features, save_split, split_replicas,
                          stratified_split)
 
@@ -44,6 +44,12 @@ class TestIngestion:
     def test_missing_file(self):
         with pytest.raises(DatasetError, match="no such file"):
             load_features("/nonexistent/nowhere.csv")
+
+    def test_label_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("# d=2 labels=1 k=2\n0.0,1.0,0\n1.5,2.5,99999999999999999999\n")
+        with pytest.raises(DatasetError, match="line 3: .*too large"):
+            load_features(path)
 
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_round_trip_100_random_datasets(self, tmp_path, fmt):
@@ -218,6 +224,13 @@ class TestStratifiedSplit:
         assert np.array_equal(back.roles, split.roles)
         assert back.seed == split.seed
         assert back.fractions == pytest.approx(split.fractions)
+
+    def test_split_file_keeps_numpy_fractions(self, tmp_path):
+        split = SplitAssignment(np.array([0, 1, 2, 1]), 3, tuple(np.float64([0.25, 0.5, 0.25])))
+        path = tmp_path / "split.csv"
+        save_split(split, path)
+        assert path.read_text().startswith("# seed=3 s_frac=0.25 u_frac=0.5 t_frac=0.25\n")
+        assert load_split(path).fractions == (0.25, 0.5, 0.25)
 
 
 class TestMergeLabels:

@@ -1,0 +1,128 @@
+"""Line-level fuzzing of every text loader and the subcommand that reads it.
+
+Valid split, embedding, forest, results, text-dataset and config files are
+mutated: a line dropped, duplicated or swapped, a comma added or removed,
+a field replaced with junk, nan or inf, the file truncated. Each loader
+must return an object or raise its module's typed error, and the matching
+``epl`` subcommand must exit 0 or 1 rather than end in a traceback.
+"""
+
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from epl import cli
+from epl.config import ConfigError, ExperimentConfig, format_config, load_config
+from epl.dataset import DatasetError, SplitError, load_features, load_split
+from epl.opf import OpfError, OptimumPathForest
+from epl.pipeline import (PipelineError, ResultRow, read_embedding_csv, read_results_csv,
+                          write_embedding_csv, write_results_csv)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("valid")
+    path = {name: tmp / name for name in
+            ("data.csv", "split.csv", "emb.csv", "forest.csv", "results.csv", "exp.cfg")}
+    assert cli.main(["gen", "--classes", "3", "--per-class", "8", "--dims", "3",
+                     "--seed", "4", "--out", str(path["data.csv"])]) == 0
+    assert cli.main(["split", "--data", str(path["data.csv"]), "--s-frac", "0.2",
+                     "--u-frac", "0.5", "--t-frac", "0.3", "--out", str(path["split.csv"])]) == 0
+    split = load_split(path["split.csv"])
+    rows = np.flatnonzero(split.roles != 2)
+    write_embedding_csv(path["emb.csv"], rows,
+                        np.random.default_rng(0).normal(size=(rows.size, 2)))
+    assert cli.main(["propagate", "--embedding", str(path["emb.csv"]),
+                     "--data", str(path["data.csv"]), "--split", str(path["split.csv"]),
+                     "--out", str(path["forest.csv"])]) == 0
+    write_results_csv([ResultRow("d,s", "C2a", "propagation", 7, 0.5, 0.25, 0.75),
+                       ResultRow("d,s", "C3b", "softmax", 7, 0.625, 0.5)],
+                      path["results.csv"])
+    path["exp.cfg"].write_text(format_config(ExperimentConfig(per_class=8).to_sections()))
+    return path
+
+
+# kind: (valid file, loader, its typed error, the subcommand that reads it as BAD;
+# DATA and SPLIT are the valid dataset and split, OUT a scratch directory)
+CASES = {
+    "split": ("split.csv", load_split, SplitError,
+              ["probe", "--data", "DATA", "--split", "BAD", "--kind", "linear"]),
+    "embedding": ("emb.csv", read_embedding_csv, PipelineError,
+                  ["propagate", "--embedding", "BAD", "--data", "DATA",
+                   "--split", "SPLIT", "--out", "OUT/forest.csv"]),
+    "forest": ("forest.csv", OptimumPathForest.from_csv, OpfError,
+               ["probe", "--data", "DATA", "--split", "SPLIT",
+                "--kind", "softmax", "--pseudo", "BAD"]),
+    "results": ("results.csv", read_results_csv, PipelineError,
+                ["report", "--results", "BAD", "--out", "OUT/report"]),
+    "dataset": ("data.csv", load_features, DatasetError,
+                ["split", "--data", "BAD", "--out", "OUT/split.csv"]),
+    "config": ("exp.cfg", load_config, ConfigError,
+               ["experiment", "c1", "--config", "BAD", "--out", "OUT/run"]),
+}
+
+JUNK = st.sampled_from(["", " ", "\t", "junk", "é", "#", "x=y", "S", "nan", "inf", "-inf",
+                        "1e999", "-1", "0.5", "7", "99999999999999999999"])
+
+
+def mutated(data, text: str) -> str:
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 2))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["replace_field"] * 3 + [
+            "drop", "duplicate", "swap", "add_comma", "remove_comma", "truncate"]))
+        if op == "truncate":
+            out = "\n".join(lines) + "\n"
+            return out[:data.draw(st.integers(0, len(out)))]
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "add_comma":
+            at = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + "," + lines[i][at:]
+        elif op == "remove_comma":
+            commas = [m.start() for m in re.finditer(",", lines[i])]
+            if commas:
+                at = data.draw(st.sampled_from(commas))
+                lines[i] = lines[i][:at] + lines[i][at + 1:]
+        else:
+            # fields of CSV rows, of '# key=value' headers and of 'key = value' lines
+            parts = re.split(r"([,=\s]+)", lines[i])
+            at = 2 * data.draw(st.integers(0, len(parts) // 2))
+            parts[at] = data.draw(JUNK)
+            lines[i] = "".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _validated_run(kind, cfg):
+    """Stands in for run_experiment: a mutated config may ask for a full-size
+    run, and loading and checking it is what is under test."""
+    cfg.validate()
+    return [], 0
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_typed_error(files, tmp_path_factory, kind, data):
+    name, loader, error, argv = CASES[kind]
+    out = tmp_path_factory.mktemp(kind)
+    bad = out / name
+    bad.write_bytes(mutated(data, files[name].read_text()).encode())
+    try:
+        loader(bad)
+    except error:
+        pass
+    paths = {"BAD": bad, "DATA": files["data.csv"], "SPLIT": files["split.csv"]}
+    args = [str(paths.get(a, a)).replace("OUT", str(out)) for a in argv]
+    with mock.patch.object(cli, "run_experiment", _validated_run):
+        assert cli.main(args) in (0, 1)

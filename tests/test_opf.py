@@ -168,7 +168,7 @@ class TestOpfSemi:
 
     @pytest.mark.parametrize("row, match", [
         ("0,0.0", "expected 5 fields"),
-        ("0,0.0,,0,0,0", "expected 5 fields"),
+        ("0,0.0,,0,0,0", "invalid literal"),  # the extra comma stays in the node cell
         ("-5,0.0,,0,0", "node -5"),
         ("3,0.0,,0,0", "node 3"),
         ("1,0.0,,0,0", "node 1"),      # duplicate of the next row

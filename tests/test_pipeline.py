@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epl.pipeline as pipeline
 from epl.config import ExperimentConfig
@@ -204,6 +205,20 @@ class TestResultsCsv:
         write_results_csv(rows, path)
         back = read_results_csv(path)
         assert back == rows
+
+    # str.splitlines ends a line at each of these, so no table cell can hold
+    # one; surrogates (Cs) have no UTF-8 encoding.
+    LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters=LINE_BREAKS)))
+    def test_dataset_name_round_trips(self, tmp_path_factory, name):
+        rows = [ResultRow(name, "C1a", "linear", 7, 0.5, 0.25),
+                ResultRow(name, "C2b", "propagation", 8, 0.75, 0.5, 0.9)]
+        path = tmp_path_factory.mktemp("results") / "results.csv"
+        write_results_csv(rows, path)
+        assert read_results_csv(path) == rows
 
 
 class TestSpearman:
