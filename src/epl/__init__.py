@@ -9,9 +9,8 @@ performance track each other.
 
 __version__ = "0.1.0"
 
-from .dataset import (Dataset, LabelVector, Role, SplitAssignment, UNLABELED,
-                      generate_blobs, load_features, merge_labels, save_features,
-                      split_replicas, stratified_split)
+from .dataset import (Dataset, Role, SplitAssignment, UNLABELED, generate_blobs,
+                      load_features, save_features, stratified_split)
 from .metrics import (ConfusionMatrix, ScoreReport, accuracy, cohen_kappa,
                       confusion, knn_consistency, per_class_recall)
 from .opf import (OpfSupModel, OptimumPathForest, minimax_oracle, mst,

@@ -53,7 +53,10 @@ def load_checkpoint(path):
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no such checkpoint: {path}")
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {exc.strerror}") from exc
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic")
     try:

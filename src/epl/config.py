@@ -114,6 +114,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.replicas < 1:
             raise ConfigError("replicas must be at least 1")
+        if self.knn_k < 1:
+            raise ConfigError("knn_k must be at least 1")
         if not self.modes:
             raise ConfigError("at least one contrastive mode is required")
         for mode in self.modes:

@@ -28,6 +28,13 @@ LATENT_DIM = 32
 HEAD_HIDDEN_DIM = 32
 HEAD_DIM = 16
 
+# AdamW moments and the cosine schedule, which anneals over the whole run
+# from learning_rate down to learning_rate / MIN_LR_DIVISOR.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+MIN_LR_DIVISOR = 50.0
+
 
 class ContrastiveError(ValueError):
     """Raised for invalid batches, labels, or configurations."""
@@ -54,21 +61,16 @@ class TrainConfig:
     temperature: float = 0.07
     learning_rate: float = 5e-4
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    cosine_period: int | None = None      # defaults to epochs
-    min_learning_rate: float | None = None  # defaults to learning_rate / 50
     warm_start: "EncoderParams | None" = None  # start from these weights, not at random
     validation_fraction: float = 0.1
     seed: int = 0
     hidden_dim: int = HIDDEN_DIM
     latent_dim: int = LATENT_DIM
-    head_hidden_dim: int = HEAD_HIDDEN_DIM
-    head_dim: int = HEAD_DIM
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self) -> None:
+        if self.epochs < 0:
+            raise ContrastiveError("epochs must be non-negative")
         if self.temperature <= 0:
             raise ContrastiveError("temperature must be positive")
         if self.batch_size < 2:
@@ -117,6 +119,19 @@ class EncoderParams:
         missing = [f for f in cls._FIELDS if f not in arrays]
         if missing:
             raise ContrastiveError(f"{path}: missing arrays {missing}")
+        # Each block is a 2-d weight and a bias of its output width, and
+        # takes the previous block's output as its input.
+        width = None
+        for w, b in zip(cls._FIELDS[::2], cls._FIELDS[1::2]):
+            weight, bias = arrays[w], arrays[b]
+            if (weight.ndim != 2 or 0 in weight.shape or bias.shape != weight.shape[1:]
+                    or width not in (None, weight.shape[0])):
+                shapes = ", ".join(f"{f} {arrays[f].shape}" for f in cls._FIELDS)
+                raise ContrastiveError(f"{path}: array shapes do not chain: {shapes}")
+            width = weight.shape[1]
+        for name in cls._FIELDS:
+            if not np.isfinite(arrays[name]).all():
+                raise ContrastiveError(f"{path}: non-finite value in {name}")
         return cls(**{f: arrays[f] for f in cls._FIELDS})
 
 
@@ -129,21 +144,60 @@ class ViewBatch:
     labels: np.ndarray | None = None
 
 
-def _he_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Network kit, shared with the softmax probe
+# ---------------------------------------------------------------------------
+
+def he_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
+def relu_mlp(X: np.ndarray, w1, b1, w2, b2):
+    """Two-layer ReLU block: (pre-activation, hidden, output)."""
+    a = X @ w1 + b1
+    h = np.maximum(a, 0.0)
+    return a, h, h @ w2 + b2
+
+
+def relu_mlp_backward(X: np.ndarray, a: np.ndarray, h: np.ndarray, w2: np.ndarray,
+                      d_out: np.ndarray):
+    """Gradients of relu_mlp: (d_w1, d_b1, d_w2, d_b2, d_a).
+
+    d_a is the gradient of the pre-activation; d_a @ w1.T continues the
+    chain into the block's input.
+    """
+    d_w2 = h.T @ d_out
+    d_b2 = d_out.sum(axis=0)
+    d_a = (d_out @ w2.T) * (a > 0)
+    return X.T @ d_a, d_a.sum(axis=0), d_w2, d_b2, d_a
+
+
+def row_softmax(s: np.ndarray):
+    """Row-wise softmax of s and its log-normalizer log(sum(exp(s), axis=1))."""
+    row_max = s.max(axis=1, keepdims=True)
+    e = np.exp(s - row_max)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, (np.log(total) + row_max)[:, 0]
+
+
+def safe_std(X: np.ndarray) -> np.ndarray:
+    """Per-column standard deviation, 1 where a column is constant."""
+    scale = X.std(axis=0)
+    scale[scale == 0] = 1.0
+    return scale
+
+
 def init_params(input_dim: int, config: TrainConfig, rng) -> EncoderParams:
     return EncoderParams(
-        w1=_he_uniform(rng, input_dim, config.hidden_dim),
+        w1=he_uniform(rng, input_dim, config.hidden_dim),
         b1=np.zeros(config.hidden_dim),
-        w2=_he_uniform(rng, config.hidden_dim, config.latent_dim),
+        w2=he_uniform(rng, config.hidden_dim, config.latent_dim),
         b2=np.zeros(config.latent_dim),
-        v1=_he_uniform(rng, config.latent_dim, config.head_hidden_dim),
-        c1=np.zeros(config.head_hidden_dim),
-        v2=_he_uniform(rng, config.head_hidden_dim, config.head_dim),
-        c2=np.zeros(config.head_dim),
+        v1=he_uniform(rng, config.latent_dim, HEAD_HIDDEN_DIM),
+        c1=np.zeros(HEAD_HIDDEN_DIM),
+        v2=he_uniform(rng, HEAD_HIDDEN_DIM, HEAD_DIM),
+        c2=np.zeros(HEAD_DIM),
     )
 
 
@@ -152,12 +206,8 @@ def init_params(input_dim: int, config: TrainConfig, rng) -> EncoderParams:
 # ---------------------------------------------------------------------------
 
 def _forward(params: EncoderParams, X: np.ndarray) -> dict:
-    a1 = X @ params.w1 + params.b1
-    h1 = np.maximum(a1, 0.0)
-    latent = h1 @ params.w2 + params.b2
-    a2 = latent @ params.v1 + params.c1
-    h2 = np.maximum(a2, 0.0)
-    raw = h2 @ params.v2 + params.c2
+    a1, h1, latent = relu_mlp(X, params.w1, params.b1, params.w2, params.b2)
+    a2, h2, raw = relu_mlp(latent, params.v1, params.c1, params.v2, params.c2)
     norms = np.sqrt((raw ** 2).sum(axis=1))
     head = np.empty_like(raw)
     ok = norms > _NORM_EPS
@@ -174,21 +224,11 @@ def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray) -> dict:
     d_raw = np.zeros_like(d_head)
     inner = (d_head[ok] * head[ok]).sum(axis=1, keepdims=True)
     d_raw[ok] = (d_head[ok] - inner * head[ok]) / norms[ok, None]
-    grads = {}
-    grads["v2"] = cache["h2"].T @ d_raw
-    grads["c2"] = d_raw.sum(axis=0)
-    d_h2 = d_raw @ params.v2.T
-    d_a2 = d_h2 * (cache["a2"] > 0)
-    grads["v1"] = cache["latent"].T @ d_a2
-    grads["c1"] = d_a2.sum(axis=0)
-    d_latent = d_a2 @ params.v1.T
-    grads["w2"] = cache["h1"].T @ d_latent
-    grads["b2"] = d_latent.sum(axis=0)
-    d_h1 = d_latent @ params.w2.T
-    d_a1 = d_h1 * (cache["a1"] > 0)
-    grads["w1"] = cache["x"].T @ d_a1
-    grads["b1"] = d_a1.sum(axis=0)
-    return grads
+    v1, c1, v2, c2, d_a2 = relu_mlp_backward(cache["latent"], cache["a2"], cache["h2"],
+                                             params.v2, d_raw)
+    w1, b1, w2, b2, _ = relu_mlp_backward(cache["x"], cache["a1"], cache["h1"],
+                                          params.w2, d_a2 @ params.v1.T)
+    return {"v2": v2, "c2": c2, "v1": v1, "c1": c1, "w2": w2, "b2": b2, "w1": w1, "b1": b1}
 
 
 def encode(params: EncoderParams, x):
@@ -259,11 +299,8 @@ def make_view_batch(X: np.ndarray, labels, config: AugmentConfig, rng) -> ViewBa
 def _similarity_logits(Z: np.ndarray, temperature: float):
     s = (Z @ Z.T) / temperature
     np.fill_diagonal(s, -np.inf)
-    row_max = s.max(axis=1, keepdims=True)
-    exp_s = np.exp(s - row_max)
-    log_denom = np.log(exp_s.sum(axis=1, keepdims=True)) + row_max
-    softmax = exp_s / exp_s.sum(axis=1, keepdims=True)
-    return s, log_denom[:, 0], softmax
+    softmax, log_denom = row_softmax(s)
+    return s, log_denom, softmax
 
 
 def ntxent_loss(views: np.ndarray, temperature: float):
@@ -327,34 +364,31 @@ def supcon_loss(views: np.ndarray, labels, temperature: float):
 class _AdamW:
     """Adam with decoupled weight decay over a named parameter dict."""
 
-    def __init__(self, params: EncoderParams, config: TrainConfig):
-        self.config = config
+    def __init__(self, params: EncoderParams, weight_decay: float):
+        self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
         self.v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
         self.t = 0
 
     def step(self, params: EncoderParams, grads: dict, lr: float) -> None:
-        cfg = self.config
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, g in grads.items():
             theta = getattr(params, name)
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-            theta -= lr * (update + cfg.weight_decay * theta)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            theta -= lr * (update + self.weight_decay * theta)
 
 
 def _cosine_lr(config: TrainConfig, epoch: int) -> float:
-    period = config.cosine_period if config.cosine_period is not None else max(config.epochs, 1)
-    lr_min = (config.min_learning_rate if config.min_learning_rate is not None
-              else config.learning_rate / 50.0)
-    frac = min(epoch / period, 1.0)
+    lr_min = config.learning_rate / MIN_LR_DIVISOR
+    frac = min(epoch / max(config.epochs, 1), 1.0)
     return lr_min + 0.5 * (config.learning_rate - lr_min) * (1.0 + np.cos(np.pi * frac))
 
 
@@ -366,9 +400,7 @@ def _resolve_augment(config: TrainConfig, X: np.ndarray) -> AugmentConfig:
     aug = config.augment
     if aug.feature_scale is not None:
         return aug
-    scale = X.std(axis=0)
-    scale[scale == 0] = 1.0
-    return replace(aug, feature_scale=scale)
+    return replace(aug, feature_scale=safe_std(X))
 
 
 def _batch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -463,7 +495,7 @@ def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderP
     val_local = perm[:n_val]
     train_local = perm[n_val:]
 
-    optimizer = _AdamW(params, config)
+    optimizer = _AdamW(params, config.weight_decay)
     best = params.copy()
     best_score = np.inf
     for epoch in range(config.epochs):

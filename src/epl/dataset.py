@@ -20,10 +20,6 @@ import numpy as np
 # Sentinel for "no label"; never a valid class id.
 UNLABELED = -1
 
-# Provenance codes for LabelVector entries.
-PROVENANCE_TRUE = 0
-PROVENANCE_PSEUDO = 1
-
 # Binary header after the magic: n, d, has_labels and, from EPL2 on, the
 # class count. EPL2 is written; EPL1 files stay readable.
 _BINARY_MAGIC = b"EPL2"
@@ -119,42 +115,6 @@ class SplitAssignment:
     @property
     def test(self) -> np.ndarray:
         return self.indices(Role.TEST)
-
-
-@dataclass
-class LabelVector:
-    """Per-sample label (or UNLABELED) with true/pseudo provenance.
-
-    ``provenance`` is only meaningful where ``values`` holds a real label.
-    """
-
-    values: np.ndarray
-    provenance: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.int64)
-        self.provenance = np.asarray(self.provenance, dtype=np.uint8)
-        if self.values.shape != self.provenance.shape:
-            raise DatasetError("values and provenance must have the same length")
-
-    @classmethod
-    def unlabeled(cls, n: int) -> "LabelVector":
-        return cls(np.full(n, UNLABELED, dtype=np.int64), np.zeros(n, dtype=np.uint8))
-
-    @classmethod
-    def from_true(cls, values: np.ndarray) -> "LabelVector":
-        values = np.asarray(values, dtype=np.int64)
-        return cls(values, np.zeros(values.shape[0], dtype=np.uint8))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def label_array(labels) -> np.ndarray:
-    """The label values of a LabelVector or of any integer sequence."""
-    if isinstance(labels, LabelVector):
-        return labels.values
-    return np.asarray(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +416,6 @@ def stratified_split(dataset: Dataset, s_frac: float, u_frac: float, t_frac: flo
     return SplitAssignment(roles, seed, fracs)
 
 
-def split_replicas(dataset: Dataset, s_frac: float, u_frac: float, t_frac: float,
-                   base_seed: int, replicas: int) -> list[SplitAssignment]:
-    """Replicated splits at seeds base_seed, base_seed+1, ..."""
-    return [stratified_split(dataset, s_frac, u_frac, t_frac, base_seed + r)
-            for r in range(replicas)]
-
-
 _ROLE_LETTERS = {Role.SUPERVISED: "S", Role.UNSUPERVISED: "U", Role.TEST: "T"}
 _LETTER_ROLES = {v: k for k, v in _ROLE_LETTERS.items()}
 
@@ -501,28 +454,3 @@ def load_split(path) -> SplitAssignment:
     rows = read_table(path, SplitError, header, header_lines=2, nodes=True)
     roles = np.array([role for _, role in rows], dtype=np.uint8)
     return SplitAssignment(roles, head["seed"], head["fracs"])
-
-
-def merge_labels(split: SplitAssignment, true_s: LabelVector,
-                 pseudo_u: LabelVector) -> LabelVector:
-    """Combine true supervised labels with pseudo-labels on the unsupervised set.
-
-    Test indices stay unlabeled regardless of what the inputs carry there.
-    """
-    n = len(split.roles)
-    if len(true_s) != n or len(pseudo_u) != n:
-        raise DatasetError("label vectors must cover all samples")
-    sup = split.supervised
-    uns = split.unsupervised
-    missing_s = sup[true_s.values[sup] == UNLABELED]
-    if missing_s.size:
-        raise DatasetError(f"missing true label on supervised index {missing_s[0]}")
-    missing_u = uns[pseudo_u.values[uns] == UNLABELED]
-    if missing_u.size:
-        raise DatasetError(f"missing pseudo-label on unsupervised index {missing_u[0]}")
-    out = LabelVector.unlabeled(n)
-    out.values[sup] = true_s.values[sup]
-    out.provenance[sup] = PROVENANCE_TRUE
-    out.values[uns] = pseudo_u.values[uns]
-    out.provenance[uns] = PROVENANCE_PSEUDO
-    return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED, label_array
+from .dataset import UNLABELED
 
 
 class MetricError(ValueError):
@@ -47,8 +47,8 @@ class ConfusionMatrix:
 
 def confusion(pred, truth, indices=None, class_count: int | None = None) -> ConfusionMatrix:
     """Count (truth, prediction) pairs over the given index set."""
-    pred = label_array(pred)
-    truth = label_array(truth)
+    pred = np.asarray(pred, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
     if indices is None:
         indices = np.arange(len(truth))
     indices = np.asarray(indices, dtype=np.int64)
@@ -119,7 +119,7 @@ def knn_consistency(points, labels, k: int = 10) -> float:
     if hasattr(points, "coordinates"):
         points = points.coordinates
     points = np.asarray(points, dtype=np.float64)
-    labels = label_array(labels)
+    labels = np.asarray(labels, dtype=np.int64)
     n = points.shape[0]
     if labels.shape[0] != n:
         raise MetricError("labels must match points")

@@ -29,7 +29,7 @@ from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs, int64
                       load_features, read_table, stratified_split, write_table)
 from .metrics import ScoreReport, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
-from .probe import SoftmaxConfig, predict, train_linear, train_softmax
+from .probe import SoftmaxConfig, check_epochs, predict, train_linear, train_softmax
 from .projection import Embedding2D, ProjectionConfig, tsne_project
 from .scatter import emit_scatter
 
@@ -145,6 +145,22 @@ def train_config_from(cfg: ExperimentConfig, seed: int,
         validation_fraction=cfg.validation_fraction, seed=seed, warm_start=warm_start,
         augment=AugmentConfig(noise=cfg.noise, dropout=cfg.dropout),
     )
+
+
+def softmax_config_from(cfg: ExperimentConfig, seed: int) -> SoftmaxConfig:
+    return SoftmaxConfig(
+        epochs=cfg.softmax_epochs, learning_rate=cfg.softmax_learning_rate,
+        momentum=cfg.softmax_momentum, batch_size=cfg.softmax_batch,
+        hidden_dim=cfg.softmax_hidden, seed=seed)
+
+
+def check_stage_configs(cfg: ExperimentConfig) -> None:
+    """The stage configs' own checks that do not depend on the data, so that a
+    config every arm would reject fails before the first arm runs."""
+    train_config_from(cfg, cfg.base_seed).validate()
+    projection_config_from(cfg, cfg.base_seed).validate()
+    softmax_config_from(cfg, cfg.base_seed).validate()
+    check_epochs(cfg.linear_epochs)
 
 
 def projection_config_from(cfg: ExperimentConfig, seed: int) -> ProjectionConfig:
@@ -386,10 +402,7 @@ def run_c3(state: RunState) -> list[ResultRow]:
 
     def softmax_row(r: int, arm: str, train_idx, labels) -> ResultRow:
         seed = cfg.base_seed + r
-        softmax_cfg = SoftmaxConfig(
-            epochs=cfg.softmax_epochs, learning_rate=cfg.softmax_learning_rate,
-            momentum=cfg.softmax_momentum, batch_size=cfg.softmax_batch,
-            hidden_dim=cfg.softmax_hidden, seed=seed)
+        softmax_cfg = softmax_config_from(cfg, seed)
         model = state.timed(f"r{r}.{arm}.softmax", lambda: train_softmax(
             data.features[train_idx], labels, softmax_cfg, data.class_count))
         test_idx = state.split(r).test
@@ -413,6 +426,7 @@ def run_experiment(kind: str, cfg: ExperimentConfig, write_artifacts: bool = Tru
     Returns (rows, exit code): 0 on full success, 2 when any arm failed.
     """
     cfg.validate()
+    check_stage_configs(cfg)
     out_dir = Path(cfg.out_dir)
     if write_artifacts:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -539,5 +553,6 @@ def write_report(rows, out_dir) -> None:
                   for name, rho in (("consistency_vs_propagation_kappa", corr["rho_propagation"]),
                                     ("consistency_vs_classifier_kappa", corr["rho_classifier"]))]
     except PipelineError as exc:
-        series = [("unavailable", str(exc), 0)]
+        # the reason goes in the first column, the only one that may hold commas
+        series = [(f"unavailable: {exc}", None, 0)]
     write_table(out_dir / "correlation.csv", ["series,rho,cells"], series)

@@ -14,11 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import UNLABELED, label_array
+from .contrastive import he_uniform, relu_mlp, relu_mlp_backward, row_softmax, safe_std
+from .dataset import UNLABELED
 
 
 class ProbeError(ValueError):
     """Raised for unusable training inputs."""
+
+
+def check_epochs(epochs: int) -> None:
+    if epochs < 0:
+        raise ProbeError(f"epochs must be non-negative, got {epochs}")
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +56,9 @@ def train_linear(features, labels, lam: float = 1.0, epochs: int = 200,
     deterministic regardless of seed, which is recorded for provenance.
     The per-epoch regularized objective is kept on the model.
     """
+    check_epochs(epochs)
     X = np.asarray(features, dtype=np.float64)
-    y = label_array(labels)
+    y = np.asarray(labels, dtype=np.int64)
     if (y == UNLABELED).any():
         raise ProbeError("linear probe requires labeled training samples")
     k = class_count if class_count is not None else int(y.max()) + 1
@@ -90,6 +97,13 @@ class SoftmaxConfig:
     hidden_dim: int = 64
     seed: int = 0
 
+    def validate(self) -> None:
+        check_epochs(self.epochs)
+        if self.batch_size < 1:
+            raise ProbeError("batch size must be at least 1")
+        if self.hidden_dim < 1:
+            raise ProbeError("hidden width must be at least 1")
+
 
 @dataclass
 class SoftmaxModel:
@@ -113,51 +127,34 @@ class SoftmaxModel:
         return (X - self.mean) / self.scale
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        hidden = np.maximum(self._standardize(X) @ self.w1 + self.b1, 0.0)
-        return hidden @ self.w2 + self.b2
+        return relu_mlp(self._standardize(X), self.w1, self.b1, self.w2, self.b2)[2]
 
 
 def softmax_probabilities(model: SoftmaxModel, features) -> np.ndarray:
     """Row-stochastic class probabilities."""
-    scores = model.scores(np.atleast_2d(np.asarray(features, dtype=np.float64)))
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return row_softmax(model.scores(np.atleast_2d(np.asarray(features, dtype=np.float64))))[0]
 
 
 def _init_softmax(dim: int, k: int, config: SoftmaxConfig, rng) -> SoftmaxModel:
-    lim1 = np.sqrt(6.0 / dim)
-    lim2 = np.sqrt(6.0 / config.hidden_dim)
     return SoftmaxModel(
-        w1=rng.uniform(-lim1, lim1, (dim, config.hidden_dim)),
+        w1=he_uniform(rng, dim, config.hidden_dim),
         b1=np.zeros(config.hidden_dim),
-        w2=rng.uniform(-lim2, lim2, (config.hidden_dim, k)),
+        w2=he_uniform(rng, config.hidden_dim, k),
         b2=np.zeros(k),
         config=config,
     )
 
 
 def _softmax_loss_grads(model: SoftmaxModel, X: np.ndarray, y: np.ndarray):
-    a1 = X @ model.w1 + model.b1
-    h1 = np.maximum(a1, 0.0)
-    scores = h1 @ model.w2 + model.b2
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    a1, h1, scores = relu_mlp(X, model.w1, model.b1, model.w2, model.b2)
+    probs, _ = row_softmax(scores)
     n = X.shape[0]
     loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-    d_scores = probs.copy()
+    d_scores = probs
     d_scores[np.arange(n), y] -= 1.0
     d_scores /= n
-    grads = {
-        "w2": h1.T @ d_scores,
-        "b2": d_scores.sum(axis=0),
-    }
-    d_h1 = d_scores @ model.w2.T
-    d_a1 = d_h1 * (a1 > 0)
-    grads["w1"] = X.T @ d_a1
-    grads["b1"] = d_a1.sum(axis=0)
-    return loss, grads
+    w1, b1, w2, b2, _ = relu_mlp_backward(X, a1, h1, model.w2, d_scores)
+    return loss, {"w2": w2, "b2": b2, "w1": w1, "b1": b1}
 
 
 def train_softmax(features, labels, config: SoftmaxConfig | None = None,
@@ -165,12 +162,13 @@ def train_softmax(features, labels, config: SoftmaxConfig | None = None,
     """Cross-entropy training with momentum SGD and a linear step decay.
 
     The step starts at learning_rate and decays by a factor (1 - e/E) each
-    epoch. Pseudo-provenance labels are accepted; unlabeled entries are an
+    epoch. Pseudo-labels train like true ones; unlabeled entries are an
     error naming the first offending index.
     """
     cfg = config if config is not None else SoftmaxConfig()
+    cfg.validate()
     X = np.asarray(features, dtype=np.float64)
-    y = label_array(labels)
+    y = np.asarray(labels, dtype=np.int64)
     if (y == UNLABELED).any():
         bad = int(np.argmax(y == UNLABELED))
         raise ProbeError(f"training index {bad} is unlabeled")
@@ -180,10 +178,8 @@ def train_softmax(features, labels, config: SoftmaxConfig | None = None,
     rng = np.random.default_rng(cfg.seed)
     model = _init_softmax(X.shape[1], k, cfg, rng)
     model.mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale[scale == 0] = 1.0
-    model.scale = scale
-    Xn = (X - model.mean) / model.scale
+    model.scale = safe_std(X)
+    Xn = model._standardize(X)
     velocity = {name: np.zeros_like(arr)
                 for name, arr in (("w1", model.w1), ("b1", model.b1),
                                   ("w2", model.w2), ("b2", model.b2))}

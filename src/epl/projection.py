@@ -37,10 +37,11 @@ class ProjectionConfig:
     seed: int = 0
     entropy_tolerance: float = 1e-5
 
-    def validate(self, n: int) -> None:
+    def validate(self, n: int | None = None) -> None:
+        """Check the settings; the perplexity bound needs the point count n."""
         if self.perplexity <= 1:
             raise ProjectionError("perplexity must exceed 1")
-        if self.perplexity >= n:
+        if n is not None and self.perplexity >= n:
             raise ProjectionError(f"perplexity {self.perplexity} must be below n={n}")
         if self.iterations < 1:
             raise ProjectionError("need at least 1 iteration")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import UNLABELED, LabelVector
+from .dataset import UNLABELED
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -35,8 +35,6 @@ def emit_scatter(embedding, labels, path, size: float = 640.0,
     """
     coords = embedding.coordinates if hasattr(embedding, "coordinates") else embedding
     coords = np.asarray(coords, dtype=np.float64)
-    if isinstance(labels, LabelVector):
-        labels = labels.values
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != coords.shape[0]:
         raise ValueError("labels length must match the embedding")

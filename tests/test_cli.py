@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from epl.cli import main
-from epl.dataset import load_features, load_split
-from epl.pipeline import read_results_csv
+from epl.dataset import load_features, load_split, read_table
+from epl.pipeline import PipelineError, ResultRow, read_results_csv, write_results_csv
 
 
 def run(args):
@@ -125,6 +125,22 @@ def _keep_lines(count):
     return lambda blob: b"\n".join(blob.splitlines()[:count]) + b"\n"
 
 
+def _with_shape(name, shape):
+    """Rewrite one entry of a checkpoint's shape table; the data bytes stay."""
+    def mutate(blob):
+        (count,) = struct.unpack_from("<I", blob, 9)
+        off = 13
+        for _ in range(count):
+            (size,) = struct.unpack_from("<H", blob, off)
+            entry = off + 2 + size
+            end = entry + 1 + 4 * blob[entry]
+            if blob[off + 2:entry].decode() == name:
+                return blob[:entry] + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + blob[end:]
+            off = end
+        raise KeyError(name)
+    return mutate
+
+
 def _command(kind, files, bad, tmp):
     return {
         "split.csv": ["probe", "--data", files["data.csv"], "--split", bad, "--kind", "linear"],
@@ -149,6 +165,9 @@ MALFORMED = {
     "embedding_short_row": ("emb.csv", _set_line(1, "0,1.0")),
     "checkpoint_10_bytes": ("enc.bin", lambda blob: blob[:10]),
     "checkpoint_200_bytes": ("enc.bin", lambda blob: blob[:200]),
+    "checkpoint_w2_shape_transposed": ("enc.bin", _with_shape("w2", (32, 64))),
+    "checkpoint_c2_shape_as_row": ("enc.bin", _with_shape("c2", (1, 16))),
+    "checkpoint_nan_weight": ("enc.bin", lambda blob: blob[:-8] + struct.pack("<d", np.nan)),
     "forest_two_fields": ("forest.csv", _set_line(1, "0,0.0")),
     "forest_negative_node": ("forest.csv", _set_line(1, "-5,0.0,,0,0")),
     "forest_duplicate_node": ("forest.csv", _set_line(2, "0,0.0,,0,0")),
@@ -171,6 +190,24 @@ def test_malformed_file_exits_one(artifacts, tmp_path, capsys, case):
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("section,key,value", [
+        ("probe", "softmax_batch", 0),
+        ("probe", "softmax_hidden", 0),
+        ("probe", "linear_epochs", -1),
+        ("probe", "knn_k", 0),
+        ("contrastive", "batch_size", 1),
+        ("contrastive", "epochs", -3),
+        ("projection", "iterations", 0),
+    ])
+    def test_config_every_arm_rejects_exits_one_before_any_arm(self, tmp_path, capsys,
+                                                               section, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_tiny_cfg(tmp_path).read_text() + f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert run(["experiment", "all", "--config", cfg, "--replicas", 1, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         assert run(["experiment", "c1", "--config", tmp_path / "missing.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -241,6 +278,20 @@ class TestReportCommand:
         assert summary[0].startswith("dataset,experiment,classifier")
         assert len(summary) == 4  # header + 3 modes
         assert (report_dir / "correlation.csv").exists()
+
+    def test_unavailable_correlation_reads_back(self, tmp_path):
+        results = tmp_path / "results.csv"
+        write_results_csv([ResultRow("ds", "C2a", "propagation", 7, 0.5, 0.25, 0.75),
+                           ResultRow("ds", "C3b", "softmax", 7, 0.625, 0.5)], results)
+        assert run(["report", "--results", results, "--out", tmp_path / "report"]) == 0
+
+        def header(lines):
+            if lines != ["series,rho,cells"]:
+                raise ValueError(f"bad header {lines}")
+            return 3, tuple
+        rows = read_table(tmp_path / "report" / "correlation.csv", PipelineError, header)
+        assert rows == [("unavailable: need at least 5 complete (dataset, mode) cells, "
+                         "have 1", "", "0")]
 
 
 def _binary_dataset(magic):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from epl.dataset import (Dataset, DatasetError, LabelVector, Role, SplitAssignment,
-                         SplitError, UNLABELED, generate_blobs, load_features, load_split,
-                         merge_labels, save_features, save_split, split_replicas,
-                         stratified_split)
+from epl.config import ExperimentConfig
+from epl.dataset import (Dataset, DatasetError, Role, SplitAssignment, SplitError,
+                         generate_blobs, load_features, load_split, save_features,
+                         save_split, stratified_split)
+from epl.pipeline import RunState
 
 
 def random_dataset(rng, n_classes=None, per_class=None, d=None):
@@ -190,7 +191,9 @@ class TestStratifiedSplit:
     def test_replicas_use_consecutive_seeds(self):
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_classes=3, per_class=30)
-        reps = split_replicas(ds, 0.05, 0.65, 0.30, base_seed=100, replicas=3)
+        cfg = ExperimentConfig(s_frac=0.05, u_frac=0.65, t_frac=0.30, base_seed=100)
+        state = RunState(cfg, ds, None, None)
+        reps = [state.split(r) for r in range(3)]
         assert [r.seed for r in reps] == [100, 101, 102]
         single = stratified_split(ds, 0.05, 0.65, 0.30, seed=101)
         assert np.array_equal(reps[1].roles, single.roles)
@@ -231,38 +234,3 @@ class TestStratifiedSplit:
         save_split(split, path)
         assert path.read_text().startswith("# seed=3 s_frac=0.25 u_frac=0.5 t_frac=0.25\n")
         assert load_split(path).fractions == (0.25, 0.5, 0.25)
-
-
-class TestMergeLabels:
-    def test_direct_merge(self):
-        from epl.dataset import SplitAssignment
-        split = SplitAssignment(np.array([0, 1, 1], dtype=np.uint8), 0, (0.34, 0.33, 0.33))
-        true_s = LabelVector(np.array([0, UNLABELED, UNLABELED]), np.zeros(3, dtype=np.uint8))
-        pseudo = LabelVector(np.array([UNLABELED, 1, 0]), np.ones(3, dtype=np.uint8))
-        merged = merge_labels(split, true_s, pseudo)
-        assert merged.values.tolist() == [0, 1, 0]
-        assert merged.provenance.tolist() == [0, 1, 1]
-
-    def test_empty_unsupervised(self):
-        from epl.dataset import SplitAssignment
-        split = SplitAssignment(np.array([0, 0, 2], dtype=np.uint8), 0, (0.4, 0.3, 0.3))
-        true_s = LabelVector(np.array([1, 0, UNLABELED]), np.zeros(3, dtype=np.uint8))
-        pseudo = LabelVector.unlabeled(3)
-        merged = merge_labels(split, true_s, pseudo)
-        assert merged.values.tolist() == [1, 0, UNLABELED]
-
-    def test_test_indices_stay_unlabeled(self):
-        from epl.dataset import SplitAssignment
-        split = SplitAssignment(np.array([0, 1, 2], dtype=np.uint8), 0, (0.34, 0.33, 0.33))
-        true_s = LabelVector(np.array([0, UNLABELED, UNLABELED]), np.zeros(3, dtype=np.uint8))
-        pseudo = LabelVector(np.array([UNLABELED, 1, 1]), np.ones(3, dtype=np.uint8))
-        merged = merge_labels(split, true_s, pseudo)
-        assert merged.values[2] == UNLABELED
-
-    def test_missing_pseudo_label_is_an_error(self):
-        from epl.dataset import SplitAssignment
-        split = SplitAssignment(np.array([0, 1, 1], dtype=np.uint8), 0, (0.34, 0.33, 0.33))
-        true_s = LabelVector(np.array([0, UNLABELED, UNLABELED]), np.zeros(3, dtype=np.uint8))
-        pseudo = LabelVector(np.array([UNLABELED, 1, UNLABELED]), np.ones(3, dtype=np.uint8))
-        with pytest.raises(DatasetError, match="unsupervised index 2"):
-            merge_labels(split, true_s, pseudo)

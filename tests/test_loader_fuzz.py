@@ -1,10 +1,12 @@
-"""Line-level fuzzing of every text loader and the subcommand that reads it.
+"""Fuzzing of every loader and the subcommand that reads its file.
 
 Valid split, embedding, forest, results, text-dataset and config files are
-mutated: a line dropped, duplicated or swapped, a comma added or removed,
-a field replaced with junk, nan or inf, the file truncated. Each loader
-must return an object or raise its module's typed error, and the matching
-``epl`` subcommand must exit 0 or 1 rather than end in a traceback.
+mutated line by line: a line dropped, duplicated or swapped, a comma added
+or removed, a field replaced with junk, nan or inf, the file truncated.
+Encoder checkpoints are mutated byte by byte, mostly in the header and the
+shape table. Each loader must return an object or raise its module's typed
+error, and the matching ``epl`` subcommand must exit 0 or 1 rather than end
+in a traceback.
 """
 
 import re
@@ -15,18 +17,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epl import cli
+from epl.checkpoint import CheckpointError
 from epl.config import ConfigError, ExperimentConfig, format_config, load_config
+from epl.contrastive import ContrastiveError, EncoderParams
 from epl.dataset import DatasetError, SplitError, load_features, load_split
 from epl.opf import OpfError, OptimumPathForest
-from epl.pipeline import (PipelineError, ResultRow, read_embedding_csv, read_results_csv,
-                          write_embedding_csv, write_results_csv)
+from epl.pipeline import (PipelineError, ResultRow, check_stage_configs, read_embedding_csv,
+                          read_results_csv, write_embedding_csv, write_results_csv)
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("valid")
     path = {name: tmp / name for name in
-            ("data.csv", "split.csv", "emb.csv", "forest.csv", "results.csv", "exp.cfg")}
+            ("data.csv", "split.csv", "emb.csv", "forest.csv", "results.csv", "exp.cfg",
+             "enc.bin")}
     assert cli.main(["gen", "--classes", "3", "--per-class", "8", "--dims", "3",
                      "--seed", "4", "--out", str(path["data.csv"])]) == 0
     assert cli.main(["split", "--data", str(path["data.csv"]), "--s-frac", "0.2",
@@ -42,6 +47,9 @@ def files(tmp_path_factory):
                        ResultRow("d,s", "C3b", "softmax", 7, 0.625, 0.5)],
                       path["results.csv"])
     path["exp.cfg"].write_text(format_config(ExperimentConfig(per_class=8).to_sections()))
+    assert cli.main(["train", "--data", str(path["data.csv"]), "--split", str(path["split.csv"]),
+                     "--mode", "simclr", "--epochs", "1", "--batch-size", "8",
+                     "--out", str(path["enc.bin"])]) == 0
     return path
 
 
@@ -107,6 +115,7 @@ def _validated_run(kind, cfg):
     """Stands in for run_experiment: a mutated config may ask for a full-size
     run, and loading and checking it is what is under test."""
     cfg.validate()
+    check_stage_configs(cfg)
     return [], 0
 
 
@@ -126,3 +135,28 @@ def test_mutated_file_loads_or_raises_typed_error(files, tmp_path_factory, kind,
     args = [str(paths.get(a, a)).replace("OUT", str(out)) for a in argv]
     with mock.patch.object(cli, "run_experiment", _validated_run):
         assert cli.main(args) in (0, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_byte_mutated_checkpoint_loads_or_raises_typed_error(files, tmp_path_factory, data):
+    blob = bytearray(files["enc.bin"].read_bytes())
+    arrays = EncoderParams.load(files["enc.bin"]).arrays().values()
+    table = len(blob) - 8 * sum(a.size for a in arrays)  # header and shape table
+    # Most edits land in the header and shape table; some in the float data.
+    spot = st.one_of(st.integers(0, table - 1), st.integers(0, table - 1),
+                     st.integers(table, len(blob) - 1))
+    for pos, value in data.draw(st.lists(st.tuples(spot, st.integers(0, 255)),
+                                         min_size=1, max_size=4)):
+        blob[pos] = value
+    if data.draw(st.booleans()):
+        del blob[data.draw(st.integers(0, len(blob))):]
+    out = tmp_path_factory.mktemp("checkpoint")
+    bad = out / "enc.bin"
+    bad.write_bytes(bytes(blob))
+    try:
+        EncoderParams.load(bad)
+    except (CheckpointError, ContrastiveError):
+        pass
+    assert cli.main(["extract", "--data", str(files["data.csv"]), "--checkpoint", str(bad),
+                     "--out", str(out / "feats.bin")]) in (0, 1)

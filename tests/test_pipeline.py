@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import epl.pipeline as pipeline
 from epl.config import ExperimentConfig
-from epl.dataset import (LabelVector, Role, SplitAssignment, UNLABELED,
-                         generate_blobs, merge_labels, stratified_split)
+from epl.dataset import (Role, SplitAssignment, UNLABELED, generate_blobs,
+                         stratified_split)
 from epl.pipeline import (PipelineError, ResultRow, RunState, aggregate_rows,
                           correlation_report, read_results_csv, run_c1, run_c2,
                           run_c3, run_experiment, spearman, write_results_csv)
@@ -124,14 +124,10 @@ class TestRunC3:
                              data.labels[split.supervised], softmax_cfg,
                              data.class_count)
         base_acc = (predict(base, data.features[test_idx]) == data.labels[test_idx]).mean()
-        true_s = LabelVector.from_true(np.where(
-            split.roles == int(Role.SUPERVISED), data.labels, UNLABELED))
-        oracle_pseudo = LabelVector(
-            np.where(split.roles == int(Role.UNSUPERVISED), data.labels, UNLABELED),
-            np.ones(data.sample_count, dtype=np.uint8))
-        merged = merge_labels(split, true_s, oracle_pseudo)
+        # the oracle pseudo-labels of U merged with the true labels of S
+        merged = np.where(split.roles == int(Role.TEST), UNLABELED, data.labels)
         train_idx = np.sort(np.concatenate([split.supervised, split.unsupervised]))
-        boosted = train_softmax(data.features[train_idx], merged.values[train_idx],
+        boosted = train_softmax(data.features[train_idx], merged[train_idx],
                                 softmax_cfg, data.class_count)
         boosted_acc = (predict(boosted, data.features[test_idx])
                        == data.labels[test_idx]).mean()

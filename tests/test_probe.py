@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epl.dataset import LabelVector, UNLABELED, generate_blobs
+from epl.dataset import UNLABELED, generate_blobs
 from epl.probe import (LinearModel, ProbeError, SoftmaxConfig,
                        predict, softmax_probabilities, train_linear,
                        train_softmax, _init_softmax, _softmax_loss_grads)
@@ -37,12 +37,6 @@ class TestLinearProbe:
     def test_single_class_rejected(self):
         with pytest.raises(ProbeError):
             train_linear(np.zeros((4, 2)), np.zeros(4, dtype=int))
-
-    def test_accepts_label_vector(self):
-        ds = generate_blobs(2, 20, 3, 0.3, 9.0, seed=4)
-        lv = LabelVector.from_true(ds.labels)
-        model = train_linear(ds.features, lv)
-        assert model.class_count == 2
 
 
 class TestSoftmaxProbe:
@@ -94,12 +88,6 @@ class TestSoftmaxProbe:
         y = np.array([0, UNLABELED, 1])
         with pytest.raises(ProbeError, match="index 1"):
             train_softmax(X, y)
-
-    def test_accepts_pseudo_provenance_labels(self):
-        ds = generate_blobs(2, 30, 3, 0.3, 9.0, seed=10)
-        lv = LabelVector(ds.labels.copy(), np.ones(ds.sample_count, dtype=np.uint8))
-        model = train_softmax(ds.features, lv, SoftmaxConfig(seed=4))
-        assert (predict(model, ds.features) == ds.labels).mean() >= 0.98
 
     def test_determinism(self):
         ds = generate_blobs(3, 30, 4, 0.6, 9.0, seed=11)
