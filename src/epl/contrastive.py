@@ -231,16 +231,20 @@ def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray) -> dict:
     return {"v2": v2, "c2": c2, "v1": v1, "c1": c1, "w2": w2, "b2": b2, "w1": w1, "b1": b1}
 
 
+def _check_width(params: EncoderParams, X: np.ndarray) -> None:
+    if X.shape[1] != params.input_dim:
+        raise ContrastiveError(
+            f"input dimension {X.shape[1]} != encoder dimension {params.input_dim}"
+        )
+
+
 def encode(params: EncoderParams, x):
     """Forward pass returning (latent, unit-norm head output)."""
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    if X.shape[1] != params.input_dim:
-        raise ContrastiveError(
-            f"input dimension {X.shape[1]} != encoder dimension {params.input_dim}"
-        )
+    _check_width(params, X)
     cache = _forward(params, X)
     latent, head = cache["latent"], cache["head"]
     if single:
@@ -254,8 +258,10 @@ def extract_features(params: EncoderParams, data: Dataset, roles=None) -> np.nda
         idx = np.arange(data.sample_count)
     else:
         idx = np.asarray(roles, dtype=np.int64)
-    latent, _ = encode(params, data.features[idx])
-    return latent
+    X = data.features[idx]
+    _check_width(params, X)
+    # The encoder block alone: the projection head is not needed here.
+    return relu_mlp(X, params.w1, params.b1, params.w2, params.b2)[2]
 
 
 def role_indices(split: SplitAssignment, roles) -> np.ndarray:

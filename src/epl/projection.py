@@ -7,6 +7,15 @@ normalized to a joint P. The embedding minimizes KL(P || Q) with a
 Student-t Q by plain gradient descent with momentum, early exaggeration,
 and re-centering after every step. Everything is O(n^2) and bit-stable
 for a fixed seed.
+
+The descent computes one gradient per step and no KL until the last 50
+steps. `tsne_project` allocates one pair of n x n float64 buffers and
+lends it to every `kl_gradient` and `kl_divergence` call: the first holds
+the Student-t weights 1 / (1 + |y_i - y_j|^2) with a zero diagonal, the
+second Q and then (P - Q) * weights (the gradient) or Q alone (the KL).
+The buffers are scratch storage: a call computes the same float
+operations in the same order as with fresh arrays, so the results are
+bitwise equal with or without them.
 """
 
 from __future__ import annotations
@@ -84,7 +93,9 @@ def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
 
     Returns (conditional matrix with zero diagonal, precision per row).
     Rows whose off-diagonal distances are all equal admit no bisection
-    solution and are set uniform, the entropy-maximizing limit.
+    solution and are set uniform, the entropy-maximizing limit. Non-finite
+    features and squared distances beyond float64 raise ProjectionError
+    before any row is bisected.
     """
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
@@ -92,7 +103,11 @@ def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
         raise ProjectionError("need at least 3 points")
     if not perplexity < n:
         raise ProjectionError("perplexity must be below n")
+    if not np.isfinite(X).all():
+        raise ProjectionError("features must be finite (found NaN or inf)")
     d2 = cdist(X, X, "sqeuclidean")
+    if not np.isfinite(d2).all():
+        raise ProjectionError("squared distances between features overflow float64")
     cond = np.zeros((n, n))
     betas = np.ones(n)
     off = ~np.eye(n, dtype=bool)
@@ -148,41 +163,50 @@ def pairwise_affinities(features, perplexity: float, tol: float = 1e-5) -> np.nd
     return (cond + cond.T) / (2.0 * n)
 
 
-def _student_t_weights(coords: np.ndarray):
-    d2 = cdist(coords, coords, "sqeuclidean")
-    w = 1.0 / (1.0 + d2)
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty((n, n)), np.empty((n, n))
+
+
+def _student_t_weights(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + squared distance) with a zero diagonal, written into `out` if given."""
+    w = cdist(coords, coords, "sqeuclidean", out=out)
+    np.add(w, 1.0, out=w)
+    np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
     return w
 
 
-def kl_divergence(P, coords) -> float:
+def kl_divergence(P, coords, work=None) -> float:
     """KL(P || Q) with the Student-t Q implied by the coordinates.
 
     Zero P entries contribute nothing; Q is floored at 1e-12 before the log.
+    `work` is an optional pair of n x n float64 scratch buffers.
     """
     P = np.asarray(P, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
-    w = _student_t_weights(coords)
-    q = w / w.sum()
+    w, q = work if work is not None else _scratch(coords.shape[0])
+    _student_t_weights(coords, out=w)
+    np.divide(w, w.sum(), out=q)
     mask = P > 0
-    return float((P[mask] * (np.log(P[mask]) - np.log(np.maximum(q[mask], _Q_EPS)))).sum())
+    p = P[mask]
+    log_q = np.log(np.maximum(q[mask], _Q_EPS))
+    return float((p * (np.log(p) - log_q)).sum())
 
 
-def kl_gradient(P, coords):
-    """KL divergence and its analytic gradient with respect to the coordinates.
+def kl_gradient(P, coords, work=None) -> np.ndarray:
+    """Analytic gradient of KL(P || Q) with respect to the coordinates.
 
     dC/dy_i = 4 sum_j (p_ij - q_ij) (y_i - y_j) / (1 + |y_i - y_j|^2).
+    `work` is an optional pair of n x n float64 scratch buffers.
     """
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(coords, dtype=np.float64)
-    w = _student_t_weights(Y)
-    z = w.sum()
-    q = w / z
-    mask = P > 0
-    kl = float((P[mask] * (np.log(P[mask]) - np.log(np.maximum(q[mask], _Q_EPS)))).sum())
-    m = (P - q) * w
-    grad = 4.0 * (m.sum(axis=1)[:, None] * Y - m @ Y)
-    return kl, grad
+    w, m = work if work is not None else _scratch(Y.shape[0])
+    _student_t_weights(Y, out=w)
+    np.divide(w, w.sum(), out=m)
+    np.subtract(P, m, out=m)
+    np.multiply(m, w, out=m)
+    return 4.0 * (m.sum(axis=1)[:, None] * Y - m @ Y)
 
 
 def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2D:
@@ -200,6 +224,8 @@ def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2
     cfg.validate(n)
 
     P = pairwise_affinities(X, cfg.perplexity, cfg.entropy_tolerance)
+    P_eff = P * cfg.early_exaggeration
+    work = _scratch(n)
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
     velocity = np.zeros_like(Y)
@@ -207,17 +233,16 @@ def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2
     kl_tail = []
 
     for it in range(cfg.iterations):
-        exaggerate = it < cfg.exaggeration_iters
+        if it >= cfg.exaggeration_iters:
+            P_eff = P  # releases the exaggerated copy
         momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
-        P_eff = P * cfg.early_exaggeration if exaggerate else P
-        _, grad = kl_gradient(P_eff, Y)
+        grad = kl_gradient(P_eff, Y, work)
         velocity = momentum * velocity - cfg.learning_rate * grad
         Y = Y + velocity
         Y = Y - Y.mean(axis=0)
         if it >= tail_start:
-            kl_tail.append(kl_divergence(P, Y))
+            kl_tail.append(kl_divergence(P, Y, work))
 
     tail = np.asarray(kl_tail)
     max_increase = float(np.diff(tail).max()) if tail.size > 1 else 0.0
-    final_kl = float(tail[-1]) if tail.size else kl_divergence(P, Y)
-    return Embedding2D(Y, final_kl, cfg.iterations, max(0.0, max_increase), tail)
+    return Embedding2D(Y, float(tail[-1]), cfg.iterations, max(0.0, max_increase), tail)

@@ -2,7 +2,9 @@
 
 perfbench/spans.py wraps pipeline functions where the pipeline looks them
 up. Renaming one, or calling around it, would only surface as a failed
-traced benchmark run; this test makes it a test failure instead.
+traced benchmark run; this test makes it a test failure instead. It also
+pins what the t-SNE counts mean, so a refactor of the descent cannot
+silently change the per-layer metrics.
 """
 
 import sys
@@ -28,3 +30,9 @@ def test_smoke_workload_calls_every_traced_name(tmp_path):
         tracer.uninstall()
     assert code == 0 and len(rows) == workload.rows
     assert tracer.uncovered(frozenset()) == []
+    # What the per-layer counts mean: one gradient per descent step and one
+    # plain-objective KL for each of the last 50 steps.
+    projections = tracer.calls["tsne_project"]
+    assert projections > 0
+    assert tracer.counts["projection.gradient_calls"] == cfg.iterations * projections
+    assert tracer.calls["kl_divergence"] == 50 * projections

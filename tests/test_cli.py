@@ -1,11 +1,12 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from epl.cli import main
-from epl.dataset import load_features, load_split, read_table
+from epl.dataset import Dataset, load_features, load_split, read_table, save_features
 from epl.pipeline import PipelineError, ResultRow, read_results_csv, write_results_csv
 
 
@@ -82,6 +83,19 @@ class TestStages:
                     "--roles", "S", "--out", tmp / "f.bin"])
         assert code == 1
         assert "requires --split" in capsys.readouterr().err
+
+    def test_project_overflowing_features_exits_one(self, tmp_path, capsys):
+        feats = np.random.default_rng(3).normal(size=(30, 4))
+        feats[5, 2] = 1e200
+        path = tmp_path / "feats.bin"
+        save_features(Dataset(feats, None, 0), path, "binary")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["project", "--features", path, "--perplexity", 5,
+                        "--iterations", 10, "--out", tmp_path / "emb.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
 
 
 @pytest.fixture(scope="module")

@@ -97,6 +97,17 @@ class TestEncode:
         with pytest.raises(ContrastiveError, match="dimension"):
             encode(p, np.zeros(5))
 
+    def test_extract_features_is_the_encode_latent(self):
+        data = generate_blobs(3, 30, 6, 0.7, 8.0, seed=4)
+        p = init_params(6, TrainConfig(), np.random.default_rng(5))
+        rows = np.array([7, 0, 33, 89, 33])
+        assert np.array_equal(extract_features(p, data), encode(p, data.features)[0])
+        assert np.array_equal(extract_features(p, data, rows),
+                              encode(p, data.features[rows])[0])
+        narrow = init_params(5, TrainConfig(), np.random.default_rng(5))
+        with pytest.raises(ContrastiveError, match="dimension"):
+            extract_features(narrow, data)
+
     def test_identity_construction_recovers_input(self):
         # encoder sized so the latent can pass non-negative inputs through
         cfg = TrainConfig(hidden_dim=8, latent_dim=4)

@@ -1,9 +1,12 @@
-"""Same-bytes gate for the learning layers.
+"""Same-bytes gate for the learning and projection layers.
 
 Each trainer runs at tiny fixed sizes and seeds, and the sha256 of its
 parameter bytes must equal the digest recorded before the network code
-was refactored. A change that moves any bit of a trained weight fails
-here; re-record a digest only when a change means to alter training.
+was refactored. The projection cases hash the joint affinities and the
+t-SNE result (coordinates, KL tail, final KL and worst late KL increase),
+recorded before the descent was moved into reused buffers. A change that
+moves any bit of a trained weight or an embedding fails here; re-record a
+digest only when a change means to alter training or the descent.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ import pytest
 from epl.contrastive import AugmentConfig, TrainConfig, finetune_supcon, train
 from epl.dataset import generate_blobs, stratified_split
 from epl.probe import SoftmaxConfig, train_linear, train_softmax
+from epl.projection import ProjectionConfig, pairwise_affinities, tsne_project
 
 
 def digest(*arrays) -> str:
@@ -81,3 +85,37 @@ def test_linear_weights(blobs):
     data, _ = blobs
     model = train_linear(data.features, data.labels, lam=0.5, epochs=30)
     assert digest(model.weights, model.bias, model.objective_trace) == GOLDEN["linear"]
+
+
+# name: (generate_blobs(k, per_class, d, spread, 8.0, seed), config,
+#        affinity digest, embedding digest)
+PROJECTION_GOLDEN = {
+    # fewer than 50 iterations, all of them exaggerated
+    "short": ((3, 10, 5, 0.6, 21),
+              ProjectionConfig(perplexity=6.0, iterations=40, exaggeration_iters=60,
+                               momentum_switch=15, seed=4),
+              "0cfd67e35c306d50d4df43ba651c365475c2f7f5280e4f09ac10051ddc43ccc9",
+              "8c1d5e8a2f658e1c4e93fb966e40ef3cbf37d2cfaa1cb20a6d575fa11c723171"),
+    # the momentum switch well after the exaggeration phase
+    "split_phases": ((3, 15, 6, 0.8, 22),
+                     ProjectionConfig(perplexity=9.0, iterations=130, exaggeration_iters=35,
+                                      momentum_switch=90, seed=5),
+                     "5b92c0c077f9651ac6d56c6d1e670eae947bacd53bcf0836ac9cd0519d742912",
+                     "9c10e6bb93888a3f62c380ba2c04e9526d8734aae14af27d0518786a6da348a6"),
+    "n210": ((3, 70, 8, 0.7, 23),
+             ProjectionConfig(perplexity=25.0, iterations=300, exaggeration_iters=100,
+                              momentum_switch=100, seed=6),
+             "98cdd0902f50c6f0820e75d10a6c6e0e9206e5b14359afb509c7da9fb70a930d",
+             "83adf34e1b46192769f3574818a8cc7bfb332aaab28c82986f42a20d67014bcf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_GOLDEN))
+def test_projection_bytes(name):
+    (k, per_class, d, spread, seed), config, affinity, embedding = PROJECTION_GOLDEN[name]
+    X = generate_blobs(k, per_class, d, spread, 8.0, seed=seed).features
+    P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
+    emb = tsne_project(X, config)
+    assert digest(P) == affinity
+    assert digest(emb.coordinates, emb.kl_tail,
+                  [emb.final_kl, emb.max_late_kl_increase]) == embedding

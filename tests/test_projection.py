@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epl.dataset import UNLABELED, generate_blobs
 from epl.metrics import knn_consistency
@@ -61,6 +64,18 @@ class TestAffinities:
         with pytest.raises(ProjectionError):
             pairwise_affinities(X, 9.5)  # max realized perplexity is n - 1
 
+    @pytest.mark.parametrize("value,cause", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (1e200, "overflow")])
+    def test_bad_features_name_the_cause_without_warnings(self, value, cause):
+        X = np.random.default_rng(7).normal(size=(20, 3))
+        X[4, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProjectionError, match=cause):
+                conditional_affinities(X, 5.0)
+            with pytest.raises(ProjectionError, match=cause):
+                tsne_project(X, ProjectionConfig(perplexity=5.0, iterations=5))
+
     def test_degenerate_coincident_rows(self):
         X = np.zeros((5, 2))
         cond, _ = conditional_affinities(X, 2.0)
@@ -105,7 +120,7 @@ class TestGradient:
         X = rng.normal(size=(20, 4))
         P = pairwise_affinities(X, 8.0, 1e-6)
         Y = rng.normal(size=(20, 2))
-        _, grad = kl_gradient(P, Y)
+        grad = kl_gradient(P, Y)
         h = 1e-5
         fd = np.zeros_like(Y)
         for i in range(20):
@@ -115,6 +130,25 @@ class TestGradient:
                 minus[i, j] -= h
                 fd[i, j] = (kl_divergence(P, plus) - kl_divergence(P, minus)) / (2 * h)
         assert np.abs(grad - fd).max() / np.abs(fd).max() <= 1e-4
+
+
+class TestScratchBuffers:
+    """A reused `work` pair is scratch only: results equal the fresh-buffer calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-4, 1.0, 30.0]))
+    def test_reused_work_is_bitwise_equal(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        P = pairwise_affinities(rng.normal(size=(n, 3)), min(3.0, n - 1.5))
+        P[0, n - 1] = P[n - 1, 0] = 0.0  # a zero entry the KL mask must skip
+        work = (np.full((n, n), np.nan), np.full((n, n), np.nan))
+        for P_eff in (P * 12.0, P, P * 4.0):
+            Y = rng.normal(0.0, scale, (n, 2))
+            assert np.array_equal(kl_gradient(P_eff, Y, work), kl_gradient(P_eff, Y))
+            assert kl_divergence(P_eff, Y, work) == kl_divergence(P_eff, Y)
+            assert kl_divergence(P, Y, work) == kl_divergence(P, Y)
+            assert np.array_equal(kl_gradient(P, Y, work), kl_gradient(P, Y))
 
 
 class TestTsne:
