@@ -10,10 +10,21 @@ numpy: manual backpropagation, decoupled-weight-decay Adam, a cosine
 learning-rate schedule, and best-checkpoint selection by validation loss.
 The latent output is what downstream stages consume; the head output
 exists only inside the losses.
+
+Training keeps two flat float64 buffers of one layout: `EncoderParams.flat`
+holds the eight weight and bias arrays back to back in `_FIELDS` order
+(each field is a view into it), and a twin buffer of the same layout
+receives every gradient of a step. AdamW's two moments are flat too, so an
+update is one elementwise pass and a best-epoch snapshot is one buffer
+copy, with the same float operations as a per-array loop. The validation
+pass computes the loss only: no softmax division, no embedding gradient,
+no backward pass. Overflow during training or encoding raises
+ContrastiveError rather than yielding non-finite weights or features.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,20 +90,29 @@ class TrainConfig:
             raise ContrastiveError("validation fraction must be in (0, 0.5)")
 
 
-@dataclass
 class EncoderParams:
-    """Encoder and head weights. w*/b* encode, v*/c* project."""
+    """Encoder and head weights. w*/b* encode, v*/c* project.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    v1: np.ndarray
-    c1: np.ndarray
-    v2: np.ndarray
-    c2: np.ndarray
+    The eight arrays are views into one float64 buffer, `flat`, laid out
+    in _FIELDS order. Write into them in place (`p.w1[...] = x`); binding
+    a field to a new array would detach it from `flat`.
+    """
 
     _FIELDS = ("w1", "b1", "w2", "b2", "v1", "c1", "v2", "c2")
+
+    def __init__(self, w1, b1, w2, b2, v1, c1, v2, c2):
+        self._bind(*pack((w1, b1, w2, b2, v1, c1, v2, c2)))
+
+    def _bind(self, flat: np.ndarray, views) -> None:
+        self.flat = flat
+        for name, view in zip(self._FIELDS, views):
+            setattr(self, name, view)
+
+    def _like(self, flat: np.ndarray) -> "EncoderParams":
+        """Parameters of this layout whose arrays are views into `flat`."""
+        params = EncoderParams.__new__(EncoderParams)
+        params._bind(*flat_views([arr.shape for arr in self.arrays().values()], flat))
+        return params
 
     @property
     def input_dim(self) -> int:
@@ -106,7 +126,11 @@ class EncoderParams:
         return {name: getattr(self, name) for name in self._FIELDS}
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(**{k: v.copy() for k, v in self.arrays().items()})
+        return self._like(self.flat.copy())
+
+    def zeros_like(self) -> "EncoderParams":
+        """Zeroed arrays of the same layout, e.g. a gradient buffer."""
+        return self._like(np.zeros_like(self.flat))
 
     def save(self, path, config_lines: dict | None = None) -> None:
         ckpt.save_checkpoint(path, ckpt.KIND_ENCODER, self.arrays(), config_lines)
@@ -155,30 +179,72 @@ def he_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 def relu_mlp(X: np.ndarray, w1, b1, w2, b2):
     """Two-layer ReLU block: (pre-activation, hidden, output)."""
-    a = X @ w1 + b1
+    a = X @ w1
+    a += b1
     h = np.maximum(a, 0.0)
-    return a, h, h @ w2 + b2
+    out = h @ w2
+    out += b2
+    return a, h, out
 
 
 def relu_mlp_backward(X: np.ndarray, a: np.ndarray, h: np.ndarray, w2: np.ndarray,
-                      d_out: np.ndarray):
-    """Gradients of relu_mlp: (d_w1, d_b1, d_w2, d_b2, d_a).
+                      d_out: np.ndarray, grads) -> np.ndarray:
+    """Gradients of relu_mlp, written into grads = (d_w1, d_b1, d_w2, d_b2).
 
-    d_a is the gradient of the pre-activation; d_a @ w1.T continues the
-    chain into the block's input.
+    Returns d_a, the gradient of the pre-activation; d_a @ w1.T continues
+    the chain into the block's input.
     """
-    d_w2 = h.T @ d_out
-    d_b2 = d_out.sum(axis=0)
-    d_a = (d_out @ w2.T) * (a > 0)
-    return X.T @ d_a, d_a.sum(axis=0), d_w2, d_b2, d_a
+    d_w1, d_b1, d_w2, d_b2 = grads
+    np.matmul(h.T, d_out, out=d_w2)
+    d_out.sum(axis=0, out=d_b2)
+    d_a = d_out @ w2.T
+    d_a *= a > 0
+    np.matmul(X.T, d_a, out=d_w1)
+    d_a.sum(axis=0, out=d_b1)
+    return d_a
 
 
-def row_softmax(s: np.ndarray):
-    """Row-wise softmax of s and its log-normalizer log(sum(exp(s), axis=1))."""
+def row_softmax(s: np.ndarray, with_probs: bool = True):
+    """Row-wise softmax of s and its log-normalizer log(sum(exp(s), axis=1)).
+
+    Works in place: s is overwritten with exp(s - row max) and then with
+    the probabilities, which are returned as s itself, or as None when
+    with_probs is false.
+    """
     row_max = s.max(axis=1, keepdims=True)
-    e = np.exp(s - row_max)
-    total = e.sum(axis=1, keepdims=True)
-    return e / total, (np.log(total) + row_max)[:, 0]
+    s -= row_max
+    np.exp(s, out=s)
+    total = s.sum(axis=1, keepdims=True)
+    log_norm = (np.log(total) + row_max)[:, 0]
+    if not with_probs:
+        return None, log_norm
+    s /= total
+    return s, log_norm
+
+
+def flat_views(shapes, flat: np.ndarray | None = None):
+    """(flat, views): one float64 buffer and a view of it per shape, in order.
+
+    A zeroed buffer is made unless `flat` is given. An optimizer steps the
+    buffer in one elementwise pass instead of one per array.
+    """
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if flat is None:
+        flat = np.zeros(sum(sizes))
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return flat, views
+
+
+def pack(arrays):
+    """Copy arrays into one new float64 buffer: (flat, views) as flat_views."""
+    arrays = [np.asarray(arr, dtype=np.float64) for arr in arrays]
+    flat, views = flat_views([arr.shape for arr in arrays])
+    for view, arr in zip(views, arrays):
+        view[...] = arr
+    return flat, views
 
 
 def safe_std(X: np.ndarray) -> np.ndarray:
@@ -209,26 +275,37 @@ def _forward(params: EncoderParams, X: np.ndarray) -> dict:
     a1, h1, latent = relu_mlp(X, params.w1, params.b1, params.w2, params.b2)
     a2, h2, raw = relu_mlp(latent, params.v1, params.c1, params.v2, params.c2)
     norms = np.sqrt((raw ** 2).sum(axis=1))
-    head = np.empty_like(raw)
     ok = norms > _NORM_EPS
-    head[ok] = raw[ok] / norms[ok, None]
-    # Degenerate zero-norm rows map to the first basis vector.
-    head[~ok] = 0.0
-    head[~ok, 0] = 1.0
+    if ok.all():
+        head = raw
+        head /= norms[:, None]
+    else:
+        head = np.empty_like(raw)
+        head[ok] = raw[ok] / norms[ok, None]
+        # Degenerate zero-norm rows map to the first basis vector.
+        head[~ok] = 0.0
+        head[~ok, 0] = 1.0
     return {"x": X, "a1": a1, "h1": h1, "latent": latent, "a2": a2,
-            "h2": h2, "raw": raw, "norms": norms, "ok": ok, "head": head}
+            "h2": h2, "norms": norms, "ok": ok, "head": head}
 
 
-def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray) -> dict:
+def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray,
+              grads: EncoderParams) -> EncoderParams:
+    """Write the gradient of every parameter into grads and return it."""
     head, norms, ok = cache["head"], cache["norms"], cache["ok"]
-    d_raw = np.zeros_like(d_head)
-    inner = (d_head[ok] * head[ok]).sum(axis=1, keepdims=True)
-    d_raw[ok] = (d_head[ok] - inner * head[ok]) / norms[ok, None]
-    v1, c1, v2, c2, d_a2 = relu_mlp_backward(cache["latent"], cache["a2"], cache["h2"],
-                                             params.v2, d_raw)
-    w1, b1, w2, b2, _ = relu_mlp_backward(cache["x"], cache["a1"], cache["h1"],
-                                          params.w2, d_a2 @ params.v1.T)
-    return {"v2": v2, "c2": c2, "v1": v1, "c1": c1, "w2": w2, "b2": b2, "w1": w1, "b1": b1}
+    if ok.all():
+        inner = (d_head * head).sum(axis=1, keepdims=True)
+        d_raw = (d_head - inner * head) / norms[:, None]
+    else:
+        # Degenerate rows are constant in raw, so their gradient is zero.
+        d_raw = np.zeros_like(d_head)
+        inner = (d_head[ok] * head[ok]).sum(axis=1, keepdims=True)
+        d_raw[ok] = (d_head[ok] - inner * head[ok]) / norms[ok, None]
+    d_a2 = relu_mlp_backward(cache["latent"], cache["a2"], cache["h2"], params.v2, d_raw,
+                             (grads.v1, grads.c1, grads.v2, grads.c2))
+    relu_mlp_backward(cache["x"], cache["a1"], cache["h1"], params.w2, d_a2 @ params.v1.T,
+                      (grads.w1, grads.b1, grads.w2, grads.b2))
+    return grads
 
 
 def _check_width(params: EncoderParams, X: np.ndarray) -> None:
@@ -238,6 +315,12 @@ def _check_width(params: EncoderParams, X: np.ndarray) -> None:
         )
 
 
+def _finite_latent(latent: np.ndarray) -> np.ndarray:
+    if not np.isfinite(latent).all():
+        raise ContrastiveError("latent features are not finite (the encoder overflows)")
+    return latent
+
+
 def encode(params: EncoderParams, x):
     """Forward pass returning (latent, unit-norm head output)."""
     X = np.asarray(x, dtype=np.float64)
@@ -245,8 +328,9 @@ def encode(params: EncoderParams, x):
     if single:
         X = X[None, :]
     _check_width(params, X)
-    cache = _forward(params, X)
-    latent, head = cache["latent"], cache["head"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = _forward(params, X)
+    latent, head = _finite_latent(cache["latent"]), cache["head"]
     if single:
         return latent[0], head[0]
     return latent, head
@@ -261,7 +345,9 @@ def extract_features(params: EncoderParams, data: Dataset, roles=None) -> np.nda
     X = data.features[idx]
     _check_width(params, X)
     # The encoder block alone: the projection head is not needed here.
-    return relu_mlp(X, params.w1, params.b1, params.w2, params.b2)[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        latent = relu_mlp(X, params.w1, params.b1, params.w2, params.b2)[2]
+    return _finite_latent(latent)
 
 
 def role_indices(split: SplitAssignment, roles) -> np.ndarray:
@@ -277,7 +363,10 @@ def role_indices(split: SplitAssignment, roles) -> np.ndarray:
 
 def _scale_vector(config: AugmentConfig, dim: int) -> np.ndarray:
     scale = config.feature_scale if config.feature_scale is not None else 1.0
-    return np.broadcast_to(np.asarray(scale, dtype=np.float64), (dim,))
+    scale = np.asarray(scale, dtype=np.float64)
+    # Training resolves a per-feature vector once; broadcasting it per
+    # batch would cost more than the noise it scales.
+    return scale if scale.shape == (dim,) else np.broadcast_to(scale, (dim,))
 
 
 def augment(x, config: AugmentConfig, rng) -> np.ndarray:
@@ -302,19 +391,21 @@ def make_view_batch(X: np.ndarray, labels, config: AugmentConfig, rng) -> ViewBa
 # Losses
 # ---------------------------------------------------------------------------
 
-def _similarity_logits(Z: np.ndarray, temperature: float):
-    s = (Z @ Z.T) / temperature
+def _similarity_logits(Z: np.ndarray, temperature: float) -> np.ndarray:
+    """Z Z^T / temperature with -inf on the diagonal."""
+    s = Z @ Z.T
+    s /= temperature
     np.fill_diagonal(s, -np.inf)
-    softmax, log_denom = row_softmax(s)
-    return s, log_denom, softmax
+    return s
 
 
-def ntxent_loss(views: np.ndarray, temperature: float):
+def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool = True):
     """Self-supervised contrastive loss over interleaved view pairs.
 
     Each view's positive is its partner; all other views are negatives.
     Returns the mean loss over all 2B anchors and the exact gradient with
-    respect to the (unit-norm) view embeddings.
+    respect to the (unit-norm) view embeddings, or None in its place when
+    with_grad is false. The loss is the same either way.
     """
     if temperature <= 0:
         raise ContrastiveError("temperature must be positive")
@@ -322,23 +413,27 @@ def ntxent_loss(views: np.ndarray, temperature: float):
     n = Z.shape[0]
     if n < 4 or n % 2 != 0:
         raise ContrastiveError("need an even number of views, at least 4")
-    partner = np.arange(n) ^ 1
-    s, log_denom, softmax = _similarity_logits(Z, temperature)
-    loss = float((log_denom - s[np.arange(n), partner]).mean())
-    g = softmax.copy()
-    g[np.arange(n), partner] -= 1.0
+    rows = np.arange(n)
+    partner = rows ^ 1
+    s = _similarity_logits(Z, temperature)
+    positive = s[rows, partner]
+    g, log_denom = row_softmax(s, with_grad)
+    loss = float((log_denom - positive).mean())
+    if not with_grad:
+        return loss, None
+    g[rows, partner] -= 1.0
     g /= n
     grad = (g @ Z + g.T @ Z) / temperature
     return loss, grad
 
 
-def supcon_loss(views: np.ndarray, labels, temperature: float):
+def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool = True):
     """Supervised contrastive loss: all same-label views are positives.
 
     Every view must have at least one other view of its label in the
     batch. Mean over anchors, exact gradient with respect to the view
-    embeddings. Collapses to the self-supervised loss when each anchor
-    has exactly one positive.
+    embeddings (None when with_grad is false). Collapses to the
+    self-supervised loss when each anchor has exactly one positive.
     """
     if temperature <= 0:
         raise ContrastiveError("temperature must be positive")
@@ -347,17 +442,22 @@ def supcon_loss(views: np.ndarray, labels, temperature: float):
     n = Z.shape[0]
     if y.shape[0] != n:
         raise ContrastiveError("every view needs a label")
-    pos = (y[:, None] == y[None, :]) & ~np.eye(n, dtype=bool)
+    pos = y[:, None] == y[None, :]
+    np.fill_diagonal(pos, False)
     counts = pos.sum(axis=1)
     if (counts == 0).any():
         lonely = int(np.argmax(counts == 0))
         raise ContrastiveError(
             f"view {lonely} (label {y[lonely]}) has no positive in the batch"
         )
-    s, log_denom, softmax = _similarity_logits(Z, temperature)
-    per_anchor = log_denom - (np.where(pos, s, 0.0).sum(axis=1) / counts)
+    s = _similarity_logits(Z, temperature)
+    positive = np.where(pos, s, 0.0).sum(axis=1) / counts
+    g, log_denom = row_softmax(s, with_grad)
+    per_anchor = log_denom - positive
     loss = float(per_anchor.mean())
-    g = softmax - pos / counts[:, None]
+    if not with_grad:
+        return loss, None
+    g -= pos / counts[:, None]
     g /= n
     grad = (g @ Z + g.T @ Z) / temperature
     return loss, grad
@@ -368,28 +468,25 @@ def supcon_loss(views: np.ndarray, labels, temperature: float):
 # ---------------------------------------------------------------------------
 
 class _AdamW:
-    """Adam with decoupled weight decay over a named parameter dict."""
+    """Adam with decoupled weight decay, one elementwise pass over the flat buffer."""
 
     def __init__(self, params: EncoderParams, weight_decay: float):
         self.weight_decay = weight_decay
-        self.m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
-    def step(self, params: EncoderParams, grads: dict, lr: float) -> None:
+    def step(self, params: EncoderParams, grads: EncoderParams, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        for name, g in grads.items():
-            theta = getattr(params, name)
-            m = self.m[name]
-            v = self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            theta -= lr * (update + self.weight_decay * theta)
+        g, m, v, theta = grads.flat, self.m, self.v, params.flat
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        theta -= lr * (update + self.weight_decay * theta)
 
 
 def _cosine_lr(config: TrainConfig, epoch: int) -> float:
@@ -406,7 +503,10 @@ def _resolve_augment(config: TrainConfig, X: np.ndarray) -> AugmentConfig:
     aug = config.augment
     if aug.feature_scale is not None:
         return aug
-    return replace(aug, feature_scale=safe_std(X))
+    scale = safe_std(X)
+    if not np.isfinite(scale).all():
+        raise ContrastiveError("the standard deviation of the training features overflows float64")
+    return replace(aug, feature_scale=scale)
 
 
 def _batch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -421,16 +521,22 @@ def _batch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
 
 def _batch_loss(mode: str, X: np.ndarray, y, aug: AugmentConfig,
                 temperature: float, rng, params: EncoderParams,
-                with_grads: bool):
+                grads: EncoderParams | None) -> float:
+    """Loss of one view batch; with a grads buffer, also its gradients into it.
+
+    Without one (validation) only the loss is computed: no softmax
+    division, no embedding gradient and no backward pass.
+    """
     batch = make_view_batch(X, y, aug, rng)
     cache = _forward(params, batch.views)
+    with_grad = grads is not None
     if mode == "simclr":
-        loss, d_head = ntxent_loss(cache["head"], temperature)
+        loss, d_head = ntxent_loss(cache["head"], temperature, with_grad)
     else:
-        loss, d_head = supcon_loss(cache["head"], batch.labels, temperature)
-    if not with_grads:
-        return loss, None
-    return loss, _backward(params, cache, d_head)
+        loss, d_head = supcon_loss(cache["head"], batch.labels, temperature, with_grad)
+    if with_grad:
+        _backward(params, cache, d_head, grads)
+    return loss
 
 
 def train(mode: str, data: Dataset, split: SplitAssignment,
@@ -474,6 +580,9 @@ def finetune_supcon(params: EncoderParams, data: Dataset, split: SplitAssignment
     return _train_on("supcon", data.features[idx], data.labels[idx], cfg)
 
 
+# Overflow shows up as a non-finite statistic, loss or parameter, which is
+# raised as a ContrastiveError (naming the epoch) instead of a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderParams:
     rng = np.random.default_rng(config.seed)
     if config.warm_start is not None:
@@ -502,6 +611,7 @@ def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderP
     train_local = perm[n_val:]
 
     optimizer = _AdamW(params, config.weight_decay)
+    grads = params.zeros_like()
     best = params.copy()
     best_score = np.inf
     for epoch in range(config.epochs):
@@ -510,17 +620,26 @@ def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderP
         epoch_losses = []
         for chunk in _batch_slices(order, config.batch_size):
             y_chunk = None if labels is None else labels[chunk]
-            loss, grads = _batch_loss(mode, X[chunk], y_chunk, aug,
-                                      config.temperature, rng, params, True)
+            loss = _batch_loss(mode, X[chunk], y_chunk, aug,
+                               config.temperature, rng, params, grads)
+            _check_finite(loss, epoch, "training loss")
             epoch_losses.append(loss)
             optimizer.step(params, grads, lr)
+        if not np.isfinite(params.flat).all():
+            raise ContrastiveError(f"epoch {epoch}: parameters are not finite")
         if n_val > 0:
             y_val = None if labels is None else labels[val_local]
-            score, _ = _batch_loss(mode, X[val_local], y_val, aug,
-                                   config.temperature, rng, params, False)
+            score = _batch_loss(mode, X[val_local], y_val, aug,
+                                config.temperature, rng, params, None)
+            _check_finite(score, epoch, "validation loss")
         else:
             score = float(np.mean(epoch_losses))
         if score < best_score:
             best_score = score
             best = params.copy()
     return best
+
+
+def _check_finite(loss: float, epoch: int, what: str) -> None:
+    if not math.isfinite(loss):
+        raise ContrastiveError(f"epoch {epoch}: {what} is not finite ({loss})")

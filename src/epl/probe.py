@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrastive import he_uniform, relu_mlp, relu_mlp_backward, row_softmax, safe_std
+from .contrastive import (flat_views, he_uniform, pack, relu_mlp, relu_mlp_backward,
+                          row_softmax, safe_std)
 from .dataset import UNLABELED
 
 
@@ -58,6 +59,7 @@ def train_linear(features, labels, lam: float = 1.0, epochs: int = 200,
     """
     check_epochs(epochs)
     X = np.asarray(features, dtype=np.float64)
+    _check_features(X)
     y = np.asarray(labels, dtype=np.int64)
     if (y == UNLABELED).any():
         raise ProbeError("linear probe requires labeled training samples")
@@ -145,7 +147,8 @@ def _init_softmax(dim: int, k: int, config: SoftmaxConfig, rng) -> SoftmaxModel:
     )
 
 
-def _softmax_loss_grads(model: SoftmaxModel, X: np.ndarray, y: np.ndarray):
+def _softmax_loss_grads(model: SoftmaxModel, X: np.ndarray, y: np.ndarray, grads) -> float:
+    """Mean cross-entropy; writes (d_w1, d_b1, d_w2, d_b2) into grads."""
     a1, h1, scores = relu_mlp(X, model.w1, model.b1, model.w2, model.b2)
     probs, _ = row_softmax(scores)
     n = X.shape[0]
@@ -153,8 +156,13 @@ def _softmax_loss_grads(model: SoftmaxModel, X: np.ndarray, y: np.ndarray):
     d_scores = probs
     d_scores[np.arange(n), y] -= 1.0
     d_scores /= n
-    w1, b1, w2, b2, _ = relu_mlp_backward(X, a1, h1, model.w2, d_scores)
-    return loss, {"w2": w2, "b2": b2, "w1": w1, "b1": b1}
+    relu_mlp_backward(X, a1, h1, model.w2, d_scores, grads)
+    return loss
+
+
+def _check_features(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise ProbeError("features must be finite (found NaN or inf)")
 
 
 def train_softmax(features, labels, config: SoftmaxConfig | None = None,
@@ -163,11 +171,14 @@ def train_softmax(features, labels, config: SoftmaxConfig | None = None,
 
     The step starts at learning_rate and decays by a factor (1 - e/E) each
     epoch. Pseudo-labels train like true ones; unlabeled entries are an
-    error naming the first offending index.
+    error naming the first offending index. The weights, their gradients
+    and the momentum each live in one flat buffer, so a step is one
+    elementwise pass.
     """
     cfg = config if config is not None else SoftmaxConfig()
     cfg.validate()
     X = np.asarray(features, dtype=np.float64)
+    _check_features(X)
     y = np.asarray(labels, dtype=np.int64)
     if (y == UNLABELED).any():
         bad = int(np.argmax(y == UNLABELED))
@@ -177,24 +188,23 @@ def train_softmax(features, labels, config: SoftmaxConfig | None = None,
         raise ProbeError(f"training labels must lie in [0, {k})")
     rng = np.random.default_rng(cfg.seed)
     model = _init_softmax(X.shape[1], k, cfg, rng)
+    weights = (model.w1, model.b1, model.w2, model.b2)
+    flat, (model.w1, model.b1, model.w2, model.b2) = pack(weights)
     model.mean = X.mean(axis=0)
     model.scale = safe_std(X)
     Xn = model._standardize(X)
-    velocity = {name: np.zeros_like(arr)
-                for name, arr in (("w1", model.w1), ("b1", model.b1),
-                                  ("w2", model.w2), ("b2", model.b2))}
+    grad_flat, grads = flat_views([w.shape for w in weights])
+    velocity = np.zeros_like(flat)
     n = X.shape[0]
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (1.0 - epoch / cfg.epochs)
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             chunk = order[start:start + cfg.batch_size]
-            _, grads = _softmax_loss_grads(model, Xn[chunk], y[chunk])
-            for name, g in grads.items():
-                v = velocity[name]
-                v *= cfg.momentum
-                v += g
-                getattr(model, name)[...] -= lr * v
+            _softmax_loss_grads(model, Xn[chunk], y[chunk], grads)
+            velocity *= cfg.momentum
+            velocity += grad_flat
+            flat -= lr * velocity
     return model
 
 

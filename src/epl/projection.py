@@ -27,6 +27,11 @@ from scipy.spatial.distance import cdist
 
 _Q_EPS = 1e-12
 _INIT_SIGMA = 1e-4
+# The bracket search doubles or halves the precision beta at most this
+# many times from 1, so beta * squared distance stays finite for every
+# beta it tries when the distances stay below _MAX_SHIFTED_D2.
+_BISECT_STEPS = 64
+_MAX_SHIFTED_D2 = np.finfo(np.float64).max / 2.0 ** _BISECT_STEPS
 
 
 class ProjectionError(ValueError):
@@ -94,7 +99,8 @@ def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
     Returns (conditional matrix with zero diagonal, precision per row).
     Rows whose off-diagonal distances are all equal admit no bisection
     solution and are set uniform, the entropy-maximizing limit. Non-finite
-    features and squared distances beyond float64 raise ProjectionError
+    features, squared distances beyond float64, and squared distances too
+    large for the bisection's precisions to scale raise ProjectionError
     before any row is bisected.
     """
     X = np.asarray(features, dtype=np.float64)
@@ -108,6 +114,10 @@ def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
     d2 = cdist(X, X, "sqeuclidean")
     if not np.isfinite(d2).all():
         raise ProjectionError("squared distances between features overflow float64")
+    if d2.max() > _MAX_SHIFTED_D2:
+        raise ProjectionError(
+            f"squared-distance range 0..{d2.max():.3g} is too wide for the perplexity "
+            f"bisection: precisions up to 2**{_BISECT_STEPS} would overflow float64")
     cond = np.zeros((n, n))
     betas = np.ones(n)
     off = ~np.eye(n, dtype=bool)
@@ -130,7 +140,7 @@ def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int) -> float
     beta = 1.0
     _, h = _entropy_and_probs(row, beta)
     lo = hi = None
-    for _ in range(64):
+    for _ in range(_BISECT_STEPS):
         perp = np.exp(h)
         if perp > perplexity:
             lo = beta

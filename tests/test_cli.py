@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from epl.cli import main
-from epl.dataset import Dataset, load_features, load_split, read_table, save_features
+from epl.dataset import (Dataset, generate_blobs, load_features, load_split, read_table,
+                         save_features, stratified_split)
 from epl.pipeline import PipelineError, ResultRow, read_results_csv, write_results_csv
 
 
@@ -266,6 +267,30 @@ class TestExperimentCommand:
                     _tiny_cfg(tmp_path)]) == 0
         rows = read_results_csv(out / "results.csv")
         assert {r.experiment for r in rows} == {"C2a", "C2b"}
+
+
+    def test_c1_on_a_finite_extreme_feature_records_arm_errors(self, tmp_path):
+        data = generate_blobs(3, 40, 5, 0.5, 10.0, seed=2)
+        split = stratified_split(data, 0.06, 0.64, 0.30, seed=3)
+        feats = data.features.copy()
+        feats[split.supervised[0], 1] = 1e200
+        source = tmp_path / "extreme.bin"
+        save_features(Dataset(feats, data.labels, 3), source, "binary")
+        assert source.read_bytes()[:4] == b"EPL2"
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(f"[dataset]\nsource = {source}\n"
+                       "[split]\ns_frac = 0.06\nu_frac = 0.64\nt_frac = 0.30\n"
+                       "[contrastive]\nepochs = 2\nbatch_size = 32\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["experiment", "c1", "--config", cfg, "--replicas", 1,
+                        "--seed", 3, "--mode", "both", "--out", out])
+        assert code == 2
+        rows = read_results_csv(out / "results.csv")
+        assert not [r for r in rows if r.experiment == "C1a"]
+        manifest = (out / "manifest.txt").read_text()
+        assert "r0.simclr.c1" in manifest and "ContrastiveError" in manifest
 
 
 def _tiny_cfg(tmp_path):

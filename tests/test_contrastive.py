@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epl.contrastive import (AugmentConfig, ContrastiveError, EncoderParams,
-                             TrainConfig, augment, encode, extract_features,
-                             finetune_supcon, init_params, make_view_batch,
-                             ntxent_loss, supcon_loss, train,
-                             _backward, _forward)
+from epl.contrastive import (ADAM_EPS, BETA1, BETA2, AugmentConfig, ContrastiveError,
+                             EncoderParams, TrainConfig, augment, encode,
+                             extract_features, finetune_supcon, init_params,
+                             make_view_batch, ntxent_loss, supcon_loss, train,
+                             _AdamW, _backward, _forward)
 from epl.dataset import generate_blobs, stratified_split
 from epl.metrics import knn_consistency
 
@@ -210,7 +213,7 @@ class TestEndToEndBackprop:
 
         cache = _forward(params, X)
         loss, d_head = ntxent_loss(cache["head"], 0.07)
-        grads = _backward(params, cache, d_head)
+        grads = _backward(params, cache, d_head, params.zeros_like()).arrays()
         h = 1e-6
         names = list(params.arrays())
         worst = 0.0
@@ -227,6 +230,79 @@ class TestEndToEndBackprop:
             fd = (plus - minus) / (2 * h)
             worst = max(worst, abs(grads[name][idx] - fd) / max(abs(fd), 1e-10))
         assert worst <= 1e-4
+
+
+class TestLossOnly:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.integers(2, 40), dim=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           classes=st.integers(1, 3))
+    def test_loss_is_bitwise_equal_with_and_without_gradients(self, pairs, dim, seed,
+                                                              classes):
+        rng = np.random.default_rng(seed)
+        Z = unit_rows(rng, 2 * pairs, dim)
+        labels = np.repeat(rng.integers(0, classes, pairs), 2)
+        tau = rng.uniform(0.05, 1.0)
+        assert ntxent_loss(Z, tau, False) == (ntxent_loss(Z, tau)[0], None)
+        assert supcon_loss(Z, labels, tau, False) == (supcon_loss(Z, labels, tau)[0], None)
+
+    def test_zero_norm_head_row_takes_the_masked_path(self):
+        rng = np.random.default_rng(14)
+        params = init_params(5, TrainConfig(), rng)  # zero biases
+        X = rng.normal(size=(8, 5))
+        X[3] = 0.0  # every layer maps it to zero, so its head norm is zero
+        cache = _forward(params, X)
+        assert cache["ok"].sum() == 7
+        assert np.array_equal(cache["head"][3], np.eye(16)[0])
+        labels = np.repeat([0, 1, 0, 1], 2)
+        for fn in (lambda z, g: ntxent_loss(z, 0.1, g),
+                   lambda z, g: supcon_loss(z, labels, 0.1, g)):
+            loss, d_head = fn(cache["head"], True)
+            assert fn(cache["head"], False) == (loss, None)
+            grads = _backward(params, cache, d_head, params.zeros_like())
+            assert np.isfinite(grads.flat).all()
+
+
+def adamw_reference(theta: dict, m: dict, v: dict, grads: dict, t: int, lr: float,
+                    weight_decay: float) -> None:
+    """The per-array AdamW step: the flat step must match it bit for bit."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    for name, g in grads.items():
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * g
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+        theta[name] -= lr * (update + weight_decay * theta[name])
+
+
+_SHAPE = st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.lists(_SHAPE, min_size=8, max_size=8), seed=st.integers(0, 2**32 - 1),
+       weight_decay=st.floats(1e-6, 0.5))
+def test_flat_adamw_step_equals_the_per_array_step(shapes, seed, weight_decay):
+    rng = np.random.default_rng(seed)
+    names = EncoderParams._FIELDS
+    params = EncoderParams(*(rng.normal(size=shape) for shape in shapes))
+    theta = {name: arr.copy() for name, arr in params.arrays().items()}
+    m = {name: np.zeros(shape) for name, shape in zip(names, shapes)}
+    v = {name: np.zeros(shape) for name, shape in zip(names, shapes)}
+    optimizer = _AdamW(params, weight_decay)
+    grads = params.zeros_like()
+    for t in range(1, 21):
+        lr = float(rng.uniform(1e-5, 1e-1))
+        for name, shape in zip(names, shapes):
+            getattr(grads, name)[...] = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+        optimizer.step(params, grads, lr)
+        adamw_reference(theta, m, v, grads.arrays(), t, lr, weight_decay)
+    for name in names:
+        assert np.array_equal(getattr(params, name), theta[name])
+
+    def flat(arrays):
+        return np.concatenate([arrays[name].ravel() for name in names])
+    assert np.array_equal(optimizer.m, flat(m)) and np.array_equal(optimizer.v, flat(v))
 
 
 @pytest.fixture(scope="module")
@@ -260,10 +336,10 @@ class TestTraining:
         aug = _resolve_augment(cfg, X)
         initial = init_params(ds.dim, cfg, np.random.default_rng(1))
         trained = train("supcon", ds, split, cfg)
-        before, _ = _batch_loss("supcon", X, y, aug, cfg.temperature,
-                                np.random.default_rng(123), initial, False)
-        after, _ = _batch_loss("supcon", X, y, aug, cfg.temperature,
-                               np.random.default_rng(123), trained, False)
+        before = _batch_loss("supcon", X, y, aug, cfg.temperature,
+                             np.random.default_rng(123), initial, None)
+        after = _batch_loss("supcon", X, y, aug, cfg.temperature,
+                            np.random.default_rng(123), trained, None)
         assert after < before
 
     def test_supcon_needs_labels(self, blob_world):
@@ -302,6 +378,40 @@ class TestTraining:
         before = knn_consistency(extract_features(base, ds, idx), ds.labels[idx], 10)
         after = knn_consistency(extract_features(tuned, ds, idx), ds.labels[idx], 10)
         assert after >= before - 0.02
+
+    @pytest.mark.parametrize("setting,cause", [
+        # NaN heads are mapped to the first basis vector, so the loss stays finite.
+        ({"learning_rate": 1e308}, "parameters are"),
+        ({"temperature": 1e-310}, "training loss is")])
+    def test_non_finite_training_names_the_epoch(self, blob_world, setting, cause):
+        ds, split = blob_world
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContrastiveError, match=f"epoch 0: {cause} not finite"):
+                train("simclr", ds, split, TrainConfig(epochs=3, batch_size=16, **setting))
+
+    def test_overflowing_feature_scale_is_a_typed_error(self, blob_world):
+        ds, split = blob_world
+        feats = ds.features.copy()
+        feats[split.supervised[0], 2] = 1e200
+        extreme = type(ds)(feats, ds.labels, ds.class_count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in ("simclr", "supcon"):
+                with pytest.raises(ContrastiveError, match="standard deviation"):
+                    train(mode, extreme, split, TrainConfig(epochs=1))
+
+    def test_non_finite_latents_are_a_typed_error(self, blob_world):
+        ds, _ = blob_world
+        params = init_params(ds.dim, TrainConfig(), np.random.default_rng(0))
+        params.w1[...] = 1e300
+        params.w2[...] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContrastiveError, match="not finite"):
+                extract_features(params, ds)
+            with pytest.raises(ContrastiveError, match="not finite"):
+                encode(params, ds.features)
 
     def test_extraction_contract(self, blob_world):
         ds, split = blob_world

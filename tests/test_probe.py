@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epl.contrastive import flat_views
 from epl.dataset import UNLABELED, generate_blobs
 from epl.probe import (LinearModel, ProbeError, SoftmaxConfig,
                        predict, softmax_probabilities, train_linear,
@@ -39,24 +40,40 @@ class TestLinearProbe:
             train_linear(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_probes_reject_non_finite_features(value):
+    data = generate_blobs(2, 10, 3, 0.5, 6.0, seed=1)
+    feats = data.features.copy()
+    feats[4, 1] = value
+    with pytest.raises(ProbeError, match="finite"):
+        train_linear(feats, data.labels)
+    with pytest.raises(ProbeError, match="finite"):
+        train_softmax(feats, data.labels)
+
+
 class TestSoftmaxProbe:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         model = _init_softmax(5, 3, SoftmaxConfig(seed=1), rng)
         X = rng.normal(size=(40, 5))
         y = rng.integers(0, 3, 40)
-        _, grads = _softmax_loss_grads(model, X, y)
+        names = ("w1", "b1", "w2", "b2")
+        shapes = [getattr(model, name).shape for name in names]
+        _, views = flat_views(shapes)
+        _, scratch = flat_views(shapes)
+        _softmax_loss_grads(model, X, y, views)
+        grads = dict(zip(names, views))
         h = 1e-6
         worst = 0.0
         for _ in range(30):
-            name = ("w1", "b1", "w2", "b2")[rng.integers(0, 4)]
+            name = names[rng.integers(0, 4)]
             arr = getattr(model, name)
             idx = tuple(rng.integers(0, s) for s in arr.shape)
             orig = arr[idx]
             arr[idx] = orig + h
-            plus = _softmax_loss_grads(model, X, y)[0]
+            plus = _softmax_loss_grads(model, X, y, scratch)
             arr[idx] = orig - h
-            minus = _softmax_loss_grads(model, X, y)[0]
+            minus = _softmax_loss_grads(model, X, y, scratch)
             arr[idx] = orig
             fd = (plus - minus) / (2 * h)
             worst = max(worst, abs(grads[name][idx] - fd) / max(abs(fd), 1e-10))

@@ -65,7 +65,8 @@ class TestAffinities:
             pairwise_affinities(X, 9.5)  # max realized perplexity is n - 1
 
     @pytest.mark.parametrize("value,cause", [
-        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (1e200, "overflow")])
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (1e200, "overflow"),
+        (1e154, "squared-distance range")])
     def test_bad_features_name_the_cause_without_warnings(self, value, cause):
         X = np.random.default_rng(7).normal(size=(20, 3))
         X[4, 1] = value
