@@ -14,6 +14,7 @@ base + r throughout.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
@@ -63,12 +64,19 @@ def write_results_csv(rows, path) -> None:
     write_table(path, [RESULTS_HEADER], (astuple(row) for row in rows))
 
 
+def _metric(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"metric {cell!r} is not finite")
+    return value
+
+
 def read_results_csv(path) -> list[ResultRow]:
     def header(lines):
         if lines != [RESULTS_HEADER]:
             raise ValueError("missing results header")
-        return 7, lambda c: ResultRow(c[0], c[1], c[2], int(c[3]), float(c[4]), float(c[5]),
-                                      float(c[6]) if c[6] else None)
+        return 7, lambda c: ResultRow(c[0], c[1], c[2], int(c[3]), _metric(c[4]), _metric(c[5]),
+                                      _metric(c[6]) if c[6] else None)
 
     return read_table(path, PipelineError, header)
 

@@ -9,17 +9,24 @@ and re-centering after every step. Everything is O(n^2) and bit-stable
 for a fixed seed.
 
 The descent computes one gradient per step and no KL until the last 50
-steps. `tsne_project` allocates one pair of n x n float64 buffers and
-lends it to every `kl_gradient` and `kl_divergence` call: the first holds
-the Student-t weights 1 / (1 + |y_i - y_j|^2) with a zero diagonal, the
-second Q and then (P - Q) * weights (the gradient) or Q alone (the KL).
-The buffers are scratch storage: a call computes the same float
-operations in the same order as with fresh arrays, so the results are
-bitwise equal with or without them.
+steps. `tsne_project` lends one `Workspace` to every `kl_gradient` and
+`kl_divergence` call. Its buffer `w` holds the Student-t weights
+1 / (1 + |y_i - y_j|^2) (zero diagonal) of the coordinates it was built
+for, with their sum S; its buffer `m` holds Q = w / S after a KL and
+(P - Q) * w after a gradient. A call rebuilds the weights only for other
+coordinates than the ones they hold, so in the last 50 steps the kernel
+that the KL of step t builds is the one the gradient of step t + 1 uses:
+one kernel per step, not two. The KL's P-side terms (P > 0, p and log p)
+are kept for the P array they came from, so they are computed once per
+projection. The gradient's P-side pass runs over blocks of _BLOCK_ROWS
+rows, so each block of w, P and m stays in cache. Every call computes the
+same float operations in the same order as with fresh arrays, so results
+are bitwise equal with or without a workspace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +39,10 @@ _INIT_SIGMA = 1e-4
 # beta it tries when the distances stay below _MAX_SHIFTED_D2.
 _BISECT_STEPS = 64
 _MAX_SHIFTED_D2 = np.finfo(np.float64).max / 2.0 ** _BISECT_STEPS
+# Rows per block of the gradient's P-side pass. A block of w, P and m holds
+# 64 x 3 float64 = 1.5 kB per column, so it stays in a 2 MB L2 cache up to
+# n ~ 1300.
+_BLOCK_ROWS = 64
 
 
 class ProjectionError(ValueError):
@@ -53,14 +64,28 @@ class ProjectionConfig:
 
     def validate(self, n: int | None = None) -> None:
         """Check the settings; the perplexity bound needs the point count n."""
+        if math.isnan(self.perplexity):
+            raise ProjectionError("perplexity must be a number, got NaN")
         if self.perplexity <= 1:
             raise ProjectionError("perplexity must exceed 1")
         if n is not None and self.perplexity >= n:
             raise ProjectionError(f"perplexity {self.perplexity} must be below n={n}")
         if self.iterations < 1:
             raise ProjectionError("need at least 1 iteration")
-        if self.learning_rate <= 0 or self.early_exaggeration <= 0:
-            raise ProjectionError("rates must be positive")
+        for name in ("learning_rate", "early_exaggeration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ProjectionError(f"{name} must be positive and finite, got {value}")
+        for name in ("momentum_start", "momentum_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ProjectionError(f"{name} must be finite and non-negative, got {value}")
+        if not self.entropy_tolerance > 0:
+            raise ProjectionError(
+                f"entropy_tolerance must be positive, got {self.entropy_tolerance}")
+        for name in ("exaggeration_iters", "momentum_switch"):
+            if getattr(self, name) < 0:
+                raise ProjectionError(f"{name} must not be negative")
 
 
 @dataclass
@@ -82,15 +107,13 @@ class Embedding2D:
         return self.coordinates.shape[0]
 
 
-def _entropy_and_probs(d2: np.ndarray, beta: float):
-    """Shifted-exponent Gaussian row distribution and its entropy in nats."""
-    shifted = d2 - d2.min()
-    w = np.exp(-beta * shifted)
-    total = w.sum()
-    p = w / total
-    nz = p > 0
-    entropy = float(-(p[nz] * np.log(p[nz])).sum())
-    return p, entropy
+def _entropy_and_probs(shifted: np.ndarray, beta: float):
+    """Gaussian row distribution over squared distances shifted to a zero
+    minimum, and its entropy in nats."""
+    p = np.exp(-beta * shifted)
+    p /= p.sum()
+    positive = p[p > 0]
+    return p, float(-(positive * np.log(positive)).sum())
 
 
 def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
@@ -128,17 +151,17 @@ def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
         if row.max() - row.min() <= 1e-12 * max(row.max(), 1.0):
             cond[i][off[i]] = 1.0 / (n - 1)
             continue
-        betas[i] = _bisect_row(row, perplexity, tol, i)
-        p, _ = _entropy_and_probs(row, betas[i])
-        cond[i][off[i]] = p
+        betas[i], cond[i][off[i]] = _bisect_row(row, perplexity, tol, i)
     return cond, betas
 
 
-def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int) -> float:
+def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int):
+    """(precision, row distribution) whose perplexity is within tol of the target."""
     # Realized perplexity exp(H) decreases monotonically in beta, from
     # n-1 at beta=0 toward the multiplicity of the nearest neighbour.
+    shifted = row - row.min()
     beta = 1.0
-    _, h = _entropy_and_probs(row, beta)
+    _, h = _entropy_and_probs(shifted, beta)
     lo = hi = None
     for _ in range(_BISECT_STEPS):
         perp = np.exp(h)
@@ -150,15 +173,15 @@ def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int) -> float
             beta /= 2.0
         if lo is not None and hi is not None:
             break
-        _, h = _entropy_and_probs(row, beta)
+        _, h = _entropy_and_probs(shifted, beta)
     else:
         raise ProjectionError(f"row {i}: failed to bracket perplexity {perplexity}")
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        _, h = _entropy_and_probs(row, mid)
+        p, h = _entropy_and_probs(shifted, mid)
         perp = np.exp(h)
         if abs(perp - perplexity) <= tol:
-            return mid
+            return mid, p
         if perp > perplexity:
             lo = mid
         else:
@@ -173,50 +196,107 @@ def pairwise_affinities(features, perplexity: float, tol: float = 1e-5) -> np.nd
     return (cond + cond.T) / (2.0 * n)
 
 
-def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.empty((n, n)), np.empty((n, n))
+def _student_t_weights(coords: np.ndarray, out: np.ndarray) -> None:
+    """1 / (1 + squared distance) with a zero diagonal, written into `out`."""
+    cdist(coords, coords, "sqeuclidean", out=out)
+    np.add(out, 1.0, out=out)
+    np.divide(1.0, out, out=out)
+    np.fill_diagonal(out, 0.0)
 
 
-def _student_t_weights(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + squared distance) with a zero diagonal, written into `out` if given."""
-    w = cdist(coords, coords, "sqeuclidean", out=out)
-    np.add(w, 1.0, out=w)
-    np.divide(1.0, w, out=w)
-    np.fill_diagonal(w, 0.0)
-    return w
+class Workspace:
+    """Two n x n float64 buffers and the kernel state they carry between calls.
+
+    `w` and `total` hold the Student-t weights of the coordinates whose
+    shape and bytes are `_kernel_of`, and their sum; `m` holds w / total
+    while `_q_ready` is set. `_kl_terms` are (P > 0, p, log p) of the P
+    array object `_kl_of`; that array must not change in place while the
+    workspace is in use.
+    """
+
+    def __init__(self, n: int):
+        self.w = np.empty((n, n))
+        self.m = np.empty((n, n))
+        self.total = 0.0
+        self._kernel_of = None
+        self._q_ready = False
+        self._kl_of = None
+        self._kl_terms = None
+
+    def kernel(self, Y: np.ndarray) -> None:
+        """Make `w` and `total` hold Y's weights, building them only if they hold another Y's."""
+        key = (Y.shape, Y.tobytes())
+        if key != self._kernel_of:
+            _student_t_weights(Y, self.w)
+            self.total = self.w.sum()
+            self._kernel_of = key
+            self._q_ready = False
+
+    def kl_terms(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P > 0, p, log p) of P, computed only if they are another array's."""
+        if P is not self._kl_of:
+            mask = P > 0
+            p = P[mask]
+            self._kl_of, self._kl_terms = P, (mask, p, np.log(p))
+        return self._kl_terms
+
+
+def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
+    """P and the coordinates as float64 arrays of matching shapes, and a
+    workspace of their size: `work`, or a fresh one if it is None."""
+    P = np.asarray(P, dtype=np.float64)
+    Y = np.asarray(coords, dtype=np.float64)
+    if Y.ndim != 2:
+        raise ProjectionError(f"coordinates must be an (n, d) array, got shape {Y.shape}")
+    n = Y.shape[0]
+    if P.shape != (n, n):
+        raise ProjectionError(f"P has shape {P.shape}, expected {n} x {n} for {n} coordinates")
+    ws = work if work is not None else Workspace(n)
+    if ws.w.shape != (n, n):
+        raise ProjectionError(f"the workspace must be {n} x {n} for {n} coordinates")
+    return P, Y, ws
 
 
 def kl_divergence(P, coords, work=None) -> float:
     """KL(P || Q) with the Student-t Q implied by the coordinates.
 
     Zero P entries contribute nothing; Q is floored at 1e-12 before the log.
-    `work` is an optional pair of n x n float64 scratch buffers.
+    `work` is an optional Workspace for n coordinates.
     """
-    P = np.asarray(P, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    w, q = work if work is not None else _scratch(coords.shape[0])
-    _student_t_weights(coords, out=w)
-    np.divide(w, w.sum(), out=q)
-    mask = P > 0
-    p = P[mask]
-    log_q = np.log(np.maximum(q[mask], _Q_EPS))
-    return float((p * (np.log(p) - log_q)).sum())
+    P, Y, ws = _kernel_args(P, coords, work)
+    ws.kernel(Y)
+    if not ws._q_ready:
+        np.divide(ws.w, ws.total, out=ws.m)
+        ws._q_ready = True
+    mask, p, log_p = ws.kl_terms(P)
+    terms = ws.m[mask]
+    np.maximum(terms, _Q_EPS, out=terms)
+    np.log(terms, out=terms)
+    np.subtract(log_p, terms, out=terms)
+    np.multiply(p, terms, out=terms)
+    return float(terms.sum())
 
 
 def kl_gradient(P, coords, work=None) -> np.ndarray:
     """Analytic gradient of KL(P || Q) with respect to the coordinates.
 
     dC/dy_i = 4 sum_j (p_ij - q_ij) (y_i - y_j) / (1 + |y_i - y_j|^2).
-    `work` is an optional pair of n x n float64 scratch buffers.
+    `work` is an optional Workspace for n coordinates.
     """
-    P = np.asarray(P, dtype=np.float64)
-    Y = np.asarray(coords, dtype=np.float64)
-    w, m = work if work is not None else _scratch(Y.shape[0])
-    _student_t_weights(Y, out=w)
-    np.divide(w, w.sum(), out=m)
-    np.subtract(P, m, out=m)
-    np.multiply(m, w, out=m)
-    return 4.0 * (m.sum(axis=1)[:, None] * Y - m @ Y)
+    P, Y, ws = _kernel_args(P, coords, work)
+    ws.kernel(Y)
+    w, m = ws.w, ws.m
+    row_sums = np.empty(Y.shape[0])
+    for start in range(0, Y.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = m[rows]
+        if not ws._q_ready:
+            np.divide(w[rows], ws.total, out=block)
+        np.subtract(P[rows], block, out=block)
+        np.multiply(block, w[rows], out=block)
+        np.sum(block, axis=1, out=row_sums[rows])
+    ws._q_ready = False
+    return 4.0 * (row_sums[:, None] * Y - m @ Y)
 
 
 def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2D:
@@ -235,7 +315,7 @@ def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2
 
     P = pairwise_affinities(X, cfg.perplexity, cfg.entropy_tolerance)
     P_eff = P * cfg.early_exaggeration
-    work = _scratch(n)
+    work = Workspace(n)
     rng = np.random.default_rng(cfg.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
     velocity = np.zeros_like(Y)
@@ -246,10 +326,12 @@ def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2
         if it >= cfg.exaggeration_iters:
             P_eff = P  # releases the exaggerated copy
         momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
-        grad = kl_gradient(P_eff, Y, work)
-        velocity = momentum * velocity - cfg.learning_rate * grad
-        Y = Y + velocity
-        Y = Y - Y.mean(axis=0)
+        step = kl_gradient(P_eff, Y, work)
+        step *= cfg.learning_rate
+        velocity *= momentum
+        velocity -= step
+        Y += velocity
+        Y -= Y.mean(axis=0)
         if it >= tail_start:
             kl_tail.append(kl_divergence(P, Y, work))
 

@@ -98,6 +98,14 @@ class TestStages:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflow" in err
 
+    def test_project_nan_perplexity_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "feats.bin"
+        save_features(Dataset(np.random.default_rng(3).normal(size=(30, 4)), None, 0),
+                      path, "binary")
+        assert run(["project", "--features", path, "--perplexity", "nan",
+                    "--out", tmp_path / "emb.csv"]) == 1
+        assert "perplexity must be a number, got NaN" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
@@ -213,6 +221,15 @@ class TestExperimentCommand:
         ("contrastive", "batch_size", 1),
         ("contrastive", "epochs", -3),
         ("projection", "iterations", 0),
+        ("projection", "perplexity", "nan"),
+        ("projection", "learning_rate", "inf"),
+        ("projection", "early_exaggeration", "inf"),
+        ("projection", "momentum_start", -0.5),
+        ("projection", "momentum_final", "nan"),
+        ("projection", "entropy_tolerance", -1),
+        ("projection", "entropy_tolerance", "nan"),
+        ("projection", "exaggeration_iters", -1),
+        ("projection", "momentum_switch", -1),
     ])
     def test_config_every_arm_rejects_exits_one_before_any_arm(self, tmp_path, capsys,
                                                                section, key, value):
@@ -222,6 +239,12 @@ class TestExperimentCommand:
         assert run(["experiment", "all", "--config", cfg, "--replicas", 1, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_nan_perplexity_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_tiny_cfg(tmp_path).read_text() + "[projection]\nperplexity = nan\n")
+        assert run(["experiment", "all", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "perplexity must be a number, got NaN" in capsys.readouterr().err
 
     def test_config_error_exits_one(self, tmp_path, capsys):
         assert run(["experiment", "c1", "--config", tmp_path / "missing.cfg"]) == 1

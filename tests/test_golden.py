@@ -2,9 +2,11 @@
 
 Each trainer runs at tiny fixed sizes and seeds, and the sha256 of its
 parameter bytes must equal the digest recorded before the network code
-was refactored. The projection cases hash the joint affinities and the
-t-SNE result (coordinates, KL tail, final KL and worst late KL increase),
-recorded before the descent was moved into reused buffers. A change that
+was refactored. The projection cases hash the joint affinities, the
+per-row precisions and the t-SNE result (coordinates, KL tail, final KL
+and worst late KL increase), recorded before the descent was moved into
+reused buffers (the n333 case and the precisions: before the gradient was
+blocked and the tail kernel shared). A change that
 moves any bit of a trained weight or an embedding fails here; re-record a
 digest only when a change means to alter training or the descent.
 """
@@ -17,7 +19,8 @@ import pytest
 from epl.contrastive import AugmentConfig, TrainConfig, finetune_supcon, train
 from epl.dataset import generate_blobs, stratified_split
 from epl.probe import SoftmaxConfig, train_linear, train_softmax
-from epl.projection import ProjectionConfig, pairwise_affinities, tsne_project
+from epl.projection import (ProjectionConfig, conditional_affinities, pairwise_affinities,
+                            tsne_project)
 
 
 def digest(*arrays) -> str:
@@ -107,6 +110,21 @@ PROJECTION_GOLDEN = {
                               momentum_switch=100, seed=6),
              "98cdd0902f50c6f0820e75d10a6c6e0e9206e5b14359afb509c7da9fb70a930d",
              "83adf34e1b46192769f3574818a8cc7bfb332aaab28c82986f42a20d67014bcf"),
+    # five 64-row blocks, the last one partial, and a tail whose first 30
+    # steps take the gradient of 12 P from the kernel of the previous KL
+    "n333": ((3, 111, 7, 0.9, 24),
+             ProjectionConfig(perplexity=30.0, iterations=200, exaggeration_iters=180,
+                              momentum_switch=120, seed=7),
+             "5ff95c605d5643e3b571a26b43659ddd178fc5e9c22bf47c34ea3107548dee82",
+             "3aaa77d86cc32b56f7b765f8b3cf63f8a8aca74e8f2881fb807ac95d6ad7a405"),
+}
+
+# name: digest of conditional_affinities' per-row precisions for the case above
+BETA_GOLDEN = {
+    "short": "dd53684745bf9d587dd122382aae7a14662aefcd7b708897fb828aef5d99413a",
+    "split_phases": "96c495a8eeda3418a3f30536ca2df3b7167810c57ff4952e42c4c865cf56d385",
+    "n210": "14986ef06feef99e96a2e13e9e4384c1ac6e4af8ebac1ce46395380ae5381bac",
+    "n333": "9ae822015307d110096d196f1265b6a8660a8a86537a0ba0135349e35fd9fea4",
 }
 
 
@@ -115,7 +133,9 @@ def test_projection_bytes(name):
     (k, per_class, d, spread, seed), config, affinity, embedding = PROJECTION_GOLDEN[name]
     X = generate_blobs(k, per_class, d, spread, 8.0, seed=seed).features
     P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
+    _, betas = conditional_affinities(X, config.perplexity, config.entropy_tolerance)
     emb = tsne_project(X, config)
     assert digest(P) == affinity
+    assert digest(betas) == BETA_GOLDEN[name]
     assert digest(emb.coordinates, emb.kl_tail,
                   [emb.final_kl, emb.max_late_kl_increase]) == embedding

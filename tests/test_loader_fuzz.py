@@ -4,12 +4,15 @@ Valid split, embedding, forest, results, text-dataset and config files are
 mutated line by line: a line dropped, duplicated or swapped, a comma added
 or removed, a field replaced with junk, nan or inf, the file truncated.
 Encoder checkpoints are mutated byte by byte, mostly in the header and the
-shape table. Each loader must return an object or raise its module's typed
-error, and the matching ``epl`` subcommand must exit 0 or 1 rather than end
-in a traceback.
+shape table. The float64 feature blocks of binary datasets are mutated byte
+by byte and projected. Each loader must return an object or raise its
+module's typed error, and the matching ``epl`` subcommand must exit 0 or 1
+rather than end in a traceback or a numpy warning.
 """
 
 import re
+import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -160,3 +163,39 @@ def test_byte_mutated_checkpoint_loads_or_raises_typed_error(files, tmp_path_fac
         pass
     assert cli.main(["extract", "--data", str(files["data.csv"]), "--checkpoint", str(bad),
                      "--out", str(out / "feats.bin")]) in (0, 1)
+
+
+def _binary_features(magic: bytes) -> tuple[bytes, int]:
+    """A 24-sample, d=3 labeled dataset file in the EPL1 or EPL2 layout, and
+    the offset of its float64 feature block."""
+    rng = np.random.default_rng(6)
+    labels = np.repeat(np.arange(3), 8)
+    header = magic + (struct.pack("<IIBI", 24, 3, 1, 3) if magic == b"EPL2"
+                      else struct.pack("<IIB", 24, 3, 1))
+    return (header + rng.normal(size=(24, 3)).astype("<f8").tobytes()
+            + labels.astype("<u4").tobytes()), len(header)
+
+
+# A byte anywhere in the 72 floats, or the sign-and-exponent byte of one.
+FEATURE_BYTE = st.one_of(st.integers(0, 72 * 8 - 1), st.integers(0, 71).map(lambda k: 8 * k + 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(magic=st.sampled_from([b"EPL1", b"EPL2"]),
+       edits=st.lists(st.tuples(FEATURE_BYTE, st.integers(0, 255)), min_size=1, max_size=4))
+def test_projection_of_byte_mutated_features_exits_zero_or_one(tmp_path_factory, magic,
+                                                               edits):
+    # Edits land in the float64 feature block: NaN, inf, extremes and
+    # near-duplicate rows must end in an embedding or a typed error.
+    blob, features_at = _binary_features(magic)
+    blob = bytearray(blob)
+    for pos, value in edits:
+        blob[features_at + pos] = value
+    tmp = tmp_path_factory.mktemp("features")
+    data = tmp / "data.bin"
+    data.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["project", "--features", str(data), "--iterations", "30",
+                         "--perplexity", "3", "--out", str(tmp / "emb.csv")])
+    assert code in (0, 1)

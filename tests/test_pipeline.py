@@ -8,7 +8,7 @@ import epl.pipeline as pipeline
 from epl.config import ExperimentConfig
 from epl.dataset import (Role, SplitAssignment, UNLABELED, generate_blobs,
                          stratified_split)
-from epl.pipeline import (PipelineError, ResultRow, RunState, aggregate_rows,
+from epl.pipeline import (RESULTS_HEADER, PipelineError, ResultRow, RunState, aggregate_rows,
                           correlation_report, read_results_csv, run_c1, run_c2,
                           run_c3, run_experiment, spearman, write_results_csv)
 from epl.probe import SoftmaxConfig, predict, train_softmax
@@ -215,6 +215,15 @@ class TestResultsCsv:
         path = tmp_path_factory.mktemp("results") / "results.csv"
         write_results_csv(rows, path)
         assert read_results_csv(path) == rows
+
+    @pytest.mark.parametrize("cells", ["inf,0.5,", "0.5,-inf,", "nan,0.5,", "0.5,0.5,inf"])
+    def test_non_finite_metric_is_a_typed_error(self, tmp_path, cells):
+        # Two such rows of one cell once reached a numpy std of [inf, inf].
+        path = tmp_path / "results.csv"
+        row = f"d,C2a,propagation,7,{cells}"
+        path.write_text(f"{RESULTS_HEADER}\n{row}\n{row}\n")
+        with pytest.raises(PipelineError, match="line 2: metric .* is not finite"):
+            read_results_csv(path)
 
 
 class TestSpearman:

@@ -3,13 +3,15 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
+import epl.projection
 from epl.dataset import UNLABELED, generate_blobs
 from epl.metrics import knn_consistency
 from epl.opf import opfsemi_propagate
-from epl.projection import (Embedding2D, ProjectionConfig, ProjectionError,
-                            conditional_affinities, kl_divergence, kl_gradient,
-                            pairwise_affinities, tsne_project)
+from epl.projection import (Embedding2D, ProjectionConfig, ProjectionError, Workspace,
+                            _bisect_row, _entropy_and_probs, conditional_affinities,
+                            kl_divergence, kl_gradient, pairwise_affinities, tsne_project)
 
 
 def kl_summation_oracle(P, coords):
@@ -27,6 +29,67 @@ def kl_summation_oracle(P, coords):
             if i != j and P[i, j] > 0:
                 total += P[i, j] * np.log(P[i, j] / max(q[i, j], 1e-12))
     return total
+
+
+# Reference forms of the kernels and the bisection: fresh arrays, one
+# Student-t kernel per call, full-matrix passes, and a bisection that
+# shifts the row and compresses p > 0 on every evaluation. The library's
+# blocked gradient, shared tail kernel and leaner bisection must match
+# them bit for bit.
+def ref_weights(coords):
+    w = 1.0 / (cdist(coords, coords, "sqeuclidean") + 1.0)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def ref_kl_divergence(P, coords):
+    w = ref_weights(coords)
+    q = w / w.sum()
+    mask = P > 0
+    p = P[mask]
+    log_q = np.log(np.maximum(q[mask], 1e-12))
+    return float((p * (np.log(p) - log_q)).sum())
+
+
+def ref_kl_gradient(P, coords):
+    w = ref_weights(coords)
+    m = (P - w / w.sum()) * w
+    return 4.0 * (m.sum(axis=1)[:, None] * coords - m @ coords)
+
+
+def ref_entropy_and_probs(d2, beta):
+    shifted = d2 - d2.min()
+    w = np.exp(-beta * shifted)
+    p = w / w.sum()
+    nz = p > 0
+    return p, float(-(p[nz] * np.log(p[nz])).sum())
+
+
+def ref_bisect_row(row, perplexity, tol):
+    beta = 1.0
+    _, h = ref_entropy_and_probs(row, beta)
+    lo = hi = None
+    for _ in range(64):
+        if np.exp(h) > perplexity:
+            lo = beta
+            beta *= 2.0
+        else:
+            hi = beta
+            beta /= 2.0
+        if lo is not None and hi is not None:
+            break
+        _, h = ref_entropy_and_probs(row, beta)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        _, h = ref_entropy_and_probs(row, mid)
+        perp = np.exp(h)
+        if abs(perp - perplexity) <= tol:
+            return mid
+        if perp > perplexity:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("reference bisection did not converge")
 
 
 class TestAffinities:
@@ -134,7 +197,7 @@ class TestGradient:
 
 
 class TestScratchBuffers:
-    """A reused `work` pair is scratch only: results equal the fresh-buffer calls."""
+    """A reused workspace is scratch only: results equal the fresh-buffer calls."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1),
@@ -143,13 +206,86 @@ class TestScratchBuffers:
         rng = np.random.default_rng(seed)
         P = pairwise_affinities(rng.normal(size=(n, 3)), min(3.0, n - 1.5))
         P[0, n - 1] = P[n - 1, 0] = 0.0  # a zero entry the KL mask must skip
-        work = (np.full((n, n), np.nan), np.full((n, n), np.nan))
+        work = Workspace(n)
+        work.w.fill(np.nan)
+        work.m.fill(np.nan)
         for P_eff in (P * 12.0, P, P * 4.0):
             Y = rng.normal(0.0, scale, (n, 2))
             assert np.array_equal(kl_gradient(P_eff, Y, work), kl_gradient(P_eff, Y))
             assert kl_divergence(P_eff, Y, work) == kl_divergence(P_eff, Y)
             assert kl_divergence(P, Y, work) == kl_divergence(P, Y)
             assert np.array_equal(kl_gradient(P, Y, work), kl_gradient(P, Y))
+
+
+def _joint_with_zeros(rng, n):
+    """A joint P with a block of exact zeros besides the diagonal."""
+    P = pairwise_affinities(rng.normal(size=(n, 3)), min(5.0, n - 1.5))
+    cut = rng.integers(1, n)
+    P[:cut, cut:] = P[cut:, :cut] = 0.0
+    return P / P.sum()
+
+
+class TestBitwiseAgainstReference:
+    """The blocked gradient, the shared kernel and the bisection equal the reference forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([63, 64, 65, 131]), st.integers(4, 200)),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-4, 1.0, 30.0]),
+           calls=st.lists(st.tuples(st.sampled_from(["kl", "grad"]), st.integers(0, 2),
+                                    st.integers(0, 2)), min_size=1, max_size=12))
+    def test_kernel_calls_on_one_workspace(self, n, seed, scale, calls):
+        # Any order of calls on any P and coordinates: a kernel or P-side
+        # term left by one call must serve only the same coordinates or P.
+        rng = np.random.default_rng(seed)
+        P = _joint_with_zeros(rng, n)
+        Ps = (P, P * 12.0, _joint_with_zeros(rng, n))
+        Y = rng.normal(0.0, scale, (n, 2))
+        Ys = (Y, rng.normal(0.0, scale, (n, 2)), Y)
+        work = Workspace(n)
+        for kind, p, y in calls:
+            if y == 2:
+                Y += rng.normal(0.0, scale, (n, 2))  # same array, new values
+            if kind == "kl":
+                assert kl_divergence(Ps[p], Ys[y], work) == ref_kl_divergence(Ps[p], Ys[y])
+            else:
+                assert np.array_equal(kl_gradient(Ps[p], Ys[y], work),
+                                      ref_kl_gradient(Ps[p], Ys[y]))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 131])
+    def test_tail_pattern_at_block_edges(self, n):
+        # The descent's tail: the KL of Y builds the kernel that the next
+        # gradient, on an exaggerated P, reuses.
+        rng = np.random.default_rng(n)
+        P = _joint_with_zeros(rng, n)
+        work = Workspace(n)
+        for _ in range(3):
+            Y = rng.normal(0.0, 1.0, (n, 2))
+            assert kl_divergence(P, Y, work) == ref_kl_divergence(P, Y)
+            assert np.array_equal(kl_gradient(P * 12.0, Y, work), ref_kl_gradient(P * 12.0, Y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from([1e-3, 1.0, 1e3]), perplexity=st.floats(1.5, 40.0))
+    def test_bisection(self, size, seed, spread, perplexity):
+        # spread 1e3 underflows most of each row's probabilities to exact zeros
+        row = np.random.default_rng(seed).uniform(0.0, spread, size)
+        perplexity = min(perplexity, size - 0.5)
+        beta, p = _bisect_row(row, perplexity, 1e-5, 0)
+        assert beta == ref_bisect_row(row, perplexity, 1e-5)
+        assert np.array_equal(p, ref_entropy_and_probs(row, beta)[0])
+        for b in (beta, 1.0, 1e-3):
+            new, old = _entropy_and_probs(row - row.min(), b), ref_entropy_and_probs(row, b)
+            assert np.array_equal(new[0], old[0]) and new[1] == old[1]
+
+    def test_one_kernel_per_tail_step(self, monkeypatch):
+        built = []
+        weights = epl.projection._student_t_weights
+        monkeypatch.setattr(epl.projection, "_student_t_weights",
+                            lambda *a, **k: built.append(1) or weights(*a, **k))
+        X = generate_blobs(3, 12, 4, 0.5, 8.0, seed=3).features
+        tsne_project(X, ProjectionConfig(perplexity=8.0, iterations=70, seed=1))
+        # 70 gradients and 50 KLs, of which 49 share the next gradient's kernel
+        assert len(built) == 70 + 50 - 49
 
 
 class TestTsne:
@@ -212,6 +348,49 @@ class TestTsne:
             ProjectionConfig(perplexity=50.0).validate(20)
         with pytest.raises(ProjectionError):
             ProjectionConfig(iterations=0).validate(100)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("perplexity", np.nan, "perplexity must be a number"),
+        ("learning_rate", np.inf, "learning_rate"),
+        ("learning_rate", np.nan, "learning_rate"),
+        ("early_exaggeration", np.inf, "early_exaggeration"),
+        ("early_exaggeration", -np.inf, "early_exaggeration"),
+        ("momentum_start", -0.1, "momentum_start"),
+        ("momentum_start", np.nan, "momentum_start"),
+        ("momentum_final", np.inf, "momentum_final"),
+        ("entropy_tolerance", 0.0, "entropy_tolerance"),
+        ("entropy_tolerance", -1.0, "entropy_tolerance"),
+        ("entropy_tolerance", np.nan, "entropy_tolerance"),
+        ("exaggeration_iters", -1, "exaggeration_iters"),
+        ("momentum_switch", -5, "momentum_switch"),
+    ])
+    def test_bad_setting_is_rejected_by_name(self, field, value, message):
+        cfg = ProjectionConfig(**{field: value})
+        with pytest.raises(ProjectionError, match=message):
+            cfg.validate()
+        with pytest.raises(ProjectionError, match=message):
+            tsne_project(generate_blobs(2, 20, 3, 0.5, 8.0, seed=1).features, cfg)
+
+    def test_zero_phase_lengths_and_momentum_are_valid(self):
+        ProjectionConfig(exaggeration_iters=0, momentum_switch=0, momentum_start=0.0,
+                         momentum_final=0.0).validate(50)
+
+    @pytest.mark.parametrize("P_shape,coords_shape", [
+        ((6, 6), (5, 2)), ((5, 4), (5, 2)), ((5, 5, 1), (5, 2)), ((5,), (5, 2)),
+        ((5, 5), (5,)), ((5, 5), (5, 2, 1)), ((0, 0), ()),
+    ])
+    def test_kernels_reject_mismatched_shapes(self, P_shape, coords_shape):
+        P = np.full(P_shape, 0.01)
+        coords = np.zeros(coords_shape)
+        for kernel in (kl_gradient, kl_divergence):
+            with pytest.raises(ProjectionError, match="coordinates|shape"):
+                kernel(P, coords)
+
+    def test_kernels_reject_a_workspace_of_another_size(self):
+        P, coords = np.full((5, 5), 0.04), np.zeros((5, 2))
+        for kernel in (kl_gradient, kl_divergence):
+            with pytest.raises(ProjectionError, match="5 x 5"):
+                kernel(P, coords, Workspace(6))
 
     def test_embedding_requires_finite_coordinates(self):
         with pytest.raises(ProjectionError):
