@@ -19,7 +19,7 @@ from .opf import (OpfSupModel, OptimumPathForest, minimax_oracle, mst,
 from .projection import (Embedding2D, ProjectionConfig, conditional_affinities,
                          kl_divergence, kl_gradient, pairwise_affinities,
                          tsne_project)
-from .contrastive import (AugmentConfig, EncoderParams, TrainConfig, ViewBatch,
+from .contrastive import (EncoderParams, TrainConfig, ViewBatch,
                           augment, encode, extract_features, finetune_supcon,
                           make_view_batch, ntxent_loss, supcon_loss, train)
 from .probe import (LinearModel, SoftmaxConfig, SoftmaxModel, predict,

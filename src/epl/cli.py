@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, contrastive
 from .checkpoint import CheckpointError
 from .config import ConfigError, ExperimentConfig, load_config
-from .contrastive import ContrastiveError, EncoderParams
+from .contrastive import ContrastiveError, EncoderParams, TrainConfig
 from .dataset import (Dataset, DatasetError, Role, SplitError, generate_blobs,
                       load_features, load_split, save_features, save_split,
                       stratified_split)
@@ -27,7 +27,7 @@ from .metrics import MetricError
 from .opf import OpfError, OptimumPathForest
 from .pipeline import (PipelineError, propagate_labels, propagation_seeds,
                        read_embedding_csv, read_results_csv, run_experiment, score,
-                       train_config_from, write_embedding_csv, write_report)
+                       write_embedding_csv, write_report)
 from .probe import ProbeError, SoftmaxConfig, predict, train_linear, train_softmax
 from .projection import ProjectionConfig, ProjectionError, tsne_project
 
@@ -72,12 +72,11 @@ def _cmd_train(args) -> int:
     data = load_features(args.data)
     split = _load_split_of(data, args.split)
     warm = EncoderParams.load(args.init_from) if args.init_from else None
-    exp = ExperimentConfig(epochs=args.epochs, batch_size=args.batch_size,
-                           temperature=args.temperature, learning_rate=args.learning_rate,
-                           weight_decay=args.weight_decay, noise=args.noise,
-                           dropout=args.dropout)
-    cfg = train_config_from(exp, args.seed, warm)
-    params = contrastive.train(args.mode, data, split, cfg)
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                      temperature=args.temperature, learning_rate=args.learning_rate,
+                      weight_decay=args.weight_decay, noise=args.noise,
+                      dropout=args.dropout, seed=args.seed)
+    params = contrastive.train(args.mode, data, split, cfg, init=warm)
     params.save(args.out, {"mode": args.mode, "seed": args.seed,
                            "epochs": args.epochs, "init_from": args.init_from or "scratch"})
     print(f"wrote checkpoint {args.out}")
@@ -232,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-from", default=None,
                    help="checkpoint to warm-start from (supcon over a simclr "
                         "checkpoint gives the combined arm)")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--temperature", type=float, default=0.07)
-    p.add_argument("--learning-rate", type=float, default=5e-4)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--noise", type=float, default=TrainConfig.noise)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .contrastive import TrainConfig
 from .dataset import read_text
 
 
@@ -81,14 +82,14 @@ class ExperimentConfig:
     # contrastive training
     init_mode: str = "scratch"
     warm_start_checkpoint: str = ""
-    epochs: int = 50
-    batch_size: int = 64
-    temperature: float = 0.07
-    learning_rate: float = 5e-4
-    weight_decay: float = 1e-4
-    validation_fraction: float = 0.1
-    noise: float = 0.1
-    dropout: float = 0.1
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    temperature: float = TrainConfig.temperature
+    learning_rate: float = TrainConfig.learning_rate
+    weight_decay: float = TrainConfig.weight_decay
+    validation_fraction: float = TrainConfig.validation_fraction
+    noise: float = TrainConfig.noise
+    dropout: float = TrainConfig.dropout
 
     # projection
     perplexity: float = 30.0

@@ -11,6 +11,11 @@ learning-rate schedule, and best-checkpoint selection by validation loss.
 The latent output is what downstream stages consume; the head output
 exists only inside the losses.
 
+One flat TrainConfig holds every setting. SimCLR, SupCon and their
+combination (SupCon from SimCLR weights) share one training path, which
+starts from `init` weights when given. The head normalization takes one
+masked path: zero-norm rows become the first basis vector, with zero gradient.
+
 Training keeps two flat float64 buffers of one layout: `EncoderParams.flat`
 holds the eight weight and bias arrays back to back in `_FIELDS` order
 (each field is a view into it), and a twin buffer of the same layout
@@ -25,7 +30,7 @@ ContrastiveError rather than yielding non-finite weights or features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,40 +57,35 @@ class ContrastiveError(ValueError):
 
 
 @dataclass
-class AugmentConfig:
-    """Vector-space view generator: Gaussian jitter then coordinate dropout.
-
-    The jitter scale is noise * feature_scale per coordinate, where
-    feature_scale defaults to the per-feature standard deviation of the
-    training data.
-    """
-
-    noise: float = 0.1
-    dropout: float = 0.1
-    feature_scale: np.ndarray | float | None = None
-
-
-@dataclass
 class TrainConfig:
+    """Training settings. A view is Gaussian jitter of std noise times the
+    training rows' per-feature std, then coordinate dropout at rate dropout."""
+
     epochs: int = 50
     batch_size: int = 64
     temperature: float = 0.07
     learning_rate: float = 5e-4
     weight_decay: float = 1e-4
-    warm_start: "EncoderParams | None" = None  # start from these weights, not at random
+    noise: float = 0.1
+    dropout: float = 0.1
     validation_fraction: float = 0.1
     seed: int = 0
-    hidden_dim: int = HIDDEN_DIM
-    latent_dim: int = LATENT_DIM
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self) -> None:
         if self.epochs < 0:
             raise ContrastiveError("epochs must be non-negative")
-        if self.temperature <= 0:
-            raise ContrastiveError("temperature must be positive")
         if self.batch_size < 2:
             raise ContrastiveError("batch size must be at least 2")
+        for name in ("temperature", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContrastiveError(f"{name} must be positive and finite, got {value}")
+        for name in ("weight_decay", "noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContrastiveError(f"{name} must be finite and non-negative, got {value}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContrastiveError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.validation_fraction < 0.5:
             raise ContrastiveError("validation fraction must be in (0, 0.5)")
 
@@ -254,13 +254,13 @@ def safe_std(X: np.ndarray) -> np.ndarray:
     return scale
 
 
-def init_params(input_dim: int, config: TrainConfig, rng) -> EncoderParams:
+def init_params(input_dim: int, rng) -> EncoderParams:
     return EncoderParams(
-        w1=he_uniform(rng, input_dim, config.hidden_dim),
-        b1=np.zeros(config.hidden_dim),
-        w2=he_uniform(rng, config.hidden_dim, config.latent_dim),
-        b2=np.zeros(config.latent_dim),
-        v1=he_uniform(rng, config.latent_dim, HEAD_HIDDEN_DIM),
+        w1=he_uniform(rng, input_dim, HIDDEN_DIM),
+        b1=np.zeros(HIDDEN_DIM),
+        w2=he_uniform(rng, HIDDEN_DIM, LATENT_DIM),
+        b2=np.zeros(LATENT_DIM),
+        v1=he_uniform(rng, LATENT_DIM, HEAD_HIDDEN_DIM),
         c1=np.zeros(HEAD_HIDDEN_DIM),
         v2=he_uniform(rng, HEAD_HIDDEN_DIM, HEAD_DIM),
         c2=np.zeros(HEAD_DIM),
@@ -276,31 +276,24 @@ def _forward(params: EncoderParams, X: np.ndarray) -> dict:
     a2, h2, raw = relu_mlp(latent, params.v1, params.c1, params.v2, params.c2)
     norms = np.sqrt((raw ** 2).sum(axis=1))
     ok = norms > _NORM_EPS
-    if ok.all():
-        head = raw
-        head /= norms[:, None]
-    else:
-        head = np.empty_like(raw)
-        head[ok] = raw[ok] / norms[ok, None]
-        # Degenerate zero-norm rows map to the first basis vector.
-        head[~ok] = 0.0
-        head[~ok, 0] = 1.0
+    safe_norms = np.where(ok, norms, 1.0)
+    head = raw
+    head /= safe_norms[:, None]
+    # Degenerate zero-norm rows map to the first basis vector.
+    head[~ok] = 0.0
+    head[~ok, 0] = 1.0
     return {"x": X, "a1": a1, "h1": h1, "latent": latent, "a2": a2,
-            "h2": h2, "norms": norms, "ok": ok, "head": head}
+            "h2": h2, "safe_norms": safe_norms, "ok": ok, "head": head}
 
 
 def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray,
               grads: EncoderParams) -> EncoderParams:
     """Write the gradient of every parameter into grads and return it."""
-    head, norms, ok = cache["head"], cache["norms"], cache["ok"]
-    if ok.all():
-        inner = (d_head * head).sum(axis=1, keepdims=True)
-        d_raw = (d_head - inner * head) / norms[:, None]
-    else:
-        # Degenerate rows are constant in raw, so their gradient is zero.
-        d_raw = np.zeros_like(d_head)
-        inner = (d_head[ok] * head[ok]).sum(axis=1, keepdims=True)
-        d_raw[ok] = (d_head[ok] - inner * head[ok]) / norms[ok, None]
+    head = cache["head"]
+    inner = (d_head * head).sum(axis=1, keepdims=True)
+    d_raw = (d_head - inner * head) / cache["safe_norms"][:, None]
+    # Degenerate rows are constant in raw, so their gradient is zero.
+    d_raw[~cache["ok"]] = 0.0
     d_a2 = relu_mlp_backward(cache["latent"], cache["a2"], cache["h2"], params.v2, d_raw,
                              (grads.v1, grads.c1, grads.v2, grads.c2))
     relu_mlp_backward(cache["x"], cache["a1"], cache["h1"], params.w2, d_a2 @ params.v1.T,
@@ -361,27 +354,20 @@ def role_indices(split: SplitAssignment, roles) -> np.ndarray:
 # Augmentation
 # ---------------------------------------------------------------------------
 
-def _scale_vector(config: AugmentConfig, dim: int) -> np.ndarray:
-    scale = config.feature_scale if config.feature_scale is not None else 1.0
-    scale = np.asarray(scale, dtype=np.float64)
-    # Training resolves a per-feature vector once; broadcasting it per
-    # batch would cost more than the noise it scales.
-    return scale if scale.shape == (dim,) else np.broadcast_to(scale, (dim,))
-
-
-def augment(x, config: AugmentConfig, rng) -> np.ndarray:
-    """One augmented view: additive Gaussian noise, then coordinate dropout."""
+def augment(x, noise: float, dropout: float, scale, rng) -> np.ndarray:
+    """One augmented view: Gaussian noise of std noise * scale per coordinate,
+    then coordinate dropout at rate dropout."""
     x = np.asarray(x, dtype=np.float64)
-    scale = _scale_vector(config, x.shape[-1])
-    noisy = x + config.noise * scale * rng.standard_normal(x.shape)
-    keep = rng.random(x.shape) >= config.dropout
+    noisy = x + noise * scale * rng.standard_normal(x.shape)
+    keep = rng.random(x.shape) >= dropout
     return noisy * keep
 
 
-def make_view_batch(X: np.ndarray, labels, config: AugmentConfig, rng) -> ViewBatch:
+def make_view_batch(X: np.ndarray, labels, noise: float, dropout: float, scale,
+                    rng) -> ViewBatch:
     """Two views per row, interleaved so views 2t and 2t+1 share source t."""
     doubled = np.repeat(X, 2, axis=0)
-    views = augment(doubled, config, rng)
+    views = augment(doubled, noise, dropout, scale, rng)
     source = np.repeat(np.arange(X.shape[0], dtype=np.int64), 2)
     view_labels = None if labels is None else np.repeat(np.asarray(labels, dtype=np.int64), 2)
     return ViewBatch(views, source, view_labels)
@@ -499,16 +485,6 @@ def _cosine_lr(config: TrainConfig, epoch: int) -> float:
 # Training
 # ---------------------------------------------------------------------------
 
-def _resolve_augment(config: TrainConfig, X: np.ndarray) -> AugmentConfig:
-    aug = config.augment
-    if aug.feature_scale is not None:
-        return aug
-    scale = safe_std(X)
-    if not np.isfinite(scale).all():
-        raise ContrastiveError("the standard deviation of the training features overflows float64")
-    return replace(aug, feature_scale=scale)
-
-
 def _batch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     # A trailing singleton batch cannot form the 4-view minimum, so it is
     # folded into the previous batch.
@@ -519,38 +495,52 @@ def _batch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return chunks
 
 
-def _batch_loss(mode: str, X: np.ndarray, y, aug: AugmentConfig,
-                temperature: float, rng, params: EncoderParams,
-                grads: EncoderParams | None) -> float:
+def _batch_loss(mode: str, X: np.ndarray, y, config: TrainConfig, scale: np.ndarray,
+                rng, params: EncoderParams, grads: EncoderParams | None) -> float:
     """Loss of one view batch; with a grads buffer, also its gradients into it.
 
     Without one (validation) only the loss is computed: no softmax
     division, no embedding gradient and no backward pass.
     """
-    batch = make_view_batch(X, y, aug, rng)
+    batch = make_view_batch(X, y, config.noise, config.dropout, scale, rng)
     cache = _forward(params, batch.views)
     with_grad = grads is not None
     if mode == "simclr":
-        loss, d_head = ntxent_loss(cache["head"], temperature, with_grad)
+        loss, d_head = ntxent_loss(cache["head"], config.temperature, with_grad)
     else:
-        loss, d_head = supcon_loss(cache["head"], batch.labels, temperature, with_grad)
+        loss, d_head = supcon_loss(cache["head"], batch.labels, config.temperature, with_grad)
     if with_grad:
         _backward(params, cache, d_head, grads)
     return loss
 
 
-def train(mode: str, data: Dataset, split: SplitAssignment,
-          config: TrainConfig) -> EncoderParams:
+def train(mode: str, data: Dataset, split: SplitAssignment, config: TrainConfig,
+          init: EncoderParams | None = None) -> EncoderParams:
     """Train the encoder contrastively and return the best checkpoint.
 
     mode "simclr" trains label-free on the supervised plus unsupervised
     roles; mode "supcon" trains label-aware on the supervised role only.
-    A held-out slice of the training role set (validation_fraction, at
-    least one sample, leaving at least two for training) scores each
-    epoch; the parameters with the lowest validation loss win, earliest
-    epoch on ties. With fewer than three training samples the epoch's
-    mean training loss is used for selection instead.
+    Training starts from a copy of init when given (a warm start), else
+    from seeded random weights. A held-out slice of the training role set
+    (validation_fraction, at least one sample, leaving at least two for
+    training) scores each epoch; the parameters with the lowest validation
+    loss win, earliest epoch on ties. With fewer than three training
+    samples the epoch's mean training loss is used for selection instead.
     """
+    return _train(mode, data, split, config, init)
+
+
+def finetune_supcon(params: EncoderParams, data: Dataset, split: SplitAssignment,
+                    config: TrainConfig) -> EncoderParams:
+    """Continue training label-aware on the supervised role from given weights."""
+    return _train("supcon", data, split, config, params)
+
+
+# Overflow shows up as a non-finite statistic, loss or parameter, which is
+# raised as a ContrastiveError (naming the epoch) instead of a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
+def _train(mode: str, data: Dataset, split: SplitAssignment, config: TrainConfig,
+           init: EncoderParams | None) -> EncoderParams:
     config.validate()
     if mode == "simclr":
         idx = role_indices(split, (Role.SUPERVISED, Role.UNSUPERVISED))
@@ -565,38 +555,22 @@ def train(mode: str, data: Dataset, split: SplitAssignment,
     if idx.size == 0:
         raise ContrastiveError("empty training role set")
     X = data.features[idx]
-    return _train_on(mode, X, labels, config)
 
-
-def finetune_supcon(params: EncoderParams, data: Dataset, split: SplitAssignment,
-                    config: TrainConfig) -> EncoderParams:
-    """Continue training label-aware on the supervised role from given weights."""
-    if not data.has_labels:
-        raise ContrastiveError("supervised contrastive training requires labels")
-    idx = role_indices(split, (Role.SUPERVISED,))
-    if idx.size == 0:
-        raise ContrastiveError("empty training role set")
-    cfg = replace(config, warm_start=params)
-    return _train_on("supcon", data.features[idx], data.labels[idx], cfg)
-
-
-# Overflow shows up as a non-finite statistic, loss or parameter, which is
-# raised as a ContrastiveError (naming the epoch) instead of a numpy warning.
-@np.errstate(over="ignore", invalid="ignore")
-def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderParams:
     rng = np.random.default_rng(config.seed)
-    if config.warm_start is not None:
-        params = config.warm_start.copy()
+    if init is not None:
+        params = init.copy()
         if params.input_dim != X.shape[1]:
             raise ContrastiveError(
                 f"warm-start dimension {params.input_dim} != data dimension {X.shape[1]}"
             )
     else:
-        params = init_params(X.shape[1], config, rng)
+        params = init_params(X.shape[1], rng)
     if config.epochs == 0:
         return params
 
-    aug = _resolve_augment(config, X)
+    scale = safe_std(X)
+    if not np.isfinite(scale).all():
+        raise ContrastiveError("the standard deviation of the training features overflows float64")
     m = X.shape[0]
     perm = rng.permutation(m)
     # The pair loss needs 4 views (2 samples) per evaluation in simclr
@@ -620,8 +594,7 @@ def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderP
         epoch_losses = []
         for chunk in _batch_slices(order, config.batch_size):
             y_chunk = None if labels is None else labels[chunk]
-            loss = _batch_loss(mode, X[chunk], y_chunk, aug,
-                               config.temperature, rng, params, grads)
+            loss = _batch_loss(mode, X[chunk], y_chunk, config, scale, rng, params, grads)
             _check_finite(loss, epoch, "training loss")
             epoch_losses.append(loss)
             optimizer.step(params, grads, lr)
@@ -629,8 +602,7 @@ def _train_on(mode: str, X: np.ndarray, labels, config: TrainConfig) -> EncoderP
             raise ContrastiveError(f"epoch {epoch}: parameters are not finite")
         if n_val > 0:
             y_val = None if labels is None else labels[val_local]
-            score = _batch_loss(mode, X[val_local], y_val, aug,
-                                config.temperature, rng, params, None)
+            score = _batch_loss(mode, X[val_local], y_val, config, scale, rng, params, None)
             _check_finite(score, epoch, "validation loss")
         else:
             score = float(np.mean(epoch_losses))

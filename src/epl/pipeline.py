@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import contrastive
 from .config import ExperimentConfig, format_config
-from .contrastive import EncoderParams, TrainConfig, AugmentConfig
+from .contrastive import EncoderParams, TrainConfig
 from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs, int64,
                       load_features, read_table, stratified_split, write_table)
 from .metrics import ScoreReport, confusion, knn_consistency
@@ -143,15 +143,12 @@ def dataset_from_config(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def train_config_from(cfg: ExperimentConfig, seed: int,
-                      warm_start: EncoderParams | None = None) -> TrainConfig:
-    if warm_start is None and cfg.init_mode == "warm_start":
-        warm_start = EncoderParams.load(cfg.warm_start_checkpoint)
+def train_config_from(cfg: ExperimentConfig, seed: int) -> TrainConfig:
     return TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, temperature=cfg.temperature,
         learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
-        validation_fraction=cfg.validation_fraction, seed=seed, warm_start=warm_start,
-        augment=AugmentConfig(noise=cfg.noise, dropout=cfg.dropout),
+        noise=cfg.noise, dropout=cfg.dropout,
+        validation_fraction=cfg.validation_fraction, seed=seed,
     )
 
 
@@ -280,6 +277,7 @@ class RunState:
     data: Dataset
     out_dir: Path | None
     manifest: RunManifest | None
+    init: EncoderParams | None = None  # warm-start weights of the simclr and supcon arms
     encoders: dict = field(default_factory=dict)
     propagations: dict = field(default_factory=dict)
     splits: dict = field(default_factory=dict)
@@ -314,13 +312,14 @@ class RunState:
         key = (r, mode)
         if key not in self.encoders:
             seed = self.cfg.base_seed + r
+            config = train_config_from(self.cfg, seed)
             if mode == "combined":
                 base = self.encoder(r, "simclr")
                 params = self.timed(f"r{r}.combined.finetune", lambda: contrastive.finetune_supcon(
-                    base, self.data, self.split(r), train_config_from(self.cfg, seed)))
+                    base, self.data, self.split(r), config))
             else:
                 params = self.timed(f"r{r}.{mode}.train", lambda: contrastive.train(
-                    mode, self.data, self.split(r), train_config_from(self.cfg, seed)))
+                    mode, self.data, self.split(r), config, init=self.init))
             self.encoders[key] = params
             if self.out_dir is not None:
                 cfg_lines = {"mode": mode, "seed": seed, "epochs": self.cfg.epochs,
@@ -435,12 +434,14 @@ def run_experiment(kind: str, cfg: ExperimentConfig, write_artifacts: bool = Tru
     """
     cfg.validate()
     check_stage_configs(cfg)
+    init = (EncoderParams.load(cfg.warm_start_checkpoint)
+            if cfg.init_mode == "warm_start" else None)
     out_dir = Path(cfg.out_dir)
     if write_artifacts:
         out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(f"experiment {kind}", format_config(cfg.to_sections()))
     data = dataset_from_config(cfg)
-    state = RunState(cfg, data, out_dir if write_artifacts else None, manifest)
+    state = RunState(cfg, data, out_dir if write_artifacts else None, manifest, init)
 
     rows: list[ResultRow] = []
     try:

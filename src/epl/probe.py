@@ -10,6 +10,7 @@ lower class id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,11 @@ class SoftmaxConfig:
             raise ProbeError("batch size must be at least 1")
         if self.hidden_dim < 1:
             raise ProbeError("hidden width must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ProbeError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (math.isfinite(self.momentum) and self.momentum >= 0):
+            raise ProbeError(f"momentum must be finite and non-negative, got {self.momentum}")
 
 
 @dataclass

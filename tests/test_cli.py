@@ -75,6 +75,15 @@ class TestStages:
         b = EncoderParams.load(tuned)
         assert not np.array_equal(a.w1, b.w1)
 
+    def test_train_defaults_are_the_train_config_defaults(self, workspace):
+        from epl.contrastive import TrainConfig, train
+        tmp, data, split = workspace
+        assert run(["train", "--data", data, "--split", split, "--mode", "supcon",
+                    "--out", tmp / "cli.bin"]) == 0
+        train("supcon", load_features(data), load_split(split),
+              TrainConfig(seed=7)).save(tmp / "lib.bin")
+        assert (tmp / "cli.bin").read_bytes() == (tmp / "lib.bin").read_bytes()
+
     def test_extract_roles_need_split(self, workspace, capsys):
         tmp, data, split = workspace
         enc = tmp / "enc.bin"
@@ -230,6 +239,21 @@ class TestExperimentCommand:
         ("projection", "entropy_tolerance", "nan"),
         ("projection", "exaggeration_iters", -1),
         ("projection", "momentum_switch", -1),
+        ("contrastive", "temperature", "nan"),
+        ("contrastive", "temperature", "inf"),
+        ("contrastive", "learning_rate", "nan"),
+        ("contrastive", "learning_rate", 0),
+        ("contrastive", "weight_decay", "nan"),
+        ("contrastive", "weight_decay", -1),
+        ("contrastive", "noise", -1),
+        ("contrastive", "noise", "inf"),
+        ("contrastive", "dropout", 1.5),
+        ("contrastive", "dropout", 1),
+        ("contrastive", "validation_fraction", "nan"),
+        ("probe", "softmax_learning_rate", "nan"),
+        ("probe", "softmax_learning_rate", 0),
+        ("probe", "softmax_momentum", "nan"),
+        ("probe", "softmax_momentum", -0.5),
     ])
     def test_config_every_arm_rejects_exits_one_before_any_arm(self, tmp_path, capsys,
                                                                section, key, value):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epl.contrastive import (ADAM_EPS, BETA1, BETA2, AugmentConfig, ContrastiveError,
-                             EncoderParams, TrainConfig, augment, encode,
-                             extract_features, finetune_supcon, init_params,
-                             make_view_batch, ntxent_loss, supcon_loss, train,
+from epl.contrastive import (ADAM_EPS, BETA1, BETA2, ContrastiveError, EncoderParams,
+                             TrainConfig, augment, encode, extract_features,
+                             finetune_supcon, init_params, make_view_batch, ntxent_loss,
+                             relu_mlp, relu_mlp_backward, safe_std, supcon_loss, train,
                              _AdamW, _backward, _forward)
 from epl.dataset import generate_blobs, stratified_split
 from epl.metrics import knn_consistency
@@ -38,37 +38,32 @@ def params_equal(a, b):
 class TestAugment:
     def test_zero_strength_is_identity(self):
         x = np.random.default_rng(0).normal(size=12)
-        cfg = AugmentConfig(noise=0.0, dropout=0.0, feature_scale=1.0)
-        assert np.array_equal(augment(x, cfg, np.random.default_rng(1)), x)
+        assert np.array_equal(augment(x, 0.0, 0.0, 1.0, np.random.default_rng(1)), x)
 
     def test_full_dropout_zeroes_everything(self):
         x = np.random.default_rng(0).normal(size=12)
-        cfg = AugmentConfig(noise=0.2, dropout=1.0, feature_scale=1.0)
-        assert not augment(x, cfg, np.random.default_rng(1)).any()
+        assert not augment(x, 0.2, 1.0, 1.0, np.random.default_rng(1)).any()
 
     def test_empirical_dropout_rate(self):
-        cfg = AugmentConfig(noise=0.5, dropout=0.3, feature_scale=1.0)
         rng = np.random.default_rng(2)
         x = np.ones(8)
         zeros = 0
         draws = 10_000
         for _ in range(draws):
-            zeros += (augment(x, cfg, rng) == 0.0).sum()
+            zeros += (augment(x, 0.5, 0.3, 1.0, rng) == 0.0).sum()
         rate = zeros / (draws * 8)
         assert abs(rate - 0.3) <= 0.01
 
     def test_determinism_per_stream_state(self):
-        cfg = AugmentConfig(noise=0.2, dropout=0.1, feature_scale=1.0)
         x = np.arange(6, dtype=float)
-        a = augment(x, cfg, np.random.default_rng(33))
-        b = augment(x, cfg, np.random.default_rng(33))
+        a = augment(x, 0.2, 0.1, 1.0, np.random.default_rng(33))
+        b = augment(x, 0.2, 0.1, 1.0, np.random.default_rng(33))
         assert np.array_equal(a, b)
 
 
 class TestEncode:
     def _zero_params(self, d=5):
-        cfg = TrainConfig()
-        p = init_params(d, cfg, np.random.default_rng(0))
+        p = init_params(d, np.random.default_rng(0))
         for arr in p.arrays().values():
             arr[...] = 0.0
         return p
@@ -81,13 +76,13 @@ class TestEncode:
 
     def test_unit_norm_heads(self):
         rng = np.random.default_rng(1)
-        p = init_params(7, TrainConfig(), rng)
+        p = init_params(7, rng)
         _, heads = encode(p, rng.normal(size=(1000, 7)))
         assert np.abs(np.linalg.norm(heads, axis=1) - 1.0).max() <= 1e-9
 
     def test_positive_scaling_of_head_layer_is_invisible(self):
         rng = np.random.default_rng(2)
-        p = init_params(6, TrainConfig(), rng)
+        p = init_params(6, rng)
         x = rng.normal(size=(10, 6))
         _, base = encode(p, x)
         p.v2 *= 2.0
@@ -96,25 +91,24 @@ class TestEncode:
         assert np.allclose(base, doubled, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        p = init_params(4, TrainConfig(), np.random.default_rng(0))
+        p = init_params(4, np.random.default_rng(0))
         with pytest.raises(ContrastiveError, match="dimension"):
             encode(p, np.zeros(5))
 
     def test_extract_features_is_the_encode_latent(self):
         data = generate_blobs(3, 30, 6, 0.7, 8.0, seed=4)
-        p = init_params(6, TrainConfig(), np.random.default_rng(5))
+        p = init_params(6, np.random.default_rng(5))
         rows = np.array([7, 0, 33, 89, 33])
         assert np.array_equal(extract_features(p, data), encode(p, data.features)[0])
         assert np.array_equal(extract_features(p, data, rows),
                               encode(p, data.features[rows])[0])
-        narrow = init_params(5, TrainConfig(), np.random.default_rng(5))
+        narrow = init_params(5, np.random.default_rng(5))
         with pytest.raises(ContrastiveError, match="dimension"):
             extract_features(narrow, data)
 
     def test_identity_construction_recovers_input(self):
-        # encoder sized so the latent can pass non-negative inputs through
-        cfg = TrainConfig(hidden_dim=8, latent_dim=4)
-        p = init_params(4, cfg, np.random.default_rng(0))
+        # identity blocks pass non-negative inputs through to the first latent columns
+        p = init_params(4, np.random.default_rng(0))
         p.w1[...] = 0.0
         p.w1[:4, :4] = np.eye(4)
         p.b1[...] = 0.0
@@ -123,7 +117,8 @@ class TestEncode:
         p.b2[...] = 0.0
         x = np.abs(np.random.default_rng(1).normal(size=(6, 4)))
         latent, _ = encode(p, x)
-        assert np.array_equal(latent, x)
+        assert np.array_equal(latent[:, :4], x)
+        assert not latent[:, 4:].any()
 
 
 class TestLosses:
@@ -196,7 +191,7 @@ class TestLosses:
     def test_view_batch_pairing(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(5, 3))
-        batch = make_view_batch(X, np.arange(5), AugmentConfig(0.1, 0.0, 1.0), rng)
+        batch = make_view_batch(X, np.arange(5), 0.1, 0.0, 1.0, rng)
         assert batch.views.shape == (10, 3)
         assert batch.source.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
         assert batch.labels.tolist() == batch.source.tolist()
@@ -205,7 +200,7 @@ class TestLosses:
 class TestEndToEndBackprop:
     def test_sampled_weights_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        params = init_params(6, TrainConfig(), rng)
+        params = init_params(6, rng)
         X = rng.normal(size=(8, 6))
 
         def total(p):
@@ -247,7 +242,7 @@ class TestLossOnly:
 
     def test_zero_norm_head_row_takes_the_masked_path(self):
         rng = np.random.default_rng(14)
-        params = init_params(5, TrainConfig(), rng)  # zero biases
+        params = init_params(5, rng)  # zero biases
         X = rng.normal(size=(8, 5))
         X[3] = 0.0  # every layer maps it to zero, so its head norm is zero
         cache = _forward(params, X)
@@ -260,6 +255,48 @@ class TestLossOnly:
             assert fn(cache["head"], False) == (loss, None)
             grads = _backward(params, cache, d_head, params.zeros_like())
             assert np.isfinite(grads.flat).all()
+
+
+def forward_backward_reference(params, X, d_head):
+    """The head normalization and its gradient as two paths: every row
+    unit-normed, or a masked path that handles the zero-norm rows apart."""
+    a1, h1, latent = relu_mlp(X, params.w1, params.b1, params.w2, params.b2)
+    a2, h2, raw = relu_mlp(latent, params.v1, params.c1, params.v2, params.c2)
+    norms = np.sqrt((raw ** 2).sum(axis=1))
+    ok = norms > 1e-12
+    if ok.all():
+        head = raw / norms[:, None]
+        inner = (d_head * head).sum(axis=1, keepdims=True)
+        d_raw = (d_head - inner * head) / norms[:, None]
+    else:
+        head = np.empty_like(raw)
+        head[ok] = raw[ok] / norms[ok, None]
+        head[~ok] = 0.0
+        head[~ok, 0] = 1.0
+        d_raw = np.zeros_like(d_head)
+        inner = (d_head[ok] * head[ok]).sum(axis=1, keepdims=True)
+        d_raw[ok] = (d_head[ok] - inner * head[ok]) / norms[ok, None]
+    grads = params.zeros_like()
+    d_a2 = relu_mlp_backward(latent, a2, h2, params.v2, d_raw,
+                             (grads.v1, grads.c1, grads.v2, grads.c2))
+    relu_mlp_backward(X, a1, h1, params.w2, d_a2 @ params.v1.T,
+                      (grads.w1, grads.b1, grads.w2, grads.b2))
+    return head, grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(views=st.integers(1, 160), dim=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       zero_rows=st.integers(0, 4))
+def test_one_masked_path_equals_the_two_path_head(views, dim, seed, zero_rows):
+    rng = np.random.default_rng(seed)
+    params = init_params(dim, rng)  # zero biases: a zero input row has a zero head norm
+    X = rng.normal(size=(views, dim))
+    X[rng.choice(views, min(zero_rows, views), replace=False)] = 0.0
+    d_head = rng.normal(size=(views, params.v2.shape[1]))
+    head, grads = forward_backward_reference(params, X, d_head)
+    cache = _forward(params, X)
+    assert np.array_equal(cache["head"], head)
+    assert np.array_equal(_backward(params, cache, d_head, params.zeros_like()).flat, grads.flat)
 
 
 def adamw_reference(theta: dict, m: dict, v: dict, grads: dict, t: int, lr: float,
@@ -317,7 +354,7 @@ class TestTraining:
         ds, split = blob_world
         cfg = TrainConfig(epochs=0, seed=3)
         got = train("simclr", ds, split, cfg)
-        expect = init_params(ds.dim, cfg, np.random.default_rng(3))
+        expect = init_params(ds.dim, np.random.default_rng(3))
         assert params_equal(got, expect)
 
     def test_determinism(self, blob_world):
@@ -328,17 +365,16 @@ class TestTraining:
 
     def test_supcon_reduces_training_loss(self, blob_world):
         ds, split = blob_world
-        from epl.contrastive import _batch_loss, _resolve_augment
+        from epl.contrastive import _batch_loss
         cfg = TrainConfig(epochs=25, batch_size=16, seed=1)
         sup = split.supervised
         X = ds.features[sup]
         y = ds.labels[sup]
-        aug = _resolve_augment(cfg, X)
-        initial = init_params(ds.dim, cfg, np.random.default_rng(1))
+        initial = init_params(ds.dim, np.random.default_rng(1))
         trained = train("supcon", ds, split, cfg)
-        before = _batch_loss("supcon", X, y, aug, cfg.temperature,
+        before = _batch_loss("supcon", X, y, cfg, safe_std(X),
                              np.random.default_rng(123), initial, None)
-        after = _batch_loss("supcon", X, y, aug, cfg.temperature,
+        after = _batch_loss("supcon", X, y, cfg, safe_std(X),
                             np.random.default_rng(123), trained, None)
         assert after < before
 
@@ -366,6 +402,22 @@ class TestTraining:
         a = finetune_supcon(base, ds, split, TrainConfig(epochs=3, batch_size=16, seed=6))
         b = finetune_supcon(base, ds, split, TrainConfig(epochs=3, batch_size=16, seed=6))
         assert params_equal(a, b)
+
+    @pytest.mark.parametrize("setting", [
+        {"epochs": -1}, {"batch_size": 1}, {"validation_fraction": 0.7},
+        {"validation_fraction": float("nan")}, {"temperature": float("nan")},
+        {"temperature": float("inf")}, {"learning_rate": 0.0},
+        {"learning_rate": float("nan")}, {"weight_decay": -1.0},
+        {"weight_decay": float("nan")}, {"noise": -1.0}, {"noise": float("inf")},
+        {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": float("nan")}])
+    def test_finetune_checks_its_config_like_train(self, blob_world, setting):
+        ds, split = blob_world
+        base = init_params(ds.dim, np.random.default_rng(0))
+        cfg = TrainConfig(**{"epochs": 1, "batch_size": 16, **setting})
+        with pytest.raises(ContrastiveError):
+            train("simclr", ds, split, cfg)
+        with pytest.raises(ContrastiveError):
+            finetune_supcon(base, ds, split, cfg)
 
     def test_finetune_does_not_hurt_latent_consistency(self):
         # overlapping blobs: label-aware fine-tuning should not lose ground
@@ -403,7 +455,7 @@ class TestTraining:
 
     def test_non_finite_latents_are_a_typed_error(self, blob_world):
         ds, _ = blob_world
-        params = init_params(ds.dim, TrainConfig(), np.random.default_rng(0))
+        params = init_params(ds.dim, np.random.default_rng(0))
         params.w1[...] = 1e300
         params.w2[...] = 1e300
         with warnings.catch_warnings():
@@ -425,7 +477,7 @@ class TestTraining:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        params = init_params(5, TrainConfig(), rng)
+        params = init_params(5, rng)
         path = tmp_path / "enc.bin"
         params.save(path, {"mode": "simclr", "seed": 0})
         loaded = EncoderParams.load(path)
@@ -445,6 +497,5 @@ class TestCheckpoint:
         path = tmp_path / "warm.bin"
         base.save(path)
         warm = EncoderParams.load(path)
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=5, warm_start=warm)
-        out = train("simclr", ds, split, cfg)
+        out = train("simclr", ds, split, TrainConfig(epochs=2, batch_size=16, seed=5), init=warm)
         assert not params_equal(out, base)

@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from epl.contrastive import AugmentConfig, TrainConfig, finetune_supcon, train
+from epl.contrastive import TrainConfig, finetune_supcon, train
 from epl.dataset import generate_blobs, stratified_split
 from epl.probe import SoftmaxConfig, train_linear, train_softmax
 from epl.projection import (ProjectionConfig, conditional_affinities, pairwise_affinities,
@@ -41,8 +41,7 @@ def blobs():
 
 
 def _config(seed: int) -> TrainConfig:
-    return TrainConfig(epochs=4, batch_size=8, seed=seed,
-                       augment=AugmentConfig(noise=0.2, dropout=0.1))
+    return TrainConfig(epochs=4, batch_size=8, seed=seed, noise=0.2, dropout=0.1)
 
 
 GOLDEN = {

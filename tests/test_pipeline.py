@@ -105,6 +105,29 @@ class TestRunC2:
                                 projection_config_from(cfg, 1), cfg.knn_k)
 
 
+def test_warm_start_checkpoint_is_read_once(tmp_path, monkeypatch):
+    from epl import checkpoint
+    from epl.contrastive import init_params
+    warm = init_params(6, np.random.default_rng(3))
+    warm.save(tmp_path / "warm.bin")
+    reads = []
+    real_load = checkpoint.load_checkpoint
+
+    def counting_load(path):
+        reads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counting_load)
+    cfg = small_config(tmp_path / "out", replicas=2, epochs=0, init_mode="warm_start",
+                       warm_start_checkpoint=str(tmp_path / "warm.bin"))
+    _, code = run_experiment("all", cfg)
+    assert code == 0
+    assert len(reads) == 1
+    for seed in (7, 8):
+        _, arrays = real_load(tmp_path / "out" / f"ckpt_simclr_{seed}.bin")
+        assert all(np.array_equal(arrays[name], arr) for name, arr in warm.arrays().items())
+
+
 class TestRunC3:
     def test_row_count_and_baseline(self, tmp_path):
         cfg = small_config(tmp_path / "c3", replicas=3)
@@ -137,10 +160,10 @@ class TestRunC3:
 def _break_simclr_training(monkeypatch):
     real_train = pipeline.contrastive.train
 
-    def broken_train(mode, data, split, config):
+    def broken_train(mode, data, split, config, init=None):
         if mode == "simclr":
             raise RuntimeError("injected failure")
-        return real_train(mode, data, split, config)
+        return real_train(mode, data, split, config, init)
 
     monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
 
