@@ -28,7 +28,7 @@ from .opf import OpfError, OptimumPathForest
 from .pipeline import (PipelineError, propagate_labels, propagation_seeds,
                        read_embedding_csv, read_results_csv, run_experiment, score,
                        write_embedding_csv, write_report)
-from .probe import ProbeError, SoftmaxConfig, predict, train_linear, train_softmax
+from .probe import ProbeError, predict, train_linear, train_softmax
 from .projection import ProjectionConfig, ProjectionError, tsne_project
 
 _USER_ERRORS = (ConfigError, DatasetError, SplitError, MetricError, OpfError,
@@ -139,6 +139,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    cfg = ExperimentConfig()
     data = load_features(args.data)
     split = _load_split_of(data, args.split)
     if not data.has_labels:
@@ -152,8 +153,8 @@ def _cmd_probe(args) -> int:
     sup, test = split.supervised, split.test
     labels_t = data.labels[test]
     if args.kind == "linear":
-        model = train_linear(feats[sup], data.labels[sup], seed=args.seed,
-                             class_count=data.class_count)
+        model = train_linear(feats[sup], data.labels[sup], cfg.linear_lambda,
+                             cfg.linear_epochs, data.class_count)
         method = "linear"
         pred = predict(model, feats[test])
     else:
@@ -168,7 +169,7 @@ def _cmd_probe(args) -> int:
             labels_train = data.labels[sup]
             method = "softmax-baseline"
         model = train_softmax(feats[train_idx], labels_train,
-                              SoftmaxConfig(seed=args.seed), data.class_count)
+                              cfg.softmax_config(args.seed), data.class_count)
         pred = predict(model, feats[test])
     print(score(pred, labels_t, data.class_count).csv_row(data.name, method, args.seed))
     return 0
@@ -204,12 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic blob dataset")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=200)
-    p.add_argument("--dims", type=int, default=16)
-    p.add_argument("--spread", type=float, default=0.5)
-    p.add_argument("--center-dist", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--classes", type=int, default=ExperimentConfig.classes)
+    p.add_argument("--per-class", type=int, default=ExperimentConfig.per_class)
+    p.add_argument("--dims", type=int, default=ExperimentConfig.dims)
+    p.add_argument("--spread", type=float, default=ExperimentConfig.spread)
+    p.add_argument("--center-dist", type=float, default=ExperimentConfig.center_dist)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.dataset_seed)
     p.add_argument("--name", default=None)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--out", required=True)
@@ -217,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="stratified supervised/unsupervised/test split")
     p.add_argument("--data", required=True)
-    p.add_argument("--s-frac", type=float, default=0.01)
-    p.add_argument("--u-frac", type=float, default=0.69)
-    p.add_argument("--t-frac", type=float, default=0.30)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--s-frac", type=float, default=ExperimentConfig.s_frac)
+    p.add_argument("--u-frac", type=float, default=ExperimentConfig.u_frac)
+    p.add_argument("--t-frac", type=float, default=ExperimentConfig.t_frac)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_split)
 
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
     p.add_argument("--noise", type=float, default=TrainConfig.noise)
     p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train)
 
@@ -253,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project features to 2D with exact t-SNE")
     p.add_argument("--features", required=True)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--perplexity", type=float, default=ProjectionConfig.perplexity)
+    p.add_argument("--iterations", type=int, default=ProjectionConfig.iterations)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_project)
 
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional latent features covering the whole dataset")
     p.add_argument("--pseudo", default=None,
                    help="forest dump supplying pseudo-labels (softmax only)")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
     p.set_defaults(fn=_cmd_probe)
 
     p = sub.add_parser("experiment", help="run the replicated experiment designs")

@@ -4,7 +4,8 @@ The format is deliberately diffable: '[section]' lines, 'key = value'
 pairs, '#' comments, nothing nested. A '#' starts a comment only at the
 start of a line or after whitespace, so a value such as a path may
 contain one. A parsed config resolves against the defaults below and can
-be echoed back verbatim into the run manifest.
+be echoed back verbatim into the run manifest. The stage settings default
+to the stage configs' defaults, and ExperimentConfig builds and checks them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from pathlib import Path
 
 from .contrastive import TrainConfig
 from .dataset import read_text
+from .metrics import KNN_K
+from .probe import LINEAR_EPOCHS, LINEAR_LAMBDA, SoftmaxConfig, check_epochs
+from .projection import ProjectionConfig
 
 
 class ConfigError(ValueError):
@@ -92,27 +96,53 @@ class ExperimentConfig:
     dropout: float = TrainConfig.dropout
 
     # projection
-    perplexity: float = 30.0
-    iterations: int = 1000
-    projection_learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iters: int = 250
-    momentum_start: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch: int = 250
-    entropy_tolerance: float = 1e-5
+    perplexity: float = ProjectionConfig.perplexity
+    iterations: int = ProjectionConfig.iterations
+    projection_learning_rate: float = ProjectionConfig.learning_rate
+    early_exaggeration: float = ProjectionConfig.early_exaggeration
+    exaggeration_iters: int = ProjectionConfig.exaggeration_iters
+    momentum_start: float = ProjectionConfig.momentum_start
+    momentum_final: float = ProjectionConfig.momentum_final
+    momentum_switch: int = ProjectionConfig.momentum_switch
+    entropy_tolerance: float = ProjectionConfig.entropy_tolerance
 
     # probes and scoring
-    linear_lambda: float = 1.0
-    linear_epochs: int = 200
-    softmax_epochs: int = 15
-    softmax_learning_rate: float = 0.1
-    softmax_momentum: float = 0.9
-    softmax_hidden: int = 64
-    softmax_batch: int = 32
-    knn_k: int = 10
+    linear_lambda: float = LINEAR_LAMBDA
+    linear_epochs: int = LINEAR_EPOCHS
+    softmax_epochs: int = SoftmaxConfig.epochs
+    softmax_learning_rate: float = SoftmaxConfig.learning_rate
+    softmax_momentum: float = SoftmaxConfig.momentum
+    softmax_hidden: int = SoftmaxConfig.hidden_dim
+    softmax_batch: int = SoftmaxConfig.batch_size
+    knn_k: int = KNN_K
+
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(
+            epochs=self.epochs, batch_size=self.batch_size, temperature=self.temperature,
+            learning_rate=self.learning_rate, weight_decay=self.weight_decay,
+            noise=self.noise, dropout=self.dropout,
+            validation_fraction=self.validation_fraction, seed=seed)
+
+    def projection_config(self, seed: int) -> ProjectionConfig:
+        return ProjectionConfig(
+            perplexity=self.perplexity, iterations=self.iterations,
+            learning_rate=self.projection_learning_rate,
+            early_exaggeration=self.early_exaggeration,
+            exaggeration_iters=self.exaggeration_iters,
+            momentum_start=self.momentum_start, momentum_final=self.momentum_final,
+            momentum_switch=self.momentum_switch, seed=seed,
+            entropy_tolerance=self.entropy_tolerance)
+
+    def softmax_config(self, seed: int) -> SoftmaxConfig:
+        return SoftmaxConfig(
+            epochs=self.softmax_epochs, learning_rate=self.softmax_learning_rate,
+            momentum=self.softmax_momentum, batch_size=self.softmax_batch,
+            hidden_dim=self.softmax_hidden, seed=seed)
 
     def validate(self) -> None:
+        """The run's own checks, then each stage config's checks that do not
+        depend on the data, so that a config every arm would reject fails
+        before the first arm runs."""
         if self.replicas < 1:
             raise ConfigError("replicas must be at least 1")
         if self.knn_k < 1:
@@ -136,6 +166,10 @@ class ExperimentConfig:
                 )
         if self.source != "blobs" and not Path(self.source).exists():
             raise ConfigError(f"dataset file not found: {self.source}")
+        self.train_config(self.base_seed).validate()
+        self.projection_config(self.base_seed).validate()
+        self.softmax_config(self.base_seed).validate()
+        check_epochs(self.linear_epochs)
 
     def to_sections(self) -> dict[str, dict[str, str]]:
         sections: dict[str, dict[str, str]] = {}

@@ -164,7 +164,6 @@ class ViewBatch:
     """2B augmented views, pairs interleaved: views 2t and 2t+1 share source t."""
 
     views: np.ndarray
-    source: np.ndarray
     labels: np.ndarray | None = None
 
 
@@ -368,9 +367,8 @@ def make_view_batch(X: np.ndarray, labels, noise: float, dropout: float, scale,
     """Two views per row, interleaved so views 2t and 2t+1 share source t."""
     doubled = np.repeat(X, 2, axis=0)
     views = augment(doubled, noise, dropout, scale, rng)
-    source = np.repeat(np.arange(X.shape[0], dtype=np.int64), 2)
     view_labels = None if labels is None else np.repeat(np.asarray(labels, dtype=np.int64), 2)
-    return ViewBatch(views, source, view_labels)
+    return ViewBatch(views, view_labels)
 
 
 # ---------------------------------------------------------------------------

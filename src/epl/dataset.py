@@ -227,26 +227,19 @@ def save_features(dataset: Dataset, path, format: str = "text") -> None:
         raise DatasetError(f"unknown format {format!r}")
 
 
-def load_features(path, format: str | None = None, name: str | None = None) -> Dataset:
-    """Load a dataset file.
+def load_features(path) -> Dataset:
+    """Load a dataset file named after its stem.
 
-    ``format`` is "text" or "binary"; when omitted the file is sniffed by
-    its magic bytes. Malformed rows report their line number; non-finite
-    cells report row and column.
+    A file that starts with a binary magic is read as binary, any other as
+    text. Malformed rows report their line number; non-finite cells report
+    row and column.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
-    if format is None:
-        with open(path, "rb") as fh:
-            format = "binary" if fh.read(4) in _BINARY_HEADERS else "text"
-    if name is None:
-        name = path.stem
-    if format == "binary":
-        return _load_binary(path, name)
-    if format == "text":
-        return _load_text(path, name)
-    raise DatasetError(f"unknown format {format!r}")
+    with open(path, "rb") as fh:
+        binary = fh.read(4) in _BINARY_HEADERS
+    return (_load_binary if binary else _load_text)(path, path.stem)
 
 
 def _load_text(path: Path, name: str) -> Dataset:

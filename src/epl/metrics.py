@@ -16,6 +16,10 @@ from scipy.spatial.distance import cdist
 from .dataset import UNLABELED
 
 
+# Neighbours per point in the k-NN consistency, unless the caller says otherwise.
+KNN_K = 10
+
+
 class MetricError(ValueError):
     """Raised for empty or unlabeled inputs."""
 
@@ -110,7 +114,7 @@ class ScoreReport:
         return f"{dataset},{method},{seed},{self.accuracy!r},{self.kappa!r}"
 
 
-def knn_consistency(points, labels, k: int = 10) -> float:
+def knn_consistency(points, labels, k: int = KNN_K) -> float:
     """Mean fraction of each point's k nearest neighbours sharing its label.
 
     Works on any n x m point array (2D embeddings or latent features).

@@ -25,12 +25,12 @@ import numpy as np
 from . import __version__
 from . import contrastive
 from .config import ExperimentConfig, format_config
-from .contrastive import EncoderParams, TrainConfig
+from .contrastive import EncoderParams
 from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs, int64,
                       load_features, read_table, stratified_split, write_table)
 from .metrics import ScoreReport, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
-from .probe import SoftmaxConfig, check_epochs, predict, train_linear, train_softmax
+from .probe import predict, train_linear, train_softmax
 from .projection import Embedding2D, ProjectionConfig, tsne_project
 from .scatter import emit_scatter
 
@@ -143,43 +143,6 @@ def dataset_from_config(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def train_config_from(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, temperature=cfg.temperature,
-        learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
-        noise=cfg.noise, dropout=cfg.dropout,
-        validation_fraction=cfg.validation_fraction, seed=seed,
-    )
-
-
-def softmax_config_from(cfg: ExperimentConfig, seed: int) -> SoftmaxConfig:
-    return SoftmaxConfig(
-        epochs=cfg.softmax_epochs, learning_rate=cfg.softmax_learning_rate,
-        momentum=cfg.softmax_momentum, batch_size=cfg.softmax_batch,
-        hidden_dim=cfg.softmax_hidden, seed=seed)
-
-
-def check_stage_configs(cfg: ExperimentConfig) -> None:
-    """The stage configs' own checks that do not depend on the data, so that a
-    config every arm would reject fails before the first arm runs."""
-    train_config_from(cfg, cfg.base_seed).validate()
-    projection_config_from(cfg, cfg.base_seed).validate()
-    softmax_config_from(cfg, cfg.base_seed).validate()
-    check_epochs(cfg.linear_epochs)
-
-
-def projection_config_from(cfg: ExperimentConfig, seed: int) -> ProjectionConfig:
-    return ProjectionConfig(
-        perplexity=cfg.perplexity, iterations=cfg.iterations,
-        learning_rate=cfg.projection_learning_rate,
-        early_exaggeration=cfg.early_exaggeration,
-        exaggeration_iters=cfg.exaggeration_iters,
-        momentum_start=cfg.momentum_start, momentum_final=cfg.momentum_final,
-        momentum_switch=cfg.momentum_switch, seed=seed,
-        entropy_tolerance=cfg.entropy_tolerance,
-    )
-
-
 @dataclass
 class _Propagation:
     embedding: Embedding2D
@@ -223,7 +186,7 @@ def propagate_labels(data: Dataset, split: SplitAssignment, coordinates):
 
 
 def propagate_embedding(data: Dataset, split: SplitAssignment, params: EncoderParams,
-                        proj_cfg: ProjectionConfig, knn_k: int = 10) -> _Propagation:
+                        proj_cfg: ProjectionConfig, knn_k: int) -> _Propagation:
     """Project latent features of S and U to 2D and propagate the S labels."""
     sup_classes = np.unique(data.labels[split.supervised])
     if sup_classes.size < data.class_count:
@@ -312,7 +275,7 @@ class RunState:
         key = (r, mode)
         if key not in self.encoders:
             seed = self.cfg.base_seed + r
-            config = train_config_from(self.cfg, seed)
+            config = self.cfg.train_config(seed)
             if mode == "combined":
                 base = self.encoder(r, "simclr")
                 params = self.timed(f"r{r}.combined.finetune", lambda: contrastive.finetune_supcon(
@@ -336,7 +299,7 @@ class RunState:
         if key not in self.propagations:
             seed = self.cfg.base_seed + r
             params = self.encoder(r, mode)
-            proj_cfg = projection_config_from(self.cfg, seed)
+            proj_cfg = self.cfg.projection_config(seed)
             prop = self.timed(f"r{r}.{mode}.project", lambda: propagate_embedding(
                 self.data, self.split(r), params, proj_cfg, self.cfg.knn_k))
             self.propagations[key] = prop
@@ -369,7 +332,7 @@ def run_c1(state: RunState) -> list[ResultRow]:
                 labels_t = state.data.labels[split.test]
 
                 linear = train_linear(feats_s, labels_s, cfg.linear_lambda,
-                                      cfg.linear_epochs, seed, state.data.class_count)
+                                      cfg.linear_epochs, state.data.class_count)
                 rows.append(_scored_row(state.data, C1_IDS[mode], "linear", seed,
                                         predict(linear, feats_t), labels_t))
 
@@ -409,7 +372,7 @@ def run_c3(state: RunState) -> list[ResultRow]:
 
     def softmax_row(r: int, arm: str, train_idx, labels) -> ResultRow:
         seed = cfg.base_seed + r
-        softmax_cfg = softmax_config_from(cfg, seed)
+        softmax_cfg = cfg.softmax_config(seed)
         model = state.timed(f"r{r}.{arm}.softmax", lambda: train_softmax(
             data.features[train_idx], labels, softmax_cfg, data.class_count))
         test_idx = state.split(r).test
@@ -433,7 +396,6 @@ def run_experiment(kind: str, cfg: ExperimentConfig, write_artifacts: bool = Tru
     Returns (rows, exit code): 0 on full success, 2 when any arm failed.
     """
     cfg.validate()
-    check_stage_configs(cfg)
     init = (EncoderParams.load(cfg.warm_start_checkpoint)
             if cfg.init_mode == "warm_start" else None)
     out_dir = Path(cfg.out_dir)
@@ -485,17 +447,6 @@ def aggregate_rows(rows) -> list[dict]:
     return out
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    ranks[order] = np.arange(1, len(values) + 1, dtype=np.float64)
-    for v in np.unique(values):
-        mask = values == v
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
-    return ranks
-
-
 def spearman(a, b) -> float | None:
     """Spearman rank correlation with average ranks; None when undefined."""
     a = np.asarray(a, dtype=np.float64)
@@ -504,8 +455,10 @@ def spearman(a, b) -> float | None:
         raise PipelineError("need two equal-length series of at least 2 values")
     if np.unique(a).size < 2 or np.unique(b).size < 2:
         return None
-    ra = _average_ranks(a)
-    rb = _average_ranks(b)
+    # Imported on use: scipy.stats takes ~0.5 s to import and only reports need it.
+    from scipy.stats import rankdata
+    ra = rankdata(a)
+    rb = rankdata(b)
     ra -= ra.mean()
     rb -= rb.mean()
     denom = np.sqrt((ra ** 2).sum() * (rb ** 2).sum())

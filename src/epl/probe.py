@@ -24,6 +24,11 @@ class ProbeError(ValueError):
     """Raised for unusable training inputs."""
 
 
+# The linear probe's defaults, shared by train_linear and ExperimentConfig.
+LINEAR_LAMBDA = 1.0
+LINEAR_EPOCHS = 200
+
+
 def check_epochs(epochs: int) -> None:
     if epochs < 0:
         raise ProbeError(f"epochs must be non-negative, got {epochs}")
@@ -37,9 +42,6 @@ def check_epochs(epochs: int) -> None:
 class LinearModel:
     weights: np.ndarray  # (k, d)
     bias: np.ndarray     # (k,)
-    lam: float
-    epochs: int
-    seed: int
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
@@ -50,13 +52,13 @@ class LinearModel:
         return X @ self.weights.T + self.bias
 
 
-def train_linear(features, labels, lam: float = 1.0, epochs: int = 200,
-                 seed: int = 0, class_count: int | None = None) -> LinearModel:
+def train_linear(features, labels, lam: float = LINEAR_LAMBDA, epochs: int = LINEAR_EPOCHS,
+                 class_count: int | None = None) -> LinearModel:
     """One-vs-rest hinge loss with an epoch-wise 1e-3 / sqrt(t) step.
 
-    Full-batch subgradient descent from zero weights; the run is
-    deterministic regardless of seed, which is recorded for provenance.
-    The per-epoch regularized objective is kept on the model.
+    Full-batch subgradient descent from zero weights, so the fit is
+    deterministic and takes no seed. The per-epoch regularized objective
+    is kept on the model.
     """
     check_epochs(epochs)
     X = np.asarray(features, dtype=np.float64)
@@ -84,7 +86,7 @@ def train_linear(features, labels, lam: float = 1.0, epochs: int = 200,
         b -= step * grad_b
         hinge = np.maximum(0.0, 1.0 - target * (X @ W.T + b)).mean(axis=0)
         trace[t - 1] = float((hinge + 0.5 * lam * (W ** 2).sum(axis=1)).mean())
-    return LinearModel(W, b, lam, epochs, seed, trace)
+    return LinearModel(W, b, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +121,6 @@ class SoftmaxModel:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    config: SoftmaxConfig
     # Input standardization fitted on the training set; the 0.1 step with
     # 0.9 momentum assumes unit-scale inputs and diverges without it.
     mean: np.ndarray | None = None
@@ -149,7 +150,6 @@ def _init_softmax(dim: int, k: int, config: SoftmaxConfig, rng) -> SoftmaxModel:
         b1=np.zeros(config.hidden_dim),
         w2=he_uniform(rng, config.hidden_dim, k),
         b2=np.zeros(k),
-        config=config,
     )
 
 

@@ -34,9 +34,10 @@ from scipy.spatial.distance import cdist
 
 _Q_EPS = 1e-12
 _INIT_SIGMA = 1e-4
-# The bracket search doubles or halves the precision beta at most this
-# many times from 1, so beta * squared distance stays finite for every
-# beta it tries when the distances stay below _MAX_SHIFTED_D2.
+# The bracket search doubles the precision beta at most this many times
+# from 1, so beta * squared distance stays finite for every beta it tries
+# when the distances stay below _MAX_SHIFTED_D2. It halves beta until it
+# underflows, so wide distance spreads still find a bracket.
 _BISECT_STEPS = 64
 _MAX_SHIFTED_D2 = np.finfo(np.float64).max / 2.0 ** _BISECT_STEPS
 # Rows per block of the gradient's P-side pass. A block of w, P and m holds
@@ -68,8 +69,8 @@ class ProjectionConfig:
             raise ProjectionError("perplexity must be a number, got NaN")
         if self.perplexity <= 1:
             raise ProjectionError("perplexity must exceed 1")
-        if n is not None and self.perplexity >= n:
-            raise ProjectionError(f"perplexity {self.perplexity} must be below n={n}")
+        if n is not None:
+            _check_perplexity_bound(self.perplexity, n)
         if self.iterations < 1:
             raise ProjectionError("need at least 1 iteration")
         for name in ("learning_rate", "early_exaggeration"):
@@ -107,6 +108,13 @@ class Embedding2D:
         return self.coordinates.shape[0]
 
 
+def _check_perplexity_bound(perplexity: float, n: int) -> None:
+    """A row of n points realizes a perplexity of at most n - 1 (uniform)."""
+    if not perplexity <= n - 1:
+        raise ProjectionError(
+            f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
+
+
 def _entropy_and_probs(shifted: np.ndarray, beta: float):
     """Gaussian row distribution over squared distances shifted to a zero
     minimum, and its entropy in nats."""
@@ -130,8 +138,7 @@ def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
     n = X.shape[0]
     if n < 3:
         raise ProjectionError("need at least 3 points")
-    if not perplexity < n:
-        raise ProjectionError("perplexity must be below n")
+    _check_perplexity_bound(perplexity, n)
     if not np.isfinite(X).all():
         raise ProjectionError("features must be finite (found NaN or inf)")
     d2 = cdist(X, X, "sqeuclidean")
@@ -163,9 +170,8 @@ def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int):
     beta = 1.0
     _, h = _entropy_and_probs(shifted, beta)
     lo = hi = None
-    for _ in range(_BISECT_STEPS):
-        perp = np.exp(h)
-        if perp > perplexity:
+    while True:
+        if np.exp(h) > perplexity:
             lo = beta
             beta *= 2.0
         else:
@@ -173,9 +179,9 @@ def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int):
             beta /= 2.0
         if lo is not None and hi is not None:
             break
+        if beta > 2.0 ** _BISECT_STEPS or beta == 0.0:
+            raise ProjectionError(f"row {i}: failed to bracket perplexity {perplexity}")
         _, h = _entropy_and_probs(shifted, beta)
-    else:
-        raise ProjectionError(f"row {i}: failed to bracket perplexity {perplexity}")
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         p, h = _entropy_and_probs(shifted, mid)

@@ -17,6 +17,11 @@ PALETTE = (
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78",
 )
 UNLABELED_COLOR = "#000000"
+# Fixed geometry: a square canvas, the margin kept free around the points,
+# and the circle radius, all in SVG user units.
+SIZE = 640.0
+MARGIN = 24.0
+RADIUS = 3.0
 
 
 def class_color(label: int) -> str:
@@ -25,8 +30,7 @@ def class_color(label: int) -> str:
     return PALETTE[label % len(PALETTE)]
 
 
-def emit_scatter(embedding, labels, path, size: float = 640.0,
-                 margin: float = 24.0, radius: float = 3.0) -> None:
+def emit_scatter(embedding, labels, path) -> None:
     """Write an SVG scatterplot of the embedding to ``path``.
 
     Coordinates are mapped into the drawing area with a uniform scale so
@@ -42,21 +46,21 @@ def emit_scatter(embedding, labels, path, size: float = 640.0,
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    scale = (size - 2.0 * margin) / span if span > 0 else 0.0
+    scale = (SIZE - 2.0 * MARGIN) / span if span > 0 else 0.0
     center = (lo + hi) / 2.0
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:g}" height="{size:g}" '
-        f'viewBox="0 0 {size:g} {size:g}">',
-        f'<rect width="{size:g}" height="{size:g}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE:g}" height="{SIZE:g}" '
+        f'viewBox="0 0 {SIZE:g} {SIZE:g}">',
+        f'<rect width="{SIZE:g}" height="{SIZE:g}" fill="#ffffff"/>',
     ]
     for i in range(coords.shape[0]):
         # SVG y grows downward; flip so the plot reads like a chart.
-        cx = size / 2.0 + (coords[i, 0] - center[0]) * scale
-        cy = size / 2.0 - (coords[i, 1] - center[1]) * scale
+        cx = SIZE / 2.0 + (coords[i, 0] - center[0]) * scale
+        cy = SIZE / 2.0 - (coords[i, 1] - center[1]) * scale
         lines.append(
-            f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{radius:g}" '
+            f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{RADIUS:g}" '
             f'fill="{class_color(int(labels[i]))}"/>'
         )
     lines.append("</svg>")

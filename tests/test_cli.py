@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from epl.cli import main
+from epl.config import ExperimentConfig
 from epl.dataset import (Dataset, generate_blobs, load_features, load_split, read_table,
                          save_features, stratified_split)
-from epl.pipeline import PipelineError, ResultRow, read_results_csv, write_results_csv
+from epl.pipeline import (PipelineError, ResultRow, dataset_from_config, read_embedding_csv,
+                          read_results_csv, write_results_csv)
+from epl.projection import tsne_project
 
 
 def run(args):
@@ -83,6 +86,28 @@ class TestStages:
         train("supcon", load_features(data), load_split(split),
               TrainConfig(seed=7)).save(tmp / "lib.bin")
         assert (tmp / "cli.bin").read_bytes() == (tmp / "lib.bin").read_bytes()
+
+    def test_gen_split_defaults_are_the_experiment_defaults(self, tmp_path):
+        cfg = ExperimentConfig()
+        assert run(["gen", "--out", tmp_path / "cli.csv"]) == 0
+        save_features(dataset_from_config(cfg), tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert run(["split", "--data", tmp_path / "lib.csv", "--out", tmp_path / "split.csv"]) == 0
+        expected = stratified_split(load_features(tmp_path / "lib.csv"), cfg.s_frac,
+                                    cfg.u_frac, cfg.t_frac, cfg.base_seed)
+        got = load_split(tmp_path / "split.csv")
+        assert np.array_equal(got.roles, expected.roles)
+        assert (got.seed, got.fractions) == (expected.seed, expected.fractions)
+
+    def test_project_defaults_are_the_experiment_defaults(self, tmp_path):
+        feats = np.random.default_rng(4).normal(size=(32, 3))
+        save_features(Dataset(feats, None, 0), tmp_path / "feats.bin", "binary")
+        assert run(["project", "--features", tmp_path / "feats.bin",
+                    "--out", tmp_path / "emb.csv"]) == 0
+        cfg = ExperimentConfig()
+        expected = tsne_project(feats, cfg.projection_config(cfg.base_seed))
+        _, coords, _ = read_embedding_csv(tmp_path / "emb.csv")
+        assert np.array_equal(coords, expected.coordinates)
 
     def test_extract_roles_need_split(self, workspace, capsys):
         tmp, data, split = workspace

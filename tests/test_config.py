@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from epl.config import (VALID_MODES, ConfigError, ExperimentConfig,
                         config_from_sections, format_config, load_config,
                         parse_config_text)
+from epl.contrastive import TrainConfig
+from epl.probe import SoftmaxConfig
+from epl.projection import ProjectionConfig
 
 DEMO_CFG = Path(__file__).resolve().parents[1] / "demos" / "experiment.cfg"
 
@@ -32,6 +35,14 @@ DEFAULT_ECHO = "\n".join([
 
 def echo(cfg: ExperimentConfig) -> str:
     return format_config(cfg.to_sections())
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_stage_configs_default_to_their_own_defaults(seed):
+    cfg = ExperimentConfig()
+    assert cfg.train_config(seed) == TrainConfig(seed=seed)
+    assert cfg.projection_config(seed) == ProjectionConfig(seed=seed)
+    assert cfg.softmax_config(seed) == SoftmaxConfig(seed=seed)
 
 
 class TestEcho:

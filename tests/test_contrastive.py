@@ -193,8 +193,12 @@ class TestLosses:
         X = rng.normal(size=(5, 3))
         batch = make_view_batch(X, np.arange(5), 0.1, 0.0, 1.0, rng)
         assert batch.views.shape == (10, 3)
-        assert batch.source.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-        assert batch.labels.tolist() == batch.source.tolist()
+        # views 2t and 2t+1 are noisy copies of row t, so it is their nearest row
+        nearest = np.argmin(((batch.views[:, None, :] - X[None]) ** 2).sum(axis=2), axis=1)
+        assert nearest.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        assert batch.labels.tolist() == nearest.tolist()
+        exact = make_view_batch(X, None, 0.0, 0.0, 1.0, rng)
+        assert np.array_equal(exact.views, np.repeat(X, 2, axis=0)) and exact.labels is None
 
 
 class TestEndToEndBackprop:

@@ -59,7 +59,7 @@ class TestIngestion:
             ds = random_dataset(rng)
             path = tmp_path / f"ds_{fmt}_{trial}"
             save_features(ds, path, fmt)
-            back = load_features(path, fmt)
+            back = load_features(path)
             assert np.array_equal(back.features, ds.features)
             assert np.array_equal(back.labels, ds.labels)
 

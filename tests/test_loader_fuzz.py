@@ -25,7 +25,7 @@ from epl.config import ConfigError, ExperimentConfig, format_config, load_config
 from epl.contrastive import ContrastiveError, EncoderParams
 from epl.dataset import DatasetError, SplitError, load_features, load_split
 from epl.opf import OpfError, OptimumPathForest
-from epl.pipeline import (PipelineError, ResultRow, check_stage_configs, read_embedding_csv,
+from epl.pipeline import (PipelineError, ResultRow, read_embedding_csv,
                           read_results_csv, write_embedding_csv, write_results_csv)
 
 
@@ -118,7 +118,6 @@ def _validated_run(kind, cfg):
     """Stands in for run_experiment: a mutated config may ask for a full-size
     run, and loading and checking it is what is under test."""
     cfg.validate()
-    check_stage_configs(cfg)
     return [], 0
 
 

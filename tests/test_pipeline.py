@@ -99,10 +99,9 @@ class TestRunC2:
         state.splits[0] = bad_split
         from epl.contrastive import TrainConfig, train
         params = train("simclr", data, bad_split, TrainConfig(epochs=0, seed=1))
-        from epl.pipeline import propagate_embedding, projection_config_from
+        from epl.pipeline import propagate_embedding
         with pytest.raises(PipelineError, match="every class needs a seed"):
-            propagate_embedding(data, bad_split, params,
-                                projection_config_from(cfg, 1), cfg.knn_k)
+            propagate_embedding(data, bad_split, params, cfg.projection_config(1), cfg.knn_k)
 
 
 def test_warm_start_checkpoint_is_read_once(tmp_path, monkeypatch):
@@ -269,6 +268,30 @@ class TestSpearman:
                 continue
             assert spearman(a, b) == pytest.approx(
                 rank_sum_spearman_oracle(list(a), list(b)), abs=1e-12)
+
+    def test_bitwise_equal_to_sorted_average_ranks(self):
+        """correlation.csv holds repr(rho), so the ranks must match this
+        sort-based average-rank reference bit for bit, ties included."""
+        def average_ranks(v):
+            ranks = np.empty(len(v))
+            ranks[np.argsort(v, kind="stable")] = np.arange(1, len(v) + 1, dtype=np.float64)
+            for x in np.unique(v):
+                mask = v == x
+                ranks[mask] = ranks[mask].mean()
+            return ranks
+
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            a = rng.integers(0, 5, n).astype(float)
+            b = np.round(rng.normal(size=n), 1)
+            if np.unique(a).size < 2 or np.unique(b).size < 2:
+                continue
+            ra, rb = average_ranks(a), average_ranks(b)
+            ra -= ra.mean()
+            rb -= rb.mean()
+            expected = float((ra * rb).sum() / np.sqrt((ra ** 2).sum() * (rb ** 2).sum()))
+            assert spearman(a, b) == expected
 
 
 class TestCorrelationReport:

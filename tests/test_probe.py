@@ -115,14 +115,14 @@ class TestSoftmaxProbe:
 
 class TestPredict:
     def test_zero_weights_all_class_zero(self):
-        model = LinearModel(np.zeros((3, 4)), np.zeros(3), 1.0, 0, 0)
+        model = LinearModel(np.zeros((3, 4)), np.zeros(3))
         X = np.random.default_rng(0).normal(size=(20, 4))
         assert (predict(model, X) == 0).all()
 
     def test_crafted_score_tie_takes_lower_class(self):
         # classes 1 and 2 tie exactly; class 0 scores lower
         model = LinearModel(np.array([[0.0], [1.0], [1.0]]),
-                            np.array([-1.0, 0.0, 0.0]), 1.0, 0, 0)
+                            np.array([-1.0, 0.0, 0.0]))
         assert predict(model, np.array([[2.0]]))[0] == 1
 
     def test_repeated_calls_identical(self):
@@ -133,7 +133,7 @@ class TestPredict:
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
-        model = LinearModel(np.zeros((2, 3)), np.zeros(2), 1.0, 0, 0)
+        model = LinearModel(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ProbeError, match="dimension"):
             predict(model, np.zeros((4, 5)))
 

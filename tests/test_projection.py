@@ -124,8 +124,26 @@ class TestAffinities:
 
     def test_perplexity_must_be_reachable(self):
         X = np.random.default_rng(2).normal(size=(10, 3))
-        with pytest.raises(ProjectionError):
-            pairwise_affinities(X, 9.5)  # max realized perplexity is n - 1
+        # the realized perplexity of a row is at most n - 1 (uniform)
+        with pytest.raises(ProjectionError, match="exceeds n - 1 = 9"):
+            pairwise_affinities(X, 9.5)
+        with pytest.raises(ProjectionError, match="exceeds n - 1 = 9"):
+            ProjectionConfig(perplexity=9.5).validate(10)
+        ProjectionConfig(perplexity=9.0).validate(10)
+
+    @pytest.mark.parametrize("scale", [1e10, 1e12, 1e24])
+    def test_wide_feature_scale_brackets(self, scale):
+        # the needed precision is far below 2**-64, so the bracket search
+        # must keep halving it
+        X = np.random.default_rng(0).normal(size=(24, 3))
+        X[:, 0] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cond, betas = conditional_affinities(X, 3.0)
+        assert betas.min() < 2.0 ** -64
+        for row in cond:
+            p = row[row > 0]
+            assert abs(np.exp(-(p * np.log(p)).sum()) - 3.0) <= 1e-5
 
     @pytest.mark.parametrize("value,cause", [
         (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (1e200, "overflow"),
