@@ -14,8 +14,7 @@ from .dataset import (Dataset, Role, SplitAssignment, UNLABELED, generate_blobs,
 from .metrics import (ConfusionMatrix, ScoreReport, accuracy, cohen_kappa,
                       confusion, knn_consistency, per_class_recall)
 from .opf import (OpfSupModel, OptimumPathForest, minimax_oracle, mst,
-                  opfsemi_propagate, opfsup_classify, opfsup_classify_batch,
-                  opfsup_train)
+                  opfsemi_propagate, opfsup_classify_batch, opfsup_train)
 from .projection import (Embedding2D, ProjectionConfig, conditional_affinities,
                          kl_divergence, kl_gradient, pairwise_affinities,
                          tsne_project)
@@ -23,7 +22,7 @@ from .contrastive import (EncoderParams, TrainConfig, ViewBatch,
                           augment, encode, extract_features, finetune_supcon,
                           make_view_batch, ntxent_loss, supcon_loss, train)
 from .probe import (LinearModel, SoftmaxConfig, SoftmaxModel, predict,
-                    softmax_probabilities, train_linear, train_softmax)
+                    train_linear, train_softmax)
 from .scatter import emit_scatter
 from .config import ExperimentConfig, load_config
 from .pipeline import (ResultRow, RunManifest, aggregate_rows,

@@ -118,10 +118,6 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def latent_dim(self) -> int:
-        return self.w2.shape[1]
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self._FIELDS}
 

@@ -277,7 +277,3 @@ def opfsup_classify_batch(model: OpfSupModel, queries) -> np.ndarray:
     scores = np.maximum(dist, model.cost[None, :])
     winners = np.argmin(scores, axis=1)
     return model.forest_label[winners]
-
-
-def opfsup_classify(model: OpfSupModel, x) -> int:
-    return int(opfsup_classify_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])

@@ -1,14 +1,17 @@
 """Experiment orchestration: feature quality, propagation quality, and
 pseudo-label training, with manifests and deterministic artifacts.
 
-Three experiment families are wired here. The first trains contrastive
-encoders and probes their latent spaces with a linear classifier and the
-supervised forest classifier. The second projects the latent space to 2D,
-propagates the few true labels to the unsupervised points, and scores the
-pseudo-labels. The third trains the softmax probe on raw inputs four
-ways: supervised-only baseline and once per pseudo-label source. Every
-stage is a pure function of (config, base seed); replica r uses seed
-base + r throughout.
+The arm table ``ARMS`` names the experiment id of each (family, mode)
+arm. Family c1 probes an encoder's latent space with a linear classifier
+and the supervised forest classifier; c2 projects the latent space to
+2D, propagates the few true labels to the unsupervised points, and
+scores the pseudo-labels; c3 trains the softmax probe on raw inputs,
+once on the supervised set alone (the baseline arm) and once per
+pseudo-label source. ``run_family`` runs one family, replica by replica
+and arm by arm, each arm isolated so that its failure is recorded in the
+manifest and the run moves on. Every stage is a pure function of
+(config, base seed); replica r uses seed base + r throughout
+(``RunState.seed``).
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ class PipelineError(ValueError):
 
 RESULTS_HEADER = "dataset,experiment,classifier,seed,accuracy,kappa,consistency"
 
-# Experiment ids per arm, following the a/b/c(/d) lettering of the designs.
-C1_IDS = {"simclr": "C1a", "supcon": "C1b"}
-C2_IDS = {"simclr": "C2a", "supcon": "C2b", "combined": "C2c"}
-C3_IDS = {"baseline": "C3a", "simclr": "C3b", "supcon": "C3c", "combined": "C3d"}
-EXPERIMENT_MODE = {exp: mode for table in (C1_IDS, C2_IDS, C3_IDS)
-                   for mode, exp in table.items()}
+# family -> mode -> experiment id, following the a/b/c(/d) lettering of the designs.
+ARMS = {
+    "c1": {"simclr": "C1a", "supcon": "C1b"},
+    "c2": {"simclr": "C2a", "supcon": "C2b", "combined": "C2c"},
+    "c3": {"baseline": "C3a", "simclr": "C3b", "supcon": "C3c", "combined": "C3d"},
+}
+ARM_OF = {exp: (family, mode) for family, arms in ARMS.items() for mode, exp in arms.items()}
 
 
 @dataclass
@@ -234,7 +238,11 @@ def read_embedding_csv(path):
 
 @dataclass
 class RunState:
-    """Shared per-run cache so the experiment families reuse trained arms."""
+    """Shared per-run cache so the experiment families reuse trained arms.
+
+    Without an output directory nothing is written, and without a manifest
+    an arm's failure propagates.
+    """
 
     cfg: ExperimentConfig
     data: Dataset
@@ -245,11 +253,13 @@ class RunState:
     propagations: dict = field(default_factory=dict)
     splits: dict = field(default_factory=dict)
 
+    def seed(self, r: int) -> int:
+        return self.cfg.base_seed + r
+
     def split(self, r: int) -> SplitAssignment:
         if r not in self.splits:
             self.splits[r] = stratified_split(
-                self.data, self.cfg.s_frac, self.cfg.u_frac, self.cfg.t_frac,
-                self.cfg.base_seed + r)
+                self.data, self.cfg.s_frac, self.cfg.u_frac, self.cfg.t_frac, self.seed(r))
         return self.splits[r]
 
     def timed(self, stage: str, fn):
@@ -274,7 +284,7 @@ class RunState:
     def encoder(self, r: int, mode: str) -> EncoderParams:
         key = (r, mode)
         if key not in self.encoders:
-            seed = self.cfg.base_seed + r
+            seed = self.seed(r)
             config = self.cfg.train_config(seed)
             if mode == "combined":
                 base = self.encoder(r, "simclr")
@@ -297,128 +307,109 @@ class RunState:
     def propagation(self, r: int, mode: str) -> _Propagation:
         key = (r, mode)
         if key not in self.propagations:
-            seed = self.cfg.base_seed + r
             params = self.encoder(r, mode)
-            proj_cfg = self.cfg.projection_config(seed)
+            proj_cfg = self.cfg.projection_config(self.seed(r))
             prop = self.timed(f"r{r}.{mode}.project", lambda: propagate_embedding(
                 self.data, self.split(r), params, proj_cfg, self.cfg.knn_k))
             self.propagations[key] = prop
         return self.propagations[key]
 
-
-def _c1_modes(cfg: ExperimentConfig):
-    return [m for m in cfg.modes if m in C1_IDS]
-
-
-def _scored_row(data: Dataset, experiment: str, classifier: str, seed: int,
-                pred: np.ndarray, truth: np.ndarray) -> ResultRow:
-    rep = score(pred, truth, data.class_count)
-    return ResultRow(data.name, experiment, classifier, seed, rep.accuracy, rep.kappa)
+    def scored_row(self, r: int, experiment: str, classifier: str,
+                   pred: np.ndarray, truth: np.ndarray) -> ResultRow:
+        rep = score(pred, truth, self.data.class_count)
+        return ResultRow(self.data.name, experiment, classifier, self.seed(r),
+                         rep.accuracy, rep.kappa)
 
 
-def run_c1(state: RunState) -> list[ResultRow]:
+def _c1_rows(state: RunState, r: int, mode: str):
     """Latent-space separability: linear and forest probes on S, scored on T."""
-    cfg = state.cfg
-    rows = []
-    for r in range(cfg.replicas):
-        seed = cfg.base_seed + r
-        split = state.split(r)
-        for mode in _c1_modes(cfg):
-            with state.arm(f"r{r}.{mode}.c1"):
-                params = state.encoder(r, mode)
-                feats_s = contrastive.extract_features(params, state.data, split.supervised)
-                feats_t = contrastive.extract_features(params, state.data, split.test)
-                labels_s = state.data.labels[split.supervised]
-                labels_t = state.data.labels[split.test]
+    cfg, data, split = state.cfg, state.data, state.split(r)
+    params = state.encoder(r, mode)
+    feats_s = contrastive.extract_features(params, data, split.supervised)
+    feats_t = contrastive.extract_features(params, data, split.test)
+    labels_s = data.labels[split.supervised]
+    labels_t = data.labels[split.test]
 
-                linear = train_linear(feats_s, labels_s, cfg.linear_lambda,
-                                      cfg.linear_epochs, state.data.class_count)
-                rows.append(_scored_row(state.data, C1_IDS[mode], "linear", seed,
-                                        predict(linear, feats_t), labels_t))
+    linear = train_linear(feats_s, labels_s, cfg.linear_lambda, cfg.linear_epochs,
+                          data.class_count)
+    yield state.scored_row(r, ARMS["c1"][mode], "linear", predict(linear, feats_t), labels_t)
 
-                forest_model = opfsup_train(feats_s, labels_s)
-                rows.append(_scored_row(state.data, C1_IDS[mode], "opfsup", seed,
-                                        opfsup_classify_batch(forest_model, feats_t),
-                                        labels_t))
-    return rows
+    forest_model = opfsup_train(feats_s, labels_s)
+    yield state.scored_row(r, ARMS["c1"][mode], "opfsup",
+                           opfsup_classify_batch(forest_model, feats_t), labels_t)
 
 
-def run_c2(state: RunState) -> list[ResultRow]:
-    """Propagation quality of the 2D embeddings, plus their consistency score."""
-    cfg = state.cfg
-    rows = []
-    for r in range(cfg.replicas):
-        seed = cfg.base_seed + r
-        for mode in cfg.modes:
-            with state.arm(f"r{r}.{mode}.c2"):
-                prop = state.propagation(r, mode)
-                rows.append(ResultRow(state.data.name, C2_IDS[mode], "propagation",
-                                      seed, prop.report.accuracy, prop.report.kappa,
-                                      prop.consistency))
-                if state.out_dir is not None:
-                    write_embedding_csv(state.out_dir / f"embedding_{mode}_{seed}.csv",
-                                        prop.indices, prop.embedding.coordinates,
-                                        prop.merged_values)
-                    emit_scatter(prop.embedding, prop.seed_values,
-                                 state.out_dir / f"scatter_{mode}_{seed}.svg")
-    return rows
+def _c2_rows(state: RunState, r: int, mode: str):
+    """Propagation quality of the 2D embedding, plus its consistency score."""
+    prop = state.propagation(r, mode)
+    seed = state.seed(r)
+    yield ResultRow(state.data.name, ARMS["c2"][mode], "propagation", seed,
+                    prop.report.accuracy, prop.report.kappa, prop.consistency)
+    if state.out_dir is not None:
+        write_embedding_csv(state.out_dir / f"embedding_{mode}_{seed}.csv", prop.indices,
+                            prop.embedding.coordinates, prop.merged_values)
+        emit_scatter(prop.embedding, prop.seed_values,
+                     state.out_dir / f"scatter_{mode}_{seed}.svg")
 
 
-def run_c3(state: RunState) -> list[ResultRow]:
-    """Softmax probe on raw inputs: S-only baseline, then each pseudo-label source."""
-    cfg = state.cfg
+def _c3_rows(state: RunState, r: int, mode: str):
+    """Softmax probe on raw inputs: S only for the baseline, else S plus pseudo-labeled U."""
     data = state.data
-    rows = []
-
-    def softmax_row(r: int, arm: str, train_idx, labels) -> ResultRow:
-        seed = cfg.base_seed + r
-        softmax_cfg = cfg.softmax_config(seed)
-        model = state.timed(f"r{r}.{arm}.softmax", lambda: train_softmax(
-            data.features[train_idx], labels, softmax_cfg, data.class_count))
-        test_idx = state.split(r).test
-        return _scored_row(data, C3_IDS[arm], "softmax", seed,
+    if mode == "baseline":
+        train_idx = state.split(r).supervised
+        labels = data.labels[train_idx]
+    else:
+        prop = state.propagation(r, mode)
+        train_idx, labels = prop.indices, prop.merged_values
+    softmax_cfg = state.cfg.softmax_config(state.seed(r))
+    model = state.timed(f"r{r}.{mode}.softmax", lambda: train_softmax(
+        data.features[train_idx], labels, softmax_cfg, data.class_count))
+    test_idx = state.split(r).test
+    yield state.scored_row(r, ARMS["c3"][mode], "softmax",
                            predict(model, data.features[test_idx]), data.labels[test_idx])
 
-    for r in range(cfg.replicas):
-        sup = state.split(r).supervised
-        with state.arm(f"r{r}.baseline.c3"):
-            rows.append(softmax_row(r, "baseline", sup, data.labels[sup]))
-        for mode in cfg.modes:
-            with state.arm(f"r{r}.{mode}.c3"):
-                prop = state.propagation(r, mode)
-                rows.append(softmax_row(r, mode, prop.indices, prop.merged_values))
+
+_FAMILY_ROWS = {"c1": _c1_rows, "c2": _c2_rows, "c3": _c3_rows}
+
+
+def run_family(state: RunState, family: str) -> list[ResultRow]:
+    """Every arm of one family, replica by replica, each in its own arm isolation.
+
+    An arm's rows are taken as it yields them, so the rows it finished
+    before a failure are kept.
+    """
+    modes = [m for m in ("baseline", *state.cfg.modes) if m in ARMS[family]]
+    rows: list[ResultRow] = []
+    for r in range(state.cfg.replicas):
+        for mode in modes:
+            with state.arm(f"r{r}.{mode}.{family}"):
+                rows.extend(_FAMILY_ROWS[family](state, r, mode))
     return rows
 
 
-def run_experiment(kind: str, cfg: ExperimentConfig, write_artifacts: bool = True) -> tuple[list[ResultRow], int]:
+def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     """Run one experiment family (or all) and write results + manifest.
 
     Returns (rows, exit code): 0 on full success, 2 when any arm failed.
     """
+    if kind != "all" and kind not in ARMS:
+        raise PipelineError(f"unknown experiment kind {kind!r}")
     cfg.validate()
     init = (EncoderParams.load(cfg.warm_start_checkpoint)
             if cfg.init_mode == "warm_start" else None)
     out_dir = Path(cfg.out_dir)
-    if write_artifacts:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(f"experiment {kind}", format_config(cfg.to_sections()))
     data = dataset_from_config(cfg)
-    state = RunState(cfg, data, out_dir if write_artifacts else None, manifest, init)
+    state = RunState(cfg, data, out_dir, manifest, init)
 
     rows: list[ResultRow] = []
     try:
-        if kind in ("c1", "all"):
-            rows += run_c1(state)
-        if kind in ("c2", "all"):
-            rows += run_c2(state)
-        if kind in ("c3", "all"):
-            rows += run_c3(state)
-        if kind not in ("c1", "c2", "c3", "all"):
-            raise PipelineError(f"unknown experiment kind {kind!r}")
+        for family in (ARMS if kind == "all" else (kind,)):
+            rows += run_family(state, family)
     finally:
-        if write_artifacts:
-            write_results_csv(rows, out_dir / "results.csv")
-            manifest.write(out_dir)
+        write_results_csv(rows, out_dir / "results.csv")
+        manifest.write(out_dir)
     return rows, (2 if manifest.errors else 0)
 
 
@@ -474,16 +465,16 @@ def correlation_report(rows, min_cells: int = 5) -> dict:
     """
     cells: dict[tuple, dict] = {}
     for row in rows:
-        mode = EXPERIMENT_MODE.get(row.experiment)
-        if mode is None or mode == "baseline":
+        family, mode = ARM_OF.get(row.experiment, (None, None))
+        if family not in ("c2", "c3") or mode == "baseline":
             continue
         cell = cells.setdefault((row.dataset, mode),
                                 {"consistency": [], "prop": [], "clf": []})
-        if row.experiment.startswith("C2"):
+        if family == "c2":
             cell["prop"].append(row.kappa)
             if row.consistency is not None:
                 cell["consistency"].append(row.consistency)
-        elif row.experiment.startswith("C3"):
+        else:
             cell["clf"].append(row.kappa)
     complete = {key: c for key, c in cells.items()
                 if c["consistency"] and c["prop"] and c["clf"]}

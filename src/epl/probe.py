@@ -139,11 +139,6 @@ class SoftmaxModel:
         return relu_mlp(self._standardize(X), self.w1, self.b1, self.w2, self.b2)[2]
 
 
-def softmax_probabilities(model: SoftmaxModel, features) -> np.ndarray:
-    """Row-stochastic class probabilities."""
-    return row_softmax(model.scores(np.atleast_2d(np.asarray(features, dtype=np.float64))))[0]
-
-
 def _init_softmax(dim: int, k: int, config: SoftmaxConfig, rng) -> SoftmaxModel:
     return SoftmaxModel(
         w1=he_uniform(rng, dim, config.hidden_dim),

@@ -20,7 +20,7 @@ from epl.dataset import UNLABELED, generate_blobs, stratified_split
 from epl.metrics import ConfusionMatrix, cohen_kappa, knn_consistency
 from epl.opf import minimax_oracle, mst, opfsemi_propagate
 from epl.pipeline import (RunState, correlation_report, dataset_from_config,
-                          run_c2, run_c3, run_experiment)
+                          run_experiment, run_family)
 from epl.projection import (conditional_affinities, kl_divergence, kl_gradient,
                             pairwise_affinities)
 
@@ -190,7 +190,7 @@ def test_criterion_6_high_separation_pipeline(criterion_report):
                            base_seed=7, replicas=3, out_dir="unused")
     data = dataset_from_config(cfg)
     state = RunState(cfg, data, None, None)
-    rows = run_c2(state)
+    rows = run_family(state, "c2")
     elapsed = time.perf_counter() - start
     assert len(rows) == 9
     by_mode = {}
@@ -216,8 +216,8 @@ def test_criterion_7_separation_chain_correlation(criterion_report):
                                out_dir="unused")
         data = dataset_from_config(cfg)
         state = RunState(cfg, data, None, None)
-        rows += run_c2(state)
-        rows += run_c3(state)
+        rows += run_family(state, "c2")
+        rows += run_family(state, "c3")
     corr = correlation_report(rows)
     elapsed = time.perf_counter() - start
     ok = (corr["rho_propagation"] >= 0.8 and corr["rho_classifier"] >= 0.8
@@ -238,7 +238,7 @@ def test_criterion_8_pseudo_label_gain(criterion_report):
                            out_dir="unused")
     data = dataset_from_config(cfg)
     state = RunState(cfg, data, None, None)
-    rows = run_c3(state)
+    rows = run_family(state, "c3")
     kappa_by_arm = {}
     for row in rows:
         kappa_by_arm.setdefault(row.experiment, []).append(row.kappa)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epl.contrastive import (ADAM_EPS, BETA1, BETA2, ContrastiveError, EncoderParams,
-                             TrainConfig, augment, encode, extract_features,
+from epl.contrastive import (ADAM_EPS, BETA1, BETA2, LATENT_DIM, ContrastiveError,
+                             EncoderParams, TrainConfig, augment, encode, extract_features,
                              finetune_supcon, init_params, make_view_batch, ntxent_loss,
                              relu_mlp, relu_mlp_backward, safe_std, supcon_loss, train,
                              _AdamW, _backward, _forward)
@@ -473,7 +473,7 @@ class TestTraining:
         ds, split = blob_world
         params = train("simclr", ds, split, TrainConfig(epochs=1, batch_size=16, seed=2))
         feats = extract_features(params, ds, split.test)
-        assert feats.shape == (split.test.size, params.latent_dim)
+        assert feats.shape == (split.test.size, LATENT_DIM)
         again = extract_features(params, ds, split.test)
         assert np.array_equal(feats, again)
 

@@ -8,8 +8,7 @@ from scipy.spatial.distance import cdist
 
 from epl.dataset import UNLABELED
 from epl.opf import (OpfError, OptimumPathForest, minimax_oracle, mst,
-                     opfsemi_propagate, opfsup_classify, opfsup_classify_batch,
-                     opfsup_train)
+                     opfsemi_propagate, opfsup_classify_batch, opfsup_train)
 
 
 def random_instance(rng, n_max=12):
@@ -324,20 +323,20 @@ class TestOpfSup:
         a = rng.normal(size=(15, 2)) * 0.3
         b = rng.normal(size=(15, 2)) * 0.3 + np.array([12.0, 0.0])
         model = opfsup_train(np.vstack([a, b]), np.repeat([0, 1], 15))
-        assert opfsup_classify(model, np.array([0.0, 0.0])) == 0
-        assert opfsup_classify(model, np.array([12.0, 0.0])) == 1
+        assert opfsup_classify_batch(model, np.array([[0.0, 0.0]]))[0] == 0
+        assert opfsup_classify_batch(model, np.array([[12.0, 0.0]]))[0] == 1
 
     def test_equidistant_tie_goes_to_lower_index(self):
         X = np.array([[0.0], [2.0]])
         y = np.array([0, 1])
         model = opfsup_train(X, y)
         # both prototypes tie at distance 1 with equal costs
-        assert opfsup_classify(model, np.array([1.0])) == 0
+        assert opfsup_classify_batch(model, np.array([[1.0]]))[0] == 0
 
     def test_dimension_mismatch(self):
         model = opfsup_train(np.array([[0.0], [2.0]]), np.array([0, 1]))
         with pytest.raises(OpfError, match="dimension"):
-            opfsup_classify(model, np.array([0.0, 1.0]))
+            opfsup_classify_batch(model, np.array([[0.0, 1.0]]))
 
 
 class TestTiedInputs:

@@ -9,8 +9,8 @@ from epl.config import ExperimentConfig
 from epl.dataset import (Role, SplitAssignment, UNLABELED, generate_blobs,
                          stratified_split)
 from epl.pipeline import (RESULTS_HEADER, PipelineError, ResultRow, RunState, aggregate_rows,
-                          correlation_report, read_results_csv, run_c1, run_c2,
-                          run_c3, run_experiment, spearman, write_results_csv)
+                          correlation_report, read_results_csv, run_experiment, run_family,
+                          spearman, write_results_csv)
 from epl.probe import SoftmaxConfig, predict, train_softmax
 
 
@@ -59,7 +59,7 @@ class TestRunC1:
 
     def test_aggregation_matches_independent_recompute(self, tmp_path):
         cfg = small_config(tmp_path / "agg", replicas=3)
-        rows, _ = run_experiment("c1", cfg, write_artifacts=False)
+        rows, _ = run_experiment("c1", cfg)
         agg = aggregate_rows(rows)
         for entry in agg:
             members = [r for r in rows if (r.dataset, r.experiment, r.classifier)
@@ -192,12 +192,39 @@ class TestArmIsolation:
         assert f"r0.simclr.{kind} = RuntimeError: injected failure" in errors
         assert read_results_csv(tmp_path / "fail" / "results.csv") == rows
 
+    def test_partial_arm_keeps_its_finished_rows(self, tmp_path, monkeypatch):
+        real_train = pipeline.opfsup_train
+        calls = []
+
+        def broken_forest(features, labels):
+            calls.append(len(calls))
+            if len(calls) == 1:  # replica 0 runs the simclr arm first
+                raise RuntimeError("injected forest failure")
+            return real_train(features, labels)
+
+        monkeypatch.setattr(pipeline, "opfsup_train", broken_forest)
+        out = tmp_path / "partial"
+        rows, code = run_experiment("c1", small_config(out, replicas=1))
+        assert code == 2
+        assert [(r.experiment, r.classifier) for r in rows] == [
+            ("C1a", "linear"), ("C1b", "linear"), ("C1b", "opfsup")]
+        assert read_results_csv(out / "results.csv") == rows
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "r0.simclr.c1 = RuntimeError: injected forest failure" in manifest
+
     def test_failure_propagates_without_a_manifest(self, monkeypatch):
         _break_simclr_training(monkeypatch)
         cfg = small_config("unused", replicas=1)
         state = RunState(cfg, pipeline.dataset_from_config(cfg), None, None)
         with pytest.raises(RuntimeError, match="injected failure"):
-            run_c1(state)
+            run_family(state, "c1")
+
+
+def test_unknown_kind_fails_before_touching_disk(tmp_path):
+    out = tmp_path / "never"
+    with pytest.raises(PipelineError, match="unknown experiment kind 'c4'"):
+        run_experiment("c4", small_config(out))
+    assert not out.exists()
 
 
 class TestManifest:

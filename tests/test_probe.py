@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from epl.contrastive import flat_views
+from epl.contrastive import flat_views, row_softmax
 from epl.dataset import UNLABELED, generate_blobs
 from epl.probe import (LinearModel, ProbeError, SoftmaxConfig,
-                       predict, softmax_probabilities, train_linear,
-                       train_softmax, _init_softmax, _softmax_loss_grads)
+                       predict, train_linear, train_softmax, _init_softmax,
+                       _softmax_loss_grads)
 
 
 class TestLinearProbe:
@@ -96,7 +96,7 @@ class TestSoftmaxProbe:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(9)
         model = _init_softmax(4, 5, SoftmaxConfig(seed=1), rng)
-        probs = softmax_probabilities(model, rng.normal(size=(200, 4)) * 50)
+        probs, _ = row_softmax(model.scores(rng.normal(size=(200, 4)) * 50))
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
         assert (probs >= 0).all()
 
