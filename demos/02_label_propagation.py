@@ -30,7 +30,7 @@ for c in range(3):
     seed_vec[rng.choice(members, 2, replace=False)] = c
 forest = opfsemi_propagate(data.features, seed_vec)
 free = seed_vec == UNLABELED
-cm = confusion(forest.label, data.labels, np.flatnonzero(free))
+cm = confusion(forest.label[free], data.labels[free], data.class_count)
 print(f"\n{int((~free).sum())} seeds pseudo-label {int(free.sum())} points "
       f"with accuracy {accuracy(cm):.4f}")
 

@@ -19,10 +19,10 @@ print(f"final KL divergence {embedding.final_kl:.4f} after "
       f"(worst late increase {embedding.max_late_kl_increase:.2e})")
 
 score_input = knn_consistency(data.features, data.labels, k=10)
-score_2d = knn_consistency(embedding, data.labels, k=10)
+score_2d = knn_consistency(embedding.coordinates, data.labels, k=10)
 print(f"10-NN label consistency: {score_input:.4f} in the input space, "
       f"{score_2d:.4f} in the projection")
 
 out = Path(tempfile.mkdtemp(prefix="epl_demo_")) / "projection.svg"
-emit_scatter(embedding, data.labels, out)
+emit_scatter(embedding.coordinates, data.labels, out)
 print(f"scatterplot written to {out}")

@@ -11,16 +11,16 @@ __version__ = "0.1.0"
 
 from .dataset import (Dataset, Role, SplitAssignment, UNLABELED, generate_blobs,
                       load_features, save_features, stratified_split)
-from .metrics import (ConfusionMatrix, ScoreReport, accuracy, cohen_kappa,
-                      confusion, knn_consistency, per_class_recall)
+from .metrics import (ConfusionMatrix, accuracy, cohen_kappa, confusion,
+                      knn_consistency, per_class_recall)
 from .opf import (OpfSupModel, OptimumPathForest, minimax_oracle, mst,
                   opfsemi_propagate, opfsup_classify_batch, opfsup_train)
 from .projection import (Embedding2D, ProjectionConfig, conditional_affinities,
                          kl_divergence, kl_gradient, pairwise_affinities,
                          tsne_project)
-from .contrastive import (EncoderParams, TrainConfig, ViewBatch,
-                          augment, encode, extract_features, finetune_supcon,
-                          make_view_batch, ntxent_loss, supcon_loss, train)
+from .contrastive import (EncoderParams, TrainConfig, augment, extract_features,
+                          finetune_supcon, make_view_batch, ntxent_loss, supcon_loss,
+                          train)
 from .probe import (LinearModel, SoftmaxConfig, SoftmaxModel, predict,
                     train_linear, train_softmax)
 from .scatter import emit_scatter

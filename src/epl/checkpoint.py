@@ -27,7 +27,7 @@ def sidecar_path(path) -> Path:
 
 
 def save_checkpoint(path, kind: int, arrays: dict[str, np.ndarray],
-                    config_lines: dict | None = None) -> None:
+                    config_lines: dict) -> None:
     path = Path(path)
     blob = bytearray()
     blob += MAGIC
@@ -43,9 +43,8 @@ def save_checkpoint(path, kind: int, arrays: dict[str, np.ndarray],
         payload += arr.tobytes()
     blob += payload
     path.write_bytes(bytes(blob))
-    if config_lines is not None:
-        text = "".join(f"{key} = {value}\n" for key, value in config_lines.items())
-        sidecar_path(path).write_text(text)
+    text = "".join(f"{key} = {value}\n" for key, value in config_lines.items())
+    sidecar_path(path).write_text(text)
 
 
 def load_checkpoint(path):

@@ -11,6 +11,7 @@ arms failed but others completed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,9 +21,9 @@ from . import __version__, contrastive
 from .checkpoint import CheckpointError
 from .config import ConfigError, ExperimentConfig, load_config
 from .contrastive import ContrastiveError, EncoderParams, TrainConfig
-from .dataset import (Dataset, DatasetError, Role, SplitError, generate_blobs,
-                      load_features, load_split, save_features, save_split,
-                      stratified_split)
+from .dataset import (UNLABELED, Dataset, DatasetError, Role, SplitError, format_row,
+                      generate_blobs, load_features, load_split, save_features,
+                      save_split, stratified_split)
 from .metrics import MetricError
 from .opf import OpfError, OptimumPathForest
 from .pipeline import (PipelineError, propagate_labels, propagation_seeds,
@@ -77,8 +78,8 @@ def _cmd_train(args) -> int:
                       weight_decay=args.weight_decay, noise=args.noise,
                       dropout=args.dropout, seed=args.seed)
     params = contrastive.train(args.mode, data, split, cfg, init=warm)
-    params.save(args.out, {"mode": args.mode, "seed": args.seed,
-                           "epochs": args.epochs, "init_from": args.init_from or "scratch"})
+    params.save(args.out, {"mode": args.mode, **dataclasses.asdict(cfg),
+                           "init_from": args.init_from or "scratch"})
     print(f"wrote checkpoint {args.out}")
     return 0
 
@@ -132,9 +133,9 @@ def _cmd_propagate(args) -> int:
         raise DatasetError("propagation needs a labeled dataset for its seeds")
     _, coords, _ = read_embedding_csv(args.embedding)
     _check_rows("embedding", coords.shape[0], split)
-    forest, rep, _ = propagate_labels(data, split, coords)
+    forest, (acc, kappa) = propagate_labels(data, *propagation_seeds(data, split), coords)
     forest.to_csv(args.out)
-    print(rep.csv_row(data.name, "propagation", split.seed))
+    print(format_row((data.name, "propagation", split.seed, acc, kappa)))
     return 0
 
 
@@ -159,10 +160,11 @@ def _cmd_probe(args) -> int:
         pred = predict(model, feats[test])
     else:
         if args.pseudo:
-            train_idx, seed_values, is_sup = propagation_seeds(data, split)
+            train_idx, seed_values = propagation_seeds(data, split)
             forest = OptimumPathForest.from_csv(args.pseudo)
             _check_rows("forest", forest.label.size, split)
-            labels_train = np.where(is_sup, seed_values, forest.label)
+            # The forest comes from a file: its S rows are overruled by the true labels.
+            labels_train = np.where(seed_values != UNLABELED, seed_values, forest.label)
             method = "softmax+pseudo"
         else:
             train_idx = sup
@@ -171,7 +173,7 @@ def _cmd_probe(args) -> int:
         model = train_softmax(feats[train_idx], labels_train,
                               cfg.softmax_config(args.seed), data.class_count)
         pred = predict(model, feats[test])
-    print(score(pred, labels_t, data.class_count).csv_row(data.name, method, args.seed))
+    print(format_row((data.name, method, args.seed, *score(pred, labels_t, data.class_count))))
     return 0
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .contrastive import TrainConfig
 from .dataset import read_text
-from .metrics import KNN_K
 from .probe import LINEAR_EPOCHS, LINEAR_LAMBDA, SoftmaxConfig, check_epochs
 from .projection import ProjectionConfig
 
@@ -114,7 +113,7 @@ class ExperimentConfig:
     softmax_momentum: float = SoftmaxConfig.momentum
     softmax_hidden: int = SoftmaxConfig.hidden_dim
     softmax_batch: int = SoftmaxConfig.batch_size
-    knn_k: int = KNN_K
+    knn_k: int = 10
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(

@@ -128,7 +128,7 @@ class EncoderParams:
         """Zeroed arrays of the same layout, e.g. a gradient buffer."""
         return self._like(np.zeros_like(self.flat))
 
-    def save(self, path, config_lines: dict | None = None) -> None:
+    def save(self, path, config_lines: dict) -> None:
         ckpt.save_checkpoint(path, ckpt.KIND_ENCODER, self.arrays(), config_lines)
 
     @classmethod
@@ -153,14 +153,6 @@ class EncoderParams:
             if not np.isfinite(arrays[name]).all():
                 raise ContrastiveError(f"{path}: non-finite value in {name}")
         return cls(**{f: arrays[f] for f in cls._FIELDS})
-
-
-@dataclass
-class ViewBatch:
-    """2B augmented views, pairs interleaved: views 2t and 2t+1 share source t."""
-
-    views: np.ndarray
-    labels: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -296,46 +288,19 @@ def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray,
     return grads
 
 
-def _check_width(params: EncoderParams, X: np.ndarray) -> None:
+def extract_features(params: EncoderParams, data: Dataset, indices) -> np.ndarray:
+    """Latent features of the dataset rows at ``indices``, in that order."""
+    X = data.features[np.asarray(indices, dtype=np.int64)]
     if X.shape[1] != params.input_dim:
         raise ContrastiveError(
             f"input dimension {X.shape[1]} != encoder dimension {params.input_dim}"
         )
-
-
-def _finite_latent(latent: np.ndarray) -> np.ndarray:
-    if not np.isfinite(latent).all():
-        raise ContrastiveError("latent features are not finite (the encoder overflows)")
-    return latent
-
-
-def encode(params: EncoderParams, x):
-    """Forward pass returning (latent, unit-norm head output)."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    _check_width(params, X)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cache = _forward(params, X)
-    latent, head = _finite_latent(cache["latent"]), cache["head"]
-    if single:
-        return latent[0], head[0]
-    return latent, head
-
-
-def extract_features(params: EncoderParams, data: Dataset, roles=None) -> np.ndarray:
-    """Latent features for the requested roles, rows in ascending sample order."""
-    if roles is None:
-        idx = np.arange(data.sample_count)
-    else:
-        idx = np.asarray(roles, dtype=np.int64)
-    X = data.features[idx]
-    _check_width(params, X)
     # The encoder block alone: the projection head is not needed here.
     with np.errstate(over="ignore", invalid="ignore"):
         latent = relu_mlp(X, params.w1, params.b1, params.w2, params.b2)[2]
-    return _finite_latent(latent)
+    if not np.isfinite(latent).all():
+        raise ContrastiveError("latent features are not finite (the encoder overflows)")
+    return latent
 
 
 def role_indices(split: SplitAssignment, roles) -> np.ndarray:
@@ -358,13 +323,13 @@ def augment(x, noise: float, dropout: float, scale, rng) -> np.ndarray:
     return noisy * keep
 
 
-def make_view_batch(X: np.ndarray, labels, noise: float, dropout: float, scale,
-                    rng) -> ViewBatch:
-    """Two views per row, interleaved so views 2t and 2t+1 share source t."""
+def make_view_batch(X: np.ndarray, labels, noise: float, dropout: float, scale, rng):
+    """(views, view labels): two views per row, interleaved so views 2t and
+    2t+1 share source t; the labels are None when ``labels`` is."""
     doubled = np.repeat(X, 2, axis=0)
     views = augment(doubled, noise, dropout, scale, rng)
     view_labels = None if labels is None else np.repeat(np.asarray(labels, dtype=np.int64), 2)
-    return ViewBatch(views, view_labels)
+    return views, view_labels
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +344,7 @@ def _similarity_logits(Z: np.ndarray, temperature: float) -> np.ndarray:
     return s
 
 
-def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool = True):
+def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool):
     """Self-supervised contrastive loss over interleaved view pairs.
 
     Each view's positive is its partner; all other views are negatives.
@@ -407,7 +372,7 @@ def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool = True):
     return loss, grad
 
 
-def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool = True):
+def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool):
     """Supervised contrastive loss: all same-label views are positives.
 
     Every view must have at least one other view of its label in the
@@ -496,13 +461,13 @@ def _batch_loss(mode: str, X: np.ndarray, y, config: TrainConfig, scale: np.ndar
     Without one (validation) only the loss is computed: no softmax
     division, no embedding gradient and no backward pass.
     """
-    batch = make_view_batch(X, y, config.noise, config.dropout, scale, rng)
-    cache = _forward(params, batch.views)
+    views, view_labels = make_view_batch(X, y, config.noise, config.dropout, scale, rng)
+    cache = _forward(params, views)
     with_grad = grads is not None
     if mode == "simclr":
         loss, d_head = ntxent_loss(cache["head"], config.temperature, with_grad)
     else:
-        loss, d_head = supcon_loss(cache["head"], batch.labels, config.temperature, with_grad)
+        loss, d_head = supcon_loss(cache["head"], view_labels, config.temperature, with_grad)
     if with_grad:
         _backward(params, cache, d_head, grads)
     return loss

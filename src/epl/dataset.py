@@ -144,10 +144,15 @@ def _cell(value) -> str:
     return str(int(value))
 
 
+def format_row(row) -> str:
+    """One table row: None as empty, a float as ``repr(float(v))``, an
+    integer as ``str(int(v))``, a string as is, joined by commas."""
+    return ",".join(map(_cell, row))
+
+
 def write_table(path, header: list[str], rows) -> None:
-    """Write the header lines, then each row's cells: None as empty, a float
-    as ``repr(float(v))``, an integer as ``str(int(v))``, a string as is."""
-    lines = header + [",".join(map(_cell, row)) for row in rows]
+    """Write the header lines, then one ``format_row`` line per row."""
+    lines = header + [format_row(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -202,7 +207,7 @@ def _header_params(line: str) -> dict[str, str]:
     return params
 
 
-def save_features(dataset: Dataset, path, format: str = "text") -> None:
+def save_features(dataset: Dataset, path, format: str) -> None:
     """Write a dataset in the delimited-text or raw-binary format."""
     path = Path(path)
     if format == "text":
@@ -292,24 +297,32 @@ def _load_binary(path: Path, name: str) -> Dataset:
 # Synthetic data
 # ---------------------------------------------------------------------------
 
-def generate_blobs(k: int, per_class: int, d: int, spread, center_dist: float,
+def generate_blobs(k: int, per_class: int, d: int, spread: float, center_dist: float,
                    seed: int, name: str | None = None) -> Dataset:
-    """Sample k Gaussian clusters with mutually distant centers.
+    """Sample k Gaussian clusters of std spread with mutually distant centers.
 
-    Centers are rejection-sampled in a box sized so placement succeeds
-    with ease at desk scale; a bounded retry budget turns pathological
-    parameter choices into an explicit error instead of a hang. Samples
-    are laid out in class blocks (class 0 first). Deterministic per seed.
+    Centers are rejection-sampled in a box of side
+    center_dist * (2 k^(1/d) + 1), sized so placement succeeds with ease
+    at desk scale; a bounded retry budget turns pathological parameter
+    choices into an explicit error instead of a hang. Samples are laid
+    out in class blocks (class 0 first). Deterministic per seed.
     """
     if k < 2:
         raise DatasetError("need at least 2 classes")
     if per_class < 2:
         raise DatasetError("need at least 2 samples per class")
-    spread_arr = np.broadcast_to(np.asarray(spread, dtype=np.float64), (k,)).copy()
-    if (spread_arr <= 0).any():
-        raise DatasetError("spread must be positive")
-    rng = np.random.default_rng(seed)
+    if d < 1:
+        raise DatasetError(f"dims must be at least 1, got {d}")
+    if not (math.isfinite(spread) and spread > 0):
+        raise DatasetError(f"spread must be positive and finite, got {spread}")
+    if not (math.isfinite(center_dist) and center_dist >= 0):
+        raise DatasetError(f"center_dist must be finite and non-negative, got {center_dist}")
     side = center_dist * (2.0 * k ** (1.0 / d) + 1.0)
+    # Center distances are at most the box diagonal, whose square must stay finite.
+    if not math.isfinite(d * side * side):
+        raise DatasetError(f"center_dist {center_dist} makes the center box of {k} classes "
+                           f"in {d} dims too wide: squared distances overflow float64")
+    rng = np.random.default_rng(seed)
     centers = np.empty((k, d))
     placed = 0
     for _ in range(1000 * k):
@@ -323,7 +336,7 @@ def generate_blobs(k: int, per_class: int, d: int, spread, center_dist: float,
         raise DatasetError(
             f"could not place {k} centers at least {center_dist} apart after bounded retries"
         )
-    blocks = [centers[c] + spread_arr[c] * rng.standard_normal((per_class, d)) for c in range(k)]
+    blocks = [centers[c] + spread * rng.standard_normal((per_class, d)) for c in range(k)]
     feats = np.vstack(blocks)
     labels = np.repeat(np.arange(k, dtype=np.int64), per_class)
     if name is None:

@@ -16,10 +16,6 @@ from scipy.spatial.distance import cdist
 from .dataset import UNLABELED
 
 
-# Neighbours per point in the k-NN consistency, unless the caller says otherwise.
-KNN_K = 10
-
-
 class MetricError(ValueError):
     """Raised for empty or unlabeled inputs."""
 
@@ -49,20 +45,19 @@ class ConfusionMatrix:
         return self.counts.shape[0]
 
 
-def confusion(pred, truth, indices=None, class_count: int | None = None) -> ConfusionMatrix:
-    """Count (truth, prediction) pairs over the given index set."""
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if indices is None:
-        indices = np.arange(len(truth))
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        raise MetricError("empty index set")
-    p = pred[indices]
-    t = truth[indices]
-    if (p == UNLABELED).any() or (t == UNLABELED).any():
-        bad = indices[(p == UNLABELED) | (t == UNLABELED)][0]
-        raise MetricError(f"unlabeled sample {bad} in index set")
+def confusion(pred, truth, class_count: int | None = None) -> ConfusionMatrix:
+    """Count (truth, prediction) pairs; k x k with k = class_count.
+
+    Without class_count, k is the largest label + 1, which leaves out a
+    top class that appears in neither vector.
+    """
+    p = np.asarray(pred, dtype=np.int64)
+    t = np.asarray(truth, dtype=np.int64)
+    if t.size == 0:
+        raise MetricError("empty label vectors")
+    unlabeled = (p == UNLABELED) | (t == UNLABELED)
+    if unlabeled.any():
+        raise MetricError(f"unlabeled sample {int(np.argmax(unlabeled))}")
     k = class_count if class_count is not None else int(max(p.max(), t.max())) + 1
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
@@ -100,28 +95,12 @@ def per_class_recall(cm: ConfusionMatrix) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    accuracy: float
-    kappa: float
-    per_class_recall: np.ndarray
-
-    @classmethod
-    def from_confusion(cls, cm: ConfusionMatrix) -> "ScoreReport":
-        return cls(accuracy(cm), cohen_kappa(cm), per_class_recall(cm))
-
-    def csv_row(self, dataset: str, method: str, seed: int) -> str:
-        return f"{dataset},{method},{seed},{self.accuracy!r},{self.kappa!r}"
-
-
-def knn_consistency(points, labels, k: int = KNN_K) -> float:
+def knn_consistency(points, labels, k: int) -> float:
     """Mean fraction of each point's k nearest neighbours sharing its label.
 
     Works on any n x m point array (2D embeddings or latent features).
     Distance ties are broken toward the lower index; k is capped at n - 1.
     """
-    if hasattr(points, "coordinates"):
-        points = points.coordinates
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = points.shape[0]

@@ -102,6 +102,9 @@ def _prim_sweep(X: np.ndarray):
     """
     n = X.shape[0]
     bottleneck = cdist(X, X)
+    # Finite features can still be too far apart for float64 distances.
+    if not np.isfinite(bottleneck).all():
+        raise OpfError("distances between features overflow float64")
     hop = np.full((n, n), -1, dtype=np.int32)
     edges = np.empty((n - 1, 2), dtype=np.int64)
     in_tree = np.zeros(n, dtype=bool)

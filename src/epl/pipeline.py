@@ -31,7 +31,7 @@ from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams
 from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs, int64,
                       load_features, read_table, stratified_split, write_table)
-from .metrics import ScoreReport, confusion, knn_consistency
+from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import predict, train_linear, train_softmax
 from .projection import Embedding2D, ProjectionConfig, tsne_project
@@ -150,43 +150,45 @@ def dataset_from_config(cfg: ExperimentConfig) -> Dataset:
 @dataclass
 class _Propagation:
     embedding: Embedding2D
-    indices: np.ndarray        # dataset indices of the embedded rows (S then U, ascending)
-    merged_values: np.ndarray  # row-aligned labels: true on S rows, propagated on U rows
-    seed_values: np.ndarray    # row-aligned labels: true on S rows, UNLABELED on U rows
+    indices: np.ndarray      # dataset indices of the embedded rows (S and U, ascending)
+    labels: np.ndarray       # row-aligned forest labels: true on S rows, propagated on U rows
+    seed_values: np.ndarray  # row-aligned labels: true on S rows, UNLABELED on U rows
     consistency: float
-    report: ScoreReport
+    accuracy: float
+    kappa: float
 
 
 def propagation_seeds(data: Dataset, split: SplitAssignment):
     """The embedded rows and their seed vector.
 
-    Returns (idx, seed_values, is_sup): the dataset indices of S and U in
-    ascending order, the row-aligned seed labels (true on S rows,
-    UNLABELED on U rows), and the mask of S rows.
+    Returns (idx, seed_values): the dataset indices of S and U in
+    ascending order, and the row-aligned seed labels (true on S rows,
+    UNLABELED on U rows).
     """
     idx = np.sort(np.concatenate([split.supervised, split.unsupervised]))
     is_sup = np.isin(idx, split.supervised)
     seed_values = np.full(idx.size, UNLABELED, dtype=np.int64)
     seed_values[is_sup] = data.labels[idx[is_sup]]
-    return idx, seed_values, is_sup
+    return idx, seed_values
 
 
-def score(pred, truth, class_count: int) -> ScoreReport:
-    """Accuracy, kappa and per-class recall of a prediction against the truth."""
-    return ScoreReport.from_confusion(confusion(pred, truth, class_count=class_count))
+def score(pred, truth, class_count: int) -> tuple[float, float]:
+    """Accuracy and Cohen's kappa of a prediction against the truth."""
+    cm = confusion(pred, truth, class_count=class_count)
+    return accuracy(cm), cohen_kappa(cm)
 
 
-def propagate_labels(data: Dataset, split: SplitAssignment, coordinates):
-    """Propagate the S labels over embedded S and U rows and score the U rows.
+def propagate_labels(data: Dataset, idx: np.ndarray, seed_values: np.ndarray, coordinates):
+    """Propagate the seed labels over the embedded rows and score the unseeded ones.
 
-    ``coordinates`` has one row per index of ``propagation_seeds``. Returns
-    the forest, the score of its U labels, and the merged labels (true on S
-    rows, propagated on U rows).
+    ``idx`` and ``seed_values`` are ``propagation_seeds``'s, and
+    ``coordinates`` has one row per index. Returns the forest and the
+    (accuracy, kappa) of its labels on the U rows. Each seed roots its own
+    tree, so the forest's labels on the S rows are the true ones.
     """
-    idx, seed_values, is_sup = propagation_seeds(data, split)
     forest = opfsemi_propagate(coordinates, seed_values)
-    report = score(forest.label[~is_sup], data.labels[idx[~is_sup]], data.class_count)
-    return forest, report, np.where(is_sup, seed_values, forest.label)
+    free = seed_values == UNLABELED
+    return forest, score(forest.label[free], data.labels[idx[free]], data.class_count)
 
 
 def propagate_embedding(data: Dataset, split: SplitAssignment, params: EncoderParams,
@@ -198,12 +200,12 @@ def propagate_embedding(data: Dataset, split: SplitAssignment, params: EncoderPa
             f"supervised set covers {sup_classes.size} of {data.class_count} classes;"
             " every class needs a seed"
         )
-    idx, seed_values, _ = propagation_seeds(data, split)
+    idx, seed_values = propagation_seeds(data, split)
     latent = contrastive.extract_features(params, data, idx)
     embedding = tsne_project(latent, proj_cfg)
-    _, report, merged_values = propagate_labels(data, split, embedding.coordinates)
+    forest, (acc, kappa) = propagate_labels(data, idx, seed_values, embedding.coordinates)
     consistency = knn_consistency(embedding.coordinates, data.labels[idx], knn_k)
-    return _Propagation(embedding, idx, merged_values, seed_values, consistency, report)
+    return _Propagation(embedding, idx, forest.label, seed_values, consistency, acc, kappa)
 
 
 def write_embedding_csv(path, indices, coordinates, labels=None) -> None:
@@ -316,9 +318,8 @@ class RunState:
 
     def scored_row(self, r: int, experiment: str, classifier: str,
                    pred: np.ndarray, truth: np.ndarray) -> ResultRow:
-        rep = score(pred, truth, self.data.class_count)
         return ResultRow(self.data.name, experiment, classifier, self.seed(r),
-                         rep.accuracy, rep.kappa)
+                         *score(pred, truth, self.data.class_count))
 
 
 def _c1_rows(state: RunState, r: int, mode: str):
@@ -344,11 +345,11 @@ def _c2_rows(state: RunState, r: int, mode: str):
     prop = state.propagation(r, mode)
     seed = state.seed(r)
     yield ResultRow(state.data.name, ARMS["c2"][mode], "propagation", seed,
-                    prop.report.accuracy, prop.report.kappa, prop.consistency)
+                    prop.accuracy, prop.kappa, prop.consistency)
     if state.out_dir is not None:
         write_embedding_csv(state.out_dir / f"embedding_{mode}_{seed}.csv", prop.indices,
-                            prop.embedding.coordinates, prop.merged_values)
-        emit_scatter(prop.embedding, prop.seed_values,
+                            prop.embedding.coordinates, prop.labels)
+        emit_scatter(prop.embedding.coordinates, prop.seed_values,
                      state.out_dir / f"scatter_{mode}_{seed}.svg")
 
 
@@ -360,7 +361,7 @@ def _c3_rows(state: RunState, r: int, mode: str):
         labels = data.labels[train_idx]
     else:
         prop = state.propagation(r, mode)
-        train_idx, labels = prop.indices, prop.merged_values
+        train_idx, labels = prop.indices, prop.labels
     softmax_cfg = state.cfg.softmax_config(state.seed(r))
     model = state.timed(f"r{r}.{mode}.softmax", lambda: train_softmax(
         data.features[train_idx], labels, softmax_cfg, data.class_count))
@@ -456,7 +457,11 @@ def spearman(a, b) -> float | None:
     return float((ra * rb).sum() / denom)
 
 
-def correlation_report(rows, min_cells: int = 5) -> dict:
+# Fewest complete (dataset, mode) cells a rank correlation is reported for.
+MIN_CELLS = 5
+
+
+def correlation_report(rows) -> dict:
     """Rank-correlate embedding consistency with propagation and classifier kappa.
 
     Cells are (dataset, mode) pairs averaged over replicas. The embedding
@@ -478,9 +483,9 @@ def correlation_report(rows, min_cells: int = 5) -> dict:
             cell["clf"].append(row.kappa)
     complete = {key: c for key, c in cells.items()
                 if c["consistency"] and c["prop"] and c["clf"]}
-    if len(complete) < min_cells:
+    if len(complete) < MIN_CELLS:
         raise PipelineError(
-            f"need at least {min_cells} complete (dataset, mode) cells, have {len(complete)}"
+            f"need at least {MIN_CELLS} complete (dataset, mode) cells, have {len(complete)}"
         )
     keys = sorted(complete)
     vs = np.array([np.mean(complete[k]["consistency"]) for k in keys])

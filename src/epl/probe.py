@@ -11,7 +11,7 @@ lower class id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +42,13 @@ def check_epochs(epochs: int) -> None:
 class LinearModel:
     weights: np.ndarray  # (k, d)
     bias: np.ndarray     # (k,)
-    objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def class_count(self) -> int:
-        return self.weights.shape[0]
+    objective_trace: np.ndarray
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights.T + self.bias
 
 
-def train_linear(features, labels, lam: float = LINEAR_LAMBDA, epochs: int = LINEAR_EPOCHS,
-                 class_count: int | None = None) -> LinearModel:
+def train_linear(features, labels, lam: float, epochs: int, class_count: int) -> LinearModel:
     """One-vs-rest hinge loss with an epoch-wise 1e-3 / sqrt(t) step.
 
     Full-batch subgradient descent from zero weights, so the fit is
@@ -66,7 +61,9 @@ def train_linear(features, labels, lam: float = LINEAR_LAMBDA, epochs: int = LIN
     y = np.asarray(labels, dtype=np.int64)
     if (y == UNLABELED).any():
         raise ProbeError("linear probe requires labeled training samples")
-    k = class_count if class_count is not None else int(y.max()) + 1
+    k = class_count
+    if y.min() < 0 or y.max() >= k:
+        raise ProbeError(f"training labels must lie in [0, {k})")
     if np.unique(y).size < 2:
         raise ProbeError("training set must contain at least 2 classes")
     n, d = X.shape
@@ -123,28 +120,25 @@ class SoftmaxModel:
     b2: np.ndarray
     # Input standardization fitted on the training set; the 0.1 step with
     # 0.9 momentum assumes unit-scale inputs and diverges without it.
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
-
-    @property
-    def class_count(self) -> int:
-        return self.w2.shape[1]
+    mean: np.ndarray
+    scale: np.ndarray
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            return X
         return (X - self.mean) / self.scale
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return relu_mlp(self._standardize(X), self.w1, self.b1, self.w2, self.b2)[2]
 
 
-def _init_softmax(dim: int, k: int, config: SoftmaxConfig, rng) -> SoftmaxModel:
+def _init_softmax(X: np.ndarray, k: int, config: SoftmaxConfig, rng) -> SoftmaxModel:
+    """Seeded weights and the standardization of the training features X."""
     return SoftmaxModel(
-        w1=he_uniform(rng, dim, config.hidden_dim),
+        w1=he_uniform(rng, X.shape[1], config.hidden_dim),
         b1=np.zeros(config.hidden_dim),
         w2=he_uniform(rng, config.hidden_dim, k),
         b2=np.zeros(k),
+        mean=X.mean(axis=0),
+        scale=safe_std(X),
     )
 
 
@@ -166,8 +160,7 @@ def _check_features(X: np.ndarray) -> None:
         raise ProbeError("features must be finite (found NaN or inf)")
 
 
-def train_softmax(features, labels, config: SoftmaxConfig | None = None,
-                  class_count: int | None = None) -> SoftmaxModel:
+def train_softmax(features, labels, config: SoftmaxConfig, class_count: int) -> SoftmaxModel:
     """Cross-entropy training with momentum SGD and a linear step decay.
 
     The step starts at learning_rate and decays by a factor (1 - e/E) each
@@ -176,34 +169,30 @@ def train_softmax(features, labels, config: SoftmaxConfig | None = None,
     and the momentum each live in one flat buffer, so a step is one
     elementwise pass.
     """
-    cfg = config if config is not None else SoftmaxConfig()
-    cfg.validate()
+    config.validate()
     X = np.asarray(features, dtype=np.float64)
     _check_features(X)
     y = np.asarray(labels, dtype=np.int64)
     if (y == UNLABELED).any():
         bad = int(np.argmax(y == UNLABELED))
         raise ProbeError(f"training index {bad} is unlabeled")
-    k = class_count if class_count is not None else int(y.max()) + 1
-    if y.min() < 0 or y.max() >= k:
-        raise ProbeError(f"training labels must lie in [0, {k})")
-    rng = np.random.default_rng(cfg.seed)
-    model = _init_softmax(X.shape[1], k, cfg, rng)
+    if y.min() < 0 or y.max() >= class_count:
+        raise ProbeError(f"training labels must lie in [0, {class_count})")
+    rng = np.random.default_rng(config.seed)
+    model = _init_softmax(X, class_count, config, rng)
     weights = (model.w1, model.b1, model.w2, model.b2)
     flat, (model.w1, model.b1, model.w2, model.b2) = pack(weights)
-    model.mean = X.mean(axis=0)
-    model.scale = safe_std(X)
     Xn = model._standardize(X)
     grad_flat, grads = flat_views([w.shape for w in weights])
     velocity = np.zeros_like(flat)
     n = X.shape[0]
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate * (1.0 - epoch / cfg.epochs)
+    for epoch in range(config.epochs):
+        lr = config.learning_rate * (1.0 - epoch / config.epochs)
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            chunk = order[start:start + cfg.batch_size]
+        for start in range(0, n, config.batch_size):
+            chunk = order[start:start + config.batch_size]
             _softmax_loss_grads(model, Xn[chunk], y[chunk], grads)
-            velocity *= cfg.momentum
+            velocity *= config.momentum
             velocity += grad_flat
             flat -= lr * velocity
     return model
@@ -220,4 +209,8 @@ def predict(model, features) -> np.ndarray:
         raise ProbeError(f"unknown model type {type(model).__name__}")
     if X.shape[1] != expected:
         raise ProbeError(f"feature dimension {X.shape[1]} != model dimension {expected}")
-    return np.argmax(model.scores(X), axis=1).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = model.scores(X)
+    if not np.isfinite(scores).all():
+        raise ProbeError("class scores are not finite (the features overflow the probe)")
+    return np.argmax(scores, axis=1).astype(np.int64)

@@ -27,7 +27,7 @@ are bitwise equal with or without a workspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -96,8 +96,8 @@ class Embedding2D:
     iterations_run: int
     # Largest KL increase observed between consecutive late iterations;
     # reported so callers can check the <= 1e-3 settling contract.
-    max_late_kl_increase: float = 0.0
-    kl_tail: np.ndarray = field(default_factory=lambda: np.empty(0))
+    max_late_kl_increase: float
+    kl_tail: np.ndarray
 
     def __post_init__(self):
         self.coordinates = np.asarray(self.coordinates, dtype=np.float64)
@@ -124,7 +124,8 @@ def _entropy_and_probs(shifted: np.ndarray, beta: float):
     return p, float(-(positive * np.log(positive)).sum())
 
 
-def conditional_affinities(features, perplexity: float, tol: float = 1e-5):
+def conditional_affinities(features, perplexity: float,
+                           tol: float = ProjectionConfig.entropy_tolerance):
     """Per-row Gaussian conditionals matching the target perplexity.
 
     Returns (conditional matrix with zero diagonal, precision per row).
@@ -195,7 +196,8 @@ def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int):
     raise ProjectionError(f"row {i}: bisection did not reach tolerance {tol}")
 
 
-def pairwise_affinities(features, perplexity: float, tol: float = 1e-5) -> np.ndarray:
+def pairwise_affinities(features, perplexity: float,
+                        tol: float = ProjectionConfig.entropy_tolerance) -> np.ndarray:
     """Symmetrized joint affinities: (C + C^T) / (2 n)."""
     cond, _ = conditional_affinities(features, perplexity, tol)
     n = cond.shape[0]
@@ -305,7 +307,7 @@ def kl_gradient(P, coords, work=None) -> np.ndarray:
     return 4.0 * (row_sums[:, None] * Y - m @ Y)
 
 
-def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2D:
+def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     """Run gradient descent on the t-SNE objective; deterministic per seed.
 
     Early iterations use exaggerated affinities; the plain-objective KL is
@@ -316,24 +318,23 @@ def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2
     n = X.shape[0]
     if n < 4:
         raise ProjectionError("need at least 4 points to project")
-    cfg = config if config is not None else ProjectionConfig()
-    cfg.validate(n)
+    config.validate(n)
 
-    P = pairwise_affinities(X, cfg.perplexity, cfg.entropy_tolerance)
-    P_eff = P * cfg.early_exaggeration
+    P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
+    P_eff = P * config.early_exaggeration
     work = Workspace(n)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
     velocity = np.zeros_like(Y)
-    tail_start = max(0, cfg.iterations - 50)
+    tail_start = max(0, config.iterations - 50)
     kl_tail = []
 
-    for it in range(cfg.iterations):
-        if it >= cfg.exaggeration_iters:
+    for it in range(config.iterations):
+        if it >= config.exaggeration_iters:
             P_eff = P  # releases the exaggerated copy
-        momentum = cfg.momentum_start if it < cfg.momentum_switch else cfg.momentum_final
+        momentum = config.momentum_start if it < config.momentum_switch else config.momentum_final
         step = kl_gradient(P_eff, Y, work)
-        step *= cfg.learning_rate
+        step *= config.learning_rate
         velocity *= momentum
         velocity -= step
         Y += velocity
@@ -343,4 +344,4 @@ def tsne_project(features, config: ProjectionConfig | None = None) -> Embedding2
 
     tail = np.asarray(kl_tail)
     max_increase = float(np.diff(tail).max()) if tail.size > 1 else 0.0
-    return Embedding2D(Y, float(tail[-1]), cfg.iterations, max(0.0, max_increase), tail)
+    return Embedding2D(Y, float(tail[-1]), config.iterations, max(0.0, max_increase), tail)

@@ -30,15 +30,14 @@ def class_color(label: int) -> str:
     return PALETTE[label % len(PALETTE)]
 
 
-def emit_scatter(embedding, labels, path) -> None:
-    """Write an SVG scatterplot of the embedding to ``path``.
+def emit_scatter(coordinates, labels, path) -> None:
+    """Write an SVG scatterplot of n x 2 coordinates to ``path``.
 
     Coordinates are mapped into the drawing area with a uniform scale so
     the geometry is preserved; a degenerate (single-point) extent lands in
     the center.
     """
-    coords = embedding.coordinates if hasattr(embedding, "coordinates") else embedding
-    coords = np.asarray(coords, dtype=np.float64)
+    coords = np.asarray(coordinates, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != coords.shape[0]:
         raise ValueError("labels length must match the embedding")

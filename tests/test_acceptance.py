@@ -124,8 +124,8 @@ def test_criterion_4_contrastive_losses(criterion_report):
         Z = rng.normal(size=(2 * b, 5))
         Z /= np.linalg.norm(Z, axis=1, keepdims=True)
         labels = np.repeat(rng.integers(0, 2, b), 2)
-        for fn in (lambda z: ntxent_loss(z, 0.07),
-                   lambda z: supcon_loss(z, labels, 0.07)):
+        for fn in (lambda z: ntxent_loss(z, 0.07, True),
+                   lambda z: supcon_loss(z, labels, 0.07, True)):
             _, grad = fn(Z)
             h = 1e-6
             fd = np.zeros_like(Z)
@@ -142,15 +142,15 @@ def test_criterion_4_contrastive_losses(criterion_report):
         z = np.tile(rng.normal(size=6), (2 * b, 1))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         bound = np.log(2 * b - 1)
-        worst_deg = max(worst_deg, abs(ntxent_loss(z, 0.07)[0] - bound))
+        worst_deg = max(worst_deg, abs(ntxent_loss(z, 0.07, True)[0] - bound))
         worst_deg = max(worst_deg,
-                        abs(supcon_loss(z, np.zeros(2 * b, dtype=int), 0.07)[0] - bound))
+                        abs(supcon_loss(z, np.zeros(2 * b, dtype=int), 0.07, True)[0] - bound))
 
     Z = rng.normal(size=(12, 6))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     one_pos = np.repeat(np.arange(6), 2)
-    ln, gn = ntxent_loss(Z, 0.07)
-    ls, gs = supcon_loss(Z, one_pos, 0.07)
+    ln, gn = ntxent_loss(Z, 0.07, True)
+    ls, gs = supcon_loss(Z, one_pos, 0.07, True)
     coincide = max(abs(ln - ls), float(np.abs(gn - gs).max()))
 
     ok = worst_fd <= 1e-5 and worst_deg <= 1e-9 and coincide <= 1e-10

@@ -84,13 +84,13 @@ class TestStages:
         assert run(["train", "--data", data, "--split", split, "--mode", "supcon",
                     "--out", tmp / "cli.bin"]) == 0
         train("supcon", load_features(data), load_split(split),
-              TrainConfig(seed=7)).save(tmp / "lib.bin")
+              TrainConfig(seed=7)).save(tmp / "lib.bin", {})
         assert (tmp / "cli.bin").read_bytes() == (tmp / "lib.bin").read_bytes()
 
     def test_gen_split_defaults_are_the_experiment_defaults(self, tmp_path):
         cfg = ExperimentConfig()
         assert run(["gen", "--out", tmp_path / "cli.csv"]) == 0
-        save_features(dataset_from_config(cfg), tmp_path / "lib.csv")
+        save_features(dataset_from_config(cfg), tmp_path / "lib.csv", "text")
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
         assert run(["split", "--data", tmp_path / "lib.csv", "--out", tmp_path / "split.csv"]) == 0
         expected = stratified_split(load_features(tmp_path / "lib.csv"), cfg.s_frac,
@@ -139,6 +139,70 @@ class TestStages:
         assert run(["project", "--features", path, "--perplexity", "nan",
                     "--out", tmp_path / "emb.csv"]) == 1
         assert "perplexity must be a number, got NaN" in capsys.readouterr().err
+
+    def test_train_sidecar_records_every_setting(self, workspace):
+        tmp, data, split = workspace
+        enc = tmp / "enc.bin"
+        assert run(["train", "--data", data, "--split", split, "--mode", "simclr",
+                    "--epochs", 1, "--learning-rate", 0.001, "--noise", 0.2,
+                    "--out", enc]) == 0
+        lines = (tmp / "enc.bin.cfg").read_text().splitlines()
+        assert "learning_rate = 0.001" in lines and "noise = 0.2" in lines
+        keys = [line.split(" = ")[0] for line in lines]
+        assert keys == ["mode", "epochs", "batch_size", "temperature", "learning_rate",
+                        "weight_decay", "noise", "dropout", "validation_fraction", "seed",
+                        "init_from"]
+
+    def test_score_lines_are_pinned(self, tmp_path, capsys):
+        # Overlapping classes, so the cells are not all 1.0; every float is repr'd.
+        files = {name: tmp_path / name for name in
+                 ("data.csv", "split.csv", "enc.bin", "feats.bin", "emb.csv", "forest.csv")}
+        for step in (
+            ["gen", "--classes", 3, "--per-class", 40, "--dims", 5, "--spread", 7.0,
+             "--center-dist", 10, "--seed", 5, "--out", files["data.csv"]],
+            ["split", "--data", files["data.csv"], "--s-frac", 0.05, "--u-frac", 0.65,
+             "--t-frac", 0.30, "--seed", 2, "--out", files["split.csv"]],
+            ["train", "--data", files["data.csv"], "--split", files["split.csv"],
+             "--mode", "simclr", "--epochs", 3, "--seed", 2, "--out", files["enc.bin"]],
+            ["extract", "--data", files["data.csv"], "--checkpoint", files["enc.bin"],
+             "--split", files["split.csv"], "--roles", "S,U", "--out", files["feats.bin"]],
+            ["project", "--features", files["feats.bin"], "--perplexity", 12,
+             "--iterations", 150, "--seed", 2, "--out", files["emb.csv"]],
+        ):
+            assert run(step) == 0
+        capsys.readouterr()
+        common = ["--data", files["data.csv"], "--split", files["split.csv"]]
+        expected = {
+            ("propagate", "--embedding", files["emb.csv"], *common, "--out", files["forest.csv"]):
+                "data,propagation,2,0.8589743589743589,0.7884615384615382\n",
+            ("probe", *common, "--kind", "softmax", "--pseudo", files["forest.csv"], "--seed", 2):
+                "data,softmax+pseudo,2,0.8888888888888888,0.8333333333333333\n",
+            ("probe", *common, "--kind", "softmax", "--seed", 2):
+                "data,softmax-baseline,2,1.0,1.0\n",
+            ("probe", *common, "--kind", "linear", "--seed", 2):
+                "data,linear,2,0.9722222222222222,0.9583333333333331\n",
+        }
+        for argv, line in expected.items():
+            assert run(argv) == 0
+            assert capsys.readouterr().out == line
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--center-dist", -1, "center_dist"),
+    ("--center-dist", "nan", "center_dist"),
+    ("--center-dist", "inf", "center_dist"),
+    ("--center-dist", 1e308, "center_dist"),
+    ("--center-dist", 1e200, "center_dist"),
+    ("--dims", 0, "dims"),
+    ("--dims", -2, "dims"),
+    ("--spread", "nan", "spread"),
+    ("--spread", "inf", "spread"),
+])
+def test_gen_bad_argument_is_named(tmp_path, capsys, flag, value, named):
+    assert run(["gen", flag, value, "--out", tmp_path / "data.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "data.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +395,13 @@ class TestExperimentCommand:
         assert rows[0].seed == 11
         manifest = (out / "manifest.txt").read_text()
         assert "modes = supcon" in manifest
+
+    def test_infinite_center_dist_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(_tiny_cfg(tmp_path).read_text() + "[dataset]\ncenter_dist = inf\n")
+        assert run(["experiment", "c1", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "center_dist" in err
 
     def test_mode_both_runs_two_arms(self, tmp_path):
         out = tmp_path / "both"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epl.contrastive import (ADAM_EPS, BETA1, BETA2, LATENT_DIM, ContrastiveError,
-                             EncoderParams, TrainConfig, augment, encode, extract_features,
+                             EncoderParams, TrainConfig, augment, extract_features,
                              finetune_supcon, init_params, make_view_batch, ntxent_loss,
                              relu_mlp, relu_mlp_backward, safe_std, supcon_loss, train,
                              _AdamW, _backward, _forward)
@@ -70,41 +70,45 @@ class TestEncode:
 
     def test_zero_params_give_basis_head(self):
         p = self._zero_params()
-        latent, head = encode(p, np.ones(5))
+        cache = _forward(p, np.ones((1, 5)))
+        latent, head = cache["latent"][0], cache["head"][0]
         assert not latent.any()
         assert head[0] == 1.0 and not head[1:].any()
 
     def test_unit_norm_heads(self):
         rng = np.random.default_rng(1)
         p = init_params(7, rng)
-        _, heads = encode(p, rng.normal(size=(1000, 7)))
+        heads = _forward(p, rng.normal(size=(1000, 7)))["head"]
         assert np.abs(np.linalg.norm(heads, axis=1) - 1.0).max() <= 1e-9
 
     def test_positive_scaling_of_head_layer_is_invisible(self):
         rng = np.random.default_rng(2)
         p = init_params(6, rng)
         x = rng.normal(size=(10, 6))
-        _, base = encode(p, x)
+        base = _forward(p, x)["head"]
         p.v2 *= 2.0
         p.c2 *= 2.0
-        _, doubled = encode(p, x)
+        doubled = _forward(p, x)["head"]
         assert np.allclose(base, doubled, atol=1e-12)
 
     def test_dimension_mismatch(self):
+        data = generate_blobs(2, 10, 5, 0.5, 6.0, seed=0)
         p = init_params(4, np.random.default_rng(0))
         with pytest.raises(ContrastiveError, match="dimension"):
-            encode(p, np.zeros(5))
+            extract_features(p, data, [0])
 
-    def test_extract_features_is_the_encode_latent(self):
+    def test_extract_features_is_the_forward_latent(self):
         data = generate_blobs(3, 30, 6, 0.7, 8.0, seed=4)
         p = init_params(6, np.random.default_rng(5))
         rows = np.array([7, 0, 33, 89, 33])
-        assert np.array_equal(extract_features(p, data), encode(p, data.features)[0])
+        every = np.arange(data.sample_count)
+        assert np.array_equal(extract_features(p, data, every),
+                              _forward(p, data.features)["latent"])
         assert np.array_equal(extract_features(p, data, rows),
-                              encode(p, data.features[rows])[0])
+                              _forward(p, data.features[rows])["latent"])
         narrow = init_params(5, np.random.default_rng(5))
         with pytest.raises(ContrastiveError, match="dimension"):
-            extract_features(narrow, data)
+            extract_features(narrow, data, every)
 
     def test_identity_construction_recovers_input(self):
         # identity blocks pass non-negative inputs through to the first latent columns
@@ -116,7 +120,7 @@ class TestEncode:
         p.w2[:4, :4] = np.eye(4)
         p.b2[...] = 0.0
         x = np.abs(np.random.default_rng(1).normal(size=(6, 4)))
-        latent, _ = encode(p, x)
+        latent = _forward(p, x)["latent"]
         assert np.array_equal(latent[:, :4], x)
         assert not latent[:, 4:].any()
 
@@ -125,32 +129,32 @@ class TestLosses:
     def test_identical_embeddings_hit_log_bound(self):
         for b in (2, 4, 8):
             z = np.tile(unit_rows(np.random.default_rng(3), 1, 6), (2 * b, 1))
-            loss, _ = ntxent_loss(z, 0.07)
+            loss, _ = ntxent_loss(z, 0.07, True)
             assert loss == pytest.approx(np.log(2 * b - 1), abs=1e-9)
-            loss_s, _ = supcon_loss(z, np.zeros(2 * b, dtype=int), 0.07)
+            loss_s, _ = supcon_loss(z, np.zeros(2 * b, dtype=int), 0.07, True)
             assert loss_s == pytest.approx(np.log(2 * b - 1), abs=1e-9)
 
     def test_micro_batch_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
         Z = unit_rows(rng, 4, 5)
-        loss, _ = ntxent_loss(Z, 0.3)
+        loss, _ = ntxent_loss(Z, 0.3, True)
         assert loss == pytest.approx(ntxent_scalar_oracle(Z, 0.3), abs=1e-10)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             Z = unit_rows(rng, 8, 4)
-            assert ntxent_loss(Z, 0.07)[0] >= 0.0
+            assert ntxent_loss(Z, 0.07, True)[0] >= 0.0
             labels = rng.integers(0, 2, 8)
             labels[1::2] = labels[::2]  # partners share labels
-            assert supcon_loss(Z, np.repeat(labels[::2], 2), 0.07)[0] >= 0.0
+            assert supcon_loss(Z, np.repeat(labels[::2], 2), 0.07, True)[0] >= 0.0
 
     def test_supcon_equals_ntxent_with_one_positive_each(self):
         rng = np.random.default_rng(6)
         Z = unit_rows(rng, 12, 6)
         labels = np.repeat(np.arange(6), 2)
-        ln, gn = ntxent_loss(Z, 0.07)
-        ls, gs = supcon_loss(Z, labels, 0.07)
+        ln, gn = ntxent_loss(Z, 0.07, True)
+        ls, gs = supcon_loss(Z, labels, 0.07, True)
         assert abs(ln - ls) <= 1e-10
         assert np.abs(gn - gs).max() <= 1e-10
 
@@ -162,9 +166,9 @@ class TestLosses:
             Z = unit_rows(rng, 8, 5)
             labels = np.repeat(rng.integers(0, 2, 4), 2)
             if loss_name == "ntxent":
-                fn = lambda z: ntxent_loss(z, 0.07)
+                fn = lambda z: ntxent_loss(z, 0.07, True)
             else:
-                fn = lambda z: supcon_loss(z, labels, 0.07)
+                fn = lambda z: supcon_loss(z, labels, 0.07, True)
             _, grad = fn(Z)
             h = 1e-6
             fd = np.zeros_like(Z)
@@ -181,24 +185,24 @@ class TestLosses:
         rng = np.random.default_rng(8)
         Z = unit_rows(rng, 4, 3)
         with pytest.raises(ContrastiveError, match="view 2"):
-            supcon_loss(Z, np.array([0, 0, 1, 2]), 0.07)
+            supcon_loss(Z, np.array([0, 0, 1, 2]), 0.07, True)
 
     def test_bad_temperature(self):
         Z = unit_rows(np.random.default_rng(9), 4, 3)
         with pytest.raises(ContrastiveError):
-            ntxent_loss(Z, 0.0)
+            ntxent_loss(Z, 0.0, True)
 
     def test_view_batch_pairing(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(5, 3))
-        batch = make_view_batch(X, np.arange(5), 0.1, 0.0, 1.0, rng)
-        assert batch.views.shape == (10, 3)
+        views, labels = make_view_batch(X, np.arange(5), 0.1, 0.0, 1.0, rng)
+        assert views.shape == (10, 3)
         # views 2t and 2t+1 are noisy copies of row t, so it is their nearest row
-        nearest = np.argmin(((batch.views[:, None, :] - X[None]) ** 2).sum(axis=2), axis=1)
+        nearest = np.argmin(((views[:, None, :] - X[None]) ** 2).sum(axis=2), axis=1)
         assert nearest.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-        assert batch.labels.tolist() == nearest.tolist()
-        exact = make_view_batch(X, None, 0.0, 0.0, 1.0, rng)
-        assert np.array_equal(exact.views, np.repeat(X, 2, axis=0)) and exact.labels is None
+        assert labels.tolist() == nearest.tolist()
+        views, labels = make_view_batch(X, None, 0.0, 0.0, 1.0, rng)
+        assert np.array_equal(views, np.repeat(X, 2, axis=0)) and labels is None
 
 
 class TestEndToEndBackprop:
@@ -208,10 +212,10 @@ class TestEndToEndBackprop:
         X = rng.normal(size=(8, 6))
 
         def total(p):
-            return ntxent_loss(_forward(p, X)["head"], 0.07)[0]
+            return ntxent_loss(_forward(p, X)["head"], 0.07, True)[0]
 
         cache = _forward(params, X)
-        loss, d_head = ntxent_loss(cache["head"], 0.07)
+        loss, d_head = ntxent_loss(cache["head"], 0.07, True)
         grads = _backward(params, cache, d_head, params.zeros_like()).arrays()
         h = 1e-6
         names = list(params.arrays())
@@ -241,8 +245,8 @@ class TestLossOnly:
         Z = unit_rows(rng, 2 * pairs, dim)
         labels = np.repeat(rng.integers(0, classes, pairs), 2)
         tau = rng.uniform(0.05, 1.0)
-        assert ntxent_loss(Z, tau, False) == (ntxent_loss(Z, tau)[0], None)
-        assert supcon_loss(Z, labels, tau, False) == (supcon_loss(Z, labels, tau)[0], None)
+        assert ntxent_loss(Z, tau, False) == (ntxent_loss(Z, tau, True)[0], None)
+        assert supcon_loss(Z, labels, tau, False) == (supcon_loss(Z, labels, tau, True)[0], None)
 
     def test_zero_norm_head_row_takes_the_masked_path(self):
         rng = np.random.default_rng(14)
@@ -465,9 +469,7 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ContrastiveError, match="not finite"):
-                extract_features(params, ds)
-            with pytest.raises(ContrastiveError, match="not finite"):
-                encode(params, ds.features)
+                extract_features(params, ds, np.arange(ds.sample_count))
 
     def test_extraction_contract(self, blob_world):
         ds, split = blob_world
@@ -491,7 +493,7 @@ class TestCheckpoint:
     def test_kind_mismatch(self, tmp_path):
         from epl import checkpoint as ckpt
         path = tmp_path / "other.bin"
-        ckpt.save_checkpoint(path, ckpt.KIND_ENCODER + 1, {"w": np.zeros((2, 2))})
+        ckpt.save_checkpoint(path, ckpt.KIND_ENCODER + 1, {"w": np.zeros((2, 2))}, {})
         with pytest.raises(ContrastiveError, match="not an encoder"):
             EncoderParams.load(path)
 
@@ -499,7 +501,7 @@ class TestCheckpoint:
         ds, split = blob_world
         base = train("simclr", ds, split, TrainConfig(epochs=2, batch_size=16, seed=4))
         path = tmp_path / "warm.bin"
-        base.save(path)
+        base.save(path, {})
         warm = EncoderParams.load(path)
         out = train("simclr", ds, split, TrainConfig(epochs=2, batch_size=16, seed=5), init=warm)
         assert not params_equal(out, base)

@@ -85,14 +85,16 @@ def test_finetune_weights(blobs):
 def test_softmax_weights(blobs):
     data, _ = blobs
     model = train_softmax(data.features, data.labels,
-                          SoftmaxConfig(epochs=5, batch_size=7, hidden_dim=9, seed=6))
+                          SoftmaxConfig(epochs=5, batch_size=7, hidden_dim=9, seed=6),
+                          data.class_count)
     assert digest(model.w1, model.b1, model.w2, model.b2,
                   model.mean, model.scale) == GOLDEN["softmax"]
 
 
 def test_linear_weights(blobs):
     data, _ = blobs
-    model = train_linear(data.features, data.labels, lam=0.5, epochs=30)
+    model = train_linear(data.features, data.labels, lam=0.5, epochs=30,
+                         class_count=data.class_count)
     assert digest(model.weights, model.bias, model.objective_trace) == GOLDEN["linear"]
 
 

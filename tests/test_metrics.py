@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epl.metrics import (ConfusionMatrix, MetricError, ScoreReport, accuracy,
-                         cohen_kappa, confusion, knn_consistency, per_class_recall)
+from epl.dataset import format_row
+from epl.metrics import (ConfusionMatrix, MetricError, accuracy, cohen_kappa, confusion,
+                         knn_consistency, per_class_recall)
 
 
 def kappa_oracle(counts):
@@ -47,9 +48,9 @@ class TestConfusion:
                 assert cm.counts[i, j] == expect
         assert np.array_equal(cm.counts.sum(axis=1), np.bincount(truth, minlength=5))
 
-    def test_empty_index_set_is_an_error(self):
+    def test_empty_input_is_an_error(self):
         with pytest.raises(MetricError, match="empty"):
-            confusion(np.array([0]), np.array([0]), np.array([], dtype=int))
+            confusion(np.array([], dtype=int), np.array([], dtype=int), class_count=2)
 
     def test_unlabeled_index_is_an_error(self):
         with pytest.raises(MetricError, match="unlabeled"):
@@ -129,16 +130,15 @@ class TestKappa:
             assert cohen_kappa(cm) == pytest.approx(expect, abs=1e-12)
 
 
-class TestScoreReport:
+class TestScoreRow:
     def test_per_class_recall(self):
         cm = ConfusionMatrix(np.array([[3, 1], [2, 2]]))
-        rep = ScoreReport.from_confusion(cm)
-        assert rep.per_class_recall.tolist() == pytest.approx([0.75, 0.5])
+        assert per_class_recall(cm).tolist() == pytest.approx([0.75, 0.5])
 
     def test_csv_row(self):
         cm = ConfusionMatrix(np.diag([5, 5]))
-        rep = ScoreReport.from_confusion(cm)
-        assert rep.csv_row("blobs", "linear", 7) == "blobs,linear,7,1.0,1.0"
+        row = format_row(("blobs", "linear", 7, accuracy(cm), cohen_kappa(cm)))
+        assert row == "blobs,linear,7,1.0,1.0"
 
 
 class TestKnnConsistency:

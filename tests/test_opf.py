@@ -278,6 +278,7 @@ class TestMst:
     ([0.0, 1.0, 2.0], "2-d"),
     (np.zeros((3, 1, 1)), "2-d"),
     (np.zeros((4, 2)), "4 feature rows"),
+    ([[0.0, 0.0], [1e200, 1e200], [-1e200, -1e200]], "overflow"),
 ])
 def test_malformed_features_raise_opf_error(fit, features, match):
     with pytest.raises(OpfError, match=match):

@@ -108,7 +108,7 @@ def test_warm_start_checkpoint_is_read_once(tmp_path, monkeypatch):
     from epl import checkpoint
     from epl.contrastive import init_params
     warm = init_params(6, np.random.default_rng(3))
-    warm.save(tmp_path / "warm.bin")
+    warm.save(tmp_path / "warm.bin", {})
     reads = []
     real_load = checkpoint.load_checkpoint
 
