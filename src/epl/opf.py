@@ -7,14 +7,15 @@ propagation roots the forest at externally supplied seed nodes; the
 supervised classifier roots it at prototypes found on the minimum spanning
 tree where classes meet.
 
-Every forest comes from one Prim sweep over the pairwise distances. Under
-the strict (weight, i, j) edge order the minimum spanning tree is unique,
-and the sweep fills in, for every pair of nodes, the largest edge on their
-tree path and the first hop along it; the forest is then a column-wise
-minimum over the seed rows (the image foresting transform of Falcao,
-Stolfi and Lotufo, restricted to a tree). A cubic Floyd-Warshall minimax
-oracle is included; by the bottleneck shortest path property both routes
-must agree, which the test suite exploits.
+Every forest comes from one Prim minimum spanning tree, each node's
+distance row computed once when it joins. Under the strict (weight, i, j)
+edge order the tree is unique. A Kruskal pass over its n - 1 edges then
+gives every node its minimax cost to the seeds, its root and its first
+hop toward that root (the image foresting transform of Falcao, Stolfi and
+Lotufo, restricted to a tree), so memory stays O(n) beyond the features:
+no n x n table is ever built. A cubic Floyd-Warshall minimax oracle is
+included; by the bottleneck shortest path property both routes must
+agree, which the test suite exploits.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ class OpfError(ValueError):
 
 
 _CSV_HEADER = "node,cost,pred,root,label"
+
+# Query rows that opfsup_classify_batch scores per block of distances.
+_CLASSIFY_BLOCK = 64
 
 
 @dataclass
@@ -85,78 +89,155 @@ def _checked(features, labels=None):
     return X, y
 
 
-def _prim_sweep(X: np.ndarray):
-    """Prim minimum spanning tree of the complete Euclidean graph, with path tables.
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``cdist(A, B)`` of finite rows, which must not overflow float64.
+
+    Each entry is computed on its own, so a block of rows gets exactly
+    the bytes of the same rows of a larger matrix.
+    """
+    dist = cdist(A, B)
+    # Finite features can still be too far apart for float64 distances.
+    if not np.isfinite(dist).all():
+        raise OpfError("distances between features overflow float64")
+    return dist
+
+
+def _prim_tree(X: np.ndarray):
+    """Prim minimum spanning tree of the complete Euclidean graph.
 
     Edges are ordered strictly by (weight, lower endpoint, higher endpoint):
     each outside node keeps its lightest link into the tree (equal weights
     to the lower tree node) and each step adopts the least link, so the
     tree is the unique MST under that order, the one Kruskal would build.
-    A node joins as a leaf, so its path tables follow from its parent's.
-    Returns ``(edges, bottleneck, hop)``: the (parent, child) edges in
-    adoption order; ``bottleneck[s, t]``, the largest edge weight on the
-    tree path s-t, taken verbatim from the distance matrix so that costs
-    stay exact selections; and ``hop[s, t]``, the node after t on that
-    path toward s (-1 when s = t). The bottlenecks overwrite the distances
-    in place: a distance is last read when the first of its nodes joins.
+    A node's distance row is computed once, when it joins. Returns
+    ``(edges, weights)``: the (parent, child) edges in adoption order, so
+    every parent joins before its children and node 0 is the root, and
+    their weights, taken verbatim from the distances so that forest costs
+    stay exact selections.
     """
     n = X.shape[0]
-    bottleneck = cdist(X, X)
-    # Finite features can still be too far apart for float64 distances.
-    if not np.isfinite(bottleneck).all():
-        raise OpfError("distances between features overflow float64")
-    hop = np.full((n, n), -1, dtype=np.int32)
     edges = np.empty((n - 1, 2), dtype=np.int64)
+    weights = np.empty(n - 1)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best_w = bottleneck[0].copy()
+    best_w = _distances(X[:1], X)[0]
+    best_w[0] = np.inf
     best_from = np.zeros(n, dtype=np.int64)
     for step in range(n - 1):
-        masked = np.where(in_tree, np.inf, best_w)
-        cand = np.flatnonzero(masked == masked.min())
         # among the lightest links, the smallest (lower, higher) endpoint pair
+        cand = np.flatnonzero(best_w == best_w.min())
         ends = np.sort(np.stack([cand, best_from[cand]]), axis=0)
         child = int(cand[np.lexsort(ends[::-1])[0]])
-        parent, w = int(best_from[child]), best_w[child]
-        tree = np.flatnonzero(in_tree)
-        bottleneck[child, tree] = np.maximum(bottleneck[parent, tree], w)
-        bottleneck[tree, child] = bottleneck[child, tree]
-        hop[child, tree] = hop[parent, tree]
-        hop[child, parent] = child
-        hop[tree, child] = parent
-        edges[step] = parent, child
+        edges[step] = best_from[child], child
+        weights[step] = best_w[child]
         in_tree[child] = True
-        dist = bottleneck[child]
+        best_w[child] = np.inf
+        dist = _distances(X[child:child + 1], X)[0]
         closer = ~in_tree & ((dist < best_w) | ((dist == best_w) & (child < best_from)))
         best_w[closer] = dist[closer]
         best_from[closer] = child
-    return edges, bottleneck, hop
+    return edges, weights
 
 
-def _forest(bottleneck: np.ndarray, hop: np.ndarray, seeds: np.ndarray,
+def _forest(edges: np.ndarray, weights: np.ndarray, seeds: np.ndarray,
             seed_labels: np.ndarray, prefer_labels: np.ndarray | None = None
             ) -> OptimumPathForest:
-    """fmax forest rooted at ``seeds`` over one ``_prim_sweep``'s path tables.
+    """fmax forest rooted at ``seeds`` over one ``_prim_tree``.
 
-    Each node goes to the seed with the smallest tree bottleneck to it;
-    cost ties go to the lowest-ranked tying seed (seeds ranked by
-    ascending node index), except that when ``prefer_labels`` is given a
-    tying seed whose label matches the node's own entry there wins over
-    any mismatched one first.
+    A Kruskal pass adds the tree edges by ascending weight, each run of
+    equal weights as one group, and a union-find keeps every component's
+    lowest seed and its lowest seed per label. A node's cost is the weight
+    of the group that first joins it to a seed: its minimax distance to
+    the seed set. The seeds tying at that cost are exactly the seeds of
+    the merged component, so its root is the component's lowest seed;
+    when ``prefer_labels`` is given, the lowest seed whose label matches
+    the node's own entry there wins first. Seeds root themselves, even
+    when another seed sits at distance zero. The predecessor is the node's
+    neighbour on its tree path to the root.
     """
-    per_seed = bottleneck[seeds]
-    cost = per_seed.min(axis=0)
-    mismatch = (False if prefer_labels is None
-                else seed_labels[seeds][:, None] != prefer_labels[None, :])
-    # 0: ties the cost (with a preferred label), 1: ties it without, 2: dearer
-    rank = np.where(per_seed == cost, mismatch, 2)
-    root = seeds[np.argmin(rank, axis=0)]
-    pred = hop[root, np.arange(len(cost))].astype(np.int64)
-    # Seeds root themselves regardless of coincident rivals.
-    cost[seeds] = 0.0
+    n = len(seed_labels)
+    comp, size = list(range(n)), [1] * n
+
+    def find(a: int) -> int:
+        while comp[a] != a:
+            comp[a] = a = comp[comp[a]]
+        return a
+
+    # Per component root: its members while it holds no seed (None after),
+    # its lowest seed (-1 before) and its lowest seed per label.
+    members: list = [[t] for t in range(n)]
+    lowest = [-1] * n
+    by_label: list = [None] * n
+    for s, lab in zip(seeds.tolist(), seed_labels[seeds].tolist()):
+        members[s], lowest[s], by_label[s] = None, s, {lab: s}
+    prefer = None if prefer_labels is None else prefer_labels.tolist()
+    order = np.argsort(weights, kind="stable")
+    w = weights[order]
+    last = len(order) - 1
+    reached, reached_at, reached_root, pending = [], [], [], []
+    for k, (a, b) in enumerate(edges[order].tolist()):
+        a, b = find(a), find(b)
+        if size[a] > size[b]:
+            a, b = b, a
+        comp[a], size[b] = b, size[a] + size[b]
+        if members[a] is not None and members[b] is not None:
+            members[b] += members[a]
+        else:
+            # The merged component holds a seed: unseeded sides are reached.
+            pending += members[a] or members[b] or []
+            if lowest[b] < 0:
+                lowest[b], by_label[b] = lowest[a], by_label[a]
+            elif lowest[a] >= 0:
+                lowest[b] = min(lowest[a], lowest[b])
+                small, large = sorted((by_label[a], by_label[b]), key=len)
+                for lab, s in small.items():
+                    large[lab] = min(s, large.get(lab, s))
+                by_label[b] = large
+            members[b] = None
+        if pending and (k == last or w[k + 1] != w[k]):
+            # The group of weight w[k] is complete: its components are final.
+            for t in pending:
+                r = find(t)
+                reached_root.append(lowest[r] if prefer is None
+                                    else by_label[r].get(prefer[t], lowest[r]))
+            reached += pending
+            reached_at += [k] * len(pending)
+            pending = []
+    cost = np.zeros(n)
+    cost[reached] = w[reached_at]
+    root = np.arange(n)
+    root[reached] = reached_root
+    pred = _tree_neighbour(edges, root)
     pred[seeds] = -1
-    root[seeds] = seeds
     return OptimumPathForest(cost, pred, root, seed_labels[root])
+
+
+def _tree_neighbour(edges: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """For each node t, its neighbour on the tree path toward ``target[t]``.
+
+    The tree is a ``_prim_tree`` rooted at node 0. When t is an ancestor of
+    its target the neighbour is the target's ancestor one level below t,
+    found by binary lifting; otherwise it is t's parent. Entries where
+    ``target[t] == t`` are meaningless.
+    """
+    n = len(target)
+    parent = np.zeros(n, dtype=np.int64)
+    parent[edges[:, 1]] = edges[:, 0]
+    depth = [0] * n
+    for p, c in edges.tolist():
+        depth[c] = depth[p] + 1
+    depth = np.array(depth, dtype=np.int64)
+    nodes = np.arange(n)
+    below = depth[target] > depth
+    steps = np.where(below, depth[target] - depth - 1, 0)
+    lifted = target.copy()
+    up = parent
+    while steps.any():
+        odd = (steps & 1).astype(bool)
+        lifted[odd] = up[lifted[odd]]
+        steps >>= 1
+        up = up[up]
+    return np.where(below & (parent[lifted] == nodes), lifted, parent)
 
 
 def opfsemi_propagate(features, seed_labels) -> OptimumPathForest:
@@ -165,27 +246,28 @@ def opfsemi_propagate(features, seed_labels) -> OptimumPathForest:
     Every node's cost is its minimax distance to the seed set: the
     minimum over paths of the maximal edge weight, realized on a minimum
     spanning tree by the bottleneck property. One Prim sweep builds that
-    tree, its ties broken by the (weight, i, j) edge order, together with
-    every pairwise tree bottleneck. Equal minimax costs through different
-    seeds are common, not exotic (any bottleneck edge shared by the paths
-    toward two seeds produces a whole region of exact ties), so ownership
-    is resolved lexicographically: a node belongs to the lowest-ranked
-    seed among those tying at its cost, seeds ranked by ascending node
-    index. Seeds always keep themselves, even when another seed sits at
-    distance zero.
+    tree, its ties broken by the (weight, i, j) edge order, and a Kruskal
+    pass over its edges joins every node to the seeds. Equal minimax costs
+    through different seeds are common, not exotic (any bottleneck edge
+    shared by the paths toward two seeds produces a whole region of exact
+    ties), so ownership is resolved lexicographically: a node belongs to
+    the lowest-ranked seed among those tying at its cost, seeds ranked by
+    ascending node index. Seeds always keep themselves, even when another
+    seed sits at distance zero.
 
     The recorded predecessor is the node's first hop toward its owner on
     the spanning tree; the relation cost(t) = max(cost(pred), |x_pred -
-    x_t|) holds exactly (all costs are selections from one pairwise
-    distance matrix), and predecessor chains always terminate at a seed.
+    x_t|) holds exactly (all costs are tree edge weights, copied verbatim
+    from the distance rows), and predecessor chains always terminate at a
+    seed.
     Where equal-cost regions of two seeds touch, a chain may pass through
     nodes owned by the other seed on its way down; the stored root and
     label always name the owner.
     """
     X, seed_labels = _checked(features, seed_labels)
     seeds = _seed_indices(seed_labels)
-    _, bottleneck, hop = _prim_sweep(X)
-    return _forest(bottleneck, hop, seeds, seed_labels)
+    edges, weights = _prim_tree(X)
+    return _forest(edges, weights, seeds, seed_labels)
 
 
 def minimax_oracle(features, seed_labels):
@@ -215,7 +297,7 @@ def minimax_oracle(features, seed_labels):
 
 
 def mst(features) -> np.ndarray:
-    """Minimum spanning tree of the complete Euclidean graph: the Prim sweep's edges.
+    """Minimum spanning tree of the complete Euclidean graph: the Prim tree's edges.
 
     Equal-weight ties resolve by the (weight, i, j) edge order. Returns an
     (n-1) x 2 index array of edges (i, j), i < j, sorted in that order
@@ -224,10 +306,9 @@ def mst(features) -> np.ndarray:
     X, _ = _checked(features)
     if X.shape[0] < 2:
         raise OpfError("need at least 2 nodes")
-    edges, bottleneck, _ = _prim_sweep(X)
+    edges, weights = _prim_tree(X)
     edges.sort(axis=1)
-    weight = bottleneck[edges[:, 0], edges[:, 1]]
-    return edges[np.lexsort((edges[:, 1], edges[:, 0], weight))]
+    return edges[np.lexsort((edges[:, 1], edges[:, 0], weights))]
 
 
 @dataclass
@@ -251,7 +332,7 @@ def opfsup_train(features, labels) -> OpfSupModel:
     Prototypes are the endpoints of MST edges that join distinct classes;
     they root an fmax forest over the training set at cost 0, from which
     every other training node receives its optimum-path cost. One Prim
-    sweep yields both the tree and the forest. Cost ties between
+    tree yields both the prototypes and the forest. Cost ties between
     prototypes of different classes are resolved in favor of the node's
     own class, which keeps the training set perfectly labeled by its own
     forest (for every node, walking its spanning-tree path toward any
@@ -260,9 +341,9 @@ def opfsup_train(features, labels) -> OpfSupModel:
     X, y = _checked(features, labels)
     if np.unique(y).size < 2:
         raise OpfError("training set must contain at least 2 classes")
-    edges, bottleneck, hop = _prim_sweep(X)
+    edges, weights = _prim_tree(X)
     protos = np.unique(edges[y[edges[:, 0]] != y[edges[:, 1]]])
-    forest = _forest(bottleneck, hop, protos, y, prefer_labels=y)
+    forest = _forest(edges, weights, protos, y, prefer_labels=y)
     proto_mask = np.zeros(X.shape[0], dtype=bool)
     proto_mask[protos] = True
     return OpfSupModel(X, y, proto_mask, forest.cost, forest.label)
@@ -271,12 +352,19 @@ def opfsup_train(features, labels) -> OpfSupModel:
 def opfsup_classify_batch(model: OpfSupModel, queries) -> np.ndarray:
     """Label each query by the training node minimizing max(cost, distance).
 
-    Equal scores resolve to the lower training index.
+    Equal scores resolve to the lower training index. Queries are scored
+    ``_CLASSIFY_BLOCK`` rows at a time, so memory stays at one block of
+    distances however many queries there are.
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if Q.shape[1] != model.dim:
         raise OpfError(f"query dimension {Q.shape[1]} != model dimension {model.dim}")
-    dist = cdist(Q, model.features)
-    scores = np.maximum(dist, model.cost[None, :])
-    winners = np.argmin(scores, axis=1)
+    if not np.isfinite(Q).all():
+        raise OpfError("queries must be finite")
+    winners = np.empty(Q.shape[0], dtype=np.int64)
+    for start in range(0, Q.shape[0], _CLASSIFY_BLOCK):
+        block = slice(start, start + _CLASSIFY_BLOCK)
+        scores = _distances(Q[block], model.features)
+        np.maximum(scores, model.cost, out=scores)
+        winners[block] = np.argmin(scores, axis=1)
     return model.forest_label[winners]

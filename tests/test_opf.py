@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from epl import opf
 from epl.dataset import UNLABELED
 from epl.opf import (OpfError, OptimumPathForest, minimax_oracle, mst,
                      opfsemi_propagate, opfsup_classify_batch, opfsup_train)
@@ -29,11 +31,102 @@ def grid_points(rng, n_max=12):
     return rng.integers(0, 3, (n, int(rng.integers(1, 4)))).astype(np.float64)
 
 
-# Tied inputs: up to 10 points of a 3-per-axis integer grid in 1-3 dimensions.
-grid_clouds = st.integers(1, 3).flatmap(
-    lambda d: st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
-                       min_size=2, max_size=10)
-).map(lambda rows: np.array(rows, dtype=np.float64))
+def tied_points(min_size, max_size):
+    """Points of a 3-per-axis integer grid in 1-3 dimensions: ties everywhere."""
+    return st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                           min_size=min_size, max_size=max_size)
+    ).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+grid_clouds = tied_points(2, 10)
+
+
+def reference_sweep(X):
+    """All-pairs Prim sweep: the tree edges with every pairwise path table.
+
+    The bitwise reference for the library's tree-only forests. Under the
+    (weight, lower, higher) edge order it adopts the same edges; as each
+    node joins as a leaf it fills ``bottleneck[s, t]``, the largest edge
+    weight on the tree path s-t (taken verbatim from the distance matrix),
+    and ``hop[s, t]``, the node after t on that path toward s (-1 when
+    s = t). Returns ``(edges, bottleneck, hop)``, edges as (parent, child)
+    in adoption order.
+    """
+    n = X.shape[0]
+    bottleneck = cdist(X, X)
+    hop = np.full((n, n), -1, dtype=np.int32)
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best_w = bottleneck[0].copy()
+    best_from = np.zeros(n, dtype=np.int64)
+    for step in range(n - 1):
+        masked = np.where(in_tree, np.inf, best_w)
+        cand = np.flatnonzero(masked == masked.min())
+        ends = np.sort(np.stack([cand, best_from[cand]]), axis=0)
+        child = int(cand[np.lexsort(ends[::-1])[0]])
+        parent, w = int(best_from[child]), best_w[child]
+        tree = np.flatnonzero(in_tree)
+        bottleneck[child, tree] = np.maximum(bottleneck[parent, tree], w)
+        bottleneck[tree, child] = bottleneck[child, tree]
+        hop[child, tree] = hop[parent, tree]
+        hop[child, parent] = child
+        hop[tree, child] = parent
+        edges[step] = parent, child
+        in_tree[child] = True
+        dist = bottleneck[child]
+        closer = ~in_tree & ((dist < best_w) | ((dist == best_w) & (child < best_from)))
+        best_w[closer] = dist[closer]
+        best_from[closer] = child
+    return edges, bottleneck, hop
+
+
+def reference_forest(X, seeds, seed_labels, prefer_labels=None):
+    """fmax forest as a column-wise minimum over the seeds' bottleneck rows.
+
+    Cost ties go to the lowest tying seed, except that with
+    ``prefer_labels`` a tying seed whose label matches the node's entry
+    there wins first; seeds root themselves.
+    """
+    _, bottleneck, hop = reference_sweep(X)
+    per_seed = bottleneck[seeds]
+    cost = per_seed.min(axis=0)
+    mismatch = (False if prefer_labels is None
+                else seed_labels[seeds][:, None] != prefer_labels[None, :])
+    rank = np.where(per_seed == cost, mismatch, 2)
+    root = seeds[np.argmin(rank, axis=0)]
+    pred = hop[root, np.arange(len(cost))].astype(np.int64)
+    cost[seeds] = 0.0
+    pred[seeds] = -1
+    root[seeds] = seeds
+    return OptimumPathForest(cost, pred, root, seed_labels[root])
+
+
+def reference_mst(X):
+    edges, bottleneck, _ = reference_sweep(X)
+    edges.sort(axis=1)
+    weight = bottleneck[edges[:, 0], edges[:, 1]]
+    return edges[np.lexsort((edges[:, 1], edges[:, 0], weight))]
+
+
+def reference_prototypes(X, y):
+    edges, _, _ = reference_sweep(X)
+    return np.unique(edges[y[edges[:, 0]] != y[edges[:, 1]]])
+
+
+def supervised_forest(X, y):
+    """The forest inside ``opfsup_train``: MST-boundary prototypes, own label first."""
+    edges, weights = opf._prim_tree(X)
+    protos = np.unique(edges[y[edges[:, 0]] != y[edges[:, 1]]])
+    return opf._forest(edges, weights, protos, y, prefer_labels=y)
+
+
+def assert_same_forest(forest, reference):
+    for name in ("cost", "predecessor", "root", "label"):
+        got, want = getattr(forest, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 def assert_forest_valid(forest, X, seeds):
@@ -408,3 +501,130 @@ class TestTiedInputs:
                 digest.update(part.tobytes())
         assert digest.hexdigest() == (
             "9013010d72b8c3dda742d0e80ddc280d8f2302f992fd2b963cf574f00b28f143")
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_points(1, 40), st.data())
+    def test_forests_match_all_pairs_reference(self, X, data):
+        n = X.shape[0]
+        labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        seed_idx = np.array(sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))))
+        seeds = np.full(n, UNLABELED)
+        seeds[seed_idx] = labels[seed_idx]
+        assert_same_forest(opfsemi_propagate(X, seeds), reference_forest(X, seed_idx, seeds))
+        if n >= 2:
+            assert np.array_equal(mst(X), reference_mst(X))
+        if np.unique(labels).size >= 2:
+            protos = reference_prototypes(X, labels)
+            want = reference_forest(X, protos, labels, prefer_labels=labels)
+            assert_same_forest(supervised_forest(X, labels), want)
+            model = opfsup_train(X, labels)
+            assert np.array_equal(np.flatnonzero(model.prototype), protos)
+            assert np.array_equal(model.cost, want.cost)
+            assert np.array_equal(model.forest_label, want.label)
+
+    @pytest.mark.parametrize("X, seeds", [
+        ([[3.0]], [1]),
+        ([[0.0], [2.0]], [UNLABELED, 1]),
+        ([[0.0], [2.0]], [0, 1]),
+        ([[1.0, 1.0], [1.0, 1.0]], [UNLABELED, 2]),
+        ([[1.0, 1.0], [1.0, 1.0]], [1, 0]),
+        # coincident seeds, with and without a coincident free node
+        ([[0.0], [0.0], [0.0], [1.0]], [2, UNLABELED, 1, UNLABELED]),
+        ([[0.0], [1.0], [1.0], [2.0]], [UNLABELED, 1, 0, UNLABELED]),
+        ([[0.0], [0.0], [1.0], [1.0], [1.0]], [UNLABELED, 1, 0, UNLABELED, 0]),
+    ])
+    def test_small_and_coincident_cases_match_reference(self, X, seeds):
+        X, seeds = np.array(X), np.array(seeds)
+        seed_idx = np.flatnonzero(seeds != UNLABELED)
+        forest = opfsemi_propagate(X, seeds)
+        assert_same_forest(forest, reference_forest(X, seed_idx, seeds))
+        assert_forest_valid(forest, X, seeds)
+        if len(X) >= 2:
+            assert np.array_equal(mst(X), reference_mst(X))
+        labels = np.where(seeds == UNLABELED, 0, seeds)
+        if np.unique(labels).size >= 2:
+            want = reference_forest(X, reference_prototypes(X, labels), labels,
+                                    prefer_labels=labels)
+            assert_same_forest(supervised_forest(X, labels), want)
+
+    def test_larger_forests_match_reference(self):
+        # Sizes past the hypothesis clouds, on scaled continuous data and on
+        # duplicate-heavy grids, both forests per instance.
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            n = int(rng.integers(40, 160))
+            X = (rng.integers(0, 4, (n, 2)).astype(np.float64) if trial % 2 else
+                 rng.normal(size=(n, int(rng.integers(1, 6)))) * 10.0 ** rng.integers(-3, 4))
+            y = rng.integers(0, 4, n)
+            seed_idx = np.sort(rng.choice(n, int(rng.integers(1, 12)), replace=False))
+            seeds = np.full(n, UNLABELED)
+            seeds[seed_idx] = y[seed_idx]
+            assert_same_forest(opfsemi_propagate(X, seeds), reference_forest(X, seed_idx, seeds))
+            assert np.array_equal(mst(X), reference_mst(X))
+            if np.unique(y).size >= 2:
+                want = reference_forest(X, reference_prototypes(X, y), y, prefer_labels=y)
+                assert_same_forest(supervised_forest(X, y), want)
+
+
+class TestClassifyBlocks:
+    BLOCK = opf._CLASSIFY_BLOCK
+
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_match_one_matrix_argmin(self, count):
+        rng = np.random.default_rng(count)
+        X = rng.integers(0, 5, (60, 2)).astype(np.float64)
+        y = rng.integers(0, 3, 60)
+        model = opfsup_train(X, y)
+        # Grid and half-grid queries: many score exactly alike.
+        grid = np.array(list(itertools.product(np.arange(9) / 2.0, repeat=2)))
+        scores = np.maximum(cdist(grid, model.features), model.cost)
+        best = scores == scores.min(axis=1, keepdims=True)
+        # Queries whose best score ties between training rows of different
+        # labels sit on both sides of every block edge.
+        tied = grid[[np.unique(model.forest_label[row]).size > 1 for row in best]]
+        assert len(tied)
+        Q = grid[rng.integers(0, len(grid), count)]
+        for edge in range(self.BLOCK, count + 1, self.BLOCK):
+            Q[edge - 1] = Q[min(edge, count - 1)] = tied[edge % len(tied)]
+        scores = np.maximum(cdist(Q, model.features), model.cost)
+        want = model.forest_label[np.argmin(scores, axis=1)]
+        got = opfsup_classify_batch(model, Q)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("query, match", [
+        (np.inf, "finite"), (np.nan, "finite"), (-np.inf, "finite"),
+        (1e308, "overflow"), (-1e308, "overflow"),
+    ])
+    def test_unscorable_queries_raise(self, query, match):
+        model = opfsup_train([[0.0], [1.0], [5.0], [6.0]], [0, 0, 1, 1])
+        with pytest.raises(OpfError, match=match):
+            opfsup_classify_batch(model, [[query]])
+        # also when the bad row sits in a later block
+        Q = np.zeros((2 * self.BLOCK + 5, 1))
+        Q[-2] = query
+        with pytest.raises(OpfError, match=match):
+            opfsup_classify_batch(model, Q)
+
+
+def test_forests_need_no_pairwise_tables():
+    # One 3000 x 3000 float64 table alone would take 72 MB.
+    rng = np.random.default_rng(43)
+    X = rng.normal(size=(3000, 4))
+    y = rng.integers(0, 3, 3000)
+    Q = rng.normal(size=(1000, 4))
+    seeds = np.full(3000, UNLABELED)
+    seeds[::100] = y[::100]
+    limit = 8 * 2**20
+    tracemalloc.start()
+    try:
+        opfsup_classify_batch(opfsup_train(X, y), Q)
+        _, sup_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        opfsemi_propagate(X, seeds)
+        _, semi_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sup_peak < limit
+    assert semi_peak < limit
