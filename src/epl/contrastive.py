@@ -5,8 +5,12 @@ projection head (latent -> hidden ReLU -> L2-normalized output). Two
 augmented views per sample are pushed through encoder and head; the view
 pair loss is the normalized-temperature cross entropy, either in its
 self-supervised form (the partner view is the only positive) or the
-supervised form (every same-label view is a positive). Training is plain
-numpy: manual backpropagation, decoupled-weight-decay Adam, a cosine
+supervised form (every same-label view is a positive). Both forms share
+one body that takes, per view, the sum of its positives and their count:
+the positive logit is a row dot product with that sum, so no B x B label
+mask is built, and the gradient is two products of the unnormalized
+softmax with the views, so the softmax is never divided out. Training is
+plain numpy: manual backpropagation, decoupled-weight-decay Adam, a cosine
 learning-rate schedule, and best-checkpoint selection by validation loss.
 The latent output is what downstream stages consume; the head output
 exists only inside the losses.
@@ -22,9 +26,9 @@ holds the eight weight and bias arrays back to back in `_FIELDS` order
 receives every gradient of a step. AdamW's two moments are flat too, so an
 update is one elementwise pass and a best-epoch snapshot is one buffer
 copy, with the same float operations as a per-array loop. The validation
-pass computes the loss only: no softmax division, no embedding gradient,
-no backward pass. Overflow during training or encoding raises
-ContrastiveError rather than yielding non-finite weights or features.
+pass computes the loss only: no embedding gradient, no backward pass.
+Overflow during training or encoding raises ContrastiveError rather than
+yielding non-finite weights or features.
 """
 
 from __future__ import annotations
@@ -77,9 +81,7 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ContrastiveError("batch size must be at least 2")
         for name in ("temperature", "learning_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContrastiveError(f"{name} must be positive and finite, got {value}")
+            _check_positive(name, getattr(self, name))
         for name in ("weight_decay", "noise"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -88,6 +90,11 @@ class TrainConfig:
             raise ContrastiveError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.validation_fraction < 0.5:
             raise ContrastiveError("validation fraction must be in (0, 0.5)")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ContrastiveError(f"{name} must be positive and finite, got {value}")
 
 
 class EncoderParams:
@@ -191,20 +198,24 @@ def relu_mlp_backward(X: np.ndarray, a: np.ndarray, h: np.ndarray, w2: np.ndarra
     return d_a
 
 
-def row_softmax(s: np.ndarray, with_probs: bool = True):
-    """Row-wise softmax of s and its log-normalizer log(sum(exp(s), axis=1)).
-
-    Works in place: s is overwritten with exp(s - row max) and then with
-    the probabilities, which are returned as s itself, or as None when
-    with_probs is false.
-    """
+def _row_exp(s: np.ndarray):
+    """In place: s becomes exp(s - row max). Returns (row sums of the new s,
+    log-normalizer log(sum(exp(old s), axis=1))); the sums are a column."""
     row_max = s.max(axis=1, keepdims=True)
     s -= row_max
     np.exp(s, out=s)
     total = s.sum(axis=1, keepdims=True)
     log_norm = (np.log(total) + row_max)[:, 0]
-    if not with_probs:
-        return None, log_norm
+    return total, log_norm
+
+
+def row_softmax(s: np.ndarray):
+    """Row-wise softmax of s and its log-normalizer log(sum(exp(s), axis=1)).
+
+    Works in place: s is overwritten with the probabilities, which are
+    returned as s itself.
+    """
+    total, log_norm = _row_exp(s)
     s /= total
     return s, log_norm
 
@@ -336,12 +347,31 @@ def make_view_batch(X: np.ndarray, labels, noise: float, dropout: float, scale, 
 # Losses
 # ---------------------------------------------------------------------------
 
-def _similarity_logits(Z: np.ndarray, temperature: float) -> np.ndarray:
-    """Z Z^T / temperature with -inf on the diagonal."""
-    s = Z @ Z.T
-    s /= temperature
+def _pair_loss(Z: np.ndarray, pos_sum: np.ndarray, counts: np.ndarray, temperature: float,
+               with_grad: bool):
+    """Mean over anchors of log(sum_{a != i} exp(s_ia)) - mean positive logit.
+
+    s = Z Z^T / temperature. pos_sum[i] is the sum of view i's positives
+    and counts[i] their number, so the positive logit needs no B x B mask.
+    The gradient with respect to Z, for a symmetric positive relation, is
+    ((E Z) / r + E^T (Z / r) - 2 pos_sum / counts) / (n temperature), where
+    E = exp(s - row max) and r its row sums: two B x B x d products and no
+    softmax division.
+    """
+    n = Z.shape[0]
+    s = Z @ (Z.T / temperature)
     np.fill_diagonal(s, -np.inf)
-    return s
+    positive = (Z * pos_sum).sum(axis=1) / (temperature * counts)
+    total, log_denom = _row_exp(s)  # s now holds E
+    loss = float((log_denom - positive).mean())
+    if not with_grad:
+        return loss, None
+    grad = s @ Z
+    grad /= total
+    grad += s.T @ (Z / total)
+    grad -= (2.0 / counts)[:, None] * pos_sum
+    grad /= n * temperature
+    return loss, grad
 
 
 def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool):
@@ -352,24 +382,12 @@ def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool):
     respect to the (unit-norm) view embeddings, or None in its place when
     with_grad is false. The loss is the same either way.
     """
-    if temperature <= 0:
-        raise ContrastiveError("temperature must be positive")
+    _check_positive("temperature", temperature)
     Z = np.asarray(views, dtype=np.float64)
     n = Z.shape[0]
     if n < 4 or n % 2 != 0:
         raise ContrastiveError("need an even number of views, at least 4")
-    rows = np.arange(n)
-    partner = rows ^ 1
-    s = _similarity_logits(Z, temperature)
-    positive = s[rows, partner]
-    g, log_denom = row_softmax(s, with_grad)
-    loss = float((log_denom - positive).mean())
-    if not with_grad:
-        return loss, None
-    g[rows, partner] -= 1.0
-    g /= n
-    grad = (g @ Z + g.T @ Z) / temperature
-    return loss, grad
+    return _pair_loss(Z, Z[np.arange(n) ^ 1], np.ones(n), temperature, with_grad)
 
 
 def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool):
@@ -380,32 +398,37 @@ def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool):
     embeddings (None when with_grad is false). Collapses to the
     self-supervised loss when each anchor has exactly one positive.
     """
-    if temperature <= 0:
-        raise ContrastiveError("temperature must be positive")
+    _check_positive("temperature", temperature)
     Z = np.asarray(views, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = _integer_labels(labels)
     n = Z.shape[0]
-    if y.shape[0] != n:
+    if y.shape != (n,):
         raise ContrastiveError("every view needs a label")
-    pos = y[:, None] == y[None, :]
-    np.fill_diagonal(pos, False)
-    counts = pos.sum(axis=1)
+    classes, inverse = np.unique(y, return_inverse=True)
+    members = np.zeros((classes.size, n))
+    members[inverse, np.arange(n)] = 1.0
+    counts = np.bincount(inverse)[inverse] - 1
     if (counts == 0).any():
         lonely = int(np.argmax(counts == 0))
         raise ContrastiveError(
             f"view {lonely} (label {y[lonely]}) has no positive in the batch"
         )
-    s = _similarity_logits(Z, temperature)
-    positive = np.where(pos, s, 0.0).sum(axis=1) / counts
-    g, log_denom = row_softmax(s, with_grad)
-    per_anchor = log_denom - positive
-    loss = float(per_anchor.mean())
-    if not with_grad:
-        return loss, None
-    g -= pos / counts[:, None]
-    g /= n
-    grad = (g @ Z + g.T @ Z) / temperature
-    return loss, grad
+    pos_sum = (members @ Z)[inverse]
+    pos_sum -= Z
+    return _pair_loss(Z, pos_sum, counts, temperature, with_grad)
+
+
+def _integer_labels(labels) -> np.ndarray:
+    """labels as int64, or ContrastiveError unless every one is a whole number."""
+    y = np.asarray(labels)
+    if y.dtype.kind in "iub":
+        return y.astype(np.int64)
+    if y.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            whole = y.astype(np.int64)
+        if np.array_equal(whole, y):
+            return whole
+    raise ContrastiveError(f"labels must be whole numbers, got {y.dtype} values")
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +481,8 @@ def _batch_loss(mode: str, X: np.ndarray, y, config: TrainConfig, scale: np.ndar
                 rng, params: EncoderParams, grads: EncoderParams | None) -> float:
     """Loss of one view batch; with a grads buffer, also its gradients into it.
 
-    Without one (validation) only the loss is computed: no softmax
-    division, no embedding gradient and no backward pass.
+    Without one (validation) only the loss is computed: no embedding
+    gradient and no backward pass.
     """
     views, view_labels = make_view_batch(X, y, config.noise, config.dropout, scale, rng)
     cache = _forward(params, views)

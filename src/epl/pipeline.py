@@ -20,7 +20,7 @@ import hashlib
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -297,13 +297,8 @@ class RunState:
                     mode, self.data, self.split(r), config, init=self.init))
             self.encoders[key] = params
             if self.out_dir is not None:
-                cfg_lines = {"mode": mode, "seed": seed, "epochs": self.cfg.epochs,
-                             "batch_size": self.cfg.batch_size,
-                             "temperature": self.cfg.temperature,
-                             "learning_rate": self.cfg.learning_rate,
-                             "weight_decay": self.cfg.weight_decay,
-                             "init": self.cfg.init_mode}
-                params.save(self.out_dir / f"ckpt_{mode}_{seed}.bin", cfg_lines)
+                params.save(self.out_dir / f"ckpt_{mode}_{seed}.bin",
+                            {"mode": mode, **asdict(config), "init": self.cfg.init_mode})
         return self.encoders[key]
 
     def propagation(self, r: int, mode: str) -> _Propagation:

@@ -172,11 +172,13 @@ class TestStages:
             assert run(step) == 0
         capsys.readouterr()
         common = ["--data", files["data.csv"], "--split", files["split.csv"]]
+        # The propagation and pseudo-label lines follow the trained encoder's
+        # bytes, so a change to training re-records them.
         expected = {
             ("propagate", "--embedding", files["emb.csv"], *common, "--out", files["forest.csv"]):
-                "data,propagation,2,0.8589743589743589,0.7884615384615382\n",
+                "data,propagation,2,0.8846153846153846,0.8269230769230769\n",
             ("probe", *common, "--kind", "softmax", "--pseudo", files["forest.csv"], "--seed", 2):
-                "data,softmax+pseudo,2,0.8888888888888888,0.8333333333333333\n",
+                "data,softmax+pseudo,2,0.9444444444444444,0.9166666666666666\n",
             ("probe", *common, "--kind", "softmax", "--seed", 2):
                 "data,softmax-baseline,2,1.0,1.0\n",
             ("probe", *common, "--kind", "linear", "--seed", 2):

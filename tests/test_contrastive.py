@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,51 @@ def ntxent_scalar_oracle(Z, tau):
         den = sum(np.exp(Z[i] @ Z[a] / tau) for a in range(n) if a != i)
         total += -np.log(num / den)
     return total / n
+
+
+def _masked_logits_reference(Z, tau):
+    s = Z @ Z.T
+    s /= tau
+    np.fill_diagonal(s, -np.inf)
+    return s
+
+
+def _softmax_reference(s):
+    row_max = s.max(axis=1, keepdims=True)
+    e = np.exp(s - row_max)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, (np.log(total) + row_max)[:, 0]
+
+
+def ntxent_mask_reference(Z, tau):
+    """The partner-indexed loss and its softmax-based gradient, as the pair
+    loss was written before it took positive sums."""
+    n = Z.shape[0]
+    rows = np.arange(n)
+    partner = rows ^ 1
+    s = _masked_logits_reference(Z, tau)
+    positive = s[rows, partner]
+    g, log_denom = _softmax_reference(s)
+    loss = float((log_denom - positive).mean())
+    g[rows, partner] -= 1.0
+    g /= n
+    return loss, (g @ Z + g.T @ Z) / tau
+
+
+def supcon_mask_reference(Z, labels, tau):
+    """The B x B positive-mask form of the supervised loss and its gradient."""
+    y = np.asarray(labels, dtype=np.int64)
+    n = Z.shape[0]
+    pos = y[:, None] == y[None, :]
+    np.fill_diagonal(pos, False)
+    counts = pos.sum(axis=1)
+    s = _masked_logits_reference(Z, tau)
+    positive = np.where(pos, s, 0.0).sum(axis=1) / counts
+    g, log_denom = _softmax_reference(s)
+    loss = float((log_denom - positive).mean())
+    g -= pos / counts[:, None]
+    g /= n
+    return loss, (g @ Z + g.T @ Z) / tau
 
 
 def params_equal(a, b):
@@ -187,10 +233,31 @@ class TestLosses:
         with pytest.raises(ContrastiveError, match="view 2"):
             supcon_loss(Z, np.array([0, 0, 1, 2]), 0.07, True)
 
-    def test_bad_temperature(self):
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_bad_temperature(self, tau):
         Z = unit_rows(np.random.default_rng(9), 4, 3)
-        with pytest.raises(ContrastiveError):
-            ntxent_loss(Z, 0.0, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (lambda: ntxent_loss(Z, tau, True),
+                       lambda: supcon_loss(Z, [0, 0, 1, 1], tau, False)):
+                with pytest.raises(ContrastiveError,
+                                   match="temperature must be positive and finite"):
+                    fn()
+
+    @pytest.mark.parametrize("labels", [[0.5, 0.9, 1.2, 1.7], [0.0, 0.0, float("nan"), 1.0],
+                                        [0.0, 0.0, 1.0, float("inf")], [0, 0, 1e300, 1e300],
+                                        ["a", "a", "b", "b"]])
+    def test_labels_must_be_whole_numbers(self, labels):
+        Z = unit_rows(np.random.default_rng(17), 4, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContrastiveError, match="labels must be whole numbers"):
+                supcon_loss(Z, labels, 0.1, True)
+
+    def test_whole_float_labels_are_the_integer_labels(self):
+        Z = unit_rows(np.random.default_rng(18), 6, 3)
+        assert (supcon_loss(Z, [2.0, 2.0, -1.0, -1.0, 2.0, 2.0], 0.1, False)
+                == supcon_loss(Z, [2, 2, -1, -1, 2, 2], 0.1, False))
 
     def test_view_batch_pairing(self):
         rng = np.random.default_rng(10)
@@ -263,6 +330,52 @@ class TestLossOnly:
             assert fn(cache["head"], False) == (loss, None)
             grads = _backward(params, cache, d_head, params.zeros_like())
             assert np.isfinite(grads.flat).all()
+
+
+_PAIRS_AND_CLASSES = st.integers(2, 64).flatmap(
+    lambda pairs: st.tuples(st.just(pairs), st.integers(1, pairs)))
+
+
+class TestPositiveSums:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs_classes=_PAIRS_AND_CLASSES, dim=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1), tau=st.floats(0.05, 1.0),
+           duplicates=st.integers(0, 4), basis_rows=st.integers(0, 2))
+    def test_losses_match_the_mask_reference(self, pairs_classes, dim, seed, tau,
+                                             duplicates, basis_rows):
+        pairs, classes = pairs_classes
+        rng = np.random.default_rng(seed)
+        n = 2 * pairs
+        Z = unit_rows(rng, n, dim)
+        for _ in range(duplicates):
+            Z[rng.integers(n)] = Z[rng.integers(n)]
+        # the head of a zero-norm row is the first basis vector
+        Z[rng.choice(n, basis_rows, replace=False)] = np.eye(dim)[0]
+        labels = np.repeat(rng.integers(0, classes, pairs), 2)
+        for got, want in ((ntxent_loss(Z, tau, True), ntxent_mask_reference(Z, tau)),
+                          (supcon_loss(Z, labels, tau, True),
+                           supcon_mask_reference(Z, labels, tau))):
+            assert abs(got[0] - want[0]) <= 1e-10
+            # Each gradient term is at most ~1 / (n tau); where they cancel
+            # exactly (all views equal) both sides are rounding noise.
+            scale = max(np.abs(want[1]).max(), 1.0 / (n * tau))
+            assert np.abs(got[1] - want[1]).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_peak_memory_is_one_logit_matrix(self, with_grad):
+        b = 1024
+        rng = np.random.default_rng(15)
+        Z = unit_rows(rng, b, 16)
+        labels = np.repeat(rng.integers(0, 4, b // 2), 2)
+        for fn in (lambda: ntxent_loss(Z, 0.1, with_grad),
+                   lambda: supcon_loss(Z, labels, 0.1, with_grad)):
+            tracemalloc.start()
+            try:
+                fn()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * b * b * 8
 
 
 def forward_backward_reference(params, X, d_head):

@@ -1,19 +1,26 @@
 """Same-bytes gate for the learning and projection layers.
 
 Each trainer runs at tiny fixed sizes and seeds, and the sha256 of its
-parameter bytes must equal the digest recorded before the network code
-was refactored. The projection cases hash the joint affinities, the
-per-row precisions and the t-SNE result (coordinates, KL tail, final KL
-and worst late KL increase), recorded before the descent was moved into
-reused buffers (the n333 case and the precisions: before the gradient was
-blocked and the tail kernel shared). A change that
-moves any bit of a trained weight or an embedding fails here; re-record a
-digest only when a change means to alter training or the descent.
+parameter bytes must equal the recorded digest. The softmax and linear
+digests were recorded before the network code was refactored. The
+simclr, supcon and finetune digests were re-recorded when the pair losses
+began to take positive sums: the logits became a plain product
+Z (Z^T / temperature) instead of numpy's symmetric one, the positive logit
+a row dot product with the positives' sum, and the gradient two products
+with the unnormalized softmax, so the trained weights moved by rounding.
+The projection cases hash the joint affinities, the per-row precisions
+and the t-SNE result (coordinates, KL tail, final KL and worst late KL
+increase), recorded before the descent was moved into reused buffers (the
+n333 case and the precisions: before the gradient was blocked and the
+tail kernel shared). A change that moves any bit of a trained weight or
+an embedding fails here; re-record a digest only when a change means to
+alter training or the descent.
 
 The experiment case hashes every artifact of one `run_experiment("all")`
 at criterion 9's configuration except the manifest (results, embeddings,
-scatterplots, checkpoints and their `.cfg` sidecars), recorded before the
-three experiment families became one arm table and one loop.
+scatterplots, checkpoints and their `.cfg` sidecars). It was re-recorded
+with the pair-loss digests above; the sidecars also changed then, as they
+began to list every training setting.
 """
 
 import hashlib
@@ -53,11 +60,11 @@ def _config(seed: int) -> TrainConfig:
 
 GOLDEN = {
     "simclr":
-        "1636217c821ef10e7fb759b4785b7306273032dab9fdf3a0e63cfcbe06fe13c5",
+        "806c95a3d821f860c8a04bcee21df38bb2a69975085e13fb4c812ecccbcd4600",
     "supcon":
-        "ace84aea18b78c61febe62083a6a0615abe48ac3819de5ccc682c3a128030df0",
+        "464398ede03e99bf54ad8d1fbf231594159c5c099dac251609c736ec5ed10abf",
     "finetune":
-        "e4aface200a050baa515dd0f1dfd00e41db7b4dea76eb28b0a1c1ac5e88e4e42",
+        "7387784287d50fde273ae221f05309890324c82017d422e045851093fc904173",
     "softmax":
         "7d19050c744d8a6ec5c91b132e14ef7bf62e5e406846aedfc4aba489272a030b",
     "linear":
@@ -152,55 +159,55 @@ def test_projection_bytes(name):
 # file name: sha256 of every artifact of criterion 9's run but manifest.txt
 EXPERIMENT_GOLDEN = {
     "ckpt_combined_11.bin":
-        "6771c57213394703523256f681040422c3a65b8a66bd33b7d81bae6aa6054f2a",
+        "3e3f082ee6b2d069c964320d65413f763c6d51fe9040d9d03ced935dd2096f8c",
     "ckpt_combined_11.bin.cfg":
-        "65048ac7d2467b6f7f65a14e1477bf1ad6c5741efac9831efbe1e632884c0fd7",
+        "1566452cc8b82e4f960408963ce1ab57883179b02432ddfd3f6527c59f27503d",
     "ckpt_combined_12.bin":
-        "cd7fe34d36387a4207677c3a459bde685589e8477235bd93221833cf87dca929",
+        "edf0b9005440c46a34ad8c94b975e2a42aafd8b3d236eb239674663a10c93a0e",
     "ckpt_combined_12.bin.cfg":
-        "2d4f6ac8ee401d2a346c4820a0e3c7cfee483d3a3cd1627bdff725137788c5fc",
+        "cef1a3c340a886c9bdcd6f4844bea2de87d7473d5a506bc2947c9167fc6c49f0",
     "ckpt_simclr_11.bin":
-        "f632bf669fdd6ce94b12fd54f7571d7e91a118d3b5df0ac7e6a741a1ef7fcac3",
+        "2aebf37d86853f341d257cc7b7a5fbca72025fdbc0c400ca13644cd10388121a",
     "ckpt_simclr_11.bin.cfg":
-        "8d56ad7865385bd13f377de8a00630ee4b4095d557bfaf553af69df49783f2b8",
+        "1b9976a30f0cf52df32e1e339a9fb78e862c7f683b28734ef40aaa06246043eb",
     "ckpt_simclr_12.bin":
-        "2072646ce10d9cef685ca873833c2aab8d5ab5f7fbb8be80367f37fb6c70bce8",
+        "f7db3398bd9e7f44f8db2daa08d270c3b2316604e7486993e01accc055fc7ef9",
     "ckpt_simclr_12.bin.cfg":
-        "b20b79eadc2a158ccc04d75671cee7e84c858041b7a11736fdf30bede0941b55",
+        "71c481666d1d3071fda5216943ced44c79f6d83a4e508306b4574039be9583a8",
     "ckpt_supcon_11.bin":
-        "f53cf5c1677f2eaad2b8599632ffd9c7f7964f045554ae3ba91263742b6ec14f",
+        "bb564a24ae621389b7a37d7c76e871b55ac214dd90165b6fc2422eab65fc362f",
     "ckpt_supcon_11.bin.cfg":
-        "dbc39691a3a83407ab27d4787f6653d3bc9d1b7388edf69fbc39c51993d4e952",
+        "b53c6b1e5bf16d15fbd5ae8ab44b1c0bafdcda788f62ba9dcae9dcbdce9bd280",
     "ckpt_supcon_12.bin":
-        "41a98c222dbe7a9d7db38813dc2144baf89fc4f4cd0a4fb82dbb26747a3149a1",
+        "92c03afa2a6f9aaef326e7d3b0a5329bac1bb8bf377c4e55f8917942c35cce2e",
     "ckpt_supcon_12.bin.cfg":
-        "e0bcad85c3da683d99be4f9b680064330f5b3883775ecd438549068e971301b7",
+        "92403e984194296ddfc5feb1e4ee45c86023192a66fc6eb50c6a43f6cb03e98e",
     "embedding_combined_11.csv":
-        "815ac996e8ea04977b8d500e267c2451e7bc33addc0d36ce4cae4983ea693cf0",
+        "58e9a5734af97765deb96f5adfdc36c959117201204e855f9503889bc9c65ef1",
     "embedding_combined_12.csv":
-        "8970d1baff853d03cdfd2584ed93e1351b5d4657d52367f68be4ccf957c0e72b",
+        "a5d47ffcf5b6b51c9e76f7e960278b5f705fd78795949471b0bb5df1b193dc11",
     "embedding_simclr_11.csv":
-        "3f8cd1ee04559fefb6e113af738706dd9af9fb44bdb813f6c39d6d47c0962d17",
+        "e8a915c98076f57a1843b6fc9b9de6f85c42e35c9406689e03788e89ce34b31e",
     "embedding_simclr_12.csv":
-        "2f3434b6fe87876a96cb4054b520eada2e1a264ee30a52b26576677bf3dbebc4",
+        "144e9a074a8f4c4ea520cecef76df05b8b7511e822d235e87a127713b4b043c7",
     "embedding_supcon_11.csv":
-        "fd84bd19386e10f00e7751d6e83626cefa55c69080732a3f90712668c507307e",
+        "dce1814e1173f0c7bd48f7403ea418c481446de0ba5dba5a0312731bee20273a",
     "embedding_supcon_12.csv":
-        "5fc47aa77db4b22f60cafbca0fcfa5c3f4099701762195dfef7ac51a113c40b4",
+        "5066ab6531022f8bf00a187482367fd473b0b7385c5e4658adbdb4f0c867e7d2",
     "results.csv":
-        "0202b536fc7b7e9fb9f71c54c60dd7112fabf471fbf8f97900dd0d43426ddfef",
+        "370bb49ff80c7c8fa3bfd7a14b1ee3f4bab5e6c58c0cf9dd8815aedc190f6428",
     "scatter_combined_11.svg":
-        "1a8610fe7cb70bd9a11eb1b5c9bcfb458e26a348335f8b6f0b24b91a2f8622ec",
+        "bf3bfa0e99813b21474d0cadc2202dc6967cea48fbffe3428049e06df76ea4e8",
     "scatter_combined_12.svg":
-        "56fd6c485ad834decc77192f0f1ec7470aa242ec761db64a014de5d273e0f125",
+        "aa021743ec7c98ff9f71abe13323e4b1a73b2a10b07fe65d91ad156744063964",
     "scatter_simclr_11.svg":
-        "de2b5190ba141547cb560591ac4724ed72a3d443f2bb54a4a2b63aeacd081be0",
+        "f26ab8b8aecf708f2ce6d06492f3bd16b5e43ebf1261534b7935300e63023c2f",
     "scatter_simclr_12.svg":
-        "ddf44b8fc2449793a07967415117e88700c1a032e4b191ecdec7a158f507686f",
+        "c492c24af43e3d4f6e0a370c0aba315b828826fa0b0d51c0339dc4ac83bc8b60",
     "scatter_supcon_11.svg":
-        "eac9948643cdf896dda5c5381f63d871ed4dc30a04bcd2fa157c217db013dd12",
+        "d983531d4c4b51c62d75e372a04ec441a400a0222b17df60ec6b3cd45275c4ef",
     "scatter_supcon_12.svg":
-        "e1cad2e9752c7c1c17f3fbab7cbcd52064b9a3c85c7de643da92655c4e099245",
+        "10c2d8a2c3d23d73eb054a22d5a624d1ede1fff0c492d6c5d970dee9ff8629c4",
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import epl.pipeline as pipeline
 from epl.config import ExperimentConfig
+from epl.contrastive import TrainConfig
 from epl.dataset import (Role, SplitAssignment, UNLABELED, generate_blobs,
                          stratified_split)
 from epl.pipeline import (RESULTS_HEADER, PipelineError, ResultRow, RunState, aggregate_rows,
@@ -125,6 +127,18 @@ def test_warm_start_checkpoint_is_read_once(tmp_path, monkeypatch):
     for seed in (7, 8):
         _, arrays = real_load(tmp_path / "out" / f"ckpt_simclr_{seed}.bin")
         assert all(np.array_equal(arrays[name], arr) for name, arr in warm.arrays().items())
+
+
+def test_checkpoint_sidecar_records_every_train_setting(tmp_path):
+    cfg = small_config(tmp_path, replicas=1, epochs=1, noise=0.2)
+    state = RunState(cfg, pipeline.dataset_from_config(cfg), tmp_path, None)
+    state.encoder(0, "combined")
+    for mode in ("simclr", "combined"):
+        lines = (tmp_path / f"ckpt_{mode}_7.bin.cfg").read_text().splitlines()
+        sidecar = dict(line.split(" = ", 1) for line in lines)
+        assert sidecar["mode"] == mode and sidecar["noise"] == "0.2"
+        assert sidecar["seed"] == "7" and sidecar["init"] == "scratch"
+        assert {f.name for f in fields(TrainConfig)} <= sidecar.keys()
 
 
 class TestRunC3:
