@@ -15,7 +15,7 @@ config = ProjectionConfig(perplexity=30.0, iterations=600,
                           exaggeration_iters=150, momentum_switch=150, seed=1)
 embedding = tsne_project(data.features, config)
 print(f"final KL divergence {embedding.final_kl:.4f} after "
-      f"{embedding.iterations_run} iterations "
+      f"{config.iterations} iterations "
       f"(worst late increase {embedding.max_late_kl_increase:.2e})")
 
 score_input = knn_consistency(data.features, data.labels, k=10)

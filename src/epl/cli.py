@@ -99,7 +99,7 @@ def _cmd_extract(args) -> int:
         if not args.split:
             raise ConfigError("--roles requires --split")
         split = _load_split_of(data, args.split)
-        idx = contrastive.role_indices(split, _roles_from_arg(args.roles))
+        idx = split.indices(*_roles_from_arg(args.roles))
     else:
         idx = np.arange(data.sample_count)
     latent = contrastive.extract_features(params, data, idx)

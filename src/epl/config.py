@@ -10,13 +10,14 @@ to the stage configs' defaults, and ExperimentConfig builds and checks them.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .contrastive import TrainConfig
 from .dataset import read_text
-from .probe import LINEAR_EPOCHS, LINEAR_LAMBDA, SoftmaxConfig, check_epochs
+from .probe import LINEAR_EPOCHS, LINEAR_LAMBDA, SoftmaxConfig, check_epochs, check_lambda
 from .projection import ProjectionConfig
 
 
@@ -152,8 +153,8 @@ class ExperimentConfig:
             if mode not in VALID_MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
         fracs = (self.s_frac, self.u_frac, self.t_frac)
-        if any(f <= 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"fractions must be positive and sum to 1, got {fracs}")
+        if not all(math.isfinite(f) and f > 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+            raise ConfigError(f"fractions must be positive, finite and sum to 1, got {fracs}")
         if self.init_mode not in ("scratch", "warm_start"):
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
         if self.init_mode == "warm_start":
@@ -169,6 +170,7 @@ class ExperimentConfig:
         self.projection_config(self.base_seed).validate()
         self.softmax_config(self.base_seed).validate()
         check_epochs(self.linear_epochs)
+        check_lambda(self.linear_lambda)
 
     def to_sections(self) -> dict[str, dict[str, str]]:
         sections: dict[str, dict[str, str]] = {}

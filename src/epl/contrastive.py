@@ -16,8 +16,9 @@ The latent output is what downstream stages consume; the head output
 exists only inside the losses.
 
 One flat TrainConfig holds every setting. SimCLR, SupCon and their
-combination (SupCon from SimCLR weights) share one training path, which
-starts from `init` weights when given. The head normalization takes one
+combination (SupCon from SimCLR weights) share one training path over
+rows, which trains label-free exactly when it is given no labels and starts
+from `init` weights when given. The head normalization takes one
 masked path: zero-norm rows become the first basis vector, with zero gradient.
 
 Training keeps two flat float64 buffers of one layout: `EncoderParams.flat`
@@ -314,13 +315,6 @@ def extract_features(params: EncoderParams, data: Dataset, indices) -> np.ndarra
     return latent
 
 
-def role_indices(split: SplitAssignment, roles) -> np.ndarray:
-    mask = np.zeros(len(split.roles), dtype=bool)
-    for role in roles:
-        mask |= split.roles == int(role)
-    return np.flatnonzero(mask)
-
-
 # ---------------------------------------------------------------------------
 # Augmentation
 # ---------------------------------------------------------------------------
@@ -477,9 +471,10 @@ def _batch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return chunks
 
 
-def _batch_loss(mode: str, X: np.ndarray, y, config: TrainConfig, scale: np.ndarray,
-                rng, params: EncoderParams, grads: EncoderParams | None) -> float:
-    """Loss of one view batch; with a grads buffer, also its gradients into it.
+def _batch_loss(X: np.ndarray, y, config: TrainConfig, scale: np.ndarray, rng,
+                params: EncoderParams, grads: EncoderParams | None) -> float:
+    """Loss of one view batch: self-supervised when ``y`` is None, else
+    supervised by ``y``. With a grads buffer, also its gradients into it.
 
     Without one (validation) only the loss is computed: no embedding
     gradient and no backward pass.
@@ -487,7 +482,7 @@ def _batch_loss(mode: str, X: np.ndarray, y, config: TrainConfig, scale: np.ndar
     views, view_labels = make_view_batch(X, y, config.noise, config.dropout, scale, rng)
     cache = _forward(params, views)
     with_grad = grads is not None
-    if mode == "simclr":
+    if y is None:
         loss, d_head = ntxent_loss(cache["head"], config.temperature, with_grad)
     else:
         loss, d_head = supcon_loss(cache["head"], view_labels, config.temperature, with_grad)
@@ -509,31 +504,34 @@ def train(mode: str, data: Dataset, split: SplitAssignment, config: TrainConfig,
     loss win, earliest epoch on ties. With fewer than three training
     samples the epoch's mean training loss is used for selection instead.
     """
-    return _train(mode, data, split, config, init)
+    if mode == "simclr":
+        return _train(data, split.indices(Role.SUPERVISED, Role.UNSUPERVISED), None,
+                      config, init)
+    if mode == "supcon":
+        return _train(data, *_supervised_rows(data, split), config, init)
+    raise ContrastiveError(f"unknown training mode {mode!r}")
 
 
 def finetune_supcon(params: EncoderParams, data: Dataset, split: SplitAssignment,
                     config: TrainConfig) -> EncoderParams:
     """Continue training label-aware on the supervised role from given weights."""
-    return _train("supcon", data, split, config, params)
+    return _train(data, *_supervised_rows(data, split), config, params)
+
+
+def _supervised_rows(data: Dataset, split: SplitAssignment):
+    """The supervised role's indices and labels."""
+    if not data.has_labels:
+        raise ContrastiveError("supervised contrastive training requires labels")
+    return split.supervised, data.labels[split.supervised]
 
 
 # Overflow shows up as a non-finite statistic, loss or parameter, which is
 # raised as a ContrastiveError (naming the epoch) instead of a numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
-def _train(mode: str, data: Dataset, split: SplitAssignment, config: TrainConfig,
+def _train(data: Dataset, idx: np.ndarray, labels: np.ndarray | None, config: TrainConfig,
            init: EncoderParams | None) -> EncoderParams:
+    """Train on the dataset rows ``idx``, supervised by ``labels`` unless it is None."""
     config.validate()
-    if mode == "simclr":
-        idx = role_indices(split, (Role.SUPERVISED, Role.UNSUPERVISED))
-        labels = None
-    elif mode == "supcon":
-        if not data.has_labels:
-            raise ContrastiveError("supervised contrastive training requires labels")
-        idx = role_indices(split, (Role.SUPERVISED,))
-        labels = data.labels[idx]
-    else:
-        raise ContrastiveError(f"unknown training mode {mode!r}")
     if idx.size == 0:
         raise ContrastiveError("empty training role set")
     X = data.features[idx]
@@ -555,10 +553,10 @@ def _train(mode: str, data: Dataset, split: SplitAssignment, config: TrainConfig
         raise ContrastiveError("the standard deviation of the training features overflows float64")
     m = X.shape[0]
     perm = rng.permutation(m)
-    # The pair loss needs 4 views (2 samples) per evaluation in simclr
-    # mode, 2 views (1 sample) in supcon mode; keep both the validation
-    # slice and the remaining training set above those floors.
-    val_floor = 2 if mode == "simclr" else 1
+    # The pair loss needs 4 views (2 samples) per label-free evaluation and
+    # 2 views (1 sample) per supervised one; keep both the validation slice
+    # and the remaining training set above those floors.
+    val_floor = 2 if labels is None else 1
     n_val = int(round(config.validation_fraction * m))
     n_val = min(max(n_val, val_floor), m - 2)
     if m < val_floor + 2:
@@ -576,7 +574,7 @@ def _train(mode: str, data: Dataset, split: SplitAssignment, config: TrainConfig
         epoch_losses = []
         for chunk in _batch_slices(order, config.batch_size):
             y_chunk = None if labels is None else labels[chunk]
-            loss = _batch_loss(mode, X[chunk], y_chunk, config, scale, rng, params, grads)
+            loss = _batch_loss(X[chunk], y_chunk, config, scale, rng, params, grads)
             _check_finite(loss, epoch, "training loss")
             epoch_losses.append(loss)
             optimizer.step(params, grads, lr)
@@ -584,7 +582,7 @@ def _train(mode: str, data: Dataset, split: SplitAssignment, config: TrainConfig
             raise ContrastiveError(f"epoch {epoch}: parameters are not finite")
         if n_val > 0:
             y_val = None if labels is None else labels[val_local]
-            score = _batch_loss(mode, X[val_local], y_val, config, scale, rng, params, None)
+            score = _batch_loss(X[val_local], y_val, config, scale, rng, params, None)
             _check_finite(score, epoch, "validation loss")
         else:
             score = float(np.mean(epoch_losses))

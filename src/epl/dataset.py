@@ -53,7 +53,7 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray | None
     class_count: int
-    name: str = "dataset"
+    name: str
 
     def __post_init__(self):
         feats = _readonly(np.asarray(self.features, dtype=np.float64))
@@ -100,9 +100,9 @@ class SplitAssignment:
     def __post_init__(self):
         object.__setattr__(self, "roles", _readonly(np.asarray(self.roles, dtype=np.uint8)))
 
-    def indices(self, role: Role) -> np.ndarray:
-        """Ascending sample indices holding the given role."""
-        return np.flatnonzero(self.roles == int(role))
+    def indices(self, *roles: Role) -> np.ndarray:
+        """Ascending sample indices holding any of the given roles."""
+        return np.flatnonzero(np.isin(self.roles, [int(role) for role in roles]))
 
     @property
     def supervised(self) -> np.ndarray:
@@ -377,8 +377,8 @@ def stratified_split(dataset: Dataset, s_frac: float, u_frac: float, t_frac: flo
     if not dataset.has_labels:
         raise SplitError("stratified split requires labels")
     fracs = (s_frac, u_frac, t_frac)
-    if any(f <= 0 for f in fracs):
-        raise SplitError("fractions must be positive")
+    if not all(math.isfinite(f) and f > 0 for f in fracs):
+        raise SplitError(f"fractions must be positive and finite, got {fracs}")
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise SplitError(f"fractions must sum to 1, got {sum(fracs)}")
     n = dataset.sample_count

@@ -139,23 +139,18 @@ def _prim_tree(X: np.ndarray):
     return edges, weights
 
 
-def _forest(edges: np.ndarray, weights: np.ndarray, seeds: np.ndarray,
-            seed_labels: np.ndarray, prefer_labels: np.ndarray | None = None
-            ) -> OptimumPathForest:
-    """fmax forest rooted at ``seeds`` over one ``_prim_tree``.
+def _forest(edges: np.ndarray, weights: np.ndarray, seeds: np.ndarray):
+    """fmax costs and roots of the forest rooted at ``seeds`` over one ``_prim_tree``.
 
     A Kruskal pass adds the tree edges by ascending weight, each run of
     equal weights as one group, and a union-find keeps every component's
-    lowest seed and its lowest seed per label. A node's cost is the weight
-    of the group that first joins it to a seed: its minimax distance to
-    the seed set. The seeds tying at that cost are exactly the seeds of
-    the merged component, so its root is the component's lowest seed;
-    when ``prefer_labels`` is given, the lowest seed whose label matches
-    the node's own entry there wins first. Seeds root themselves, even
-    when another seed sits at distance zero. The predecessor is the node's
-    neighbour on its tree path to the root.
+    lowest seed. A node's cost is the weight of the group that first joins
+    it to a seed: its minimax distance to the seed set. The seeds tying at
+    that cost are exactly the seeds of the merged component, so its root is
+    the component's lowest seed. Seeds root themselves at cost 0, even when
+    another seed sits at distance zero. Returns ``(cost, root)``.
     """
-    n = len(seed_labels)
+    n = len(edges) + 1
     comp, size = list(range(n)), [1] * n
 
     def find(a: int) -> int:
@@ -163,14 +158,12 @@ def _forest(edges: np.ndarray, weights: np.ndarray, seeds: np.ndarray,
             comp[a] = a = comp[comp[a]]
         return a
 
-    # Per component root: its members while it holds no seed (None after),
-    # its lowest seed (-1 before) and its lowest seed per label.
+    # Per component root: its members while it holds no seed (None after)
+    # and its lowest seed (n before).
     members: list = [[t] for t in range(n)]
-    lowest = [-1] * n
-    by_label: list = [None] * n
-    for s, lab in zip(seeds.tolist(), seed_labels[seeds].tolist()):
-        members[s], lowest[s], by_label[s] = None, s, {lab: s}
-    prefer = None if prefer_labels is None else prefer_labels.tolist()
+    lowest = [n] * n
+    for s in seeds.tolist():
+        members[s], lowest[s] = None, s
     order = np.argsort(weights, kind="stable")
     w = weights[order]
     last = len(order) - 1
@@ -185,21 +178,11 @@ def _forest(edges: np.ndarray, weights: np.ndarray, seeds: np.ndarray,
         else:
             # The merged component holds a seed: unseeded sides are reached.
             pending += members[a] or members[b] or []
-            if lowest[b] < 0:
-                lowest[b], by_label[b] = lowest[a], by_label[a]
-            elif lowest[a] >= 0:
-                lowest[b] = min(lowest[a], lowest[b])
-                small, large = sorted((by_label[a], by_label[b]), key=len)
-                for lab, s in small.items():
-                    large[lab] = min(s, large.get(lab, s))
-                by_label[b] = large
+            lowest[b] = min(lowest[a], lowest[b])
             members[b] = None
         if pending and (k == last or w[k + 1] != w[k]):
             # The group of weight w[k] is complete: its components are final.
-            for t in pending:
-                r = find(t)
-                reached_root.append(lowest[r] if prefer is None
-                                    else by_label[r].get(prefer[t], lowest[r]))
+            reached_root += [lowest[find(t)] for t in pending]
             reached += pending
             reached_at += [k] * len(pending)
             pending = []
@@ -207,9 +190,7 @@ def _forest(edges: np.ndarray, weights: np.ndarray, seeds: np.ndarray,
     cost[reached] = w[reached_at]
     root = np.arange(n)
     root[reached] = reached_root
-    pred = _tree_neighbour(edges, root)
-    pred[seeds] = -1
-    return OptimumPathForest(cost, pred, root, seed_labels[root])
+    return cost, root
 
 
 def _tree_neighbour(edges: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -267,7 +248,10 @@ def opfsemi_propagate(features, seed_labels) -> OptimumPathForest:
     X, seed_labels = _checked(features, seed_labels)
     seeds = _seed_indices(seed_labels)
     edges, weights = _prim_tree(X)
-    return _forest(edges, weights, seeds, seed_labels)
+    cost, root = _forest(edges, weights, seeds)
+    pred = _tree_neighbour(edges, root)
+    pred[seeds] = -1
+    return OptimumPathForest(cost, pred, root, seed_labels[root])
 
 
 def minimax_oracle(features, seed_labels):
@@ -319,7 +303,6 @@ class OpfSupModel:
     labels: np.ndarray
     prototype: np.ndarray
     cost: np.ndarray
-    forest_label: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -332,25 +315,28 @@ def opfsup_train(features, labels) -> OpfSupModel:
     Prototypes are the endpoints of MST edges that join distinct classes;
     they root an fmax forest over the training set at cost 0, from which
     every other training node receives its optimum-path cost. One Prim
-    tree yields both the prototypes and the forest. Cost ties between
-    prototypes of different classes are resolved in favor of the node's
-    own class, which keeps the training set perfectly labeled by its own
-    forest (for every node, walking its spanning-tree path toward any
-    prototype meets a same-class prototype no more expensively).
+    tree yields both the prototypes and the forest, of which only the
+    costs are kept: a query takes its winning node's own training label.
+    That is the node's forest label too, cost ties resolved toward its own
+    class, since a prototype of that class always ties for its minimum: on
+    the tree path from a node toward any prototype, the first class change
+    is an edge whose near end is a prototype of the node's own class,
+    reached at no greater bottleneck.
     """
     X, y = _checked(features, labels)
     if np.unique(y).size < 2:
         raise OpfError("training set must contain at least 2 classes")
     edges, weights = _prim_tree(X)
     protos = np.unique(edges[y[edges[:, 0]] != y[edges[:, 1]]])
-    forest = _forest(edges, weights, protos, y, prefer_labels=y)
+    cost, _ = _forest(edges, weights, protos)
     proto_mask = np.zeros(X.shape[0], dtype=bool)
     proto_mask[protos] = True
-    return OpfSupModel(X, y, proto_mask, forest.cost, forest.label)
+    return OpfSupModel(X, y, proto_mask, cost)
 
 
 def opfsup_classify_batch(model: OpfSupModel, queries) -> np.ndarray:
-    """Label each query by the training node minimizing max(cost, distance).
+    """Label each query with the training label of the node minimizing
+    max(cost, distance).
 
     Equal scores resolve to the lower training index. Queries are scored
     ``_CLASSIFY_BLOCK`` rows at a time, so memory stays at one block of
@@ -367,4 +353,4 @@ def opfsup_classify_batch(model: OpfSupModel, queries) -> np.ndarray:
         scores = _distances(Q[block], model.features)
         np.maximum(scores, model.cost, out=scores)
         winners[block] = np.argmin(scores, axis=1)
-    return model.forest_label[winners]
+    return model.labels[winners]

@@ -29,7 +29,7 @@ from . import __version__
 from . import contrastive
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams
-from .dataset import (UNLABELED, Dataset, SplitAssignment, generate_blobs, int64,
+from .dataset import (UNLABELED, Dataset, Role, SplitAssignment, generate_blobs, int64,
                       load_features, read_table, stratified_split, write_table)
 from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
@@ -165,11 +165,9 @@ def propagation_seeds(data: Dataset, split: SplitAssignment):
     ascending order, and the row-aligned seed labels (true on S rows,
     UNLABELED on U rows).
     """
-    idx = np.sort(np.concatenate([split.supervised, split.unsupervised]))
-    is_sup = np.isin(idx, split.supervised)
-    seed_values = np.full(idx.size, UNLABELED, dtype=np.int64)
-    seed_values[is_sup] = data.labels[idx[is_sup]]
-    return idx, seed_values
+    idx = split.indices(Role.SUPERVISED, Role.UNSUPERVISED)
+    is_sup = split.roles[idx] == int(Role.SUPERVISED)
+    return idx, np.where(is_sup, data.labels[idx], UNLABELED)
 
 
 def score(pred, truth, class_count: int) -> tuple[float, float]:

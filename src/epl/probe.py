@@ -34,6 +34,11 @@ def check_epochs(epochs: int) -> None:
         raise ProbeError(f"epochs must be non-negative, got {epochs}")
 
 
+def check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ProbeError(f"lambda must be finite and non-negative, got {lam}")
+
+
 # ---------------------------------------------------------------------------
 # Linear probe
 # ---------------------------------------------------------------------------
@@ -56,6 +61,7 @@ def train_linear(features, labels, lam: float, epochs: int, class_count: int) ->
     is kept on the model.
     """
     check_epochs(epochs)
+    check_lambda(lam)
     X = np.asarray(features, dtype=np.float64)
     _check_features(X)
     y = np.asarray(labels, dtype=np.int64)

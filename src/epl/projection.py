@@ -92,11 +92,7 @@ class ProjectionConfig:
 @dataclass
 class Embedding2D:
     coordinates: np.ndarray
-    final_kl: float
-    iterations_run: int
-    # Largest KL increase observed between consecutive late iterations;
-    # reported so callers can check the <= 1e-3 settling contract.
-    max_late_kl_increase: float
+    # The plain-objective KL of each of the last (up to 50) iterations.
     kl_tail: np.ndarray
 
     def __post_init__(self):
@@ -106,6 +102,17 @@ class Embedding2D:
 
     def __len__(self) -> int:
         return self.coordinates.shape[0]
+
+    @property
+    def final_kl(self) -> float:
+        return float(self.kl_tail[-1])
+
+    @property
+    def max_late_kl_increase(self) -> float:
+        """Largest KL increase between consecutive late iterations, at least
+        0; reported so callers can check the <= 1e-3 settling contract."""
+        tail = self.kl_tail
+        return max(0.0, float(np.diff(tail).max()) if tail.size > 1 else 0.0)
 
 
 def _check_perplexity_bound(perplexity: float, n: int) -> None:
@@ -342,6 +349,4 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
         if it >= tail_start:
             kl_tail.append(kl_divergence(P, Y, work))
 
-    tail = np.asarray(kl_tail)
-    max_increase = float(np.diff(tail).max()) if tail.size > 1 else 0.0
-    return Embedding2D(Y, float(tail[-1]), config.iterations, max(0.0, max_increase), tail)
+    return Embedding2D(Y, np.asarray(kl_tail))

@@ -3,8 +3,9 @@
 perfbench/spans.py wraps pipeline functions where the pipeline looks them
 up. Renaming one, or calling around it, would only surface as a failed
 traced benchmark run; this test makes it a test failure instead. It also
-pins what the t-SNE counts mean, so a refactor of the descent cannot
-silently change the per-layer metrics.
+pins what the t-SNE counts mean and every work count of the smoke run, so
+a refactor of the descent, the forests or the trainer cannot silently
+change the per-layer metrics.
 """
 
 import sys
@@ -36,3 +37,7 @@ def test_smoke_workload_calls_every_traced_name(tmp_path):
     assert projections > 0
     assert tracer.counts["projection.gradient_calls"] == cfg.iterations * projections
     assert tracer.calls["kl_divergence"] == 50 * projections
+    assert {name: tracer.counts[name] for name in spans.COUNTS} == {
+        "contrastive.calls": 6, "contrastive.view_rows": 2880,
+        "projection.gradient_calls": 900, "projection.pair_evals": 14288400,
+        "opf.roots": 66, "opf.tree_visits": 6912}

@@ -101,7 +101,7 @@ class TestStages:
 
     def test_project_defaults_are_the_experiment_defaults(self, tmp_path):
         feats = np.random.default_rng(4).normal(size=(32, 3))
-        save_features(Dataset(feats, None, 0), tmp_path / "feats.bin", "binary")
+        save_features(Dataset(feats, None, 0, "feats"), tmp_path / "feats.bin", "binary")
         assert run(["project", "--features", tmp_path / "feats.bin",
                     "--out", tmp_path / "emb.csv"]) == 0
         cfg = ExperimentConfig()
@@ -123,7 +123,7 @@ class TestStages:
         feats = np.random.default_rng(3).normal(size=(30, 4))
         feats[5, 2] = 1e200
         path = tmp_path / "feats.bin"
-        save_features(Dataset(feats, None, 0), path, "binary")
+        save_features(Dataset(feats, None, 0, "feats"), path, "binary")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(["project", "--features", path, "--perplexity", 5,
@@ -134,7 +134,7 @@ class TestStages:
 
     def test_project_nan_perplexity_exits_one(self, tmp_path, capsys):
         path = tmp_path / "feats.bin"
-        save_features(Dataset(np.random.default_rng(3).normal(size=(30, 4)), None, 0),
+        save_features(Dataset(np.random.default_rng(3).normal(size=(30, 4)), None, 0, "feats"),
                       path, "binary")
         assert run(["project", "--features", path, "--perplexity", "nan",
                     "--out", tmp_path / "emb.csv"]) == 1
@@ -205,6 +205,20 @@ def test_gen_bad_argument_is_named(tmp_path, capsys, flag, value, named):
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert not (tmp_path / "data.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--s-frac", "--u-frac", "--t-frac"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_split_non_finite_fraction_exits_one(tmp_path, capsys, flag, value):
+    data = tmp_path / "data.csv"
+    assert run(["gen", "--classes", 3, "--per-class", 20, "--out", data]) == 0
+    fracs = {"--s-frac": 0.1, "--u-frac": 0.6, "--t-frac": 0.3, flag: value}
+    capsys.readouterr()
+    argv = ["split", "--data", data, "--out", tmp_path / "split.csv"]
+    assert run(argv + [token for pair in fracs.items() for token in pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "positive and finite" in err
+    assert not (tmp_path / "split.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +359,11 @@ class TestExperimentCommand:
         ("probe", "softmax_learning_rate", 0),
         ("probe", "softmax_momentum", "nan"),
         ("probe", "softmax_momentum", -0.5),
+        ("probe", "linear_lambda", "nan"),
+        ("probe", "linear_lambda", "inf"),
+        ("probe", "linear_lambda", -1),
+        ("split", "s_frac", "nan"),
+        ("split", "t_frac", "inf"),
     ])
     def test_config_every_arm_rejects_exits_one_before_any_arm(self, tmp_path, capsys,
                                                                section, key, value):
@@ -420,7 +439,7 @@ class TestExperimentCommand:
         feats = data.features.copy()
         feats[split.supervised[0], 1] = 1e200
         source = tmp_path / "extreme.bin"
-        save_features(Dataset(feats, data.labels, 3), source, "binary")
+        save_features(Dataset(feats, data.labels, 3, "source"), source, "binary")
         assert source.read_bytes()[:4] == b"EPL2"
         cfg = tmp_path / "extreme.cfg"
         cfg.write_text(f"[dataset]\nsource = {source}\n"

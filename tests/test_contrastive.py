@@ -493,16 +493,16 @@ class TestTraining:
         y = ds.labels[sup]
         initial = init_params(ds.dim, np.random.default_rng(1))
         trained = train("supcon", ds, split, cfg)
-        before = _batch_loss("supcon", X, y, cfg, safe_std(X),
+        before = _batch_loss(X, y, cfg, safe_std(X),
                              np.random.default_rng(123), initial, None)
-        after = _batch_loss("supcon", X, y, cfg, safe_std(X),
+        after = _batch_loss(X, y, cfg, safe_std(X),
                             np.random.default_rng(123), trained, None)
         assert after < before
 
     def test_supcon_needs_labels(self, blob_world):
         ds, split = blob_world
         from epl.dataset import Dataset
-        unlabeled = Dataset(ds.features, None, 0)
+        unlabeled = Dataset(ds.features, None, 0, "unlabeled")
         with pytest.raises(ContrastiveError):
             train("supcon", unlabeled, split, TrainConfig(epochs=1))
 
@@ -567,7 +567,7 @@ class TestTraining:
         ds, split = blob_world
         feats = ds.features.copy()
         feats[split.supervised[0], 2] = 1e200
-        extreme = type(ds)(feats, ds.labels, ds.class_count)
+        extreme = type(ds)(feats, ds.labels, ds.class_count, "extreme")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for mode in ("simclr", "supcon"):

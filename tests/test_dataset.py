@@ -18,7 +18,7 @@ def random_dataset(rng, n_classes=None, per_class=None, d=None):
     d = d or int(rng.integers(1, 6))
     feats = rng.normal(size=(n_classes * per_class, d))
     labels = np.repeat(np.arange(n_classes), per_class)
-    return Dataset(feats, labels, n_classes)
+    return Dataset(feats, labels, n_classes, "random")
 
 
 class TestIngestion:
@@ -65,7 +65,7 @@ class TestIngestion:
 
     def test_class_count_survives_a_missing_class(self, tmp_path):
         # k = 3 but no sample of class 2: both formats keep k = 3
-        ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 0, 1], 3)
+        ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 0, 1], 3, "k3")
         for fmt in ("text", "binary"):
             path = tmp_path / f"k3.{fmt}"
             save_features(ds, path, fmt)
@@ -84,11 +84,11 @@ class TestIngestion:
 
     def test_class_count_above_sample_count_rejected(self):
         with pytest.raises(DatasetError, match="class count 5 exceeds 4 samples"):
-            Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 5)
+            Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 5, "k5")
 
     def test_round_trip_unlabeled(self, tmp_path):
         rng = np.random.default_rng(1)
-        ds = Dataset(rng.normal(size=(7, 3)), None, 0)
+        ds = Dataset(rng.normal(size=(7, 3)), None, 0, "u")
         for fmt in ("text", "binary"):
             path = tmp_path / f"u.{fmt}"
             save_features(ds, path, fmt)
@@ -128,7 +128,7 @@ class TestBlobs:
         feats = np.ones((3, 2))
         feats[2, 1] = np.inf
         with pytest.raises(DatasetError, match="row 2, column 1"):
-            Dataset(feats, None, 0)
+            Dataset(feats, None, 0, "inf")
 
 
 class TestStratifiedSplit:
@@ -138,14 +138,14 @@ class TestStratifiedSplit:
         assert sum(counts) == 1668
         labels = np.repeat(np.arange(8), counts)
         rng = np.random.default_rng(3)
-        ds = Dataset(rng.normal(size=(1668, 4)), labels, 8)
+        ds = Dataset(rng.normal(size=(1668, 4)), labels, 8, "paper")
         split = stratified_split(ds, 0.01, 0.69, 0.30, seed=1)
         assert split.supervised.size == 17
         assert split.supervised.size + split.unsupervised.size + split.test.size == 1668
 
     def test_balanced_300_counts(self):
         labels = np.repeat(np.arange(3), 100)
-        ds = Dataset(np.random.default_rng(0).normal(size=(300, 2)), labels, 3)
+        ds = Dataset(np.random.default_rng(0).normal(size=(300, 2)), labels, 3, "balanced")
         split = stratified_split(ds, 0.01, 0.69, 0.30, seed=9)
         assert split.supervised.size == 3
         assert split.test.size == 90
@@ -169,7 +169,7 @@ class TestStratifiedSplit:
             counts = rng.integers(12, 60, k)
             labels = np.repeat(np.arange(k), counts)
             n = labels.size
-            ds = Dataset(rng.normal(size=(n, 3)), labels, k)
+            ds = Dataset(rng.normal(size=(n, 3)), labels, k, "random")
             split = stratified_split(ds, 0.05, 0.65, 0.30, int(rng.integers(0, 1 << 30)))
             roles = split.roles
             # roles partition all indices
@@ -200,12 +200,12 @@ class TestStratifiedSplit:
 
     def test_class_too_small(self):
         labels = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 1])
-        ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)), labels, 2)
+        ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)), labels, 2, "small")
         with pytest.raises(SplitError, match="at least 3"):
             stratified_split(ds, 0.1, 0.6, 0.30, seed=0)
 
     def test_unlabeled_dataset_rejected(self):
-        ds = Dataset(np.zeros((10, 2)), None, 0)
+        ds = Dataset(np.zeros((10, 2)), None, 0, "unlabeled")
         with pytest.raises(SplitError):
             stratified_split(ds, 0.1, 0.6, 0.3, seed=0)
 
@@ -213,9 +213,27 @@ class TestStratifiedSplit:
     @settings(max_examples=30, deadline=None)
     def test_fraction_validation(self, seed):
         ds = Dataset(np.arange(60, dtype=float).reshape(30, 2),
-                     np.repeat([0, 1, 2], 10), 3)
+                     np.repeat([0, 1, 2], 10), 3, "grid")
         with pytest.raises(SplitError):
             stratified_split(ds, 0.5, 0.5, 0.5, seed=seed)
+
+    @pytest.mark.parametrize("fracs", [
+        (float("nan"), 0.7, 0.3), (0.1, float("nan"), 0.3), (0.1, 0.6, float("nan")),
+        (float("inf"), 0.7, 0.3), (0.1, -float("inf"), 0.3)])
+    def test_non_finite_fractions_rejected(self, fracs):
+        ds = random_dataset(np.random.default_rng(7), n_classes=3, per_class=20)
+        with pytest.raises(SplitError, match="positive and finite"):
+            stratified_split(ds, *fracs, seed=0)
+
+    @given(st.lists(st.integers(0, 2), max_size=40), st.sets(st.sampled_from(list(Role))))
+    def test_indices_of_several_roles_are_the_sorted_union(self, roles, chosen):
+        split = SplitAssignment(np.array(roles, dtype=np.uint8), 0, (0.2, 0.5, 0.3))
+        union = np.unique(np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [np.flatnonzero(split.roles == role)
+                                             for role in chosen]))
+        got = split.indices(*chosen)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, union)
 
     def test_split_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -87,7 +87,8 @@ def reference_forest(X, seeds, seed_labels, prefer_labels=None):
 
     Cost ties go to the lowest tying seed, except that with
     ``prefer_labels`` a tying seed whose label matches the node's entry
-    there wins first; seeds root themselves.
+    there wins first; seeds root themselves. The supervised classifier's
+    forest is the one with its training labels preferred.
     """
     _, bottleneck, hop = reference_sweep(X)
     per_seed = bottleneck[seeds]
@@ -115,11 +116,17 @@ def reference_prototypes(X, y):
     return np.unique(edges[y[edges[:, 0]] != y[edges[:, 1]]])
 
 
-def supervised_forest(X, y):
-    """The forest inside ``opfsup_train``: MST-boundary prototypes, own label first."""
-    edges, weights = opf._prim_tree(X)
-    protos = np.unique(edges[y[edges[:, 0]] != y[edges[:, 1]]])
-    return opf._forest(edges, weights, protos, y, prefer_labels=y)
+def assert_supervised_forest(X, y):
+    """``opfsup_train`` keeps the prototypes and costs of the reference forest
+    with ties to each node's own label, and that forest labels every training
+    node with its own label: why the model keeps no forest labels."""
+    protos = reference_prototypes(X, y)
+    want = reference_forest(X, protos, y, prefer_labels=y)
+    model = opfsup_train(X, y)
+    assert np.array_equal(np.flatnonzero(model.prototype), protos)
+    assert model.cost.dtype == want.cost.dtype
+    assert np.array_equal(model.cost, want.cost)
+    assert np.array_equal(want.label, y)
 
 
 def assert_same_forest(forest, reference):
@@ -487,8 +494,9 @@ class TestTiedInputs:
         assert np.array_equal(forest.cost, costs)
 
     def test_opfsup_grid_golden(self):
-        # sha256 of (prototype, cost, forest_label) over a seeded batch of
-        # grid instances, recorded before the forest became one Prim sweep.
+        # sha256 of (prototype, cost, labels) over a seeded batch of grid
+        # instances, recorded before the forest became one Prim sweep (then
+        # hashing the forest's labels, which always equal the training ones).
         rng = np.random.default_rng(31)
         digest = hashlib.sha256()
         for _ in range(300):
@@ -497,7 +505,7 @@ class TestTiedInputs:
             if np.unique(y).size < 2:
                 continue
             model = opfsup_train(X, y)
-            for part in (model.prototype, model.cost, model.forest_label):
+            for part in (model.prototype, model.cost, model.labels):
                 digest.update(part.tobytes())
         assert digest.hexdigest() == (
             "9013010d72b8c3dda742d0e80ddc280d8f2302f992fd2b963cf574f00b28f143")
@@ -515,13 +523,7 @@ class TestTiedInputs:
         if n >= 2:
             assert np.array_equal(mst(X), reference_mst(X))
         if np.unique(labels).size >= 2:
-            protos = reference_prototypes(X, labels)
-            want = reference_forest(X, protos, labels, prefer_labels=labels)
-            assert_same_forest(supervised_forest(X, labels), want)
-            model = opfsup_train(X, labels)
-            assert np.array_equal(np.flatnonzero(model.prototype), protos)
-            assert np.array_equal(model.cost, want.cost)
-            assert np.array_equal(model.forest_label, want.label)
+            assert_supervised_forest(X, labels)
 
     @pytest.mark.parametrize("X, seeds", [
         ([[3.0]], [1]),
@@ -544,9 +546,7 @@ class TestTiedInputs:
             assert np.array_equal(mst(X), reference_mst(X))
         labels = np.where(seeds == UNLABELED, 0, seeds)
         if np.unique(labels).size >= 2:
-            want = reference_forest(X, reference_prototypes(X, labels), labels,
-                                    prefer_labels=labels)
-            assert_same_forest(supervised_forest(X, labels), want)
+            assert_supervised_forest(X, labels)
 
     def test_larger_forests_match_reference(self):
         # Sizes past the hypothesis clouds, on scaled continuous data and on
@@ -563,8 +563,7 @@ class TestTiedInputs:
             assert_same_forest(opfsemi_propagate(X, seeds), reference_forest(X, seed_idx, seeds))
             assert np.array_equal(mst(X), reference_mst(X))
             if np.unique(y).size >= 2:
-                want = reference_forest(X, reference_prototypes(X, y), y, prefer_labels=y)
-                assert_same_forest(supervised_forest(X, y), want)
+                assert_supervised_forest(X, y)
 
 
 class TestClassifyBlocks:
@@ -582,13 +581,13 @@ class TestClassifyBlocks:
         best = scores == scores.min(axis=1, keepdims=True)
         # Queries whose best score ties between training rows of different
         # labels sit on both sides of every block edge.
-        tied = grid[[np.unique(model.forest_label[row]).size > 1 for row in best]]
+        tied = grid[[np.unique(model.labels[row]).size > 1 for row in best]]
         assert len(tied)
         Q = grid[rng.integers(0, len(grid), count)]
         for edge in range(self.BLOCK, count + 1, self.BLOCK):
             Q[edge - 1] = Q[min(edge, count - 1)] = tied[edge % len(tied)]
         scores = np.maximum(cdist(Q, model.features), model.cost)
-        want = model.forest_label[np.argmin(scores, axis=1)]
+        want = model.labels[np.argmin(scores, axis=1)]
         got = opfsup_classify_batch(model, Q)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)

@@ -44,6 +44,13 @@ class TestLinearProbe:
             fit_linear(np.zeros((4, 2)), np.zeros(4, dtype=int), 2)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+def test_linear_probe_rejects_a_bad_lambda(lam):
+    data = generate_blobs(2, 10, 3, 0.5, 6.0, seed=1)
+    with pytest.raises(ProbeError, match="lambda must be finite and non-negative"):
+        train_linear(data.features, data.labels, lam, LINEAR_EPOCHS, 2)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_probes_reject_non_finite_features(value):
     data = generate_blobs(2, 10, 3, 0.5, 6.0, seed=1)

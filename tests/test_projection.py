@@ -412,4 +412,4 @@ class TestTsne:
 
     def test_embedding_requires_finite_coordinates(self):
         with pytest.raises(ProjectionError):
-            Embedding2D(np.array([[0.0, np.inf]]), 0.0, 1, 0.0, np.empty(0))
+            Embedding2D(np.array([[0.0, np.inf]]), np.empty(0))
