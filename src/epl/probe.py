@@ -27,6 +27,8 @@ class ProbeError(ValueError):
 # The linear probe's defaults, shared by train_linear and ExperimentConfig.
 LINEAR_LAMBDA = 1.0
 LINEAR_EPOCHS = 200
+# The linear probe's first step; epoch t steps _FIRST_STEP / sqrt(t).
+_FIRST_STEP = 1e-3
 
 
 def check_epochs(epochs: int) -> None:
@@ -35,8 +37,13 @@ def check_epochs(epochs: int) -> None:
 
 
 def check_lambda(lam: float) -> None:
+    """A lambda the linear probe converges for: each step scales the weights
+    by 1 - step x lambda, which stops contracting once step x lambda reaches 2."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ProbeError(f"lambda must be finite and non-negative, got {lam}")
+    if _FIRST_STEP * lam >= 2.0:
+        raise ProbeError(f"lambda {lam} is too large: the first step {_FIRST_STEP} x lambda "
+                         f"reaches 2, so the linear probe would diverge")
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +61,7 @@ class LinearModel:
 
 
 def train_linear(features, labels, lam: float, epochs: int, class_count: int) -> LinearModel:
-    """One-vs-rest hinge loss with an epoch-wise 1e-3 / sqrt(t) step.
+    """One-vs-rest hinge loss with an epoch-wise _FIRST_STEP / sqrt(t) step.
 
     Full-batch subgradient descent from zero weights, so the fit is
     deterministic and takes no seed. The per-epoch regularized objective
@@ -79,7 +86,7 @@ def train_linear(features, labels, lam: float, epochs: int, class_count: int) ->
     b = np.zeros(k)
     trace = np.empty(epochs)
     for t in range(1, epochs + 1):
-        step = 1e-3 / np.sqrt(t)
+        step = _FIRST_STEP / np.sqrt(t)
         margins = target * (X @ W.T + b)
         viol = margins < 1.0
         coeff = target * viol

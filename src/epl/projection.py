@@ -8,20 +8,26 @@ Student-t Q by plain gradient descent with momentum, early exaggeration,
 and re-centering after every step. Everything is O(n^2) and bit-stable
 for a fixed seed.
 
+The projection holds P and one n x n buffer through the descent.
+`conditional_affinities` writes the squared distances into the matrix it
+returns and replaces each row by its conditional in turn, and
+`pairwise_affinities` symmetrizes that matrix in place, block pair by
+block pair, so it becomes P.
+
 The descent computes one gradient per step and no KL until the last 50
 steps. `tsne_project` lends one `Workspace` to every `kl_gradient` and
 `kl_divergence` call. Its buffer `w` holds the Student-t weights
 1 / (1 + |y_i - y_j|^2) (zero diagonal) of the coordinates it was built
-for, with their sum S; its buffer `m` holds Q = w / S after a KL and
-(P - Q) * w after a gradient. A call rebuilds the weights only for other
-coordinates than the ones they hold, so in the last 50 steps the kernel
-that the KL of step t builds is the one the gradient of step t + 1 uses:
-one kernel per step, not two. The KL's P-side terms (P > 0, p and log p)
-are kept for the P array they came from, so they are computed once per
-projection. The gradient's P-side pass runs over blocks of _BLOCK_ROWS
-rows, so each block of w, P and m stays in cache. Every call computes the
-same float operations in the same order as with fresh arrays, so results
-are bitwise equal with or without a workspace.
+for, with their sum S. A gradient overwrites `w`, one block of
+_BLOCK_ROWS rows at a time, with (alpha P - w / S) * w, where alpha is the
+early exaggeration, so P is never copied; a KL only reads `w`. A call
+rebuilds the weights only for other coordinates than the ones they hold,
+so in the last 50 steps the kernel that the KL of step t builds is the
+one the gradient of step t + 1 uses: one kernel per step, not two. The
+KL is sum p log p, taken once per P array, minus sum p log q, summed one
+row block at a time. The gradient computes the same float operations as
+the full-matrix form, so its bytes do not depend on the workspace or the
+blocking; the KL's bytes depend on the block order and nothing else.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ _INIT_SIGMA = 1e-4
 # underflows, so wide distance spreads still find a bracket.
 _BISECT_STEPS = 64
 _MAX_SHIFTED_D2 = np.finfo(np.float64).max / 2.0 ** _BISECT_STEPS
-# Rows per block of the gradient's P-side pass. A block of w, P and m holds
+# Rows per block of the gradient's and the KL's passes, and the side of the
+# symmetrization's blocks. A block of w, P and the scratch holds
 # 64 x 3 float64 = 1.5 kB per column, so it stays in a 2 MB L2 cache up to
 # n ~ 1300.
 _BLOCK_ROWS = 64
@@ -140,7 +147,9 @@ def conditional_affinities(features, perplexity: float,
     solution and are set uniform, the entropy-maximizing limit. Non-finite
     features, squared distances beyond float64, and squared distances too
     large for the bisection's precisions to scale raise ProjectionError
-    before any row is bisected.
+    before any row is bisected. The squared distances are computed into
+    the returned matrix, and each row's conditional overwrites its
+    distances: no second n x n array.
     """
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
@@ -149,24 +158,27 @@ def conditional_affinities(features, perplexity: float,
     _check_perplexity_bound(perplexity, n)
     if not np.isfinite(X).all():
         raise ProjectionError("features must be finite (found NaN or inf)")
-    d2 = cdist(X, X, "sqeuclidean")
-    if not np.isfinite(d2).all():
+    cond = cdist(X, X, "sqeuclidean")
+    # Finite features give no NaN distance, so an overflow shows as an inf maximum.
+    top = cond.max()
+    if not np.isfinite(top):
         raise ProjectionError("squared distances between features overflow float64")
-    if d2.max() > _MAX_SHIFTED_D2:
+    if top > _MAX_SHIFTED_D2:
         raise ProjectionError(
-            f"squared-distance range 0..{d2.max():.3g} is too wide for the perplexity "
+            f"squared-distance range 0..{top:.3g} is too wide for the perplexity "
             f"bisection: precisions up to 2**{_BISECT_STEPS} would overflow float64")
-    cond = np.zeros((n, n))
     betas = np.ones(n)
-    off = ~np.eye(n, dtype=bool)
     for i in range(n):
-        row = d2[i][off[i]]
+        row = np.delete(cond[i], i)
         # All-equal distances (to float resolution) admit no bisection
         # solution: the conditional is uniform for every precision.
         if row.max() - row.min() <= 1e-12 * max(row.max(), 1.0):
-            cond[i][off[i]] = 1.0 / (n - 1)
-            continue
-        betas[i], cond[i][off[i]] = _bisect_row(row, perplexity, tol, i)
+            p = np.full(n - 1, 1.0 / (n - 1))
+        else:
+            betas[i], p = _bisect_row(row, perplexity, tol, i)
+        cond[i, :i] = p[:i]
+        cond[i, i] = 0.0
+        cond[i, i + 1:] = p[i:]
     return cond, betas
 
 
@@ -205,10 +217,31 @@ def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int):
 
 def pairwise_affinities(features, perplexity: float,
                         tol: float = ProjectionConfig.entropy_tolerance) -> np.ndarray:
-    """Symmetrized joint affinities: (C + C^T) / (2 n)."""
-    cond, _ = conditional_affinities(features, perplexity, tol)
-    n = cond.shape[0]
-    return (cond + cond.T) / (2.0 * n)
+    """Symmetrized joint affinities (C + C^T) / (2 n), built in C's own buffer.
+
+    Each pair of _BLOCK_ROWS-square blocks is summed, scaled and written
+    back to both places; c_ij + c_ji = c_ji + c_ij in floating point, so the
+    result equals the out-of-place form bit for bit.
+    """
+    P, _ = conditional_affinities(features, perplexity, tol)
+    n = P.shape[0]
+    scale = 2.0 * n
+    for a in range(0, n, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        for b in range(a, n, _BLOCK_ROWS):
+            cols = slice(b, b + _BLOCK_ROWS)
+            block = P[rows, cols] + P[cols, rows].T
+            block /= scale
+            P[rows, cols] = block
+            P[cols, rows] = block.T
+    return P
+
+
+def _row_blocks(n: int):
+    """(slice, row count) of each block of _BLOCK_ROWS consecutive rows."""
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        yield slice(start, stop), stop - start
 
 
 def _student_t_weights(coords: np.ndarray, out: np.ndarray) -> None:
@@ -220,23 +253,24 @@ def _student_t_weights(coords: np.ndarray, out: np.ndarray) -> None:
 
 
 class Workspace:
-    """Two n x n float64 buffers and the kernel state they carry between calls.
+    """One n x n float64 buffer, a block scratch, and the state they carry between calls.
 
     `w` and `total` hold the Student-t weights of the coordinates whose
-    shape and bytes are `_kernel_of`, and their sum; `m` holds w / total
-    while `_q_ready` is set. `_kl_terms` are (P > 0, p, log p) of the P
-    array object `_kl_of`; that array must not change in place while the
-    workspace is in use.
+    shape and bytes are `_kernel_of`, and their sum. A gradient overwrites
+    `w` and clears `_kernel_of`, so the next call rebuilds the weights.
+    `scratch` holds two blocks of _BLOCK_ROWS rows. `_p_log_p` is
+    sum p log p over the positive entries of the P array object
+    `_p_log_p_of`; that array must not change in place while the workspace
+    is in use.
     """
 
     def __init__(self, n: int):
         self.w = np.empty((n, n))
-        self.m = np.empty((n, n))
+        self.scratch = np.empty((2, min(n, _BLOCK_ROWS), n))
         self.total = 0.0
         self._kernel_of = None
-        self._q_ready = False
-        self._kl_of = None
-        self._kl_terms = None
+        self._p_log_p_of = None
+        self._p_log_p = 0.0
 
     def kernel(self, Y: np.ndarray) -> None:
         """Make `w` and `total` hold Y's weights, building them only if they hold another Y's."""
@@ -245,15 +279,17 @@ class Workspace:
             _student_t_weights(Y, self.w)
             self.total = self.w.sum()
             self._kernel_of = key
-            self._q_ready = False
 
-    def kl_terms(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(P > 0, p, log p) of P, computed only if they are another array's."""
-        if P is not self._kl_of:
-            mask = P > 0
-            p = P[mask]
-            self._kl_of, self._kl_terms = P, (mask, p, np.log(p))
-        return self._kl_terms
+    def p_log_p(self, P: np.ndarray) -> float:
+        """sum p log p over P's positive entries, summed by row blocks, computed
+        only if it is another array's."""
+        if P is not self._p_log_p_of:
+            total = 0.0
+            for rows, _ in _row_blocks(P.shape[0]):
+                p = P[rows][P[rows] > 0]
+                total += float((p * np.log(p)).sum())
+            self._p_log_p_of, self._p_log_p = P, total
+        return self._p_log_p
 
 
 def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
@@ -275,43 +311,47 @@ def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
 def kl_divergence(P, coords, work=None) -> float:
     """KL(P || Q) with the Student-t Q implied by the coordinates.
 
-    Zero P entries contribute nothing; Q is floored at 1e-12 before the log.
-    `work` is an optional Workspace for n coordinates.
+    P must not be negative; its zero entries contribute nothing. Q is
+    floored at 1e-12 before the log. The KL is sum p log p minus the sum
+    of p log q over blocks of _BLOCK_ROWS rows. `work` is an optional
+    Workspace for n coordinates; the kernel this call builds stays in it.
     """
     P, Y, ws = _kernel_args(P, coords, work)
     ws.kernel(Y)
-    if not ws._q_ready:
-        np.divide(ws.w, ws.total, out=ws.m)
-        ws._q_ready = True
-    mask, p, log_p = ws.kl_terms(P)
-    terms = ws.m[mask]
-    np.maximum(terms, _Q_EPS, out=terms)
-    np.log(terms, out=terms)
-    np.subtract(log_p, terms, out=terms)
-    np.multiply(p, terms, out=terms)
-    return float(terms.sum())
+    cross = 0.0
+    for rows, k in _row_blocks(Y.shape[0]):
+        log_q = ws.scratch[0, :k]
+        np.divide(ws.w[rows], ws.total, out=log_q)
+        np.maximum(log_q, _Q_EPS, out=log_q)
+        np.log(log_q, out=log_q)
+        np.multiply(P[rows], log_q, out=log_q)
+        cross += float(log_q.sum())
+    return ws.p_log_p(P) - cross
 
 
-def kl_gradient(P, coords, work=None) -> np.ndarray:
-    """Analytic gradient of KL(P || Q) with respect to the coordinates.
+def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
+    """Analytic gradient of KL(alpha P || Q) with respect to the coordinates.
 
-    dC/dy_i = 4 sum_j (p_ij - q_ij) (y_i - y_j) / (1 + |y_i - y_j|^2).
-    `work` is an optional Workspace for n coordinates.
+    dC/dy_i = 4 sum_j (alpha p_ij - q_ij) (y_i - y_j) / (1 + |y_i - y_j|^2),
+    where alpha is the exaggeration; P[rows] * alpha equals (P * alpha)[rows]
+    elementwise. `work` is an optional Workspace for n coordinates; the
+    gradient overwrites its kernel.
     """
     P, Y, ws = _kernel_args(P, coords, work)
     ws.kernel(Y)
-    w, m = ws.w, ws.m
+    w = ws.w
     row_sums = np.empty(Y.shape[0])
-    for start in range(0, Y.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = m[rows]
-        if not ws._q_ready:
-            np.divide(w[rows], ws.total, out=block)
-        np.subtract(P[rows], block, out=block)
-        np.multiply(block, w[rows], out=block)
-        np.sum(block, axis=1, out=row_sums[rows])
-    ws._q_ready = False
-    return 4.0 * (row_sums[:, None] * Y - m @ Y)
+    for rows, k in _row_blocks(Y.shape[0]):
+        block = ws.scratch[0, :k]
+        np.divide(w[rows], ws.total, out=block)
+        p = P[rows]
+        if exaggeration != 1.0:
+            p = np.multiply(p, exaggeration, out=ws.scratch[1, :k])
+        np.subtract(p, block, out=block)
+        np.multiply(block, w[rows], out=w[rows])
+        np.sum(w[rows], axis=1, out=row_sums[rows])
+    ws._kernel_of = None
+    return 4.0 * (row_sums[:, None] * Y - w @ Y)
 
 
 def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
@@ -328,7 +368,6 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     config.validate(n)
 
     P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
-    P_eff = P * config.early_exaggeration
     work = Workspace(n)
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
@@ -337,10 +376,9 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     kl_tail = []
 
     for it in range(config.iterations):
-        if it >= config.exaggeration_iters:
-            P_eff = P  # releases the exaggerated copy
+        exaggeration = config.early_exaggeration if it < config.exaggeration_iters else 1.0
         momentum = config.momentum_start if it < config.momentum_switch else config.momentum_final
-        step = kl_gradient(P_eff, Y, work)
+        step = kl_gradient(P, Y, work, exaggeration)
         step *= config.learning_rate
         velocity *= momentum
         velocity -= step

@@ -362,6 +362,7 @@ class TestExperimentCommand:
         ("probe", "linear_lambda", "nan"),
         ("probe", "linear_lambda", "inf"),
         ("probe", "linear_lambda", -1),
+        ("probe", "linear_lambda", 1e6),
         ("split", "s_frac", "nan"),
         ("split", "t_frac", "inf"),
     ])

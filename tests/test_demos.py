@@ -19,6 +19,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # The pytest configuration's warning filter does not reach a subprocess.
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

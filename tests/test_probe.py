@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,22 @@ class TestLinearProbe:
 def test_linear_probe_rejects_a_bad_lambda(lam):
     data = generate_blobs(2, 10, 3, 0.5, 6.0, seed=1)
     with pytest.raises(ProbeError, match="lambda must be finite and non-negative"):
+        train_linear(data.features, data.labels, lam, LINEAR_EPOCHS, 2)
+
+
+def test_linear_probe_trains_just_below_the_divergent_lambda():
+    data = generate_blobs(2, 10, 3, 0.5, 6.0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = train_linear(data.features, data.labels, 1999.0, LINEAR_EPOCHS, 2)
+    assert np.isfinite(model.weights).all() and np.isfinite(model.objective_trace).all()
+
+
+@pytest.mark.parametrize("lam", [2000.0, 1e6, 1e308])
+def test_linear_probe_rejects_a_divergent_lambda(lam):
+    # the first step is 1e-3, and 1e-3 x lambda >= 2 stops the weight decay contracting
+    data = generate_blobs(2, 10, 3, 0.5, 6.0, seed=1)
+    with pytest.raises(ProbeError, match="too large"):
         train_linear(data.features, data.labels, lam, LINEAR_EPOCHS, 2)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,11 +32,13 @@ def kl_summation_oracle(P, coords):
     return total
 
 
-# Reference forms of the kernels and the bisection: fresh arrays, one
-# Student-t kernel per call, full-matrix passes, and a bisection that
-# shifts the row and compresses p > 0 on every evaluation. The library's
-# blocked gradient, shared tail kernel and leaner bisection must match
-# them bit for bit.
+# Reference forms of the kernels, the affinities and the bisection: fresh
+# arrays, one Student-t kernel per call, full-matrix passes, a full
+# distance matrix, and a bisection that shifts the row and compresses
+# p > 0 on every evaluation. The library's blocked in-place gradient,
+# shared tail kernel, row-wise affinities and leaner bisection must match
+# them bit for bit; its blocked KL must match `ref_kl_blocked` bit for bit
+# and the gathered sum `ref_kl_divergence` to 1e-12 relative.
 def ref_weights(coords):
     w = 1.0 / (cdist(coords, coords, "sqeuclidean") + 1.0)
     np.fill_diagonal(w, 0.0)
@@ -49,6 +52,25 @@ def ref_kl_divergence(P, coords):
     p = P[mask]
     log_q = np.log(np.maximum(q[mask], 1e-12))
     return float((p * (np.log(p) - log_q)).sum())
+
+
+def ref_kl_blocked(P, coords, block=64):
+    """sum p log p minus sum p log q, each summed block of `block` rows by block."""
+    w = ref_weights(coords)
+    log_q = np.log(np.maximum(w / w.sum(), 1e-12))
+    p_log_p = cross = 0.0
+    for start in range(0, P.shape[0], block):
+        rows = slice(start, start + block)
+        p = P[rows][P[rows] > 0]
+        p_log_p += float((p * np.log(p)).sum())
+        cross += float((P[rows] * log_q[rows]).sum())
+    return p_log_p - cross
+
+
+def assert_kl_matches(P, coords, kl):
+    assert kl == ref_kl_blocked(P, coords)
+    gathered = ref_kl_divergence(P, coords)
+    assert abs(kl - gathered) <= 1e-12 * abs(gathered)
 
 
 def ref_kl_gradient(P, coords):
@@ -90,6 +112,29 @@ def ref_bisect_row(row, perplexity, tol):
         else:
             hi = mid
     raise AssertionError("reference bisection did not converge")
+
+
+def ref_conditional_affinities(X, perplexity, tol):
+    """A full distance matrix and an off-diagonal mask; rows bisected by the library."""
+    n = X.shape[0]
+    d2 = cdist(X, X, "sqeuclidean")
+    off = ~np.eye(n, dtype=bool)
+    cond, betas = np.zeros((n, n)), np.ones(n)
+    for i in range(n):
+        row = d2[i][off[i]]
+        if row.max() - row.min() <= 1e-12 * max(row.max(), 1.0):
+            cond[i][off[i]] = 1.0 / (n - 1)
+        else:
+            betas[i], cond[i][off[i]] = _bisect_row(row, perplexity, tol, i)
+    return cond, betas
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ProjectionError it raised."""
+    try:
+        return fn(*args)
+    except ProjectionError as err:
+        return type(err), str(err)
 
 
 class TestAffinities:
@@ -158,6 +203,33 @@ class TestAffinities:
             with pytest.raises(ProjectionError, match=cause):
                 tsne_project(X, ProjectionConfig(perplexity=5.0, iterations=5))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([63, 64, 65, 131]), st.integers(3, 200)),
+           d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["normal", "duplicates", "all_equal", "wide_column"]),
+           perplexity=st.floats(1.5, 30.0))
+    def test_row_wise_affinities_equal_the_full_matrix_forms(self, n, d, seed, kind,
+                                                             perplexity):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if kind == "duplicates":
+            pairs = int(rng.integers(1, n // 2 + 1))
+            X[1:2 * pairs:2] = X[0:2 * pairs:2]
+        elif kind == "all_equal":
+            X[:] = X[0]
+        elif kind == "wide_column":
+            X[:, 0] *= 1e10
+        perplexity = min(perplexity, n - 1.5)
+        got = outcome(conditional_affinities, X, perplexity, 1e-5)
+        want = outcome(ref_conditional_affinities, X, perplexity, 1e-5)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (cond, betas), (ref_cond, ref_betas) = got, want
+        assert np.array_equal(cond, ref_cond) and np.array_equal(betas, ref_betas)
+        assert np.array_equal(pairwise_affinities(X, perplexity, 1e-5),
+                              (ref_cond + ref_cond.T) / (2.0 * n))
+
     def test_degenerate_coincident_rows(self):
         X = np.zeros((5, 2))
         cond, _ = conditional_affinities(X, 2.0)
@@ -223,14 +295,14 @@ class TestScratchBuffers:
     def test_reused_work_is_bitwise_equal(self, n, seed, scale):
         rng = np.random.default_rng(seed)
         P = pairwise_affinities(rng.normal(size=(n, 3)), min(3.0, n - 1.5))
-        P[0, n - 1] = P[n - 1, 0] = 0.0  # a zero entry the KL mask must skip
+        P[0, n - 1] = P[n - 1, 0] = 0.0  # a zero entry the KL must skip
         work = Workspace(n)
         work.w.fill(np.nan)
-        work.m.fill(np.nan)
-        for P_eff in (P * 12.0, P, P * 4.0):
+        work.scratch.fill(np.nan)
+        for alpha in (12.0, 1.0, 4.0):
             Y = rng.normal(0.0, scale, (n, 2))
-            assert np.array_equal(kl_gradient(P_eff, Y, work), kl_gradient(P_eff, Y))
-            assert kl_divergence(P_eff, Y, work) == kl_divergence(P_eff, Y)
+            assert np.array_equal(kl_gradient(P, Y, work, alpha), kl_gradient(P * alpha, Y))
+            assert kl_divergence(P * alpha, Y, work) == kl_divergence(P * alpha, Y)
             assert kl_divergence(P, Y, work) == kl_divergence(P, Y)
             assert np.array_equal(kl_gradient(P, Y, work), kl_gradient(P, Y))
 
@@ -250,24 +322,26 @@ class TestBitwiseAgainstReference:
     @given(n=st.one_of(st.sampled_from([63, 64, 65, 131]), st.integers(4, 200)),
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-4, 1.0, 30.0]),
            calls=st.lists(st.tuples(st.sampled_from(["kl", "grad"]), st.integers(0, 2),
-                                    st.integers(0, 2)), min_size=1, max_size=12))
+                                    st.integers(0, 2), st.sampled_from([1.0, 12.0, 4.0])),
+                          min_size=1, max_size=12))
     def test_kernel_calls_on_one_workspace(self, n, seed, scale, calls):
-        # Any order of calls on any P and coordinates: a kernel or P-side
-        # term left by one call must serve only the same coordinates or P.
+        # Any order of calls on any P, coordinates and exaggeration: a
+        # kernel or P-side term left by one call must serve only the same
+        # coordinates or P, and a gradient must leave no kernel behind.
         rng = np.random.default_rng(seed)
         P = _joint_with_zeros(rng, n)
         Ps = (P, P * 12.0, _joint_with_zeros(rng, n))
         Y = rng.normal(0.0, scale, (n, 2))
         Ys = (Y, rng.normal(0.0, scale, (n, 2)), Y)
         work = Workspace(n)
-        for kind, p, y in calls:
+        for kind, p, y, alpha in calls:
             if y == 2:
                 Y += rng.normal(0.0, scale, (n, 2))  # same array, new values
             if kind == "kl":
-                assert kl_divergence(Ps[p], Ys[y], work) == ref_kl_divergence(Ps[p], Ys[y])
+                assert_kl_matches(Ps[p], Ys[y], kl_divergence(Ps[p], Ys[y], work))
             else:
-                assert np.array_equal(kl_gradient(Ps[p], Ys[y], work),
-                                      ref_kl_gradient(Ps[p], Ys[y]))
+                assert np.array_equal(kl_gradient(Ps[p], Ys[y], work, alpha),
+                                      ref_kl_gradient(Ps[p] * alpha, Ys[y]))
 
     @pytest.mark.parametrize("n", [63, 64, 65, 131])
     def test_tail_pattern_at_block_edges(self, n):
@@ -278,8 +352,8 @@ class TestBitwiseAgainstReference:
         work = Workspace(n)
         for _ in range(3):
             Y = rng.normal(0.0, 1.0, (n, 2))
-            assert kl_divergence(P, Y, work) == ref_kl_divergence(P, Y)
-            assert np.array_equal(kl_gradient(P * 12.0, Y, work), ref_kl_gradient(P * 12.0, Y))
+            assert_kl_matches(P, Y, kl_divergence(P, Y, work))
+            assert np.array_equal(kl_gradient(P, Y, work, 12.0), ref_kl_gradient(P * 12.0, Y))
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
@@ -304,6 +378,24 @@ class TestBitwiseAgainstReference:
         tsne_project(X, ProjectionConfig(perplexity=8.0, iterations=70, seed=1))
         # 70 gradients and 50 KLs, of which 49 share the next gradient's kernel
         assert len(built) == 70 + 50 - 49
+
+
+def test_descent_holds_p_and_one_buffer():
+    # P, the workspace's n x n buffer and its two 64-row scratch blocks are
+    # 2.13 n^2 float64 at n = 1000; an exaggerated copy of P, a second
+    # buffer or an n x n KL temporary would pass 3 n^2.
+    n = 1000
+    X = generate_blobs(4, n // 4, 16, 0.5, 10.0, seed=1).features
+    config = ProjectionConfig(perplexity=30.0, iterations=60, exaggeration_iters=30,
+                              momentum_switch=30, seed=1)
+    tracemalloc.start()
+    try:
+        emb = tsne_project(X, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emb.kl_tail.size == 50
+    assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
 
 
 class TestTsne:
