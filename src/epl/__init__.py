@@ -9,7 +9,7 @@ performance track each other.
 
 __version__ = "0.1.0"
 
-from .dataset import (Dataset, Role, SplitAssignment, UNLABELED, generate_blobs,
+from .dataset import (Dataset, EplError, Role, SplitAssignment, UNLABELED, generate_blobs,
                       load_features, save_features, stratified_split)
 from .metrics import (ConfusionMatrix, accuracy, cohen_kappa, confusion,
                       knn_consistency, per_class_recall)

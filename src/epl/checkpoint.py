@@ -13,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import EplError
+
 MAGIC = b"EPLCKPT1"
 
 KIND_ENCODER = 0
 
 
-class CheckpointError(ValueError):
+class CheckpointError(EplError):
     """Raised for unreadable or mismatched checkpoint files."""
 
 

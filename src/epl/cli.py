@@ -18,23 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, contrastive
-from .checkpoint import CheckpointError
 from .config import ConfigError, ExperimentConfig, load_config
-from .contrastive import ContrastiveError, EncoderParams, TrainConfig
-from .dataset import (UNLABELED, Dataset, DatasetError, Role, SplitError, format_row,
-                      generate_blobs, load_features, load_split, save_features,
+from .contrastive import EncoderParams, TrainConfig
+from .dataset import (ROLE_OF_LETTER, UNLABELED, Dataset, DatasetError, EplError, SplitError,
+                      format_row, generate_blobs, load_features, load_split, save_features,
                       save_split, stratified_split)
-from .metrics import MetricError
-from .opf import OpfError, OptimumPathForest
+from .opf import OptimumPathForest
 from .pipeline import (PipelineError, propagate_labels, propagation_seeds,
                        read_embedding_csv, read_results_csv, run_experiment, score,
                        write_embedding_csv, write_report)
-from .probe import ProbeError, predict, train_linear, train_softmax
-from .projection import ProjectionConfig, ProjectionError, tsne_project
-
-_USER_ERRORS = (ConfigError, DatasetError, SplitError, MetricError, OpfError,
-                ProjectionError, ContrastiveError, ProbeError, PipelineError,
-                CheckpointError)
+from .probe import predict, train_linear, train_softmax
+from .projection import ProjectionConfig, tsne_project
 
 _MODE_SETS = {
     "simclr": ("simclr",),
@@ -85,9 +79,8 @@ def _cmd_train(args) -> int:
 
 
 def _roles_from_arg(spec: str):
-    table = {"S": Role.SUPERVISED, "U": Role.UNSUPERVISED, "T": Role.TEST}
     try:
-        return [table[token.strip()] for token in spec.split(",") if token.strip()]
+        return [ROLE_OF_LETTER[token.strip()] for token in spec.split(",") if token.strip()]
     except KeyError as exc:
         raise ConfigError(f"unknown role {exc.args[0]!r}; use S, U, T") from exc
 
@@ -302,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _USER_ERRORS as exc:
+    except EplError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,23 +5,23 @@ pairs, '#' comments, nothing nested. A '#' starts a comment only at the
 start of a line or after whitespace, so a value such as a path may
 contain one. A parsed config resolves against the defaults below and can
 be echoed back verbatim into the run manifest. The stage settings default
-to the stage configs' defaults, and ExperimentConfig builds and checks them.
+to the stage configs' defaults; ExperimentConfig builds them, and each
+stage config checks itself when built.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .contrastive import TrainConfig
-from .dataset import read_text
-from .probe import LINEAR_EPOCHS, LINEAR_LAMBDA, SoftmaxConfig, check_epochs, check_lambda
+from .dataset import EplError, check_at_least, check_fractions, read_text
+from .probe import LINEAR_EPOCHS, LINEAR_LAMBDA, SoftmaxConfig, check_lambda
 from .projection import ProjectionConfig
 
 
-class ConfigError(ValueError):
+class ConfigError(EplError):
     """Raised for unreadable or inconsistent configuration."""
 
 
@@ -140,21 +140,17 @@ class ExperimentConfig:
             hidden_dim=self.softmax_hidden, seed=seed)
 
     def validate(self) -> None:
-        """The run's own checks, then each stage config's checks that do not
-        depend on the data, so that a config every arm would reject fails
-        before the first arm runs."""
-        if self.replicas < 1:
-            raise ConfigError("replicas must be at least 1")
-        if self.knn_k < 1:
-            raise ConfigError("knn_k must be at least 1")
+        """The run's own checks, then the stage configs built from the fields,
+        which check themselves, so that a config every arm would reject
+        fails before the first arm runs."""
+        check_at_least("replicas", self.replicas, 1, ConfigError)
+        check_at_least("knn_k", self.knn_k, 1, ConfigError)
         if not self.modes:
             raise ConfigError("at least one contrastive mode is required")
         for mode in self.modes:
             if mode not in VALID_MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
-        fracs = (self.s_frac, self.u_frac, self.t_frac)
-        if not all(math.isfinite(f) and f > 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"fractions must be positive, finite and sum to 1, got {fracs}")
+        check_fractions((self.s_frac, self.u_frac, self.t_frac), ConfigError)
         if self.init_mode not in ("scratch", "warm_start"):
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
         if self.init_mode == "warm_start":
@@ -166,10 +162,9 @@ class ExperimentConfig:
                 )
         if self.source != "blobs" and not Path(self.source).exists():
             raise ConfigError(f"dataset file not found: {self.source}")
-        self.train_config(self.base_seed).validate()
-        self.projection_config(self.base_seed).validate()
-        self.softmax_config(self.base_seed).validate()
-        check_epochs(self.linear_epochs)
+        for build in (self.train_config, self.projection_config, self.softmax_config):
+            build(self.base_seed)
+        check_at_least("linear_epochs", self.linear_epochs, 0, ConfigError)
         check_lambda(self.linear_lambda)
 
     def to_sections(self) -> dict[str, dict[str, str]]:
@@ -182,7 +177,7 @@ class ExperimentConfig:
 
 
 class _Echo(str):
-    """A constant written into the config echo and ignored when read back."""
+    """A constant written into the config echo; read back, it must be that constant."""
 
 
 # Every config key in echo order: (section, key, ExperimentConfig field or
@@ -245,6 +240,8 @@ def config_from_sections(sections: dict[str, dict[str, str]]) -> ExperimentConfi
                 raise ConfigError(f"unknown config key [{section}] {key}")
             attr = _FIELD_OF[section, key]
             if isinstance(attr, _Echo):
+                if raw != attr:
+                    raise ConfigError(f"[{section}] {key} can only be {attr}, got {raw!r}")
                 continue
             cast = type(getattr(ExperimentConfig, attr))
             try:

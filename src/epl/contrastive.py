@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .dataset import Dataset, Role, SplitAssignment
+from .dataset import (Dataset, EplError, Role, SplitAssignment, check_at_least,
+                      check_non_negative, check_positive)
 
 _NORM_EPS = 1e-12
 
@@ -57,14 +58,15 @@ ADAM_EPS = 1e-8
 MIN_LR_DIVISOR = 50.0
 
 
-class ContrastiveError(ValueError):
+class ContrastiveError(EplError):
     """Raised for invalid batches, labels, or configurations."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training settings. A view is Gaussian jitter of std noise times the
-    training rows' per-feature std, then coordinate dropout at rate dropout."""
+    """Training settings, checked when built. A view is Gaussian jitter of
+    std noise times the training rows' per-feature std, then coordinate
+    dropout at rate dropout."""
 
     epochs: int = 50
     batch_size: int = 64
@@ -76,26 +78,17 @@ class TrainConfig:
     validation_fraction: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.epochs < 0:
-            raise ContrastiveError("epochs must be non-negative")
-        if self.batch_size < 2:
-            raise ContrastiveError("batch size must be at least 2")
+    def __post_init__(self):
+        check_at_least("epochs", self.epochs, 0, ContrastiveError)
+        check_at_least("batch_size", self.batch_size, 2, ContrastiveError)
         for name in ("temperature", "learning_rate"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name), ContrastiveError)
         for name in ("weight_decay", "noise"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ContrastiveError(f"{name} must be finite and non-negative, got {value}")
+            check_non_negative(name, getattr(self, name), ContrastiveError)
         if not 0.0 <= self.dropout < 1.0:
             raise ContrastiveError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.validation_fraction < 0.5:
             raise ContrastiveError("validation fraction must be in (0, 0.5)")
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ContrastiveError(f"{name} must be positive and finite, got {value}")
 
 
 class EncoderParams:
@@ -376,7 +369,7 @@ def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool):
     respect to the (unit-norm) view embeddings, or None in its place when
     with_grad is false. The loss is the same either way.
     """
-    _check_positive("temperature", temperature)
+    check_positive("temperature", temperature, ContrastiveError)
     Z = np.asarray(views, dtype=np.float64)
     n = Z.shape[0]
     if n < 4 or n % 2 != 0:
@@ -392,7 +385,7 @@ def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool):
     embeddings (None when with_grad is false). Collapses to the
     self-supervised loss when each anchor has exactly one positive.
     """
-    _check_positive("temperature", temperature)
+    check_positive("temperature", temperature, ContrastiveError)
     Z = np.asarray(views, dtype=np.float64)
     y = _integer_labels(labels)
     n = Z.shape[0]
@@ -531,7 +524,6 @@ def _supervised_rows(data: Dataset, split: SplitAssignment):
 def _train(data: Dataset, idx: np.ndarray, labels: np.ndarray | None, config: TrainConfig,
            init: EncoderParams | None) -> EncoderParams:
     """Train on the dataset rows ``idx``, supervised by ``labels`` unless it is None."""
-    config.validate()
     if idx.size == 0:
         raise ContrastiveError("empty training role set")
     X = data.features[idx]

@@ -26,11 +26,15 @@ _BINARY_MAGIC = b"EPL2"
 _BINARY_HEADERS = {_BINARY_MAGIC: "<IIBI", b"EPL1": "<IIB"}
 
 
-class DatasetError(ValueError):
+class EplError(ValueError):
+    """Base of every typed error in epl; the CLI reports any of them as exit code 1."""
+
+
+class DatasetError(EplError):
     """Raised for malformed dataset files or invalid construction arguments."""
 
 
-class SplitError(ValueError):
+class SplitError(EplError):
     """Raised when a stratified split cannot satisfy its guarantees."""
 
 
@@ -115,6 +119,33 @@ class SplitAssignment:
     @property
     def test(self) -> np.ndarray:
         return self.indices(Role.TEST)
+
+
+# ---------------------------------------------------------------------------
+# Setting checks, each raising the caller's typed error
+# ---------------------------------------------------------------------------
+
+def check_positive(name: str, value, error: type[Exception]) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
+def check_non_negative(name: str, value, error: type[Exception]) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise error(f"{name} must be finite and non-negative, got {value}")
+
+
+def check_at_least(name: str, value, low, error: type[Exception]) -> None:
+    if not value >= low:
+        raise error(f"{name} must be at least {low}, got {value}")
+
+
+def check_fractions(fracs, error: type[Exception]) -> None:
+    """The (s, u, t) role fractions: each positive and finite, summing to 1."""
+    for name, frac in zip(("s_frac", "u_frac", "t_frac"), fracs):
+        check_positive(name, frac, error)
+    if abs(sum(fracs) - 1.0) > 1e-9:
+        raise error(f"fractions must sum to 1, got {sum(fracs)}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +338,11 @@ def generate_blobs(k: int, per_class: int, d: int, spread: float, center_dist: f
     choices into an explicit error instead of a hang. Samples are laid
     out in class blocks (class 0 first). Deterministic per seed.
     """
-    if k < 2:
-        raise DatasetError("need at least 2 classes")
-    if per_class < 2:
-        raise DatasetError("need at least 2 samples per class")
-    if d < 1:
-        raise DatasetError(f"dims must be at least 1, got {d}")
-    if not (math.isfinite(spread) and spread > 0):
-        raise DatasetError(f"spread must be positive and finite, got {spread}")
-    if not (math.isfinite(center_dist) and center_dist >= 0):
-        raise DatasetError(f"center_dist must be finite and non-negative, got {center_dist}")
+    check_at_least("classes", k, 2, DatasetError)
+    check_at_least("per_class", per_class, 2, DatasetError)
+    check_at_least("dims", d, 1, DatasetError)
+    check_positive("spread", spread, DatasetError)
+    check_non_negative("center_dist", center_dist, DatasetError)
     side = center_dist * (2.0 * k ** (1.0 / d) + 1.0)
     # Center distances are at most the box diagonal, whose square must stay finite.
     if not math.isfinite(d * side * side):
@@ -377,10 +403,7 @@ def stratified_split(dataset: Dataset, s_frac: float, u_frac: float, t_frac: flo
     if not dataset.has_labels:
         raise SplitError("stratified split requires labels")
     fracs = (s_frac, u_frac, t_frac)
-    if not all(math.isfinite(f) and f > 0 for f in fracs):
-        raise SplitError(f"fractions must be positive and finite, got {fracs}")
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise SplitError(f"fractions must sum to 1, got {sum(fracs)}")
+    check_fractions(fracs, SplitError)
     n = dataset.sample_count
     k = dataset.class_count
     counts = np.bincount(dataset.labels, minlength=k)
@@ -423,7 +446,7 @@ def stratified_split(dataset: Dataset, s_frac: float, u_frac: float, t_frac: flo
 
 
 _ROLE_LETTERS = {Role.SUPERVISED: "S", Role.UNSUPERVISED: "U", Role.TEST: "T"}
-_LETTER_ROLES = {v: k for k, v in _ROLE_LETTERS.items()}
+ROLE_OF_LETTER = {v: k for k, v in _ROLE_LETTERS.items()}
 
 
 def save_split(split: SplitAssignment, path) -> None:
@@ -434,9 +457,9 @@ def save_split(split: SplitAssignment, path) -> None:
 
 
 def _role(letter: str) -> int:
-    if letter not in _LETTER_ROLES:
+    if letter not in ROLE_OF_LETTER:
         raise ValueError(f"unknown role {letter!r}")
-    return int(_LETTER_ROLES[letter])
+    return int(ROLE_OF_LETTER[letter])
 
 
 def load_split(path) -> SplitAssignment:

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED
+from .dataset import UNLABELED, EplError
 
 
-class MetricError(ValueError):
-    """Raised for empty or unlabeled inputs."""
+class MetricError(EplError):
+    """Raised for empty, unlabeled or out-of-range inputs."""
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,22 @@ def confusion(pred, truth, class_count: int | None = None) -> ConfusionMatrix:
     """Count (truth, prediction) pairs; k x k with k = class_count.
 
     Without class_count, k is the largest label + 1, which leaves out a
-    top class that appears in neither vector.
+    top class that appears in neither vector. A label outside [0, k) is an
+    error naming the first sample that holds one.
     """
     p = np.asarray(pred, dtype=np.int64)
     t = np.asarray(truth, dtype=np.int64)
     if t.size == 0:
         raise MetricError("empty label vectors")
-    unlabeled = (p == UNLABELED) | (t == UNLABELED)
-    if unlabeled.any():
-        raise MetricError(f"unlabeled sample {int(np.argmax(unlabeled))}")
+    if p.shape != t.shape:
+        raise MetricError(f"{p.size} predictions for {t.size} true labels")
     k = class_count if class_count is not None else int(max(p.max(), t.max())) + 1
+    outside = (t < 0) | (t >= k) | (p < 0) | (p >= k)
+    if outside.any():
+        i = int(np.argmax(outside))
+        which, label = ("truth", t[i]) if not 0 <= t[i] < k else ("prediction", p[i])
+        raise MetricError(f"unlabeled sample {i}" if label == UNLABELED else
+                          f"sample {i}: {which} label {label} lies outside [0, {k})")
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
     return ConfusionMatrix(counts)

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED, int64, read_table, write_table
+from .dataset import UNLABELED, EplError, int64, read_table, write_table
 
 
-class OpfError(ValueError):
+class OpfError(EplError):
     """Raised for invalid propagation or training inputs."""
 
 
@@ -68,6 +68,10 @@ class OptimumPathForest:
 
 
 def _seed_indices(seed_labels: np.ndarray) -> np.ndarray:
+    if (seed_labels < UNLABELED).any():
+        node = int(np.argmax(seed_labels < UNLABELED))
+        raise OpfError(f"node {node} has seed label {seed_labels[node]}, neither a class "
+                       f"(>= 0) nor UNLABELED ({UNLABELED})")
     seeds = np.flatnonzero(seed_labels != UNLABELED)
     if seeds.size == 0:
         raise OpfError("at least one seed is required")

@@ -29,8 +29,8 @@ from . import __version__
 from . import contrastive
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams
-from .dataset import (UNLABELED, Dataset, Role, SplitAssignment, generate_blobs, int64,
-                      load_features, read_table, stratified_split, write_table)
+from .dataset import (UNLABELED, Dataset, EplError, Role, SplitAssignment, generate_blobs,
+                      int64, load_features, read_table, stratified_split, write_table)
 from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import predict, train_linear, train_softmax
@@ -38,7 +38,7 @@ from .projection import Embedding2D, ProjectionConfig, tsne_project
 from .scatter import emit_scatter
 
 
-class PipelineError(ValueError):
+class PipelineError(EplError):
     """Raised for invalid experiment inputs."""
 
 

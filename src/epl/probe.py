@@ -10,17 +10,16 @@ lower class id.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contrastive import (flat_views, he_uniform, pack, relu_mlp, relu_mlp_backward,
                           row_softmax, safe_std)
-from .dataset import UNLABELED
+from .dataset import UNLABELED, EplError, check_at_least, check_non_negative, check_positive
 
 
-class ProbeError(ValueError):
+class ProbeError(EplError):
     """Raised for unusable training inputs."""
 
 
@@ -31,19 +30,29 @@ LINEAR_EPOCHS = 200
 _FIRST_STEP = 1e-3
 
 
-def check_epochs(epochs: int) -> None:
-    if epochs < 0:
-        raise ProbeError(f"epochs must be non-negative, got {epochs}")
-
-
 def check_lambda(lam: float) -> None:
     """A lambda the linear probe converges for: each step scales the weights
     by 1 - step x lambda, which stops contracting once step x lambda reaches 2."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ProbeError(f"lambda must be finite and non-negative, got {lam}")
+    check_non_negative("lambda", lam, ProbeError)
     if _FIRST_STEP * lam >= 2.0:
         raise ProbeError(f"lambda {lam} is too large: the first step {_FIRST_STEP} x lambda "
                          f"reaches 2, so the linear probe would diverge")
+
+
+def _training_set(features, labels, class_count: int):
+    """Finite float64 features and int64 labels in [0, class_count), one per
+    row; an unlabeled entry is an error naming the first offending index."""
+    X = np.asarray(features, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ProbeError("features must be finite (found NaN or inf)")
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != X.shape[:1]:
+        raise ProbeError(f"{X.shape[0]} feature rows but labels of shape {y.shape}")
+    if (y == UNLABELED).any():
+        raise ProbeError(f"training index {int(np.argmax(y == UNLABELED))} is unlabeled")
+    if y.min() < 0 or y.max() >= class_count:
+        raise ProbeError(f"training labels must lie in [0, {class_count})")
+    return X, y
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +76,10 @@ def train_linear(features, labels, lam: float, epochs: int, class_count: int) ->
     deterministic and takes no seed. The per-epoch regularized objective
     is kept on the model.
     """
-    check_epochs(epochs)
+    check_at_least("epochs", epochs, 0, ProbeError)
     check_lambda(lam)
-    X = np.asarray(features, dtype=np.float64)
-    _check_features(X)
-    y = np.asarray(labels, dtype=np.int64)
-    if (y == UNLABELED).any():
-        raise ProbeError("linear probe requires labeled training samples")
+    X, y = _training_set(features, labels, class_count)
     k = class_count
-    if y.min() < 0 or y.max() >= k:
-        raise ProbeError(f"training labels must lie in [0, {k})")
     if np.unique(y).size < 2:
         raise ProbeError("training set must contain at least 2 classes")
     n, d = X.shape
@@ -103,8 +106,10 @@ def train_linear(features, labels, lam: float, epochs: int, class_count: int) ->
 # Softmax probe
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SoftmaxConfig:
+    """Softmax probe settings, checked when built."""
+
     epochs: int = 15
     learning_rate: float = 0.1
     momentum: float = 0.9
@@ -112,17 +117,11 @@ class SoftmaxConfig:
     hidden_dim: int = 64
     seed: int = 0
 
-    def validate(self) -> None:
-        check_epochs(self.epochs)
-        if self.batch_size < 1:
-            raise ProbeError("batch size must be at least 1")
-        if self.hidden_dim < 1:
-            raise ProbeError("hidden width must be at least 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ProbeError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not (math.isfinite(self.momentum) and self.momentum >= 0):
-            raise ProbeError(f"momentum must be finite and non-negative, got {self.momentum}")
+    def __post_init__(self):
+        for name, low in (("epochs", 0), ("batch_size", 1), ("hidden_dim", 1)):
+            check_at_least(name, getattr(self, name), low, ProbeError)
+        check_positive("learning_rate", self.learning_rate, ProbeError)
+        check_non_negative("momentum", self.momentum, ProbeError)
 
 
 @dataclass
@@ -168,29 +167,15 @@ def _softmax_loss_grads(model: SoftmaxModel, X: np.ndarray, y: np.ndarray, grads
     return loss
 
 
-def _check_features(X: np.ndarray) -> None:
-    if not np.isfinite(X).all():
-        raise ProbeError("features must be finite (found NaN or inf)")
-
-
 def train_softmax(features, labels, config: SoftmaxConfig, class_count: int) -> SoftmaxModel:
     """Cross-entropy training with momentum SGD and a linear step decay.
 
     The step starts at learning_rate and decays by a factor (1 - e/E) each
-    epoch. Pseudo-labels train like true ones; unlabeled entries are an
-    error naming the first offending index. The weights, their gradients
+    epoch. Pseudo-labels train like true ones. The weights, their gradients
     and the momentum each live in one flat buffer, so a step is one
     elementwise pass.
     """
-    config.validate()
-    X = np.asarray(features, dtype=np.float64)
-    _check_features(X)
-    y = np.asarray(labels, dtype=np.int64)
-    if (y == UNLABELED).any():
-        bad = int(np.argmax(y == UNLABELED))
-        raise ProbeError(f"training index {bad} is unlabeled")
-    if y.min() < 0 or y.max() >= class_count:
-        raise ProbeError(f"training labels must lie in [0, {class_count})")
+    X, y = _training_set(features, labels, class_count)
     rng = np.random.default_rng(config.seed)
     model = _init_softmax(X, class_count, config, rng)
     weights = (model.w1, model.b1, model.w2, model.b2)

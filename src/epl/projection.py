@@ -38,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .dataset import EplError, check_at_least, check_non_negative, check_positive
+
 _Q_EPS = 1e-12
 _INIT_SIGMA = 1e-4
 # The bracket search doubles the precision beta at most this many times
@@ -53,12 +55,15 @@ _MAX_SHIFTED_D2 = np.finfo(np.float64).max / 2.0 ** _BISECT_STEPS
 _BLOCK_ROWS = 64
 
 
-class ProjectionError(ValueError):
+class ProjectionError(EplError):
     """Raised for invalid configurations or failed bisection."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionConfig:
+    """Descent settings, checked when built. The perplexity's upper bound
+    depends on the point count, so `conditional_affinities` checks it."""
+
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
@@ -70,30 +75,18 @@ class ProjectionConfig:
     seed: int = 0
     entropy_tolerance: float = 1e-5
 
-    def validate(self, n: int | None = None) -> None:
-        """Check the settings; the perplexity bound needs the point count n."""
+    def __post_init__(self):
         if math.isnan(self.perplexity):
             raise ProjectionError("perplexity must be a number, got NaN")
         if self.perplexity <= 1:
             raise ProjectionError("perplexity must exceed 1")
-        if n is not None:
-            _check_perplexity_bound(self.perplexity, n)
-        if self.iterations < 1:
-            raise ProjectionError("need at least 1 iteration")
-        for name in ("learning_rate", "early_exaggeration"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ProjectionError(f"{name} must be positive and finite, got {value}")
+        check_at_least("iterations", self.iterations, 1, ProjectionError)
+        for name in ("learning_rate", "early_exaggeration", "entropy_tolerance"):
+            check_positive(name, getattr(self, name), ProjectionError)
         for name in ("momentum_start", "momentum_final"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ProjectionError(f"{name} must be finite and non-negative, got {value}")
-        if not self.entropy_tolerance > 0:
-            raise ProjectionError(
-                f"entropy_tolerance must be positive, got {self.entropy_tolerance}")
+            check_non_negative(name, getattr(self, name), ProjectionError)
         for name in ("exaggeration_iters", "momentum_switch"):
-            if getattr(self, name) < 0:
-                raise ProjectionError(f"{name} must not be negative")
+            check_at_least(name, getattr(self, name), 0, ProjectionError)
 
 
 @dataclass
@@ -122,13 +115,6 @@ class Embedding2D:
         return max(0.0, float(np.diff(tail).max()) if tail.size > 1 else 0.0)
 
 
-def _check_perplexity_bound(perplexity: float, n: int) -> None:
-    """A row of n points realizes a perplexity of at most n - 1 (uniform)."""
-    if not perplexity <= n - 1:
-        raise ProjectionError(
-            f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
-
-
 def _entropy_and_probs(shifted: np.ndarray, beta: float):
     """Gaussian row distribution over squared distances shifted to a zero
     minimum, and its entropy in nats."""
@@ -155,7 +141,10 @@ def conditional_affinities(features, perplexity: float,
     n = X.shape[0]
     if n < 3:
         raise ProjectionError("need at least 3 points")
-    _check_perplexity_bound(perplexity, n)
+    # A row of n points realizes a perplexity of at most n - 1 (uniform).
+    if not perplexity <= n - 1:
+        raise ProjectionError(
+            f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
     if not np.isfinite(X).all():
         raise ProjectionError("features must be finite (found NaN or inf)")
     cond = cdist(X, X, "sqeuclidean")
@@ -260,8 +249,8 @@ class Workspace:
     `w` and clears `_kernel_of`, so the next call rebuilds the weights.
     `scratch` holds two blocks of _BLOCK_ROWS rows. `_p_log_p` is
     sum p log p over the positive entries of the P array object
-    `_p_log_p_of`; that array must not change in place while the workspace
-    is in use.
+    `_p_log_p_of`, which was checked to be finite and non-negative; that
+    array must not change in place while the workspace is in use.
     """
 
     def __init__(self, n: int):
@@ -282,11 +271,17 @@ class Workspace:
 
     def p_log_p(self, P: np.ndarray) -> float:
         """sum p log p over P's positive entries, summed by row blocks, computed
-        only if it is another array's."""
+        only if it is another array's. A negative or non-finite entry raises
+        ProjectionError; a block's min and max show it, NaN included."""
         if P is not self._p_log_p_of:
             total = 0.0
             for rows, _ in _row_blocks(P.shape[0]):
-                p = P[rows][P[rows] > 0]
+                block = P[rows]
+                if not (block.min() >= 0.0 and block.max() < np.inf):
+                    i, j = np.argwhere(~((block >= 0.0) & (block < np.inf)))[0]
+                    raise ProjectionError(f"P[{rows.start + i}, {j}] is {block[i, j]}: "
+                                          "P must be finite and non-negative")
+                p = block[block > 0]
                 total += float((p * np.log(p)).sum())
             self._p_log_p_of, self._p_log_p = P, total
         return self._p_log_p
@@ -294,7 +289,8 @@ class Workspace:
 
 def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
     """P and the coordinates as float64 arrays of matching shapes, and a
-    workspace of their size: `work`, or a fresh one if it is None."""
+    workspace of their size: `work`, or a fresh one if it is None. P is
+    checked, and its sum p log p taken, once per array (`Workspace.p_log_p`)."""
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(coords, dtype=np.float64)
     if Y.ndim != 2:
@@ -305,15 +301,16 @@ def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
     ws = work if work is not None else Workspace(n)
     if ws.w.shape != (n, n):
         raise ProjectionError(f"the workspace must be {n} x {n} for {n} coordinates")
+    ws.p_log_p(P)
     return P, Y, ws
 
 
 def kl_divergence(P, coords, work=None) -> float:
     """KL(P || Q) with the Student-t Q implied by the coordinates.
 
-    P must not be negative; its zero entries contribute nothing. Q is
-    floored at 1e-12 before the log. The KL is sum p log p minus the sum
-    of p log q over blocks of _BLOCK_ROWS rows. `work` is an optional
+    P must be finite and non-negative; its zero entries contribute nothing.
+    Q is floored at 1e-12 before the log. The KL is sum p log p minus the
+    sum of p log q over blocks of _BLOCK_ROWS rows. `work` is an optional
     Workspace for n coordinates; the kernel this call builds stays in it.
     """
     P, Y, ws = _kernel_args(P, coords, work)
@@ -365,8 +362,6 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     n = X.shape[0]
     if n < 4:
         raise ProjectionError("need at least 4 points to project")
-    config.validate(n)
-
     P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
     work = Workspace(n)
     rng = np.random.default_rng(config.seed)

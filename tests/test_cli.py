@@ -342,6 +342,7 @@ class TestExperimentCommand:
         ("projection", "momentum_final", "nan"),
         ("projection", "entropy_tolerance", -1),
         ("projection", "entropy_tolerance", "nan"),
+        ("projection", "entropy_tolerance", "inf"),
         ("projection", "exaggeration_iters", -1),
         ("projection", "momentum_switch", -1),
         ("contrastive", "temperature", "nan"),

@@ -114,9 +114,19 @@ class TestErrors:
         with pytest.raises(ConfigError, match=match):
             config_from_sections(parse_config_text(text))
 
-    def test_echo_only_keys_are_ignored(self):
-        text = "[contrastive]\nsupcon_batch_rule = x\n[projection]\ninit = y\n"
+    def test_echo_only_keys_accept_only_their_echo(self):
+        text = ("[contrastive]\nsupcon_batch_rule = paired-views\n"
+                "[projection]\ninit = random-gaussian\n")
         assert config_from_sections(parse_config_text(text)) == ExperimentConfig()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("contrastive", "supcon_batch_rule", "x"),
+        ("projection", "init", "pca"),
+        ("projection", "init", "Random-Gaussian"),
+    ])
+    def test_echo_only_key_with_another_value_is_a_config_error(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} can only be"):
+            config_from_sections(parse_config_text(f"[{section}]\n{key} = {value}\n"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config file"):

@@ -10,6 +10,9 @@ module's typed error, and the matching ``epl`` subcommand must exit 0 or 1
 rather than end in a traceback or a numpy warning.
 """
 
+import importlib
+import inspect
+import pkgutil
 import re
 import struct
 import warnings
@@ -19,11 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epl
 from epl import cli
 from epl.checkpoint import CheckpointError
 from epl.config import ConfigError, ExperimentConfig, format_config, load_config
 from epl.contrastive import ContrastiveError, EncoderParams
-from epl.dataset import DatasetError, SplitError, load_features, load_split
+from epl.dataset import DatasetError, EplError, SplitError, load_features, load_split
 from epl.opf import OpfError, OptimumPathForest
 from epl.pipeline import (PipelineError, ResultRow, read_embedding_csv,
                           read_results_csv, write_embedding_csv, write_results_csv)
@@ -200,7 +204,21 @@ def test_projection_of_byte_mutated_features_exits_zero_or_one(tmp_path_factory,
     assert code in (0, 1)
 
 
-_TYPED_ERRORS = tuple(error.__name__ for error in cli._USER_ERRORS)
+_TYPED_ERRORS = tuple(error.__name__ for error in EplError.__subclasses__())
+
+
+def test_every_exception_class_in_epl_is_an_epl_error():
+    # cli.main reports an EplError as exit code 1, so a module's own error
+    # class outside the family would escape as a traceback.
+    defined = []
+    for info in pkgutil.iter_modules(epl.__path__):
+        module = importlib.import_module(f"epl.{info.name}")
+        defined += [obj for obj in vars(module).values()
+                    if inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert len(defined) == 11  # EplError and the ten module errors
+    assert all(issubclass(error, EplError) for error in defined), defined
+    assert set(EplError.__subclasses__()) == set(defined) - {EplError}
 
 
 @settings(max_examples=150, deadline=None)

@@ -195,6 +195,14 @@ class TestOpfSemi:
         with pytest.raises(OpfError, match="seed"):
             opfsemi_propagate(np.zeros((3, 2)), np.full(3, UNLABELED))
 
+    @pytest.mark.parametrize("label", [-2, -5])
+    def test_seed_label_below_unlabeled_is_an_error(self, label):
+        X = np.arange(6, dtype=float)[:, None]
+        seeds = np.array([label, UNLABELED, UNLABELED, 1, UNLABELED, UNLABELED])
+        for fit in (opfsemi_propagate, minimax_oracle):
+            with pytest.raises(OpfError, match=f"node 0 has seed label {label}"):
+                fit(X, seeds)
+
     def test_dimension_mismatch(self):
         with pytest.raises(OpfError):
             opfsemi_propagate(np.zeros((3, 2)), np.array([0, UNLABELED]))

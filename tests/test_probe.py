@@ -136,6 +136,13 @@ class TestSoftmaxProbe:
         with pytest.raises(ProbeError, match="index 1"):
             train_softmax(X, y, SoftmaxConfig(), 2)
 
+    def test_label_count_must_match_the_rows(self):
+        X, y = np.zeros((6, 2)), np.array([0, 1, 0, 1, 0])
+        for fit in (lambda: train_softmax(X, y, SoftmaxConfig(), 2),
+                    lambda: fit_linear(X, y, 2)):
+            with pytest.raises(ProbeError, match=r"6 feature rows but labels of shape \(5,\)"):
+                fit()
+
     def test_determinism(self):
         ds = generate_blobs(3, 30, 4, 0.6, 9.0, seed=11)
         a = train_softmax(ds.features, ds.labels, SoftmaxConfig(seed=5), 3)

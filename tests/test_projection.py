@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -173,8 +174,8 @@ class TestAffinities:
         with pytest.raises(ProjectionError, match="exceeds n - 1 = 9"):
             pairwise_affinities(X, 9.5)
         with pytest.raises(ProjectionError, match="exceeds n - 1 = 9"):
-            ProjectionConfig(perplexity=9.5).validate(10)
-        ProjectionConfig(perplexity=9.0).validate(10)
+            tsne_project(X, ProjectionConfig(perplexity=9.5, iterations=1))
+        assert len(tsne_project(X, ProjectionConfig(perplexity=9.0, iterations=1))) == 10
 
     @pytest.mark.parametrize("scale", [1e10, 1e12, 1e24])
     def test_wide_feature_scale_brackets(self, scale):
@@ -454,10 +455,11 @@ class TestTsne:
             tsne_project(np.zeros((3, 2)), ProjectionConfig(perplexity=2.0))
 
     def test_config_validation(self):
+        X = np.random.default_rng(3).normal(size=(20, 3))
         with pytest.raises(ProjectionError):
-            ProjectionConfig(perplexity=50.0).validate(20)
+            tsne_project(X, ProjectionConfig(perplexity=50.0))
         with pytest.raises(ProjectionError):
-            ProjectionConfig(iterations=0).validate(100)
+            ProjectionConfig(iterations=0)
 
     @pytest.mark.parametrize("field,value,message", [
         ("perplexity", np.nan, "perplexity must be a number"),
@@ -471,19 +473,24 @@ class TestTsne:
         ("entropy_tolerance", 0.0, "entropy_tolerance"),
         ("entropy_tolerance", -1.0, "entropy_tolerance"),
         ("entropy_tolerance", np.nan, "entropy_tolerance"),
+        ("entropy_tolerance", np.inf, "entropy_tolerance"),
         ("exaggeration_iters", -1, "exaggeration_iters"),
         ("momentum_switch", -5, "momentum_switch"),
     ])
     def test_bad_setting_is_rejected_by_name(self, field, value, message):
-        cfg = ProjectionConfig(**{field: value})
         with pytest.raises(ProjectionError, match=message):
-            cfg.validate()
-        with pytest.raises(ProjectionError, match=message):
-            tsne_project(generate_blobs(2, 20, 3, 0.5, 8.0, seed=1).features, cfg)
+            ProjectionConfig(**{field: value})
 
     def test_zero_phase_lengths_and_momentum_are_valid(self):
-        ProjectionConfig(exaggeration_iters=0, momentum_switch=0, momentum_start=0.0,
-                         momentum_final=0.0).validate(50)
+        cfg = ProjectionConfig(exaggeration_iters=0, momentum_switch=0, momentum_start=0.0,
+                               momentum_final=0.0, iterations=3)
+        X = np.random.default_rng(4).normal(size=(50, 3))
+        assert np.isfinite(tsne_project(X, cfg).coordinates).all()
+
+    def test_a_checked_config_cannot_be_edited(self):
+        cfg = ProjectionConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.entropy_tolerance = np.inf
 
     @pytest.mark.parametrize("P_shape,coords_shape", [
         ((6, 6), (5, 2)), ((5, 4), (5, 2)), ((5, 5, 1), (5, 2)), ((5,), (5, 2)),
@@ -495,6 +502,25 @@ class TestTsne:
         for kernel in (kl_gradient, kl_divergence):
             with pytest.raises(ProjectionError, match="coordinates|shape"):
                 kernel(P, coords)
+
+    @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [6, 130])
+    def test_kernels_reject_a_p_that_is_not_a_distribution(self, n, value):
+        rng = np.random.default_rng(n)
+        coords = rng.normal(size=(n, 2))
+        P = np.full((n, n), 1.0 / (n * (n - 1)))
+        np.fill_diagonal(P, 0.0)
+        i = n - 2  # the last row block when n > 64, so the error offsets its row
+        P[i, 1] = value
+        work = Workspace(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (kl_gradient, kl_divergence):
+                with pytest.raises(ProjectionError, match=rf"P\[{i}, 1\] is .*"
+                                                          "finite and non-negative"):
+                    kernel(P, coords)
+                with pytest.raises(ProjectionError, match="finite and non-negative"):
+                    kernel(P, coords, work)
 
     def test_kernels_reject_a_workspace_of_another_size(self):
         P, coords = np.full((5, 5), 0.04), np.zeros((5, 2))
