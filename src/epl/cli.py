@@ -124,15 +124,24 @@ def _cmd_propagate(args) -> int:
     split = _load_split_of(data, args.split)
     if not data.has_labels:
         raise DatasetError("propagation needs a labeled dataset for its seeds")
-    _, coords, _ = read_embedding_csv(args.embedding)
+    nodes, coords, _ = read_embedding_csv(args.embedding)
     _check_rows("embedding", coords.shape[0], split)
-    forest, (acc, kappa) = propagate_labels(data, *propagation_seeds(data, split), coords)
+    idx, seed_values = propagation_seeds(data, split)
+    # Node ids are 0..m-1 as `epl project` writes them, or the S and U
+    # dataset indices as the experiment writes them; either way each once.
+    order = np.argsort(nodes)
+    if not any(np.array_equal(nodes[order], ids) for ids in (np.arange(idx.size), idx)):
+        raise PipelineError(f"{args.embedding}: nodes must be 0..{idx.size - 1} or the "
+                            "split's supervised and unsupervised indices, each once")
+    forest, (acc, kappa) = propagate_labels(data, idx, seed_values, coords[order])
     forest.to_csv(args.out)
     print(format_row((data.name, "propagation", split.seed, acc, kappa)))
     return 0
 
 
 def _cmd_probe(args) -> int:
+    if args.pseudo and args.kind != "softmax":
+        raise ConfigError("--pseudo needs --kind softmax")
     cfg = ExperimentConfig()
     data = load_features(args.data)
     split = _load_split_of(data, args.split)

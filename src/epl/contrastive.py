@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .dataset import (Dataset, EplError, Role, SplitAssignment, check_at_least,
-                      check_non_negative, check_positive)
+from .dataset import (Dataset, EplError, Role, SplitAssignment, check_at_least, check_labels,
+                      check_non_negative, check_positive, whole_numbers)
 
 _NORM_EPS = 1e-12
 
@@ -81,6 +81,7 @@ class TrainConfig:
     def __post_init__(self):
         check_at_least("epochs", self.epochs, 0, ContrastiveError)
         check_at_least("batch_size", self.batch_size, 2, ContrastiveError)
+        check_at_least("seed", self.seed, 0, ContrastiveError)
         for name in ("temperature", "learning_rate"):
             check_positive(name, getattr(self, name), ContrastiveError)
         for name in ("weight_decay", "noise"):
@@ -294,8 +295,10 @@ def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray,
 
 
 def extract_features(params: EncoderParams, data: Dataset, indices) -> np.ndarray:
-    """Latent features of the dataset rows at ``indices``, in that order."""
-    X = data.features[np.asarray(indices, dtype=np.int64)]
+    """Latent features of the dataset rows at ``indices``, in that order; each
+    index must be a whole number in [0, sample_count)."""
+    X = data.features[check_labels(indices, np.size(indices), ContrastiveError,
+                                   data.sample_count)]
     if X.shape[1] != params.input_dim:
         raise ContrastiveError(
             f"input dimension {X.shape[1]} != encoder dimension {params.input_dim}"
@@ -387,7 +390,7 @@ def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool):
     """
     check_positive("temperature", temperature, ContrastiveError)
     Z = np.asarray(views, dtype=np.float64)
-    y = _integer_labels(labels)
+    y = whole_numbers(labels, ContrastiveError)
     n = Z.shape[0]
     if y.shape != (n,):
         raise ContrastiveError("every view needs a label")
@@ -403,19 +406,6 @@ def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool):
     pos_sum = (members @ Z)[inverse]
     pos_sum -= Z
     return _pair_loss(Z, pos_sum, counts, temperature, with_grad)
-
-
-def _integer_labels(labels) -> np.ndarray:
-    """labels as int64, or ContrastiveError unless every one is a whole number."""
-    y = np.asarray(labels)
-    if y.dtype.kind in "iub":
-        return y.astype(np.int64)
-    if y.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):
-            whole = y.astype(np.int64)
-        if np.array_equal(whole, y):
-            return whole
-    raise ContrastiveError(f"labels must be whole numbers, got {y.dtype} values")
 
 
 # ---------------------------------------------------------------------------

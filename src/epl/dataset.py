@@ -60,25 +60,16 @@ class Dataset:
     name: str
 
     def __post_init__(self):
-        feats = _readonly(np.asarray(self.features, dtype=np.float64))
-        if feats.ndim != 2:
-            raise DatasetError("features must be a 2-d matrix")
+        feats = _readonly(check_matrix(self.features, DatasetError))
         n, d = feats.shape
         if n < 2 or d < 1:
             raise DatasetError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
-        if not np.isfinite(feats).all():
-            bad = np.argwhere(~np.isfinite(feats))[0]
-            raise DatasetError(f"non-finite feature at row {bad[0]}, column {bad[1]}")
         object.__setattr__(self, "features", feats)
         if self.labels is not None:
-            labs = _readonly(np.asarray(self.labels, dtype=np.int64))
-            if labs.shape != (n,):
-                raise DatasetError("labels must have one entry per sample")
             if self.class_count > n:
                 raise DatasetError(f"class count {self.class_count} exceeds {n} samples")
-            if labs.size and (labs.min() < 0 or labs.max() >= self.class_count):
-                raise DatasetError("labels must lie in [0, class_count)")
-            object.__setattr__(self, "labels", labs)
+            labs = check_labels(self.labels, n, DatasetError, self.class_count)
+            object.__setattr__(self, "labels", _readonly(labs))
 
     @property
     def sample_count(self) -> int:
@@ -146,6 +137,63 @@ def check_fractions(fracs, error: type[Exception]) -> None:
         check_positive(name, frac, error)
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise error(f"fractions must sum to 1, got {sum(fracs)}")
+
+
+# ---------------------------------------------------------------------------
+# Array checks: every feature matrix and label vector a caller passes in
+# ---------------------------------------------------------------------------
+
+def check_matrix(values, error: type[Exception], cols: int | None = None) -> np.ndarray:
+    """``values`` as a 2-d float64 matrix of finite entries (``cols`` columns
+    when given); otherwise ``error`` naming the first non-finite entry."""
+    try:
+        X = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise error(f"features must be numbers: {exc}") from exc
+    if X.ndim != 2:
+        raise error(f"features must be a 2-d matrix, got shape {X.shape}")
+    if cols is not None and X.shape[1] != cols:
+        raise error(f"feature dimension {X.shape[1]} != expected dimension {cols}")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise error(f"non-finite value {X[row, col]} at row {row}, column {col}")
+    return X
+
+
+def whole_numbers(values, error: type[Exception]) -> np.ndarray:
+    """``values`` as int64, or ``error`` naming the first entry that is not a whole number."""
+    y = np.asarray(values)
+    if y.dtype.kind in "iub":
+        return y.astype(np.int64, copy=False)
+    if y.dtype.kind != "f":
+        raise error(f"labels must be whole numbers, got {y.dtype} values")
+    with np.errstate(invalid="ignore"):
+        whole = y.astype(np.int64)
+    bad = (whole != y).ravel()
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"labels must be whole numbers: index {i} holds {y.flat[i]}")
+    return whole
+
+
+def check_labels(values, n: int, error: type[Exception], bound: int | None = None,
+                 unlabeled: bool = False) -> np.ndarray:
+    """``values`` as an int64 vector of ``n`` whole numbers in [0, bound)
+    (no upper bound when ``bound`` is None), or UNLABELED where ``unlabeled``
+    allows it; otherwise ``error`` naming the first bad entry by its index."""
+    y = np.asarray(values)
+    if y.shape != (n,):
+        raise error(f"{n} feature rows but labels of shape {y.shape}")
+    y = whole_numbers(y, error)
+    low = UNLABELED if unlabeled else 0
+    bad = (y < low) if bound is None else (y < low) | (y >= bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = " (unlabeled)" if y[i] == UNLABELED else ""
+        allowed = f"[0, {'inf' if bound is None else bound})" + (
+            f" or UNLABELED ({UNLABELED})" if unlabeled else "")
+        raise error(f"index {i} holds {y[i]}{what}, outside {allowed}")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +391,7 @@ def generate_blobs(k: int, per_class: int, d: int, spread: float, center_dist: f
     check_at_least("dims", d, 1, DatasetError)
     check_positive("spread", spread, DatasetError)
     check_non_negative("center_dist", center_dist, DatasetError)
+    check_at_least("seed", seed, 0, DatasetError)
     side = center_dist * (2.0 * k ** (1.0 / d) + 1.0)
     # Center distances are at most the box diagonal, whose square must stay finite.
     if not math.isfinite(d * side * side):
@@ -404,6 +453,7 @@ def stratified_split(dataset: Dataset, s_frac: float, u_frac: float, t_frac: flo
         raise SplitError("stratified split requires labels")
     fracs = (s_frac, u_frac, t_frac)
     check_fractions(fracs, SplitError)
+    check_at_least("seed", seed, 0, SplitError)
     n = dataset.sample_count
     k = dataset.class_count
     counts = np.bincount(dataset.labels, minlength=k)

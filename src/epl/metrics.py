@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED, EplError
+from .dataset import EplError, check_labels, check_matrix
 
 
 class MetricError(EplError):
@@ -49,22 +49,14 @@ def confusion(pred, truth, class_count: int | None = None) -> ConfusionMatrix:
     """Count (truth, prediction) pairs; k x k with k = class_count.
 
     Without class_count, k is the largest label + 1, which leaves out a
-    top class that appears in neither vector. A label outside [0, k) is an
-    error naming the first sample that holds one.
+    top class that appears in neither vector. A label that is not a whole
+    number in [0, class_count) is an error naming the first index holding one.
     """
-    p = np.asarray(pred, dtype=np.int64)
-    t = np.asarray(truth, dtype=np.int64)
+    t = check_labels(truth, np.size(truth), MetricError, class_count)
+    p = check_labels(pred, t.size, MetricError, class_count)
     if t.size == 0:
         raise MetricError("empty label vectors")
-    if p.shape != t.shape:
-        raise MetricError(f"{p.size} predictions for {t.size} true labels")
     k = class_count if class_count is not None else int(max(p.max(), t.max())) + 1
-    outside = (t < 0) | (t >= k) | (p < 0) | (p >= k)
-    if outside.any():
-        i = int(np.argmax(outside))
-        which, label = ("truth", t[i]) if not 0 <= t[i] < k else ("prediction", p[i])
-        raise MetricError(f"unlabeled sample {i}" if label == UNLABELED else
-                          f"sample {i}: {which} label {label} lies outside [0, {k})")
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
     return ConfusionMatrix(counts)
@@ -107,13 +99,9 @@ def knn_consistency(points, labels, k: int) -> float:
     Works on any n x m point array (2D embeddings or latent features).
     Distance ties are broken toward the lower index; k is capped at n - 1.
     """
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    points = check_matrix(points, MetricError)
     n = points.shape[0]
-    if labels.shape[0] != n:
-        raise MetricError("labels must match points")
-    if (labels == UNLABELED).any():
-        raise MetricError("all points must be labeled")
+    labels = check_labels(labels, n, MetricError)
     if n < 2:
         raise MetricError("need at least 2 points")
     k = min(k, n - 1)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import UNLABELED, EplError, int64, read_table, write_table
+from .dataset import (UNLABELED, EplError, check_labels, check_matrix, int64, read_table,
+                      write_table)
 
 
 class OpfError(EplError):
@@ -67,30 +68,15 @@ class OptimumPathForest:
                            for j in (2, 3, 4)))
 
 
-def _seed_indices(seed_labels: np.ndarray) -> np.ndarray:
-    if (seed_labels < UNLABELED).any():
-        node = int(np.argmax(seed_labels < UNLABELED))
-        raise OpfError(f"node {node} has seed label {seed_labels[node]}, neither a class "
-                       f"(>= 0) nor UNLABELED ({UNLABELED})")
+def _seeded(features, seed_labels):
+    """``features`` as a checked matrix, its seed labels (a class id >= 0 or
+    UNLABELED per row) and the indices of the seeds, of which there must be at least one."""
+    X = check_matrix(features, OpfError)
+    seed_labels = check_labels(seed_labels, X.shape[0], OpfError, unlabeled=True)
     seeds = np.flatnonzero(seed_labels != UNLABELED)
     if seeds.size == 0:
         raise OpfError("at least one seed is required")
-    return seeds
-
-
-def _checked(features, labels=None):
-    """``features`` as a finite 2-d float64 matrix and ``labels`` as int64,
-    one entry per feature row."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise OpfError("features must be a 2-d matrix")
-    n = X.shape[0]
-    y = None if labels is None else np.asarray(labels, dtype=np.int64)
-    if y is not None and y.shape != (n,):
-        raise OpfError(f"have {n} feature rows but labels of shape {y.shape}")
-    if not np.isfinite(X).all():
-        raise OpfError("features must be finite")
-    return X, y
+    return X, seed_labels, seeds
 
 
 def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -249,8 +235,7 @@ def opfsemi_propagate(features, seed_labels) -> OptimumPathForest:
     nodes owned by the other seed on its way down; the stored root and
     label always name the owner.
     """
-    X, seed_labels = _checked(features, seed_labels)
-    seeds = _seed_indices(seed_labels)
+    X, seed_labels, seeds = _seeded(features, seed_labels)
     edges, weights = _prim_tree(X)
     cost, root = _forest(edges, weights, seeds)
     pred = _tree_neighbour(edges, root)
@@ -265,12 +250,10 @@ def minimax_oracle(features, seed_labels):
     labeled by its minimax-nearest seed, ties to the lower seed index.
     Returns (labels, costs).
     """
-    X = np.asarray(features, dtype=np.float64)
-    n = X.shape[0]
+    n = check_matrix(features, OpfError).shape[0]
     if n > 64:
         raise OpfError(f"oracle is cubic; refusing n={n} > 64")
-    seed_labels = np.asarray(seed_labels, dtype=np.int64)
-    seeds = _seed_indices(seed_labels)
+    X, seed_labels, seeds = _seeded(features, seed_labels)
     M = cdist(X, X)
     for mid in range(n):
         np.minimum(M, np.maximum(M[:, mid][:, None], M[mid, :][None, :]), out=M)
@@ -291,7 +274,7 @@ def mst(features) -> np.ndarray:
     (n-1) x 2 index array of edges (i, j), i < j, sorted in that order
     (the order in which Kruskal would adopt them).
     """
-    X, _ = _checked(features)
+    X = check_matrix(features, OpfError)
     if X.shape[0] < 2:
         raise OpfError("need at least 2 nodes")
     edges, weights = _prim_tree(X)
@@ -327,7 +310,8 @@ def opfsup_train(features, labels) -> OpfSupModel:
     is an edge whose near end is a prototype of the node's own class,
     reached at no greater bottleneck.
     """
-    X, y = _checked(features, labels)
+    X = check_matrix(features, OpfError)
+    y = check_labels(labels, X.shape[0], OpfError)
     if np.unique(y).size < 2:
         raise OpfError("training set must contain at least 2 classes")
     edges, weights = _prim_tree(X)
@@ -346,11 +330,7 @@ def opfsup_classify_batch(model: OpfSupModel, queries) -> np.ndarray:
     ``_CLASSIFY_BLOCK`` rows at a time, so memory stays at one block of
     distances however many queries there are.
     """
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if Q.shape[1] != model.dim:
-        raise OpfError(f"query dimension {Q.shape[1]} != model dimension {model.dim}")
-    if not np.isfinite(Q).all():
-        raise OpfError("queries must be finite")
+    Q = check_matrix(np.atleast_2d(queries), OpfError, cols=model.dim)
     winners = np.empty(Q.shape[0], dtype=np.int64)
     for start in range(0, Q.shape[0], _CLASSIFY_BLOCK):
         block = slice(start, start + _CLASSIFY_BLOCK)

@@ -391,10 +391,10 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], i
     cfg.validate()
     init = (EncoderParams.load(cfg.warm_start_checkpoint)
             if cfg.init_mode == "warm_start" else None)
+    data = dataset_from_config(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(f"experiment {kind}", format_config(cfg.to_sections()))
-    data = dataset_from_config(cfg)
     state = RunState(cfg, data, out_dir, manifest, init)
 
     rows: list[ResultRow] = []

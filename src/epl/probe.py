@@ -16,7 +16,8 @@ import numpy as np
 
 from .contrastive import (flat_views, he_uniform, pack, relu_mlp, relu_mlp_backward,
                           row_softmax, safe_std)
-from .dataset import UNLABELED, EplError, check_at_least, check_non_negative, check_positive
+from .dataset import (EplError, check_at_least, check_labels, check_matrix, check_non_negative,
+                      check_positive)
 
 
 class ProbeError(EplError):
@@ -40,19 +41,9 @@ def check_lambda(lam: float) -> None:
 
 
 def _training_set(features, labels, class_count: int):
-    """Finite float64 features and int64 labels in [0, class_count), one per
-    row; an unlabeled entry is an error naming the first offending index."""
-    X = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise ProbeError("features must be finite (found NaN or inf)")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != X.shape[:1]:
-        raise ProbeError(f"{X.shape[0]} feature rows but labels of shape {y.shape}")
-    if (y == UNLABELED).any():
-        raise ProbeError(f"training index {int(np.argmax(y == UNLABELED))} is unlabeled")
-    if y.min() < 0 or y.max() >= class_count:
-        raise ProbeError(f"training labels must lie in [0, {class_count})")
-    return X, y
+    """Finite float64 features and int64 labels in [0, class_count), one per row."""
+    X = check_matrix(features, ProbeError)
+    return X, check_labels(labels, X.shape[0], ProbeError, class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +109,7 @@ class SoftmaxConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("epochs", 0), ("batch_size", 1), ("hidden_dim", 1)):
+        for name, low in (("epochs", 0), ("batch_size", 1), ("hidden_dim", 1), ("seed", 0)):
             check_at_least(name, getattr(self, name), low, ProbeError)
         check_positive("learning_rate", self.learning_rate, ProbeError)
         check_non_negative("momentum", self.momentum, ProbeError)
@@ -198,15 +189,13 @@ def train_softmax(features, labels, config: SoftmaxConfig, class_count: int) -> 
 
 def predict(model, features) -> np.ndarray:
     """Argmax class per row for either probe; ties go to the lower class id."""
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if isinstance(model, LinearModel):
         expected = model.weights.shape[1]
     elif isinstance(model, SoftmaxModel):
         expected = model.w1.shape[0]
     else:
         raise ProbeError(f"unknown model type {type(model).__name__}")
-    if X.shape[1] != expected:
-        raise ProbeError(f"feature dimension {X.shape[1]} != model dimension {expected}")
+    X = check_matrix(np.atleast_2d(features), ProbeError, cols=expected)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = model.scores(X)
     if not np.isfinite(scores).all():

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import EplError, check_at_least, check_non_negative, check_positive
+from .dataset import EplError, check_at_least, check_matrix, check_non_negative, check_positive
 
 _Q_EPS = 1e-12
 _INIT_SIGMA = 1e-4
@@ -85,7 +85,7 @@ class ProjectionConfig:
             check_positive(name, getattr(self, name), ProjectionError)
         for name in ("momentum_start", "momentum_final"):
             check_non_negative(name, getattr(self, name), ProjectionError)
-        for name in ("exaggeration_iters", "momentum_switch"):
+        for name in ("exaggeration_iters", "momentum_switch", "seed"):
             check_at_least(name, getattr(self, name), 0, ProjectionError)
 
 
@@ -96,9 +96,7 @@ class Embedding2D:
     kl_tail: np.ndarray
 
     def __post_init__(self):
-        self.coordinates = np.asarray(self.coordinates, dtype=np.float64)
-        if not np.isfinite(self.coordinates).all():
-            raise ProjectionError("embedding coordinates must be finite")
+        self.coordinates = check_matrix(self.coordinates, ProjectionError)
 
     def __len__(self) -> int:
         return self.coordinates.shape[0]
@@ -137,7 +135,7 @@ def conditional_affinities(features, perplexity: float,
     the returned matrix, and each row's conditional overwrites its
     distances: no second n x n array.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = check_matrix(features, ProjectionError)
     n = X.shape[0]
     if n < 3:
         raise ProjectionError("need at least 3 points")
@@ -145,8 +143,6 @@ def conditional_affinities(features, perplexity: float,
     if not perplexity <= n - 1:
         raise ProjectionError(
             f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
-    if not np.isfinite(X).all():
-        raise ProjectionError("features must be finite (found NaN or inf)")
     cond = cdist(X, X, "sqeuclidean")
     # Finite features give no NaN distance, so an overflow shows as an inf maximum.
     top = cond.max()
@@ -292,9 +288,7 @@ def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
     workspace of their size: `work`, or a fresh one if it is None. P is
     checked, and its sum p log p taken, once per array (`Workspace.p_log_p`)."""
     P = np.asarray(P, dtype=np.float64)
-    Y = np.asarray(coords, dtype=np.float64)
-    if Y.ndim != 2:
-        raise ProjectionError(f"coordinates must be an (n, d) array, got shape {Y.shape}")
+    Y = check_matrix(coords, ProjectionError)
     n = Y.shape[0]
     if P.shape != (n, n):
         raise ProjectionError(f"P has shape {P.shape}, expected {n} x {n} for {n} coordinates")
@@ -358,7 +352,7 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     tracked over the final 50 iterations and its worst consecutive increase
     is reported on the embedding.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = check_matrix(features, ProjectionError)
     n = X.shape[0]
     if n < 4:
         raise ProjectionError("need at least 4 points to project")

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
-from .dataset import UNLABELED
+from .dataset import UNLABELED, EplError, check_labels, check_matrix
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -31,16 +29,15 @@ def class_color(label: int) -> str:
 
 
 def emit_scatter(coordinates, labels, path) -> None:
-    """Write an SVG scatterplot of n x 2 coordinates to ``path``.
+    """Write an SVG scatterplot of finite n x 2 coordinates to ``path``, one
+    label per point: a class id >= 0 or UNLABELED.
 
     Coordinates are mapped into the drawing area with a uniform scale so
     the geometry is preserved; a degenerate (single-point) extent lands in
     the center.
     """
-    coords = np.asarray(coordinates, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != coords.shape[0]:
-        raise ValueError("labels length must match the embedding")
+    coords = check_matrix(coordinates, EplError, cols=2)
+    labels = check_labels(labels, coords.shape[0], EplError, unlabeled=True)
 
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)

