@@ -147,9 +147,11 @@ class ExperimentConfig:
         check_at_least("knn_k", self.knn_k, 1, ConfigError)
         if not self.modes:
             raise ConfigError("at least one contrastive mode is required")
-        for mode in self.modes:
+        for at, mode in enumerate(self.modes):
             if mode not in VALID_MODES:
                 raise ConfigError(f"unknown mode {mode!r}")
+            if mode in self.modes[:at]:
+                raise ConfigError(f"mode {mode!r} is listed twice")
         check_fractions((self.s_frac, self.u_frac, self.t_frac), ConfigError)
         if self.init_mode not in ("scratch", "warm_start"):
             raise ConfigError(f"unknown init mode {self.init_mode!r}")

@@ -34,14 +34,13 @@ yielding non-finite weights or features.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .dataset import (Dataset, EplError, Role, SplitAssignment, check_at_least, check_labels,
-                      check_non_negative, check_positive, whole_numbers)
+from .dataset import (Dataset, EplError, Role, SplitAssignment, check_at_least, check_finite,
+                      check_labels, check_non_negative, check_positive, whole_numbers)
 
 _NORM_EPS = 1e-12
 
@@ -152,8 +151,7 @@ class EncoderParams:
                 raise ContrastiveError(f"{path}: array shapes do not chain: {shapes}")
             width = weight.shape[1]
         for name in cls._FIELDS:
-            if not np.isfinite(arrays[name]).all():
-                raise ContrastiveError(f"{path}: non-finite value in {name}")
+            check_finite(arrays[name], ContrastiveError, f"{path}: a value in {name}")
         return cls(**{f: arrays[f] for f in cls._FIELDS})
 
 
@@ -240,9 +238,12 @@ def pack(arrays):
     return flat, views
 
 
-def safe_std(X: np.ndarray) -> np.ndarray:
-    """Per-column standard deviation, 1 where a column is constant."""
-    scale = X.std(axis=0)
+def safe_std(X: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """Per-column standard deviation, 1 where a column is constant; ``error``
+    when a finite column's deviation overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = X.std(axis=0)
+    check_finite(scale, error, "float64 overflow: the standard deviation of a feature")
     scale[scale == 0] = 1.0
     return scale
 
@@ -297,8 +298,7 @@ def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray,
 def extract_features(params: EncoderParams, data: Dataset, indices) -> np.ndarray:
     """Latent features of the dataset rows at ``indices``, in that order; each
     index must be a whole number in [0, sample_count)."""
-    X = data.features[check_labels(indices, np.size(indices), ContrastiveError,
-                                   data.sample_count)]
+    X = data.features[check_labels(indices, None, ContrastiveError, data.sample_count)]
     if X.shape[1] != params.input_dim:
         raise ContrastiveError(
             f"input dimension {X.shape[1]} != encoder dimension {params.input_dim}"
@@ -306,9 +306,7 @@ def extract_features(params: EncoderParams, data: Dataset, indices) -> np.ndarra
     # The encoder block alone: the projection head is not needed here.
     with np.errstate(over="ignore", invalid="ignore"):
         latent = relu_mlp(X, params.w1, params.b1, params.w2, params.b2)[2]
-    if not np.isfinite(latent).all():
-        raise ContrastiveError("latent features are not finite (the encoder overflows)")
-    return latent
+    return check_finite(latent, ContrastiveError, "float64 overflow: a latent feature")
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +528,7 @@ def _train(data: Dataset, idx: np.ndarray, labels: np.ndarray | None, config: Tr
     if config.epochs == 0:
         return params
 
-    scale = safe_std(X)
-    if not np.isfinite(scale).all():
-        raise ContrastiveError("the standard deviation of the training features overflows float64")
+    scale = safe_std(X, ContrastiveError)
     m = X.shape[0]
     perm = rng.permutation(m)
     # The pair loss needs 4 views (2 samples) per label-free evaluation and
@@ -557,23 +553,18 @@ def _train(data: Dataset, idx: np.ndarray, labels: np.ndarray | None, config: Tr
         for chunk in _batch_slices(order, config.batch_size):
             y_chunk = None if labels is None else labels[chunk]
             loss = _batch_loss(X[chunk], y_chunk, config, scale, rng, params, grads)
-            _check_finite(loss, epoch, "training loss")
-            epoch_losses.append(loss)
+            epoch_losses.append(check_finite(loss, ContrastiveError,
+                                             f"epoch {epoch}: training loss"))
             optimizer.step(params, grads, lr)
-        if not np.isfinite(params.flat).all():
-            raise ContrastiveError(f"epoch {epoch}: parameters are not finite")
+        check_finite(params.flat, ContrastiveError, f"epoch {epoch}: a parameter")
         if n_val > 0:
             y_val = None if labels is None else labels[val_local]
-            score = _batch_loss(X[val_local], y_val, config, scale, rng, params, None)
-            _check_finite(score, epoch, "validation loss")
+            score = check_finite(
+                _batch_loss(X[val_local], y_val, config, scale, rng, params, None),
+                ContrastiveError, f"epoch {epoch}: validation loss")
         else:
             score = float(np.mean(epoch_losses))
         if score < best_score:
             best_score = score
             best = params.copy()
     return best
-
-
-def _check_finite(loss: float, epoch: int, what: str) -> None:
-    if not math.isfinite(loss):
-        raise ContrastiveError(f"epoch {epoch}: {what} is not finite ({loss})")

@@ -10,12 +10,14 @@ least one seed per class.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 # Sentinel for "no label"; never a valid class id.
 UNLABELED = -1
@@ -127,6 +129,9 @@ def check_non_negative(name: str, value, error: type[Exception]) -> None:
 
 
 def check_at_least(name: str, value, low, error: type[Exception]) -> None:
+    """A whole number (an int, not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be a whole number, got {value!r}")
     if not value >= low:
         raise error(f"{name} must be at least {low}, got {value}")
 
@@ -162,7 +167,10 @@ def check_matrix(values, error: type[Exception], cols: int | None = None) -> np.
 
 def whole_numbers(values, error: type[Exception]) -> np.ndarray:
     """``values`` as int64, or ``error`` naming the first entry that is not a whole number."""
-    y = np.asarray(values)
+    try:
+        y = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise error(f"labels must be whole numbers: {exc}") from exc
     if y.dtype.kind in "iub":
         return y.astype(np.int64, copy=False)
     if y.dtype.kind != "f":
@@ -176,15 +184,16 @@ def whole_numbers(values, error: type[Exception]) -> np.ndarray:
     return whole
 
 
-def check_labels(values, n: int, error: type[Exception], bound: int | None = None,
+def check_labels(values, n: int | None, error: type[Exception], bound: int | None = None,
                  unlabeled: bool = False) -> np.ndarray:
-    """``values`` as an int64 vector of ``n`` whole numbers in [0, bound)
-    (no upper bound when ``bound`` is None), or UNLABELED where ``unlabeled``
-    allows it; otherwise ``error`` naming the first bad entry by its index."""
-    y = np.asarray(values)
+    """``values`` as an int64 vector of ``n`` whole numbers (any number when
+    ``n`` is None) in [0, bound) (no upper bound when ``bound`` is None), or
+    UNLABELED where ``unlabeled`` allows it; otherwise ``error`` naming the
+    first bad entry by its index."""
+    y = whole_numbers(values, error)
+    n = y.size if n is None else n
     if y.shape != (n,):
         raise error(f"{n} feature rows but labels of shape {y.shape}")
-    y = whole_numbers(y, error)
     low = UNLABELED if unlabeled else 0
     bad = (y < low) if bound is None else (y < low) | (y >= bound)
     if bad.any():
@@ -194,6 +203,26 @@ def check_labels(values, n: int, error: type[Exception], bound: int | None = Non
             f" or UNLABELED ({UNLABELED})" if unlabeled else "")
         raise error(f"index {i} holds {y[i]}{what}, outside {allowed}")
     return y
+
+
+# ---------------------------------------------------------------------------
+# Computed values: overflow is checked where it can happen
+# ---------------------------------------------------------------------------
+
+def check_finite(values, error: type[Exception], what: str):
+    """``values`` (an array or a number) if every entry is finite, else
+    ``error`` saying that ``what`` is not finite. Callers compute under
+    ``np.errstate`` and scan the result here: numpy reads only the calling
+    thread's floating-point flags, so a threaded BLAS overflow may not warn."""
+    if not np.isfinite(values).all():
+        raise error(f"{what} is not finite")
+    return values
+
+
+def distances(A: np.ndarray, B: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """``cdist(A, B)`` of finite rows, or ``error`` if a distance overflows float64.
+    Each entry is computed on its own: a block of rows gets the bytes of a larger matrix's."""
+    return check_finite(cdist(A, B), error, "float64 overflow: a distance between features")
 
 
 # ---------------------------------------------------------------------------

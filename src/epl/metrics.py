@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .dataset import EplError, check_labels, check_matrix
+from .dataset import EplError, check_at_least, check_labels, check_matrix, distances
 
 
 class MetricError(EplError):
@@ -52,7 +51,7 @@ def confusion(pred, truth, class_count: int | None = None) -> ConfusionMatrix:
     top class that appears in neither vector. A label that is not a whole
     number in [0, class_count) is an error naming the first index holding one.
     """
-    t = check_labels(truth, np.size(truth), MetricError, class_count)
+    t = check_labels(truth, None, MetricError, class_count)
     p = check_labels(pred, t.size, MetricError, class_count)
     if t.size == 0:
         raise MetricError("empty label vectors")
@@ -97,17 +96,17 @@ def knn_consistency(points, labels, k: int) -> float:
     """Mean fraction of each point's k nearest neighbours sharing its label.
 
     Works on any n x m point array (2D embeddings or latent features).
-    Distance ties are broken toward the lower index; k is capped at n - 1.
+    Distance ties are broken toward the lower index; k, a whole number of
+    at least 1, is capped at n - 1.
     """
+    check_at_least("k", k, 1, MetricError)
     points = check_matrix(points, MetricError)
     n = points.shape[0]
     labels = check_labels(labels, n, MetricError)
     if n < 2:
         raise MetricError("need at least 2 points")
     k = min(k, n - 1)
-    if k < 1:
-        raise MetricError("neighbour count must be at least 1")
-    dist = cdist(points, points)
+    dist = distances(points, points, MetricError)
     np.fill_diagonal(dist, np.inf)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     same = labels[order] == labels[:, None]

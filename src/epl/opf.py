@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .dataset import (UNLABELED, EplError, check_labels, check_matrix, int64, read_table,
-                      write_table)
+from .dataset import (UNLABELED, EplError, check_labels, check_matrix, distances, int64,
+                      read_table, write_table)
 
 
 class OpfError(EplError):
@@ -79,19 +78,6 @@ def _seeded(features, seed_labels):
     return X, seed_labels, seeds
 
 
-def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``cdist(A, B)`` of finite rows, which must not overflow float64.
-
-    Each entry is computed on its own, so a block of rows gets exactly
-    the bytes of the same rows of a larger matrix.
-    """
-    dist = cdist(A, B)
-    # Finite features can still be too far apart for float64 distances.
-    if not np.isfinite(dist).all():
-        raise OpfError("distances between features overflow float64")
-    return dist
-
-
 def _prim_tree(X: np.ndarray):
     """Prim minimum spanning tree of the complete Euclidean graph.
 
@@ -110,7 +96,7 @@ def _prim_tree(X: np.ndarray):
     weights = np.empty(n - 1)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best_w = _distances(X[:1], X)[0]
+    best_w = distances(X[:1], X, OpfError)[0]
     best_w[0] = np.inf
     best_from = np.zeros(n, dtype=np.int64)
     for step in range(n - 1):
@@ -122,7 +108,7 @@ def _prim_tree(X: np.ndarray):
         weights[step] = best_w[child]
         in_tree[child] = True
         best_w[child] = np.inf
-        dist = _distances(X[child:child + 1], X)[0]
+        dist = distances(X[child:child + 1], X, OpfError)[0]
         closer = ~in_tree & ((dist < best_w) | ((dist == best_w) & (child < best_from)))
         best_w[closer] = dist[closer]
         best_from[closer] = child
@@ -254,7 +240,7 @@ def minimax_oracle(features, seed_labels):
     if n > 64:
         raise OpfError(f"oracle is cubic; refusing n={n} > 64")
     X, seed_labels, seeds = _seeded(features, seed_labels)
-    M = cdist(X, X)
+    M = distances(X, X, OpfError)
     for mid in range(n):
         np.minimum(M, np.maximum(M[:, mid][:, None], M[mid, :][None, :]), out=M)
     per_seed = M[seeds]
@@ -334,7 +320,7 @@ def opfsup_classify_batch(model: OpfSupModel, queries) -> np.ndarray:
     winners = np.empty(Q.shape[0], dtype=np.int64)
     for start in range(0, Q.shape[0], _CLASSIFY_BLOCK):
         block = slice(start, start + _CLASSIFY_BLOCK)
-        scores = _distances(Q[block], model.features)
+        scores = distances(Q[block], model.features, OpfError)
         np.maximum(scores, model.cost, out=scores)
         winners[block] = np.argmin(scores, axis=1)
     return model.labels[winners]

@@ -17,7 +17,6 @@ manifest and the run moves on. Every stage is a pure function of
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field
@@ -29,8 +28,9 @@ from . import __version__
 from . import contrastive
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams
-from .dataset import (UNLABELED, Dataset, EplError, Role, SplitAssignment, generate_blobs,
-                      int64, load_features, read_table, stratified_split, write_table)
+from .dataset import (UNLABELED, Dataset, EplError, Role, SplitAssignment, check_finite,
+                      generate_blobs, int64, load_features, read_table, stratified_split,
+                      write_table)
 from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import predict, train_linear, train_softmax
@@ -69,10 +69,7 @@ def write_results_csv(rows, path) -> None:
 
 
 def _metric(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"metric {cell!r} is not finite")
-    return value
+    return check_finite(float(cell), ValueError, f"metric {cell!r}")
 
 
 def read_results_csv(path) -> list[ResultRow]:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .contrastive import (flat_views, he_uniform, pack, relu_mlp, relu_mlp_backward,
                           row_softmax, safe_std)
-from .dataset import (EplError, check_at_least, check_labels, check_matrix, check_non_negative,
-                      check_positive)
+from .dataset import (EplError, check_at_least, check_finite, check_labels, check_matrix,
+                      check_non_negative, check_positive)
 
 
 class ProbeError(EplError):
@@ -60,12 +60,13 @@ class LinearModel:
         return X @ self.weights.T + self.bias
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_linear(features, labels, lam: float, epochs: int, class_count: int) -> LinearModel:
     """One-vs-rest hinge loss with an epoch-wise _FIRST_STEP / sqrt(t) step.
 
     Full-batch subgradient descent from zero weights, so the fit is
     deterministic and takes no seed. The per-epoch regularized objective
-    is kept on the model.
+    is kept on the model; a score that overflows leaves it non-finite: ProbeError.
     """
     check_at_least("epochs", epochs, 0, ProbeError)
     check_lambda(lam)
@@ -90,6 +91,7 @@ def train_linear(features, labels, lam: float, epochs: int, class_count: int) ->
         b -= step * grad_b
         hinge = np.maximum(0.0, 1.0 - target * (X @ W.T + b)).mean(axis=0)
         trace[t - 1] = float((hinge + 0.5 * lam * (W ** 2).sum(axis=1)).mean())
+    check_finite(trace, ProbeError, "float64 overflow: the linear probe's objective")
     return LinearModel(W, b, trace)
 
 
@@ -141,7 +143,7 @@ def _init_softmax(X: np.ndarray, k: int, config: SoftmaxConfig, rng) -> SoftmaxM
         w2=he_uniform(rng, config.hidden_dim, k),
         b2=np.zeros(k),
         mean=X.mean(axis=0),
-        scale=safe_std(X),
+        scale=safe_std(X, ProbeError),
     )
 
 
@@ -158,13 +160,14 @@ def _softmax_loss_grads(model: SoftmaxModel, X: np.ndarray, y: np.ndarray, grads
     return loss
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_softmax(features, labels, config: SoftmaxConfig, class_count: int) -> SoftmaxModel:
     """Cross-entropy training with momentum SGD and a linear step decay.
 
     The step starts at learning_rate and decays by a factor (1 - e/E) each
     epoch. Pseudo-labels train like true ones. The weights, their gradients
     and the momentum each live in one flat buffer, so a step is one
-    elementwise pass.
+    elementwise pass. A scale or weight that overflows raises ProbeError.
     """
     X, y = _training_set(features, labels, class_count)
     rng = np.random.default_rng(config.seed)
@@ -184,6 +187,7 @@ def train_softmax(features, labels, config: SoftmaxConfig, class_count: int) -> 
             velocity *= config.momentum
             velocity += grad_flat
             flat -= lr * velocity
+        check_finite(flat, ProbeError, f"epoch {epoch}: a softmax probe weight")
     return model
 
 
@@ -197,7 +201,5 @@ def predict(model, features) -> np.ndarray:
         raise ProbeError(f"unknown model type {type(model).__name__}")
     X = check_matrix(np.atleast_2d(features), ProbeError, cols=expected)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = model.scores(X)
-    if not np.isfinite(scores).all():
-        raise ProbeError("class scores are not finite (the features overflow the probe)")
+        scores = check_finite(model.scores(X), ProbeError, "float64 overflow: a class score")
     return np.argmax(scores, axis=1).astype(np.int64)

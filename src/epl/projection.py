@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import EplError, check_at_least, check_matrix, check_non_negative, check_positive
+from .dataset import (EplError, check_at_least, check_finite, check_matrix, check_non_negative,
+                      check_positive)
 
 _Q_EPS = 1e-12
 _INIT_SIGMA = 1e-4
@@ -145,9 +146,8 @@ def conditional_affinities(features, perplexity: float,
             f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
     cond = cdist(X, X, "sqeuclidean")
     # Finite features give no NaN distance, so an overflow shows as an inf maximum.
-    top = cond.max()
-    if not np.isfinite(top):
-        raise ProjectionError("squared distances between features overflow float64")
+    top = check_finite(cond.max(), ProjectionError,
+                       "float64 overflow: a squared distance between features")
     if top > _MAX_SHIFTED_D2:
         raise ProjectionError(
             f"squared-distance range 0..{top:.3g} is too wide for the perplexity "
@@ -263,6 +263,10 @@ class Workspace:
         if key != self._kernel_of:
             _student_t_weights(Y, self.w)
             self.total = self.w.sum()
+            # Q = w / total: with every squared distance overflowed, no weight is left.
+            if not self.total > 0:
+                raise ProjectionError("float64 overflow: no squared distance between "
+                                      "coordinates is finite")
             self._kernel_of = key
 
     def p_log_p(self, P: np.ndarray) -> float:
@@ -345,12 +349,14 @@ def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
     return 4.0 * (row_sums[:, None] * Y - w @ Y)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     """Run gradient descent on the t-SNE objective; deterministic per seed.
 
     Early iterations use exaggerated affinities; the plain-objective KL is
     tracked over the final 50 iterations and its worst consecutive increase
-    is reported on the embedding.
+    is reported on the embedding. A descent that overflows float64 raises
+    ProjectionError, as every kernel call checks the coordinates and weights.
     """
     X = check_matrix(features, ProjectionError)
     n = X.shape[0]

@@ -29,14 +29,16 @@ def class_color(label: int) -> str:
 
 
 def emit_scatter(coordinates, labels, path) -> None:
-    """Write an SVG scatterplot of finite n x 2 coordinates to ``path``, one
-    label per point: a class id >= 0 or UNLABELED.
+    """Write an SVG scatterplot of finite n x 2 coordinates, n >= 1, to
+    ``path``, one label per point: a class id >= 0 or UNLABELED.
 
     Coordinates are mapped into the drawing area with a uniform scale so
     the geometry is preserved; a degenerate (single-point) extent lands in
     the center.
     """
     coords = check_matrix(coordinates, EplError, cols=2)
+    if coords.shape[0] == 0:
+        raise EplError("a scatterplot needs at least one point")
     labels = check_labels(labels, coords.shape[0], EplError, unlabeled=True)
 
     lo = coords.min(axis=0)

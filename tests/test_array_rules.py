@@ -66,11 +66,12 @@ LABEL_VECTORS = {
     "above": lambda y: _at(y, 3, 99),
     "below-unlabeled": lambda y: _at(y, 3, -2),
     "unlabeled": lambda y: _at(y, 3, UNLABELED),
+    "ragged": lambda y: [list(y[:2]), *y[2:]],
 }
 ALL = tuple(LABEL_VECTORS)
 # Labels with no upper bound, and labels where UNLABELED is allowed.
 UNBOUNDED = tuple(k for k in ALL if k != "above")
-SEEDED = ("short", "column", "half", "below-unlabeled")
+SEEDED = ("short", "column", "half", "below-unlabeled", "ragged")
 
 # (entry point, call(matrix, labels, out), good matrix, good labels,
 #  matrix corruptions, label corruptions)
@@ -111,9 +112,9 @@ ENTRIES = [
     ("emit_scatter", lambda M, y, out: emit_scatter(M, y, out), COORDS, SEEDS,
      "nan inf 1-d 3-d one-column-short", SEEDED),
     ("extract_features", lambda _, idx, __: extract_features(ENCODER, DATA, idx), None, ROWS,
-     "", ("column", "half", "above", "below-unlabeled", "unlabeled")),
+     "", ("column", "half", "above", "below-unlabeled", "unlabeled", "ragged")),
     ("supcon_loss", lambda _, y, __: supcon_loss(np.eye(12), y, 0.1, True), None, LABELS, "",
-     ("half",)),
+     ("half", "ragged")),
 ]
 
 CASES = [pytest.param(call, MATRICES[bad][0](M), y, MATRICES[bad][1], id=f"{name}-{bad}")
@@ -125,6 +126,8 @@ CASES += [
                  "shape", id="confusion-square-arrays"),
     pytest.param(lambda *_: extract_features(ENCODER, DATA, [0.5]), None, None,
                  "whole numbers", id="extract_features-half-index"),
+    pytest.param(emit_scatter, np.zeros((0, 2)), np.zeros(0, dtype=int), "at least one point",
+                 id="emit_scatter-zero-points"),
     pytest.param(lambda M, *_: tsne_project(M, ProjectionConfig()), X[:, 0], None, "2-d matrix",
                  id="tsne_project-1-d-default-perplexity"),
     pytest.param(lambda M, *_: opfsup_classify_batch(
@@ -173,6 +176,7 @@ def test_matrix_errors_name_the_first_bad_entry():
     ([0, -1, 1], {"bound": 3}, r"index 1 holds -1 \(unlabeled\), outside \[0, 3\)"),
     ([0, -2, 1], {"unlabeled": True}, r"index 1 holds -2, outside \[0, inf\) or UNLABELED"),
     ([[0, 1, 2]], {}, r"3 feature rows but labels of shape \(1, 3\)"),
+    ([[0], [1, 2], 0], {}, "whole numbers: setting an array element with a sequence"),
 ])
 def test_label_errors_name_the_first_bad_entry(labels, kwargs, match):
     with warnings.catch_warnings():

@@ -397,6 +397,7 @@ class TestExperimentCommand:
         ("split", "t_frac", "inf"),
         ("run", "seed", -2),
         ("dataset", "seed", -1),
+        ("run", "modes", "simclr simclr"),
     ])
     def test_config_every_arm_rejects_exits_one_before_any_arm(self, tmp_path, capsys,
                                                                section, key, value):

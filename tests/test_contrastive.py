@@ -493,9 +493,9 @@ class TestTraining:
         y = ds.labels[sup]
         initial = init_params(ds.dim, np.random.default_rng(1))
         trained = train("supcon", ds, split, cfg)
-        before = _batch_loss(X, y, cfg, safe_std(X),
+        before = _batch_loss(X, y, cfg, safe_std(X, ContrastiveError),
                              np.random.default_rng(123), initial, None)
-        after = _batch_loss(X, y, cfg, safe_std(X),
+        after = _batch_loss(X, y, cfg, safe_std(X, ContrastiveError),
                             np.random.default_rng(123), trained, None)
         assert after < before
 
@@ -550,7 +550,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("setting,cause", [
         # NaN heads are mapped to the first basis vector, so the loss stays finite.
-        ({"learning_rate": 1e308}, "parameters are"),
+        ({"learning_rate": 1e308}, "a parameter is"),
         ({"temperature": 1e-310}, "training loss is")])
     def test_non_finite_training_names_the_epoch(self, blob_world, setting, cause):
         ds, split = blob_world

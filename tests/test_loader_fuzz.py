@@ -225,9 +225,11 @@ def test_every_exception_class_in_epl_is_an_epl_error():
 @given(magic=st.sampled_from([b"EPL1", b"EPL2"]),
        edits=st.lists(st.tuples(FEATURE_BYTE, st.integers(0, 255)), min_size=1, max_size=4))
 def test_scored_run_on_byte_mutated_features_exits_cleanly(tmp_path_factory, magic, edits):
-    # The same feature-block mutations through a command that scores them:
-    # the run must end in rows, recorded arm errors or an error line, each
-    # failure a typed error, with no numpy warning and no score out of range.
+    # The same feature-block mutations through the commands that score them,
+    # the latent probes (c1) and the softmax probe on raw and pseudo-labeled
+    # inputs (c3): each run must end in rows, recorded arm errors or an error
+    # line, each failure a typed error, with no numpy warning and no score
+    # out of range.
     blob, features_at = _binary_features(magic)
     blob = bytearray(blob)
     for pos, value in edits:
@@ -239,20 +241,22 @@ def test_scored_run_on_byte_mutated_features_exits_cleanly(tmp_path_factory, mag
     cfg.write_text(f"[dataset]\nsource = {data}\n"
                    "[split]\ns_frac = 0.25\nu_frac = 0.375\nt_frac = 0.375\n"
                    "[run]\nreplicas = 1\nmodes = simclr supcon\n"
-                   "[contrastive]\nepochs = 2\n")
-    out = tmp / "run"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(["experiment", "c1", "--config", str(cfg), "--out", str(out)])
-    assert code in (0, 1, 2)
-    assert not caught, [str(w.message) for w in caught]
-    if code == 1:
-        return
-    for row in read_results_csv(out / "results.csv"):
-        assert 0.0 <= row.accuracy <= 1.0 and -1.0 <= row.kappa <= 1.0
-    manifest = (out / "manifest.txt").read_text()
-    section = manifest.split("\n[errors]\n", 1)[1].split("\n[digests]\n", 1)[0]
-    errors = [line for line in section.splitlines() if line]
-    assert (code == 2) == bool(errors)
-    for line in errors:
-        assert line.split(" = ", 1)[1].startswith(_TYPED_ERRORS), line
+                   "[contrastive]\nepochs = 2\n"
+                   "[projection]\nperplexity = 3\niterations = 30\n")
+    for family in ("c1", "c3"):
+        out = tmp / family
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["experiment", family, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert not caught, [str(w.message) for w in caught]
+        if code == 1:
+            continue
+        for row in read_results_csv(out / "results.csv"):
+            assert 0.0 <= row.accuracy <= 1.0 and -1.0 <= row.kappa <= 1.0
+        manifest = (out / "manifest.txt").read_text()
+        section = manifest.split("\n[errors]\n", 1)[1].split("\n[digests]\n", 1)[0]
+        errors = [line for line in section.splitlines() if line]
+        assert (code == 2) == bool(errors)
+        for line in errors:
+            assert line.split(" = ", 1)[1].startswith(_TYPED_ERRORS), line

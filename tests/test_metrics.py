@@ -200,3 +200,12 @@ class TestKnnConsistency:
     def test_unlabeled_rejected(self):
         with pytest.raises(MetricError):
             knn_consistency(np.zeros((3, 2)), np.array([0, -1, 1]), k=1)
+
+    @pytest.mark.parametrize("k, match", [
+        (2.5, "k must be a whole number, got 2.5"), (True, "k must be a whole number, got True"),
+        (0, "k must be at least 1, got 0")])
+    def test_k_is_a_whole_number_of_at_least_one(self, k, match):
+        pts = np.array([[0.0, 0.0], [0.0, 1.0], [9.0, 0.0], [9.0, 1.0]])
+        with pytest.raises(MetricError, match=match):
+            knn_consistency(pts, np.array([0, 0, 1, 1]), k=k)
+        assert knn_consistency(pts, np.array([0, 0, 1, 1]), k=np.int64(1)) == 1.0

@@ -522,6 +522,16 @@ class TestTsne:
                 with pytest.raises(ProjectionError, match="finite and non-negative"):
                     kernel(P, coords, work)
 
+    def test_kernels_reject_coordinates_whose_distances_all_overflow(self):
+        rng = np.random.default_rng(5)
+        P = pairwise_affinities(rng.normal(size=(6, 3)), 2.0)
+        coords = rng.normal(size=(6, 2)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (kl_gradient, kl_divergence):
+                with pytest.raises(ProjectionError, match="float64 overflow"):
+                    kernel(P, coords)
+
     def test_kernels_reject_a_workspace_of_another_size(self):
         P, coords = np.full((5, 5), 0.04), np.zeros((5, 2))
         for kernel in (kl_gradient, kl_divergence):
