@@ -34,7 +34,7 @@ from .dataset import (UNLABELED, Dataset, EplError, Role, SplitAssignment, check
 from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import predict, train_linear, train_softmax
-from .projection import Embedding2D, ProjectionConfig, tsne_project
+from .projection import Embedding2D, ProjectionConfig, thread_count, tsne_project
 from .scatter import emit_scatter
 
 
@@ -87,7 +87,9 @@ def read_results_csv(path) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 
 class RunManifest:
-    """Resolved config, per-stage wall clock, failures, and output digests."""
+    """Resolved config, the thread count of an exact t-SNE projection on this
+    host (the timings depend on it), per-stage wall clock, failures, and
+    output digests."""
 
     def __init__(self, command: str, config_echo: str):
         self.command = command
@@ -109,6 +111,7 @@ class RunManifest:
             f"command = {self.command}",
             f"status = {'partial' if self.errors else 'ok'}",
             f"wall_clock_unix = {time.time()!r}",
+            f"projection_threads = {thread_count()}",
             "",
             "[config]",
             self.config_echo.rstrip("\n"),

@@ -28,11 +28,29 @@ KL is sum p log p, taken once per P array, minus sum p log q, summed one
 row block at a time. The gradient computes the same float operations as
 the full-matrix form, so its bytes do not depend on the workspace or the
 blocking; the KL's bytes depend on the block order and nothing else.
+
+Each kernel build, weight sum, gradient pass and KL pass is split into
+two row halves, cut at the first multiple of _BLOCK_ROWS from n / 2 on.
+Used as a context manager (`tsne_project` does), a workspace runs the
+second half on one helper thread when the process may use two or more
+CPUs and n > _BLOCK_ROWS; otherwise the caller runs both halves in turn.
+Every element is computed by the same float operations either way, so
+only the one full reduction could depend on the split: the weight sum S.
+It is always taken as the sums of its two parts, cut where numpy's
+pairwise sum splits a contiguous array of more than 128 items, so it
+equals `w.sum()` bit for bit on one thread or two. `w @ Y` stays one BLAS
+call on the caller's thread, and the KL adds its per-block sums in block
+order. The bytes therefore do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +72,9 @@ _MAX_SHIFTED_D2 = np.finfo(np.float64).max / 2.0 ** _BISECT_STEPS
 # 64 x 3 float64 = 1.5 kB per column, so it stays in a 2 MB L2 cache up to
 # n ~ 1300.
 _BLOCK_ROWS = 64
+# numpy sums a contiguous float64 array of more than this many items as the
+# pairwise sums of two parts, cut at a multiple of 8 near the middle.
+_PAIRWISE_BLOCK = 128
 
 
 class ProjectionError(EplError):
@@ -222,47 +243,168 @@ def pairwise_affinities(features, perplexity: float,
     return P
 
 
-def _row_blocks(n: int):
-    """(slice, row count) of each block of _BLOCK_ROWS consecutive rows."""
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+def _row_blocks(rows: slice):
+    """(slice, row count) of each block of _BLOCK_ROWS consecutive rows in
+    `rows`, whose start is a multiple of _BLOCK_ROWS."""
+    for start in range(rows.start, rows.stop, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows.stop)
         yield slice(start, stop), stop - start
 
 
-def _student_t_weights(coords: np.ndarray, out: np.ndarray) -> None:
-    """1 / (1 + squared distance) with a zero diagonal, written into `out`."""
-    cdist(coords, coords, "sqeuclidean", out=out)
-    np.add(out, 1.0, out=out)
-    np.divide(1.0, out, out=out)
-    np.fill_diagonal(out, 0.0)
+def _halves(n: int) -> tuple[slice, slice]:
+    """The two row halves of an n x n pass, cut at the first multiple of
+    _BLOCK_ROWS from n / 2 on; the second is empty when n <= _BLOCK_ROWS.
+    The first half is the larger: the caller's thread runs it and starts
+    while the helper is still waking up."""
+    cut = min(n, _BLOCK_ROWS * -(-n // (2 * _BLOCK_ROWS)))
+    return slice(0, cut), slice(cut, n)
+
+
+def _sum_halves(size: int) -> tuple[slice, slice]:
+    """The two parts whose sums numpy's pairwise sum adds up for `size`
+    contiguous items; the second is empty when it does not split them."""
+    cut = size // 2 - (size // 2) % 8 if size > _PAIRWISE_BLOCK else size
+    return slice(0, cut), slice(cut, size)
+
+
+def thread_count() -> int:
+    """Threads a projection of more than _BLOCK_ROWS points splits each step
+    between: 2 when this process may run on two or more CPUs, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 else 1
+
+
+def _side_count(n: int) -> int:
+    return thread_count() if n > _BLOCK_ROWS else 1
+
+
+def _in_turn(task) -> None:
+    """Run both halves of `task` on this thread: each one's part up to a
+    yield, then the other's. zip_longest, unlike zip, still runs the second
+    half's last part after the first half has finished."""
+    for _ in itertools.zip_longest(task(0) or (), task(1) or ()):
+        pass
+
+
+def _student_t_weights(coords: np.ndarray, out: np.ndarray, split=_in_turn):
+    """1 / (1 + squared distance) with a zero diagonal, written into `out`
+    one row half per side of `split`; returns their sum, which equals
+    `out.sum()` bit for bit."""
+    n = out.shape[0]
+    flat = out.reshape(-1)
+    parts = [0.0, 0.0]
+
+    def half(side):
+        rows = _halves(n)[side]
+        block = out[rows]
+        cdist(coords[rows], coords, "sqeuclidean", out=block)
+        np.add(block, 1.0, out=block)
+        np.divide(1.0, block, out=block)
+        flat[rows.start * (n + 1):rows.stop * (n + 1):n + 1] = 0.0
+        yield  # both halves' rows are written: the sum may read all of them
+        parts[side] = flat[_sum_halves(flat.size)[side]].sum()
+
+    split(half)
+    return parts[0] + parts[1]
 
 
 class Workspace:
-    """One n x n float64 buffer, a block scratch, and the state they carry between calls.
+    """One n x n float64 buffer, a block scratch per row half, the state they
+    carry between calls, and, inside a `with`, a helper thread.
 
     `w` and `total` hold the Student-t weights of the coordinates whose
     shape and bytes are `_kernel_of`, and their sum. A gradient overwrites
     `w` and clears `_kernel_of`, so the next call rebuilds the weights.
-    `scratch` holds two blocks of _BLOCK_ROWS rows. `_p_log_p` is
-    sum p log p over the positive entries of the P array object
-    `_p_log_p_of`, which was checked to be finite and non-negative; that
-    array must not change in place while the workspace is in use.
+    `scratch[side]` holds two blocks of _BLOCK_ROWS rows for that row
+    half. `_p_log_p` is sum p log p over the positive entries of the P
+    array object `_p_log_p_of`, which was checked to be finite and
+    non-negative; that array must not change in place while the workspace
+    is in use.
+
+    Entering the workspace starts a helper thread that runs the second
+    half of every `split` when `_side_count(n)` is 2; leaving it, also by
+    an exception, stops and joins the helper. Outside a `with`, or when
+    the helper has failed, the caller runs both halves.
     """
 
     def __init__(self, n: int):
         self.w = np.empty((n, n))
-        self.scratch = np.empty((2, min(n, _BLOCK_ROWS), n))
+        self.scratch = np.empty((2, 2, min(n, _BLOCK_ROWS), n))
         self.total = 0.0
         self._kernel_of = None
         self._p_log_p_of = None
         self._p_log_p = 0.0
+        self._helper = None
+
+    def __enter__(self) -> Workspace:
+        if _side_count(self.w.shape[0]) > 1:
+            self._barrier = threading.Barrier(2)
+            self._job = self._error = None
+            self._helper = threading.Thread(target=self._serve, daemon=True,
+                                            name="epl-projection-half")
+            self._helper.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._helper is not None:
+            self._job = None
+            self._barrier.wait()
+            self._join()
+
+    def _join(self) -> None:
+        self._helper.join()
+        self._helper = None
+
+    def _run_side(self, task, side: int) -> None:
+        for _ in task(side) or ():
+            self._barrier.wait()
+        self._barrier.wait()
+
+    def _serve(self) -> None:
+        """The helper: run side 1 of each job, in the caller's context (its
+        numpy error state), until the job is None or the barrier breaks."""
+        try:
+            while True:
+                self._barrier.wait()
+                if self._job is None:
+                    return
+                context, task = self._job
+                context.run(self._run_side, task, 1)
+        except threading.BrokenBarrierError:
+            pass  # the caller's side raised; the caller re-raises it
+        except BaseException as exc:  # handed to the caller's `split`, which re-raises it
+            self._error = exc
+            self._barrier.abort()
+
+    def split(self, task) -> None:
+        """Run task(0) on the first row half and task(1) on the second; a
+        task with sync points is a generator, and each yield waits for the
+        other half to reach its own. An exception on either side ends the
+        helper and is re-raised here as itself."""
+        if self._helper is None:
+            _in_turn(task)
+            return
+        self._job = contextvars.copy_context(), task
+        try:
+            self._barrier.wait()
+            self._run_side(task, 0)
+        except BaseException as exc:
+            self._barrier.abort()
+            self._join()
+            error, self._error = self._error, None
+            if isinstance(exc, threading.BrokenBarrierError) and error is not None:
+                raise error from None
+            raise
 
     def kernel(self, Y: np.ndarray) -> None:
         """Make `w` and `total` hold Y's weights, building them only if they hold another Y's."""
         key = (Y.shape, Y.tobytes())
         if key != self._kernel_of:
-            _student_t_weights(Y, self.w)
-            self.total = self.w.sum()
+            self._kernel_of = None
+            self.total = _student_t_weights(Y, self.w, self.split)
             # Q = w / total: with every squared distance overflowed, no weight is left.
             if not self.total > 0:
                 raise ProjectionError("float64 overflow: no squared distance between "
@@ -275,7 +417,7 @@ class Workspace:
         ProjectionError; a block's min and max show it, NaN included."""
         if P is not self._p_log_p_of:
             total = 0.0
-            for rows, _ in _row_blocks(P.shape[0]):
+            for rows, _ in _row_blocks(slice(0, P.shape[0])):
                 block = P[rows]
                 if not (block.min() >= 0.0 and block.max() < np.inf):
                     i, j = np.argwhere(~((block >= 0.0) & (block < np.inf)))[0]
@@ -287,10 +429,11 @@ class Workspace:
         return self._p_log_p
 
 
-def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
+def _kernel_args(P, coords, work):
     """P and the coordinates as float64 arrays of matching shapes, and a
-    workspace of their size: `work`, or a fresh one if it is None. P is
-    checked, and its sum p log p taken, once per array (`Workspace.p_log_p`)."""
+    workspace of their size to use in a `with`: `work`, left as it is, or a
+    fresh one, whose helper thread the `with` ends. P is checked, and its
+    sum p log p taken, once per array (`Workspace.p_log_p`)."""
     P = np.asarray(P, dtype=np.float64)
     Y = check_matrix(coords, ProjectionError)
     n = Y.shape[0]
@@ -300,7 +443,7 @@ def _kernel_args(P, coords, work) -> tuple[np.ndarray, np.ndarray, Workspace]:
     if ws.w.shape != (n, n):
         raise ProjectionError(f"the workspace must be {n} x {n} for {n} coordinates")
     ws.p_log_p(P)
-    return P, Y, ws
+    return P, Y, (ws if work is None else nullcontext(ws))
 
 
 def kl_divergence(P, coords, work=None) -> float:
@@ -308,19 +451,29 @@ def kl_divergence(P, coords, work=None) -> float:
 
     P must be finite and non-negative; its zero entries contribute nothing.
     Q is floored at 1e-12 before the log. The KL is sum p log p minus the
-    sum of p log q over blocks of _BLOCK_ROWS rows. `work` is an optional
-    Workspace for n coordinates; the kernel this call builds stays in it.
+    sum of p log q over blocks of _BLOCK_ROWS rows, added in block order.
+    `work` is an optional Workspace for n coordinates; the kernel this call
+    builds stays in it.
     """
-    P, Y, ws = _kernel_args(P, coords, work)
-    ws.kernel(Y)
+    P, Y, lent = _kernel_args(P, coords, work)
+    n = Y.shape[0]
+    block_sums = np.empty(-(-n // _BLOCK_ROWS))
+    with lent as ws:
+        ws.kernel(Y)
+
+        def half(side):
+            for rows, k in _row_blocks(_halves(n)[side]):
+                log_q = ws.scratch[side, 0, :k]
+                np.divide(ws.w[rows], ws.total, out=log_q)
+                np.maximum(log_q, _Q_EPS, out=log_q)
+                np.log(log_q, out=log_q)
+                np.multiply(P[rows], log_q, out=log_q)
+                block_sums[rows.start // _BLOCK_ROWS] = log_q.sum()
+
+        ws.split(half)
     cross = 0.0
-    for rows, k in _row_blocks(Y.shape[0]):
-        log_q = ws.scratch[0, :k]
-        np.divide(ws.w[rows], ws.total, out=log_q)
-        np.maximum(log_q, _Q_EPS, out=log_q)
-        np.log(log_q, out=log_q)
-        np.multiply(P[rows], log_q, out=log_q)
-        cross += float(log_q.sum())
+    for block_sum in block_sums.tolist():
+        cross += block_sum
     return ws.p_log_p(P) - cross
 
 
@@ -332,20 +485,26 @@ def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
     elementwise. `work` is an optional Workspace for n coordinates; the
     gradient overwrites its kernel.
     """
-    P, Y, ws = _kernel_args(P, coords, work)
-    ws.kernel(Y)
-    w = ws.w
-    row_sums = np.empty(Y.shape[0])
-    for rows, k in _row_blocks(Y.shape[0]):
-        block = ws.scratch[0, :k]
-        np.divide(w[rows], ws.total, out=block)
-        p = P[rows]
-        if exaggeration != 1.0:
-            p = np.multiply(p, exaggeration, out=ws.scratch[1, :k])
-        np.subtract(p, block, out=block)
-        np.multiply(block, w[rows], out=w[rows])
-        np.sum(w[rows], axis=1, out=row_sums[rows])
-    ws._kernel_of = None
+    P, Y, lent = _kernel_args(P, coords, work)
+    n = Y.shape[0]
+    row_sums = np.empty(n)
+    with lent as ws:
+        ws.kernel(Y)
+        ws._kernel_of = None
+        w, total = ws.w, ws.total
+
+        def half(side):
+            for rows, k in _row_blocks(_halves(n)[side]):
+                block = ws.scratch[side, 0, :k]
+                np.divide(w[rows], total, out=block)
+                p = P[rows]
+                if exaggeration != 1.0:
+                    p = np.multiply(p, exaggeration, out=ws.scratch[side, 1, :k])
+                np.subtract(p, block, out=block)
+                np.multiply(block, w[rows], out=w[rows])
+                np.sum(w[rows], axis=1, out=row_sums[rows])
+
+        ws.split(half)
     return 4.0 * (row_sums[:, None] * Y - w @ Y)
 
 
@@ -363,23 +522,24 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     if n < 4:
         raise ProjectionError("need at least 4 points to project")
     P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
-    work = Workspace(n)
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
     velocity = np.zeros_like(Y)
     tail_start = max(0, config.iterations - 50)
     kl_tail = []
 
-    for it in range(config.iterations):
-        exaggeration = config.early_exaggeration if it < config.exaggeration_iters else 1.0
-        momentum = config.momentum_start if it < config.momentum_switch else config.momentum_final
-        step = kl_gradient(P, Y, work, exaggeration)
-        step *= config.learning_rate
-        velocity *= momentum
-        velocity -= step
-        Y += velocity
-        Y -= Y.mean(axis=0)
-        if it >= tail_start:
-            kl_tail.append(kl_divergence(P, Y, work))
+    with Workspace(n) as work:
+        for it in range(config.iterations):
+            exaggeration = config.early_exaggeration if it < config.exaggeration_iters else 1.0
+            momentum = (config.momentum_start if it < config.momentum_switch
+                        else config.momentum_final)
+            step = kl_gradient(P, Y, work, exaggeration)
+            step *= config.learning_rate
+            velocity *= momentum
+            velocity -= step
+            Y += velocity
+            Y -= Y.mean(axis=0)
+            if it >= tail_start:
+                kl_tail.append(kl_divergence(P, Y, work))
 
     return Embedding2D(Y, np.asarray(kl_tail))

@@ -10,9 +10,9 @@ from epl.config import ExperimentConfig
 from epl.contrastive import TrainConfig
 from epl.dataset import (Role, SplitAssignment, UNLABELED, generate_blobs,
                          stratified_split)
-from epl.pipeline import (RESULTS_HEADER, PipelineError, ResultRow, RunState, aggregate_rows,
-                          correlation_report, read_results_csv, run_experiment, run_family,
-                          spearman, write_results_csv)
+from epl.pipeline import (RESULTS_HEADER, PipelineError, ResultRow, RunManifest, RunState,
+                          aggregate_rows, correlation_report, read_results_csv, run_experiment,
+                          run_family, spearman, write_results_csv)
 from epl.probe import SoftmaxConfig, predict, train_softmax
 
 
@@ -254,6 +254,12 @@ class TestManifest:
         on_disk = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if p.name != "manifest.txt"}
         assert listed == on_disk
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_header_names_the_projection_threads(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(pipeline, "thread_count", lambda: threads)
+        lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+        assert f"projection_threads = {threads}" in lines[:lines.index("[config]")]
 
 
 class TestResultsCsv:

@@ -1,5 +1,9 @@
+import faulthandler
+import sys
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -12,8 +16,9 @@ from epl.dataset import UNLABELED, generate_blobs
 from epl.metrics import knn_consistency
 from epl.opf import opfsemi_propagate
 from epl.projection import (Embedding2D, ProjectionConfig, ProjectionError, Workspace,
-                            _bisect_row, _entropy_and_probs, conditional_affinities,
-                            kl_divergence, kl_gradient, pairwise_affinities, tsne_project)
+                            _bisect_row, _entropy_and_probs, _sum_halves,
+                            conditional_affinities, kl_divergence, kl_gradient,
+                            pairwise_affinities, tsne_project)
 
 
 def kl_summation_oracle(P, coords):
@@ -541,3 +546,210 @@ class TestTsne:
     def test_embedding_requires_finite_coordinates(self):
         with pytest.raises(ProjectionError):
             Embedding2D(np.array([[0.0, np.inf]]), np.empty(0))
+
+
+@contextmanager
+def _forced_sides(sides):
+    """A context in which every workspace entered runs its halves on `sides` threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epl.projection, "_side_count", lambda n: sides)
+        yield mp
+
+
+class TestSideCount:
+    """One thread or two: the kernels and the descent give the same bytes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.one_of(st.sampled_from([4, 11, 12, 63, 64, 65, 127, 129, 191, 193, 257]),
+                       st.integers(4, 300)),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-4, 1.0, 30.0]))
+    def test_bytes_do_not_depend_on_the_side_count(self, n, seed, scale):
+        # n <= 64 runs on one side unless forced; n <= 11 leaves the weight
+        # sum unsplit (n^2 <= 128); odd n puts the sum's midpoint mid-row.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 3))
+        P = _joint_with_zeros(rng, n)
+        Y = rng.normal(0.0, scale, (n, 2))
+        config = ProjectionConfig(perplexity=min(5.0, (n - 1) / 2), iterations=60,
+                                  exaggeration_iters=20, momentum_switch=20, seed=seed % 97)
+        real_cdist = epl.projection.cdist
+        results, threads = {}, {}
+        for sides in (1, 2):
+            seen = set()
+
+            def spy(*args, **kwargs):
+                seen.add(threading.current_thread().name)
+                return real_cdist(*args, **kwargs)
+
+            with _forced_sides(sides) as mp:
+                mp.setattr(epl.projection, "cdist", spy)
+                emb = tsne_project(X, config)
+                results[sides] = (kl_gradient(P, Y), kl_gradient(P, Y, exaggeration=12.0),
+                                  kl_divergence(P, Y), emb.coordinates, emb.kl_tail)
+            threads[sides] = seen
+        assert threads[1] == {threading.current_thread().name}
+        assert threads[2] == {threading.current_thread().name, "epl-projection-half"}
+        one, two = results[1], results[2]
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))
+        assert np.array_equal(one[0], ref_kl_gradient(P, Y))
+        assert np.array_equal(one[1], ref_kl_gradient(P * 12.0, Y))
+
+
+@pytest.mark.parametrize("kind", ["normal", "cauchy", "lognormal"])
+@pytest.mark.parametrize("size", [129, 130, 135, 136, 255, 257, 1000, 4097, 8193, 65537,
+                                  313600, 1_000_003])
+def test_weight_sum_splits_where_numpy_pairwise_sum_does(size, kind):
+    # The weight sum S is the sum of the two parts `_sum_halves` cuts, so that
+    # it equals w.sum() on one thread or two. A numpy that moves its
+    # pairwise split fails here by name instead of in every golden digest.
+    rng = np.random.default_rng(size)
+    a = {"normal": rng.normal, "cauchy": rng.standard_cauchy,
+         "lognormal": lambda size: rng.lognormal(0.0, 4.0, size)}[kind](size=size)
+    first, second = _sum_halves(size)
+    assert first.stop == second.start and second.stop == size
+    assert a.sum() == a[first].sum() + a[second].sum(), (
+        f"numpy {np.__version__} no longer sums {size} contiguous float64 items as the "
+        f"sums of items [0, {first.stop}) and [{first.stop}, {size}): epl.projection's "
+        "weight sum S must follow its pairwise split")
+
+
+@pytest.mark.parametrize("n", [5, 11, 12, 65, 559, 560])
+def test_weight_sum_equals_the_matrix_sum(n):
+    coords = np.random.default_rng(n).normal(0.0, 1.0, (n, 2))
+    out = np.empty((n, n))
+    total = epl.projection._student_t_weights(coords, out)
+    assert np.array_equal(out, ref_weights(coords))
+    assert total == out.sum(), f"numpy {np.__version__}"
+
+
+@pytest.fixture
+def watchdog():
+    """End the run with every thread's traceback (seen with -s) and a failing
+    exit code instead of hanging on a deadlock."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def _helpers():
+    return [t for t in threading.enumerate() if t.name == "epl-projection-half"]
+
+
+@pytest.mark.usefixtures("watchdog")
+class TestHelperThread:
+    """The helper thread ends with its call, and a failure on either half is raised, not hung."""
+
+    n = 130
+
+    def _inputs(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(self.n, 3))
+        return X, pairwise_affinities(X, 5.0), rng.normal(size=(self.n, 2))
+
+    @pytest.mark.parametrize("sides", [1, 2])
+    def test_no_thread_outlives_a_call(self, sides):
+        X, P, Y = self._inputs()
+        before = threading.active_count()
+        config = ProjectionConfig(perplexity=5.0, iterations=30, exaggeration_iters=10,
+                                  momentum_switch=10)
+        with _forced_sides(sides):
+            calls = [lambda: tsne_project(X, config), lambda: kl_gradient(P, Y),
+                     lambda: kl_divergence(P, Y)]
+            failing = [lambda: tsne_project(X, ProjectionConfig(
+                           perplexity=5.0, iterations=30, learning_rate=1e300)),
+                       lambda: kl_gradient(P, Y * 1e200), lambda: kl_divergence(P, Y * 1e200)]
+            for call in calls:
+                call()
+                assert threading.active_count() == before and not _helpers()
+            for call in failing:
+                with pytest.raises(ProjectionError, match="overflow|not finite"):
+                    call()
+                assert threading.active_count() == before and not _helpers()
+
+    @pytest.mark.parametrize("failing_half", ["helper", "caller"])
+    @pytest.mark.parametrize("call", ["tsne_project", "kl_gradient", "kl_divergence"])
+    def test_a_failing_half_is_reraised_as_itself(self, monkeypatch, failing_half, call):
+        X, P, Y = self._inputs()
+        boom = RuntimeError("injected failure on one half")
+        real_cdist = epl.projection.cdist
+        raised_on = []
+
+        def cdist(XA, XB, *args, **kwargs):
+            # Row halves come as XA = XB[rows]; the helper's starts past row 0.
+            if len(XA) < len(XB) and (XA[0] == XB[0]).all() == (failing_half == "caller"):
+                raised_on.append(threading.current_thread().name)
+                raise boom
+            return real_cdist(XA, XB, *args, **kwargs)
+
+        before = threading.active_count()
+        with _forced_sides(2):
+            monkeypatch.setattr(epl.projection, "cdist", cdist)
+            run = {"tsne_project": lambda: tsne_project(X, ProjectionConfig(perplexity=5.0)),
+                   "kl_gradient": lambda: kl_gradient(P, Y),
+                   "kl_divergence": lambda: kl_divergence(P, Y)}[call]
+            with pytest.raises(RuntimeError) as raised:
+                run()
+        assert raised.value is boom
+        assert raised_on == ["epl-projection-half" if failing_half == "helper"
+                             else threading.current_thread().name]
+        assert threading.active_count() == before and not _helpers()
+
+    def test_concurrent_projections_under_fast_switching(self):
+        # Three projections at once, each with its helper: six threads on the
+        # host's cores, switching every microsecond. A half that wrote into
+        # another's rows, scratch or sums would change some projection's bytes.
+        X, _, _ = self._inputs()
+        config = ProjectionConfig(perplexity=5.0, iterations=40, exaggeration_iters=10,
+                                  momentum_switch=10)
+        results = [None] * 3
+
+        def project(i):
+            results[i] = tsne_project(X, config)
+
+        with _forced_sides(2):
+            expected = tsne_project(X, config)
+            threads = [threading.Thread(target=project, args=(i,)) for i in range(3)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for emb in results:
+            assert emb is not None, "a projection raised on its thread"
+            assert np.array_equal(emb.coordinates, expected.coordinates)
+            assert np.array_equal(emb.kl_tail, expected.kl_tail)
+        assert not _helpers()
+
+    def test_the_helper_computes_under_the_callers_numpy_error_state(self):
+        _, P, Y = self._inputs()
+        P[self.n - 1, 0] = 1e300  # in the helper's half: alpha P overflows there
+        results = []
+        for sides in (1, 2):
+            with _forced_sides(sides), np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results.append(kl_gradient(P, Y, exaggeration=1e10).tobytes())
+        assert results[0] == results[1]
+
+    def test_a_workspace_keeps_working_after_its_helper_failed(self, monkeypatch):
+        _, P, Y = self._inputs()
+        real_cdist = epl.projection.cdist
+        failures = [1]
+
+        def cdist(XA, XB, *args, **kwargs):
+            if failures[0] and not (XA[0] == XB[0]).all():  # once, on the helper's half
+                failures[0] = 0
+                raise MemoryError("injected")
+            return real_cdist(XA, XB, *args, **kwargs)
+
+        with _forced_sides(2):
+            monkeypatch.setattr(epl.projection, "cdist", cdist)
+            with Workspace(self.n) as work:
+                with pytest.raises(MemoryError, match="injected"):
+                    kl_gradient(P, Y, work)
+                assert not _helpers()
+                assert np.array_equal(kl_gradient(P, Y, work), ref_kl_gradient(P, Y))
