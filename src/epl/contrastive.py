@@ -109,6 +109,10 @@ class EncoderParams:
         for name, view in zip(self._FIELDS, views):
             setattr(self, name, view)
 
+    def __reduce__(self):
+        # Pickled as its arrays, so the copy's fields are views into one new `flat`.
+        return EncoderParams, tuple(self.arrays().values())
+
     def _like(self, flat: np.ndarray) -> "EncoderParams":
         """Parameters of this layout whose arrays are views into `flat`."""
         params = EncoderParams.__new__(EncoderParams)

@@ -17,7 +17,7 @@ import spans  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from epl.config import ExperimentConfig  # noqa: E402
-from epl.pipeline import run_experiment  # noqa: E402
+from epl.pipeline import run_experiment, training_workers  # noqa: E402
 
 
 def test_smoke_workload_calls_every_traced_name(tmp_path):
@@ -37,7 +37,11 @@ def test_smoke_workload_calls_every_traced_name(tmp_path):
     assert projections > 0
     assert tracer.counts["projection.gradient_calls"] == cfg.iterations * projections
     assert tracer.calls["kl_divergence"] == 50 * projections
+    # The tracer sees this process only: with two training workers, each
+    # replica's supcon encoder trains in a forked child.
+    trainings = {1: {"contrastive.calls": 6, "contrastive.view_rows": 2880},
+                 2: {"contrastive.calls": 4, "contrastive.view_rows": 2700}}
     assert {name: tracer.counts[name] for name in spans.COUNTS} == {
-        "contrastive.calls": 6, "contrastive.view_rows": 2880,
+        **trainings[training_workers()],
         "projection.gradient_calls": 900, "projection.pair_evals": 14288400,
         "opf.roots": 66, "opf.tree_visits": 6912}

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 import warnings
 
@@ -598,6 +599,14 @@ class TestCheckpoint:
         loaded = EncoderParams.load(path)
         assert params_equal(params, loaded)
         assert (tmp_path / "enc.bin.cfg").exists()
+
+    def test_pickled_copy_keeps_one_flat_buffer(self):
+        params = init_params(5, np.random.default_rng(12))
+        copy = pickle.loads(pickle.dumps(params))
+        assert params_equal(params, copy)
+        assert np.array_equal(copy.flat, params.flat)
+        copy.flat[:] = 0.0  # every field is a view into the new buffer
+        assert all(not arr.any() for arr in copy.arrays().values())
 
     def test_kind_mismatch(self, tmp_path):
         from epl import checkpoint as ckpt

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -234,6 +237,169 @@ class TestArmIsolation:
             run_family(state, "c1")
 
 
+def artifact_digests(out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir()) if p.name != "manifest.txt"}
+
+
+def manifest_errors(out_dir):
+    lines = (out_dir / "manifest.txt").read_text().splitlines()
+    return lines[lines.index("[errors]") + 1:lines.index("[digests]") - 1]
+
+
+def assert_no_child_left():
+    # waitpid raises ChildProcessError only when this process has no child,
+    # running or exited.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def force_workers(monkeypatch, size):
+    """Set the wave size through the CPU rule that `training_workers` reads."""
+    if size > 1 and not (sys.platform == "linux" and hasattr(os, "fork")):
+        pytest.skip("encoders train in forked children only on Linux")
+    monkeypatch.setattr(pipeline, "thread_count", lambda: size)
+    return size
+
+
+@pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
+def workers(request, monkeypatch):
+    return force_workers(monkeypatch, request.param)
+
+
+def counting_train(monkeypatch):
+    """Trainings that ran in this process, by mode."""
+    real_train = pipeline.contrastive.train
+    calls = []
+
+    def train(mode, data, split, config, init=None):
+        calls.append(mode)
+        return real_train(mode, data, split, config, init)
+
+    monkeypatch.setattr(pipeline.contrastive, "train", train)
+    return calls
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls it with one argument."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+class LocalError(Exception):
+    __qualname__ = "<locals>.LocalError"  # as a class defined in a function: pickle refuses it
+
+
+class TestTrainingWorkers:
+    def test_same_bytes_with_one_worker_or_two(self, tmp_path, monkeypatch):
+        calls = counting_train(monkeypatch)
+        results = {}
+        for size in (2, 1):
+            force_workers(monkeypatch, size)
+            out = tmp_path / f"workers{size}"
+            rows, code = run_experiment("all", small_config(out, replicas=2, epochs=3))
+            assert code == 0 and len(rows) == 22
+            header = (out / "manifest.txt").read_text().splitlines()
+            assert f"training_workers = {size}" in header
+            assert sum(line.startswith("r1.supcon.train = ") for line in header) == 1
+            results[size] = rows, artifact_digests(out), list(calls)
+            calls.clear()
+        assert results[2][:2] == results[1][:2]
+        assert results[1][2] == ["simclr", "supcon"] * 2
+        # each replica's supcon encoder trained in a forked child
+        assert results[2][2] == ["simclr", "simclr"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_no_pipe_or_no_fork_trains_here(self, tmp_path, monkeypatch, workers, call):
+        def refused():
+            raise OSError(f"{call} refused")
+
+        monkeypatch.setattr(os, call, refused)
+        calls = counting_train(monkeypatch)
+        rows, code = run_experiment("c1", small_config(tmp_path / "o", replicas=1))
+        assert code == 0 and len(rows) == 4
+        assert calls == ["simclr", "supcon"]
+
+    def test_error_in_either_worker_reaches_its_arm(self, tmp_path, monkeypatch, workers):
+        real_train = pipeline.contrastive.train
+
+        def broken_train(mode, data, split, config, init=None):
+            if mode == "supcon":  # the second job of a wave: the forked child's
+                raise pipeline.contrastive.ContrastiveError("injected supcon failure")
+            return real_train(mode, data, split, config, init)
+
+        monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
+        out = tmp_path / "fail"
+        rows, code = run_experiment("c1", small_config(out, replicas=2))
+        assert code == 2
+        assert {r.experiment for r in rows} == {"C1a"} and len(rows) == 4
+        assert manifest_errors(out) == [
+            f"r{r}.supcon.c1 = ContrastiveError: injected supcon failure" for r in (0, 1)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error, message", [
+        (lambda: TwoArgError("two", "args"), "the training worker's result could not be "
+         "read: TypeError: TwoArgError.__init__() missing 1 required positional argument: 'b'"),
+        (lambda: LocalError("local"), "LocalError: local (not sent back whole: "),
+    ], ids=["unreadable", "unpicklable"])
+    def test_error_that_cannot_come_back_is_a_pipeline_error(self, tmp_path, monkeypatch,
+                                                             error, message):
+        force_workers(monkeypatch, 2)
+        real_train = pipeline.contrastive.train
+
+        def broken_train(mode, data, split, config, init=None):
+            if mode == "supcon":
+                raise error()
+            return real_train(mode, data, split, config, init)
+
+        monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
+        out = tmp_path / "fail"
+        _, code = run_experiment("c1", small_config(out, replicas=1))
+        assert code == 2
+        [line] = manifest_errors(out)
+        assert line.startswith(f"r0.supcon.c1 = PipelineError: r0.supcon.train: {message}")
+
+    def test_worker_that_dies_is_a_pipeline_error_naming_its_exit_code(
+            self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 2)
+        parent = os.getpid()
+        real_train = pipeline.contrastive.train
+
+        def dying_train(mode, data, split, config, init=None):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_train(mode, data, split, config, init)
+
+        monkeypatch.setattr(pipeline.contrastive, "train", dying_train)
+        out = tmp_path / "died"
+        rows, code = run_experiment("c1", small_config(out, replicas=1))
+        assert code == 2
+        assert {r.experiment for r in rows} == {"C1a"}
+        assert manifest_errors(out) == [
+            "r0.supcon.c1 = PipelineError: r0.supcon.train: the training worker ended "
+            "with exit code 3 before sending its result"]
+        assert_no_child_left()
+
+    def test_no_child_outlives_a_raise_in_this_process(self, tmp_path, monkeypatch, workers):
+        class Stop(BaseException):  # not an Exception: no arm isolation catches it
+            pass
+
+        parent = os.getpid()
+        real_train = pipeline.contrastive.train
+
+        def train(mode, data, split, config, init=None):
+            if os.getpid() == parent:
+                raise Stop()
+            return real_train(mode, data, split, config, init)
+
+        monkeypatch.setattr(pipeline.contrastive, "train", train)
+        with pytest.raises(Stop):
+            run_experiment("c1", small_config(tmp_path / "stop", replicas=1, epochs=50))
+        assert_no_child_left()
+
+
 def test_unknown_kind_fails_before_touching_disk(tmp_path):
     out = tmp_path / "never"
     with pytest.raises(PipelineError, match="unknown experiment kind 'c4'"):
@@ -260,6 +426,22 @@ class TestManifest:
         monkeypatch.setattr(pipeline, "thread_count", lambda: threads)
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
         assert f"projection_threads = {threads}" in lines[:lines.index("[config]")]
+
+    def test_header_names_the_training_workers(self, tmp_path, workers):
+        lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+        assert f"training_workers = {workers}" in lines[:lines.index("[config]")]
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert pipeline.training_workers() == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
 
 
 class TestResultsCsv:
