@@ -172,18 +172,14 @@ class ExperimentConfig:
     def to_sections(self) -> dict[str, dict[str, str]]:
         sections: dict[str, dict[str, str]] = {}
         for section, key, attr in _KEYS:
-            value = attr if isinstance(attr, _Echo) else getattr(self, attr)
+            value = getattr(self, attr)
             sections.setdefault(section, {})[key] = (
                 " ".join(value) if isinstance(value, tuple) else str(value))
         return sections
 
 
-class _Echo(str):
-    """A constant written into the config echo; read back, it must be that constant."""
-
-
-# Every config key in echo order: (section, key, ExperimentConfig field or
-# echo-only constant). A value is written as str(value), modes space-joined;
+# Every config key in echo order: (section, key, ExperimentConfig field).
+# A value is written as str(value), modes space-joined;
 # it is read back by the type of the field's default.
 _KEYS = (
     ("dataset", "source", "source"),
@@ -211,7 +207,6 @@ _KEYS = (
     ("contrastive", "validation_fraction", "validation_fraction"),
     ("contrastive", "noise", "noise"),
     ("contrastive", "dropout", "dropout"),
-    ("contrastive", "supcon_batch_rule", _Echo("paired-views")),
     ("projection", "perplexity", "perplexity"),
     ("projection", "iterations", "iterations"),
     ("projection", "learning_rate", "projection_learning_rate"),
@@ -221,7 +216,6 @@ _KEYS = (
     ("projection", "momentum_final", "momentum_final"),
     ("projection", "momentum_switch", "momentum_switch"),
     ("projection", "entropy_tolerance", "entropy_tolerance"),
-    ("projection", "init", _Echo("random-gaussian")),
     ("probe", "linear_lambda", "linear_lambda"),
     ("probe", "linear_epochs", "linear_epochs"),
     ("probe", "softmax_epochs", "softmax_epochs"),
@@ -241,10 +235,6 @@ def config_from_sections(sections: dict[str, dict[str, str]]) -> ExperimentConfi
             if (section, key) not in _FIELD_OF:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             attr = _FIELD_OF[section, key]
-            if isinstance(attr, _Echo):
-                if raw != attr:
-                    raise ConfigError(f"[{section}] {key} can only be {attr}, got {raw!r}")
-                continue
             cast = type(getattr(ExperimentConfig, attr))
             try:
                 value = (tuple(raw.replace(",", " ").split()) if cast is tuple

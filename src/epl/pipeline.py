@@ -13,9 +13,10 @@ manifest and the run moves on. Every stage is a pure function of
 (config, base seed); replica r uses seed base + r throughout
 (``RunState.seed``).
 
-Before a family's arms run, ``RunState.train_encoders`` trains its simclr
-and supcon encoders ``training_workers()`` at a time (``epl.workers``),
-with the bytes of one at a time; an error waits for the arm that asks.
+The arms of a family run ``arm_workers()`` at a time (``epl.workers``):
+the first of a wave here, the other in a forked child that sends back its
+rows, manifest lines, encoders and propagations. The rows, artifacts and
+``[errors]`` lines are those of one arm at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +97,9 @@ def read_results_csv(path) -> list[ResultRow]:
 
 class RunManifest:
     """Resolved config, the thread count of an exact t-SNE projection and the
-    number of encoders trained at once on this host (the timings depend on
-    them; overlapping trainings' times add up to more than the wall clock),
-    per-stage wall clock, failures, and output digests."""
+    number of arms run at once on this host (the timings depend on them;
+    overlapping arms' times add up to more than the wall clock), per-stage
+    wall clock, failures, and output digests."""
 
     def __init__(self, command: str, config_echo: str):
         self.command = command
@@ -120,7 +122,7 @@ class RunManifest:
             f"status = {'partial' if self.errors else 'ok'}",
             f"wall_clock_unix = {time.time()!r}",
             f"projection_threads = {thread_count()}",
-            f"training_workers = {training_workers()}",
+            f"arm_workers = {arm_workers()}",
             "",
             "[config]",
             self.config_echo.rstrip("\n"),
@@ -245,24 +247,14 @@ def read_embedding_csv(path):
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-def training_workers() -> int:
-    """Encoders trained at once: the projection's CPU rule, 2 when this process
+def arm_workers() -> int:
+    """Arms run at once: the projection's CPU rule, 2 when this process
     may run on two or more CPUs, else 1. It is 1 wherever a fork is not safe:
     off Linux, and while another thread of this process runs, which could
     hold a lock that the child would then wait on forever."""
     forkable = (sys.platform == "linux" and hasattr(os, "fork")
                 and threading.active_count() == 1)
     return thread_count() if forkable else 1
-
-
-def _outcome(job):
-    """(what ``job()`` returned or the Exception it raised, its wall seconds)."""
-    start = time.perf_counter()
-    try:
-        value = job()
-    except Exception as exc:
-        value = exc
-    return value, time.perf_counter() - start
 
 
 @dataclass
@@ -279,7 +271,6 @@ class RunState:
     manifest: RunManifest | None
     init: EncoderParams | None = None  # warm-start weights of the simclr and supcon arms
     encoders: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)  # errors no arm has been given yet
     propagations: dict = field(default_factory=dict)
     splits: dict = field(default_factory=dict)
 
@@ -312,64 +303,24 @@ class RunState:
             self.manifest.add_error(stage, f"{type(exc).__name__}: {exc}")
 
     def encoder(self, r: int, mode: str) -> EncoderParams:
-        """Replica r's encoder of ``mode``, trained on first use unless
-        ``train_encoders`` trained it; the error of its training is raised to
-        the first caller only, and the next one trains again."""
+        """Replica r's encoder of ``mode``, trained and saved on first use; the
+        combined one fine-tunes the simclr encoder."""
         key = (r, mode)
-        if key not in self.encoders and key not in self.failures:
-            self._keep(r, mode, *self._training(r, mode)())
-        if key in self.failures:
-            raise self.failures.pop(key)
-        return self.encoders[key]
-
-    def train_encoders(self, family: str) -> None:
-        """Train the simclr and supcon encoders of every replica that
-        ``family``'s arms will ask for, ``training_workers()`` at a time."""
-        modes = {"simclr" if m == "combined" else m for m in self.cfg.modes if m in ARMS[family]}
-        jobs = [(r, mode) for r in range(self.cfg.replicas) for mode in ("simclr", "supcon")
-                if mode in modes and (r, mode) not in self.encoders
-                and (r, mode) not in self.failures]
-        size = training_workers()
-        for wave in (jobs[at:at + size] for at in range(0, len(jobs), size)):
-            trainings = [self._training(r, mode) for r, mode in wave]
-            if len(wave) == 1:
-                outcomes = [trainings[0]()]
-            else:
-                from .workers import run_wave  # process machinery, loaded only to fork
-                outcomes = run_wave(trainings, [f"r{r}.{mode}.train" for r, mode in wave])
-            for (r, mode), outcome in zip(wave, outcomes):
-                self._keep(r, mode, *outcome)
-
-    def _training(self, r: int, mode: str):
-        """The job that trains replica r's encoder of ``mode`` and returns its
-        ``_outcome``; the combined one asks for the simclr encoder first."""
-        base = self.encoder(r, "simclr") if mode == "combined" else None
-
-        def train():
-            config = self.cfg.train_config(self.seed(r))
-            if base is not None:
-                return contrastive.finetune_supcon(base, self.data, self.split(r), config)
-            return contrastive.train(mode, self.data, self.split(r), config, init=self.init)
-        return lambda: _outcome(train)
-
-    def _keep(self, r: int, mode: str, value, seconds: float) -> None:
-        """Record one training's outcome: its time, then the encoder and its
-        checkpoint, or the error for the arm that asks for it."""
-        if self.manifest is not None:
-            step = "finetune" if mode == "combined" else "train"
-            self.manifest.add_timing(f"r{r}.{mode}.{step}", seconds)
-        if isinstance(value, Exception):
-            self.failures[(r, mode)] = value
-            return
-        self.encoders[(r, mode)] = value
-        if self.out_dir is not None:
+        if key not in self.encoders:
             seed = self.seed(r)
-            try:
-                value.save(self.out_dir / f"ckpt_{mode}_{seed}.bin",
-                           {"mode": mode, **asdict(self.cfg.train_config(seed)),
-                            "init": self.cfg.init_mode})
-            except Exception as exc:
-                self.failures[(r, mode)] = exc
+            config = self.cfg.train_config(seed)
+            if mode == "combined":
+                base = self.encoder(r, "simclr")
+                params = self.timed(f"r{r}.combined.finetune", lambda: contrastive.finetune_supcon(
+                    base, self.data, self.split(r), config))
+            else:
+                params = self.timed(f"r{r}.{mode}.train", lambda: contrastive.train(
+                    mode, self.data, self.split(r), config, init=self.init))
+            self.encoders[key] = params
+            if self.out_dir is not None:
+                params.save(self.out_dir / f"ckpt_{mode}_{seed}.bin",
+                            {"mode": mode, **asdict(config), "init": self.cfg.init_mode})
+        return self.encoders[key]
 
     def propagation(self, r: int, mode: str) -> _Propagation:
         key = (r, mode)
@@ -439,18 +390,28 @@ _FAMILY_ROWS = {"c1": _c1_rows, "c2": _c2_rows, "c3": _c3_rows}
 
 
 def run_family(state: RunState, family: str) -> list[ResultRow]:
-    """Every arm of one family, replica by replica, each in its own arm isolation.
+    """Every arm of one family, replica by replica, each in its own arm isolation,
+    in waves of ``arm_workers()`` arms run at once (``epl.workers.run_wave``).
 
     An arm's rows are taken as it yields them, so the rows it finished
-    before a failure are kept.
+    before a failure are kept. A wave ends before an arm that would train
+    its replica's simclr encoder while another arm of the wave would too.
     """
+    from .workers import run_wave  # process machinery
     modes = [m for m in ("baseline", *state.cfg.modes) if m in ARMS[family]]
-    state.train_encoders(family)
+    arms = [(r, mode) for r in range(state.cfg.replicas) for mode in modes]
     rows: list[ResultRow] = []
-    for r in range(state.cfg.replicas):
-        for mode in modes:
-            with state.arm(f"r{r}.{mode}.{family}"):
-                rows.extend(_FAMILY_ROWS[family](state, r, mode))
+    while arms:
+        wave = []
+        for r, mode in arms[:arm_workers()]:
+            if (r, "simclr") not in state.encoders and mode in ("simclr", "combined") and (
+                    (r, "simclr") in wave or (r, "combined") in wave):
+                break
+            wave.append((r, mode))
+        rows += run_wave(state, [(f"r{r}.{mode}.{family}",
+                                  partial(_FAMILY_ROWS[family], state, r, mode))
+                                 for r, mode in wave])
+        arms = arms[len(wave):]
     return rows
 
 

@@ -52,6 +52,7 @@ import os
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -341,8 +342,10 @@ class Workspace:
 
     def __enter__(self) -> Workspace:
         if _side_count(self.w.shape[0]) > 1:
-            self._barrier = threading.Barrier(2)
-            self._job = self._error = None
+            # Two one-way queues: the helper gets jobs, sync marks (True) and
+            # stops (None); the caller gets a None per mark or end of a job,
+            # or the helper's exception.
+            self._to_helper, self._to_caller = SimpleQueue(), SimpleQueue()
             self._helper = threading.Thread(target=self._serve, daemon=True,
                                             name="epl-projection-half")
             self._helper.start()
@@ -350,34 +353,40 @@ class Workspace:
 
     def __exit__(self, *exc_info) -> None:
         if self._helper is not None:
-            self._job = None
-            self._barrier.wait()
+            self._to_helper.put(None)
             self._join()
 
     def _join(self) -> None:
         self._helper.join()
         self._helper = None
 
-    def _run_side(self, task, side: int) -> None:
-        for _ in task(side) or ():
-            self._barrier.wait()
-        self._barrier.wait()
-
     def _serve(self) -> None:
         """The helper: run side 1 of each job, in the caller's context (its
-        numpy error state), until the job is None or the barrier breaks."""
-        try:
-            while True:
-                self._barrier.wait()
-                if self._job is None:
+        numpy error state), until it gets None: the end of the workspace,
+        or the caller's side raised, which the caller re-raises."""
+        while (job := self._to_helper.get()) is not None:
+            context, task = job
+            try:
+                if not context.run(self._helper_side, task):
                     return
-                context, task = self._job
-                context.run(self._run_side, task, 1)
-        except threading.BrokenBarrierError:
-            pass  # the caller's side raised; the caller re-raises it
-        except BaseException as exc:  # handed to the caller's `split`, which re-raises it
-            self._error = exc
-            self._barrier.abort()
+            except BaseException as exc:  # handed to the caller's `split`, which re-raises it
+                self._to_caller.put(exc)
+                return
+            self._to_caller.put(None)
+
+    def _helper_side(self, task) -> bool:
+        """Side 1 of `task`, meeting the caller at each yield; False if the caller stopped."""
+        for _ in task(1) or ():
+            self._to_caller.put(None)
+            if self._to_helper.get() is None:
+                return False
+        return True
+
+    def _meet(self) -> None:
+        """Wait for the helper's side to reach the caller's; re-raise its exception."""
+        error = self._to_caller.get()
+        if error is not None:
+            raise error
 
     def split(self, task) -> None:
         """Run task(0) on the first row half and task(1) on the second; a
@@ -387,16 +396,15 @@ class Workspace:
         if self._helper is None:
             _in_turn(task)
             return
-        self._job = contextvars.copy_context(), task
+        self._to_helper.put((contextvars.copy_context(), task))
         try:
-            self._barrier.wait()
-            self._run_side(task, 0)
-        except BaseException as exc:
-            self._barrier.abort()
+            for _ in task(0) or ():
+                self._to_helper.put(True)
+                self._meet()
+            self._meet()
+        except BaseException:
+            self._to_helper.put(None)  # stops a helper that is still waiting or working
             self._join()
-            error, self._error = self._error, None
-            if isinstance(exc, threading.BrokenBarrierError) and error is not None:
-                raise error from None
             raise
 
     def kernel(self, Y: np.ndarray) -> None:

@@ -1,11 +1,14 @@
-"""Jobs run at once: the first in this process, each other one in a forked child.
+"""Arms run at once: the first in this process, each other one in a forked child.
 
-A job is a callable that returns a (value, seconds) pair and raises no
-Exception of its own (``RunState._training`` makes a training such a
-job). A child pickles its pair into a pipe and exits; this process reads
-it and reaps the child. The pipeline imports this module only for a wave
-of two or more jobs, so a run that trains one encoder at a time loads
-none of it.
+An arm is a (stage, run) pair: ``run()`` yields the arm's result rows,
+and the arm runs in the run state's arm isolation under its stage name.
+A child runs its arm in its own copy of the run state and pickles a
+report into a pipe: the arm's rows (with those it finished before a
+failure), the manifest's ``[timing]`` and ``[errors]`` lines it added,
+and the encoders and propagations it added to the state. This process
+merges the reports in arm order, so the state, the manifest and the rows
+are those of a run that ran every arm here, one after another. Files an
+arm writes are written by the process that ran it.
 """
 
 from __future__ import annotations
@@ -13,25 +16,48 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import time
 
 from .pipeline import PipelineError
 
+# RunState caches a child's arm may add to and this process takes back.
+_CACHES = ("encoders", "propagations")
+
+
+def _rows(state, stage: str, run) -> list:
+    """The arm's rows, run in arm isolation: the rows it yielded before a
+    failure are kept."""
+    rows = []
+    with state.arm(stage):
+        rows.extend(run())
+    return rows
+
+
+def _report(state, stage: str, run) -> tuple:
+    """Run the arm in this (child) process: (rows, (timings, errors), added caches)."""
+    manifest = state.manifest
+    if manifest is not None:  # this copy keeps only the lines the arm adds
+        manifest.timings, manifest.errors = [], []
+    known = {name: set(getattr(state, name)) for name in _CACHES}
+    rows = _rows(state, stage, run)
+    added = {name: {key: value for key, value in getattr(state, name).items()
+                    if key not in known[name]} for name in _CACHES}
+    lines = ([], []) if manifest is None else (manifest.timings, manifest.errors)
+    return rows, lines, added
+
 
 class _Forked:
-    """``job`` run in a forked child. ``outcome()`` reads its pair and reaps
-    it; ``close()`` kills and reaps a child whose pair was not read. Where
-    the pipe or the fork fails, the job runs in this process when its pair
-    is asked for."""
+    """An arm run in a forked child. ``rows()`` reads its report, reaps it and
+    merges the report into the state; ``close()`` kills and reaps a child
+    whose report was not read. Where the pipe or the fork fails, the arm
+    runs in this process when its rows are asked for."""
 
-    def __init__(self, job, stage: str):
-        self.job, self.stage, self.pid = job, stage, None
-        self.start = time.perf_counter()
+    def __init__(self, state, stage: str, run):
+        self.state, self.stage, self.run, self.pid = state, stage, run, None
         fds = []
         try:
             fds += os.pipe()
             pid = os.fork()
-        except OSError:  # no pipe or no process to spare: the job runs here
+        except OSError:  # no pipe or no process to spare: the arm runs here
             for fd in fds:
                 os.close(fd)
             return
@@ -40,13 +66,17 @@ class _Forked:
             code = 1
             try:
                 os.close(read_fd)
-                value, seconds = job()
                 try:
-                    payload = pickle.dumps((value, seconds))
+                    value = _report(state, stage, run)
+                except Exception as exc:  # no manifest: this process raises it
+                    value = exc
+                try:
+                    payload = pickle.dumps(value)
                 except Exception as exc:
-                    payload = pickle.dumps((PipelineError(
-                        f"{stage}: {type(value).__name__}: {value} (not sent back whole: "
-                        f"{exc})"), seconds))
+                    what = (f"{type(value).__name__}: {value}" if isinstance(value, Exception)
+                            else "the arm's report")
+                    payload = pickle.dumps(PipelineError(
+                        f"{stage}: {what} (not sent back whole: {exc})"))
                 with os.fdopen(write_fd, "wb") as pipe:
                     pipe.write(payload)
                 code = 0
@@ -55,23 +85,34 @@ class _Forked:
         os.close(write_fd)
         self.pid, self.pipe = pid, os.fdopen(read_fd, "rb")
 
-    def outcome(self):
+    def rows(self) -> list:
         if self.pid is None:
-            return self.job()
+            return _rows(self.state, self.stage, self.run)
         payload = self.pipe.read()
         self.pipe.close()
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
-        seconds = time.perf_counter() - self.start
         if code != 0:
             how = f"exit code {code}" if code > 0 else f"signal {-code}"
-            return PipelineError(f"{self.stage}: the training worker ended with {how} "
-                                 "before sending its result"), seconds
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:
-            return PipelineError(f"{self.stage}: the training worker's result could "
-                                 f"not be read: {type(exc).__name__}: {exc}"), seconds
+            report = PipelineError(f"{self.stage}: the arm worker ended with {how} "
+                                   "before sending its result")
+        else:
+            try:
+                report = pickle.loads(payload)
+            except Exception as exc:
+                report = PipelineError(f"{self.stage}: the arm worker's result could not "
+                                       f"be read: {type(exc).__name__}: {exc}")
+        if isinstance(report, Exception):  # recorded, or raised without a manifest
+            with self.state.arm(self.stage):
+                raise report
+            return []
+        rows, (timings, errors), added = report
+        if self.state.manifest is not None:
+            self.state.manifest.timings += timings
+            self.state.manifest.errors += errors
+        for name, entries in added.items():
+            getattr(self.state, name).update(entries)
+        return rows
 
     def close(self) -> None:
         if self.pid is not None:
@@ -81,15 +122,18 @@ class _Forked:
             self.pid = None
 
 
-def run_wave(jobs, stages) -> list:
-    """Each job's (value, seconds), all run at once: the first here, each other
-    one in a forked child named by its stage in errors. Every child is reaped
-    before this returns or raises."""
+def run_wave(state, arms) -> list:
+    """The rows of ``arms``, (stage, run) pairs run at once: the first here,
+    each other one in a forked child, merged in arm order. Every child is
+    reaped before this returns or raises."""
     children = []
     try:
-        for job, stage in zip(jobs[1:], stages[1:]):
-            children.append(_Forked(job, stage))
-        return [jobs[0]()] + [child.outcome() for child in children]
+        for stage, run in arms[1:]:
+            children.append(_Forked(state, stage, run))
+        rows = _rows(state, *arms[0])
+        for child in children:
+            rows += child.rows()
+        return rows
     finally:
         for child in children:
             child.close()

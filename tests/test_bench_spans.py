@@ -17,7 +17,7 @@ import spans  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from epl.config import ExperimentConfig  # noqa: E402
-from epl.pipeline import run_experiment, training_workers  # noqa: E402
+from epl.pipeline import arm_workers, run_experiment  # noqa: E402
 
 
 def test_smoke_workload_calls_every_traced_name(tmp_path):
@@ -37,11 +37,13 @@ def test_smoke_workload_calls_every_traced_name(tmp_path):
     assert projections > 0
     assert tracer.counts["projection.gradient_calls"] == cfg.iterations * projections
     assert tracer.calls["kl_divergence"] == 50 * projections
-    # The tracer sees this process only: with two training workers, each
-    # replica's supcon encoder trains in a forked child.
-    trainings = {1: {"contrastive.calls": 6, "contrastive.view_rows": 2880},
-                 2: {"contrastive.calls": 4, "contrastive.view_rows": 2700}}
-    assert {name: tracer.counts[name] for name in spans.COUNTS} == {
-        **trainings[training_workers()],
-        "projection.gradient_calls": 900, "projection.pair_evals": 14288400,
-        "opf.roots": 66, "opf.tree_visits": 6912}
+    # The tracer sees this process only: with two arm workers, every second
+    # arm of a wave (and what it trains, projects and propagates) runs in a
+    # forked child.
+    counts = {1: {"contrastive.calls": 6, "contrastive.view_rows": 2880,
+                  "projection.gradient_calls": 900, "projection.pair_evals": 14288400,
+                  "opf.roots": 66, "opf.tree_visits": 6912},
+              2: {"contrastive.calls": 3, "contrastive.view_rows": 2610,
+                  "projection.gradient_calls": 450, "projection.pair_evals": 7144200,
+                  "opf.roots": 33, "opf.tree_visits": 3456}}
+    assert {name: tracer.counts[name] for name in spans.COUNTS} == counts[arm_workers()]

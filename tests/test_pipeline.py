@@ -1,5 +1,6 @@
 import hashlib
 import os
+import signal
 import sys
 import threading
 from dataclasses import fields
@@ -209,25 +210,34 @@ class TestArmIsolation:
         assert f"r0.simclr.{kind} = RuntimeError: injected failure" in errors
         assert read_results_csv(tmp_path / "fail" / "results.csv") == rows
 
-    def test_partial_arm_keeps_its_finished_rows(self, tmp_path, monkeypatch):
-        real_train = pipeline.opfsup_train
-        calls = []
+    @pytest.mark.parametrize("failing", ["simclr", "supcon"])
+    def test_partial_arm_keeps_its_finished_rows(self, tmp_path, monkeypatch, workers, failing):
+        # The failing arm's forest raises in whichever process runs that arm;
+        # with two workers the supcon arm runs in a forked child. (A count of
+        # forest calls would not name the arm: each process counts its own.)
+        real_rows, real_train = pipeline._FAMILY_ROWS["c1"], pipeline.opfsup_train
+        running = []
+
+        def rows(state, r, mode):
+            running.append(mode)
+            yield from real_rows(state, r, mode)
 
         def broken_forest(features, labels):
-            calls.append(len(calls))
-            if len(calls) == 1:  # replica 0 runs the simclr arm first
+            if running[-1] == failing:
                 raise RuntimeError("injected forest failure")
             return real_train(features, labels)
 
+        monkeypatch.setitem(pipeline._FAMILY_ROWS, "c1", rows)
         monkeypatch.setattr(pipeline, "opfsup_train", broken_forest)
         out = tmp_path / "partial"
         rows, code = run_experiment("c1", small_config(out, replicas=1))
         assert code == 2
-        assert [(r.experiment, r.classifier) for r in rows] == [
-            ("C1a", "linear"), ("C1b", "linear"), ("C1b", "opfsup")]
+        finished = [("C1a", "linear"), ("C1a", "opfsup"), ("C1b", "linear"), ("C1b", "opfsup")]
+        finished.remove((pipeline.ARMS["c1"][failing], "opfsup"))
+        assert [(r.experiment, r.classifier) for r in rows] == finished
         assert read_results_csv(out / "results.csv") == rows
-        manifest = (out / "manifest.txt").read_text().splitlines()
-        assert "r0.simclr.c1 = RuntimeError: injected forest failure" in manifest
+        assert manifest_errors(out) == [f"r0.{failing}.c1 = RuntimeError: injected forest failure"]
+        assert_no_child_left()
 
     def test_failure_propagates_without_a_manifest(self, monkeypatch):
         _break_simclr_training(monkeypatch)
@@ -255,9 +265,9 @@ def assert_no_child_left():
 
 
 def force_workers(monkeypatch, size):
-    """Set the wave size through the CPU rule that `training_workers` reads."""
+    """Set the wave size through the CPU rule that `arm_workers` reads."""
     if size > 1 and not (sys.platform == "linux" and hasattr(os, "fork")):
-        pytest.skip("encoders train in forked children only on Linux")
+        pytest.skip("arms run in forked children only on Linux")
     monkeypatch.setattr(pipeline, "thread_count", lambda: size)
     return size
 
@@ -280,6 +290,34 @@ def counting_train(monkeypatch):
     return calls
 
 
+def logged_training(monkeypatch, log):
+    """Each training, in whichever process runs it, appends its mode (or
+    "finetune") as a line to ``log``."""
+    real_train, real_finetune = pipeline.contrastive.train, pipeline.contrastive.finetune_supcon
+
+    def note(what):
+        with open(log, "a") as file:
+            file.write(f"{what}\n")
+
+    def train(mode, data, split, config, init=None):
+        note(mode)
+        return real_train(mode, data, split, config, init)
+
+    def finetune(base, data, split, config):
+        note("finetune")
+        return real_finetune(base, data, split, config)
+
+    monkeypatch.setattr(pipeline.contrastive, "train", train)
+    monkeypatch.setattr(pipeline.contrastive, "finetune_supcon", finetune)
+
+
+def manifest_timings(out_dir):
+    """The stage names of the manifest's [timing] lines, in order."""
+    lines = (out_dir / "manifest.txt").read_text().splitlines()
+    return [line.split(" = ")[0]
+            for line in lines[lines.index("[timing]") + 1:lines.index("[errors]") - 1]]
+
+
 class TwoArgError(Exception):
     """Pickles, but unpickling calls it with one argument."""
 
@@ -291,28 +329,49 @@ class LocalError(Exception):
     __qualname__ = "<locals>.LocalError"  # as a class defined in a function: pickle refuses it
 
 
-class TestTrainingWorkers:
-    def test_same_bytes_with_one_worker_or_two(self, tmp_path, monkeypatch):
-        calls = counting_train(monkeypatch)
+def break_supcon_training(monkeypatch, error):
+    """supcon trainings raise ``error()``; with two workers the supcon arm
+    of a wave is the forked child's."""
+    real_train = pipeline.contrastive.train
+
+    def broken_train(mode, data, split, config, init=None):
+        if mode == "supcon":
+            raise error()
+        return real_train(mode, data, split, config, init)
+
+    monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
+
+
+class TestArmWorkers:
+    ROWS = {"all": 22, "c1": 8, "c2": 6, "c3": 8}
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_same_bytes_with_one_worker_or_two(self, tmp_path, monkeypatch, kind):
         results = {}
         for size in (2, 1):
             force_workers(monkeypatch, size)
             out = tmp_path / f"workers{size}"
-            rows, code = run_experiment("all", small_config(out, replicas=2, epochs=3))
-            assert code == 0 and len(rows) == 22
+            rows, code = run_experiment(kind, small_config(out, replicas=2, epochs=3))
+            assert code == 0 and len(rows) == self.ROWS[kind]
+            assert read_results_csv(out / "results.csv") == rows
             header = (out / "manifest.txt").read_text().splitlines()
-            assert f"training_workers = {size}" in header
-            assert sum(line.startswith("r1.supcon.train = ") for line in header) == 1
-            results[size] = rows, artifact_digests(out), list(calls)
-            calls.clear()
-        assert results[2][:2] == results[1][:2]
-        assert results[1][2] == ["simclr", "supcon"] * 2
-        # each replica's supcon encoder trained in a forked child
-        assert results[2][2] == ["simclr", "simclr"]
+            assert f"arm_workers = {size}" in header
+            results[size] = rows, artifact_digests(out), manifest_timings(out)
+        assert results[2] == results[1]
         assert_no_child_left()
 
+    @pytest.mark.parametrize("kind", ["c2", "c3", "all"])
+    @pytest.mark.parametrize("modes", [("simclr", "combined"), ("combined", "simclr")])
+    def test_simclr_trains_once_per_replica(self, tmp_path, monkeypatch, workers, kind, modes):
+        log = tmp_path / "trainings.log"
+        logged_training(monkeypatch, log)
+        rows, code = run_experiment(kind, small_config(tmp_path / "o", replicas=2, epochs=2,
+                                                       modes=modes))
+        assert code == 0 and rows
+        assert sorted(log.read_text().split()) == ["finetune"] * 2 + ["simclr"] * 2
+
     @pytest.mark.parametrize("call", ["pipe", "fork"])
-    def test_no_pipe_or_no_fork_trains_here(self, tmp_path, monkeypatch, workers, call):
+    def test_no_pipe_or_no_fork_runs_the_arm_here(self, tmp_path, monkeypatch, workers, call):
         def refused():
             raise OSError(f"{call} refused")
 
@@ -323,14 +382,8 @@ class TestTrainingWorkers:
         assert calls == ["simclr", "supcon"]
 
     def test_error_in_either_worker_reaches_its_arm(self, tmp_path, monkeypatch, workers):
-        real_train = pipeline.contrastive.train
-
-        def broken_train(mode, data, split, config, init=None):
-            if mode == "supcon":  # the second job of a wave: the forked child's
-                raise pipeline.contrastive.ContrastiveError("injected supcon failure")
-            return real_train(mode, data, split, config, init)
-
-        monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
+        break_supcon_training(monkeypatch, lambda: pipeline.contrastive.ContrastiveError(
+            "injected supcon failure"))
         out = tmp_path / "fail"
         rows, code = run_experiment("c1", small_config(out, replicas=2))
         assert code == 2
@@ -339,37 +392,79 @@ class TestTrainingWorkers:
             f"r{r}.supcon.c1 = ContrastiveError: injected supcon failure" for r in (0, 1)]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("error, message", [
-        (lambda: TwoArgError("two", "args"), "the training worker's result could not be "
-         "read: TypeError: TwoArgError.__init__() missing 1 required positional argument: 'b'"),
-        (lambda: LocalError("local"), "LocalError: local (not sent back whole: "),
-    ], ids=["unreadable", "unpicklable"])
-    def test_error_that_cannot_come_back_is_a_pipeline_error(self, tmp_path, monkeypatch,
-                                                             error, message):
-        force_workers(monkeypatch, 2)
-        real_train = pipeline.contrastive.train
+    def test_errors_are_those_of_one_worker(self, tmp_path, monkeypatch):
+        # Errors of either worker, of errors that do not pickle or unpickle
+        # too: the arm's own isolation turns each into a manifest line.
+        real_train, real_finetune = pipeline.contrastive.train, pipeline.contrastive.finetune_supcon
 
-        def broken_train(mode, data, split, config, init=None):
-            if mode == "supcon":
-                raise error()
+        def train(mode, data, split, config, init=None):
+            if mode == "supcon" and config.seed == 8:
+                raise TwoArgError("two", "args")
             return real_train(mode, data, split, config, init)
 
-        monkeypatch.setattr(pipeline.contrastive, "train", broken_train)
-        out = tmp_path / "fail"
-        _, code = run_experiment("c1", small_config(out, replicas=1))
-        assert code == 2
-        [line] = manifest_errors(out)
-        assert line.startswith(f"r0.supcon.c1 = PipelineError: r0.supcon.train: {message}")
+        def finetune(base, data, split, config):
+            if config.seed == 7:
+                raise LocalError("local")
+            return real_finetune(base, data, split, config)
 
-    def test_worker_that_dies_is_a_pipeline_error_naming_its_exit_code(
-            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline.contrastive, "train", train)
+        monkeypatch.setattr(pipeline.contrastive, "finetune_supcon", finetune)
+        results = {}
+        for size in (2, 1):
+            force_workers(monkeypatch, size)
+            out = tmp_path / f"workers{size}"
+            rows, code = run_experiment("all", small_config(out, replicas=2, epochs=2))
+            assert code == 2
+            results[size] = rows, manifest_errors(out), artifact_digests(out)
+        assert results[2] == results[1]
+        assert results[1][1] == [
+            "r1.supcon.c1 = TwoArgError: two args",
+            "r0.combined.c2 = LocalError: local", "r1.supcon.c2 = TwoArgError: two args",
+            "r0.combined.c3 = LocalError: local", "r1.supcon.c3 = TwoArgError: two args"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error, message", [
+        (lambda: TwoArgError("two", "args"), "r0.supcon.c1: the arm worker's result could not "
+         "be read: TypeError: TwoArgError.__init__() missing 1 required positional argument: 'b'"),
+        (lambda: LocalError("local"), "r0.supcon.c1: LocalError: local (not sent back whole: "),
+    ], ids=["unreadable", "unpicklable"])
+    def test_forked_error_that_cannot_come_back_is_a_pipeline_error(self, monkeypatch,
+                                                                     error, message):
+        # Without a manifest the forked arm's error is raised after the wave.
+        force_workers(monkeypatch, 2)
+        break_supcon_training(monkeypatch, error)
+        cfg = small_config("unused", replicas=1)
+        state = RunState(cfg, pipeline.dataset_from_config(cfg), None, None)
+        with pytest.raises(PipelineError) as raised:
+            run_family(state, "c1")
+        assert str(raised.value).startswith(message)
+        assert (0, "simclr") in state.encoders  # this process's arm ran to its end
+        assert_no_child_left()
+
+    def test_forked_error_is_raised_after_the_wave_without_a_manifest(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        break_supcon_training(monkeypatch, lambda: pipeline.contrastive.ContrastiveError(
+            "injected supcon failure"))
+        cfg = small_config("unused", replicas=2)
+        state = RunState(cfg, pipeline.dataset_from_config(cfg), None, None)
+        with pytest.raises(pipeline.contrastive.ContrastiveError, match="injected supcon"):
+            run_family(state, "c1")
+        assert set(state.encoders) == {(0, "simclr")}  # replica 1's wave never ran
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how, death", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+    ], ids=["exit", "signal"])
+    def test_arm_worker_that_dies_is_a_pipeline_error_naming_its_arm(
+            self, tmp_path, monkeypatch, how, death):
         force_workers(monkeypatch, 2)
         parent = os.getpid()
         real_train = pipeline.contrastive.train
 
         def dying_train(mode, data, split, config, init=None):
             if os.getpid() != parent:
-                os._exit(3)
+                how()
             return real_train(mode, data, split, config, init)
 
         monkeypatch.setattr(pipeline.contrastive, "train", dying_train)
@@ -378,8 +473,8 @@ class TestTrainingWorkers:
         assert code == 2
         assert {r.experiment for r in rows} == {"C1a"}
         assert manifest_errors(out) == [
-            "r0.supcon.c1 = PipelineError: r0.supcon.train: the training worker ended "
-            "with exit code 3 before sending its result"]
+            f"r0.supcon.c1 = PipelineError: r0.supcon.c1: the arm worker ended with {death} "
+            "before sending its result"]
         assert_no_child_left()
 
     def test_no_child_outlives_a_raise_in_this_process(self, tmp_path, monkeypatch, workers):
@@ -427,9 +522,9 @@ class TestManifest:
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
         assert f"projection_threads = {threads}" in lines[:lines.index("[config]")]
 
-    def test_header_names_the_training_workers(self, tmp_path, workers):
+    def test_header_names_the_arm_workers(self, tmp_path, workers):
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
-        assert f"training_workers = {workers}" in lines[:lines.index("[config]")]
+        assert f"arm_workers = {workers}" in lines[:lines.index("[config]")]
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         force_workers(monkeypatch, 2)
@@ -437,7 +532,7 @@ class TestManifest:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert pipeline.training_workers() == 1
+            assert pipeline.arm_workers() == 1
         finally:
             release.set()
             other.join(timeout=10)
