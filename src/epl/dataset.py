@@ -9,15 +9,18 @@ least one seed per class.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # Sentinel for "no label"; never a valid class id.
 UNLABELED = -1
@@ -219,10 +222,67 @@ def check_finite(values, error: type[Exception], what: str):
     return values
 
 
+_KERNEL_MODULE = "scipy.spatial._distance_pybind"
+
+
+def _scipy_module(name: str):
+    """scipy's module `name` run from its file in scipy's tree, or None if
+    there is no such file. Neither scipy's ``__init__.py`` nor that of a
+    subpackage on the way runs, and the module is not registered in
+    ``sys.modules``."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, *name.split(".")[1:-1]) for d in scipy.submodule_search_locations])
+    if spec is None:
+        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def scipy_version() -> str:
+    """The installed scipy's version, read from ``scipy.version`` as
+    ``scipy.__version__`` is, without importing the package."""
+    module = _scipy_module("scipy.version")
+    return "(not installed)" if module is None else module.version
+
+
+def _distance_kernels():
+    """scipy's compiled ``cdist_euclidean`` and ``cdist_sqeuclidean``, the
+    kernels ``scipy.spatial.distance.cdist(A, B, metric, out=)`` calls for
+    those metrics after ``np.asarray``. They check the rank, the column
+    count and ``out`` themselves, with the same ValueErrors.
+
+    The extension is loaded from scipy's ``spatial`` directory without
+    running ``scipy/spatial/__init__.py``, whose imports (scipy.sparse,
+    scipy.special, scipy.linalg) would more than double the process's
+    memory. It is registered in ``sys.modules`` under its own name, so a
+    later ``import scipy.spatial`` reuses this module object (though
+    ``scipy.spatial`` then has no ``_distance_pybind`` attribute: the
+    import system sets one only on a submodule it loads itself).
+    """
+    module = sys.modules.get(_KERNEL_MODULE)
+    if module is None:
+        module = _scipy_module(_KERNEL_MODULE)
+        if module is None:
+            raise ImportError(f"scipy {scipy_version()} has no compiled module {_KERNEL_MODULE}")
+        sys.modules[_KERNEL_MODULE] = module
+    try:
+        return module.cdist_euclidean, module.cdist_sqeuclidean
+    except AttributeError as exc:
+        raise ImportError(f"scipy {scipy_version()} has no {_KERNEL_MODULE}.{exc.name}") from None
+
+
+# cdist_*(A, B, out=None): all pairwise (squared) Euclidean distances of the
+# rows of A and B, written into ``out`` when it is given.
+cdist_euclidean, cdist_sqeuclidean = _distance_kernels()
+
+
 def distances(A: np.ndarray, B: np.ndarray, error: type[Exception]) -> np.ndarray:
-    """``cdist(A, B)`` of finite rows, or ``error`` if a distance overflows float64.
+    """Euclidean distances of finite rows, or ``error`` if one overflows float64.
     Each entry is computed on its own: a block of rows gets the bytes of a larger matrix's."""
-    return check_finite(cdist(A, B), error, "float64 overflow: a distance between features")
+    return check_finite(cdist_euclidean(A, B), error,
+                        "float64 overflow: a distance between features")
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from . import contrastive
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams
 from .dataset import (UNLABELED, Dataset, EplError, Role, SplitAssignment, check_finite,
-                      generate_blobs, int64, load_features, read_table, stratified_split,
-                      write_table)
+                      generate_blobs, int64, load_features, read_table, scipy_version,
+                      stratified_split, write_table)
 from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import predict, train_linear, train_softmax
@@ -98,8 +98,9 @@ def read_results_csv(path) -> list[ResultRow]:
 class RunManifest:
     """Resolved config, the thread count of an exact t-SNE projection and the
     number of arms run at once on this host (the timings depend on them;
-    overlapping arms' times add up to more than the wall clock), per-stage
-    wall clock, failures, and output digests."""
+    overlapping arms' times add up to more than the wall clock), the numpy
+    and scipy versions (the bytes may depend on them), per-stage wall clock,
+    failures, and output digests."""
 
     def __init__(self, command: str, config_echo: str):
         self.command = command
@@ -123,6 +124,8 @@ class RunManifest:
             f"wall_clock_unix = {time.time()!r}",
             f"projection_threads = {thread_count()}",
             f"arm_workers = {arm_workers()}",
+            f"numpy = {np.__version__}",
+            f"scipy = {scipy_version()}",
             "",
             "[config]",
             self.config_echo.rstrip("\n"),
@@ -466,18 +469,30 @@ def aggregate_rows(rows) -> list[dict]:
     return out
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of `v`; tied values share the mean of their ranks."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    # Tie groups hold sorted positions start..end-1, so ranks start+1..end.
+    edges = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    start, end = edges[:-1], edges[1:]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((start + end + 1) / 2, end - start)
+    return ranks
+
+
 def spearman(a, b) -> float | None:
     """Spearman rank correlation with average ranks; None when undefined."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.size < 2:
+    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise PipelineError("need two equal-length series of at least 2 values")
+    check_finite(a, PipelineError, "a value of the first series")
+    check_finite(b, PipelineError, "a value of the second series")
     if np.unique(a).size < 2 or np.unique(b).size < 2:
         return None
-    # Imported on use: scipy.stats takes ~0.5 s to import and only reports need it.
-    from scipy.stats import rankdata
-    ra = rankdata(a)
-    rb = rankdata(b)
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
     denom = np.sqrt((ra ** 2).sum() * (rb ** 2).sum())

@@ -55,10 +55,9 @@ from dataclasses import dataclass
 from queue import SimpleQueue
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .dataset import (EplError, check_at_least, check_finite, check_matrix, check_non_negative,
-                      check_positive)
+from .dataset import (EplError, cdist_sqeuclidean, check_at_least, check_finite, check_matrix,
+                      check_non_negative, check_positive)
 
 _Q_EPS = 1e-12
 _INIT_SIGMA = 1e-4
@@ -166,7 +165,7 @@ def conditional_affinities(features, perplexity: float,
     if not perplexity <= n - 1:
         raise ProjectionError(
             f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
-    cond = cdist(X, X, "sqeuclidean")
+    cond = cdist_sqeuclidean(X, X)
     # Finite features give no NaN distance, so an overflow shows as an inf maximum.
     top = check_finite(cond.max(), ProjectionError,
                        "float64 overflow: a squared distance between features")
@@ -301,7 +300,7 @@ def _student_t_weights(coords: np.ndarray, out: np.ndarray, split=_in_turn):
     def half(side):
         rows = _halves(n)[side]
         block = out[rows]
-        cdist(coords[rows], coords, "sqeuclidean", out=block)
+        cdist_sqeuclidean(coords[rows], coords, out=block)
         np.add(block, 1.0, out=block)
         np.divide(1.0, block, out=block)
         flat[rows.start * (n + 1):rows.stop * (n + 1):n + 1] = 0.0

@@ -7,7 +7,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 import epl.pipeline as pipeline
 from epl.config import ExperimentConfig
@@ -526,6 +528,12 @@ class TestManifest:
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
         assert f"arm_workers = {workers}" in lines[:lines.index("[config]")]
 
+    def test_header_names_numpy_and_scipy(self, tmp_path):
+        lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+        header = lines[:lines.index("[config]")]
+        assert f"numpy = {np.__version__}" in header
+        assert f"scipy = {scipy.__version__}" in header
+
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         force_workers(monkeypatch, 2)
         release = threading.Event()
@@ -616,6 +624,40 @@ class TestSpearman:
             rb -= rb.mean()
             expected = float((ra * rb).sum() / np.sqrt((ra ** 2).sum() * (rb ** 2).sum()))
             assert spearman(a, b) == expected
+
+
+
+def _rankdata_spearman(a, b):
+    """spearman as computed with scipy.stats.rankdata before the numpy ranks."""
+    ra, rb = rankdata(a), rankdata(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    return float((ra * rb).sum() / np.sqrt((ra ** 2).sum() * (rb ** 2).sum()))
+
+
+class TestSpearmanRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(st.integers(-4, 4), min_size=2, max_size=60),
+           scale=st.sampled_from([1.0, -0.5, 1e-300, 1e300]), seed=st.integers(0, 2**32 - 1))
+    def test_average_ranks_equal_rankdata_bit_for_bit(self, a, scale, seed):
+        v = np.array(a, dtype=np.float64) * scale  # small integer grid: ties abound
+        assert pipeline._average_ranks(v).tobytes() == rankdata(v).tobytes()
+        b = np.round(np.random.default_rng(seed).normal(size=v.size), 1)
+        if np.unique(v).size > 1 and np.unique(b).size > 1:
+            assert spearman(v, b) == _rankdata_spearman(v, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_non_finite_series_is_a_typed_error(self, bad, side):
+        series = [[bad, 1.0, 2.0], [1.0, 2.0, 3.0]]
+        if side == "second":
+            series.reverse()
+        with pytest.raises(PipelineError, match=f"a value of the {side} series is not finite"):
+            spearman(*series)
+
+    def test_series_must_be_one_dimensional(self):
+        with pytest.raises(PipelineError, match="equal-length series"):
+            spearman([[1, 2], [3, 4]], [[1, 2], [4, 3]])
 
 
 class TestCorrelationReport:

@@ -572,7 +572,7 @@ class TestSideCount:
         Y = rng.normal(0.0, scale, (n, 2))
         config = ProjectionConfig(perplexity=min(5.0, (n - 1) / 2), iterations=60,
                                   exaggeration_iters=20, momentum_switch=20, seed=seed % 97)
-        real_cdist = epl.projection.cdist
+        real_cdist = epl.projection.cdist_sqeuclidean
         results, threads = {}, {}
         for sides in (1, 2):
             seen = set()
@@ -582,7 +582,7 @@ class TestSideCount:
                 return real_cdist(*args, **kwargs)
 
             with _forced_sides(sides) as mp:
-                mp.setattr(epl.projection, "cdist", spy)
+                mp.setattr(epl.projection, "cdist_sqeuclidean", spy)
                 emb = tsne_project(X, config)
                 results[sides] = (kl_gradient(P, Y), kl_gradient(P, Y, exaggeration=12.0),
                                   kl_divergence(P, Y), emb.coordinates, emb.kl_tail)
@@ -671,7 +671,7 @@ class TestHelperThread:
     def test_a_failing_half_is_reraised_as_itself(self, monkeypatch, failing_half, call):
         X, P, Y = self._inputs()
         boom = RuntimeError("injected failure on one half")
-        real_cdist = epl.projection.cdist
+        real_cdist = epl.projection.cdist_sqeuclidean
         raised_on = []
 
         def cdist(XA, XB, *args, **kwargs):
@@ -683,7 +683,7 @@ class TestHelperThread:
 
         before = threading.active_count()
         with _forced_sides(2):
-            monkeypatch.setattr(epl.projection, "cdist", cdist)
+            monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
             run = {"tsne_project": lambda: tsne_project(X, ProjectionConfig(perplexity=5.0)),
                    "kl_gradient": lambda: kl_gradient(P, Y),
                    "kl_divergence": lambda: kl_divergence(P, Y)}[call]
@@ -737,7 +737,7 @@ class TestHelperThread:
 
     def test_a_workspace_keeps_working_after_its_helper_failed(self, monkeypatch):
         _, P, Y = self._inputs()
-        real_cdist = epl.projection.cdist
+        real_cdist = epl.projection.cdist_sqeuclidean
         failures = [1]
 
         def cdist(XA, XB, *args, **kwargs):
@@ -747,7 +747,7 @@ class TestHelperThread:
             return real_cdist(XA, XB, *args, **kwargs)
 
         with _forced_sides(2):
-            monkeypatch.setattr(epl.projection, "cdist", cdist)
+            monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
             with Workspace(self.n) as work:
                 with pytest.raises(MemoryError, match="injected"):
                     kl_gradient(P, Y, work)
