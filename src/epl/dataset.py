@@ -15,7 +15,6 @@ import math
 import numbers
 import os
 import struct
-import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -256,17 +255,14 @@ def _distance_kernels():
     The extension is loaded from scipy's ``spatial`` directory without
     running ``scipy/spatial/__init__.py``, whose imports (scipy.sparse,
     scipy.special, scipy.linalg) would more than double the process's
-    memory. It is registered in ``sys.modules`` under its own name, so a
-    later ``import scipy.spatial`` reuses this module object (though
-    ``scipy.spatial`` then has no ``_distance_pybind`` attribute: the
-    import system sets one only on a submodule it loads itself).
+    memory, and without registering it in ``sys.modules``. A later
+    ``import scipy.spatial`` therefore loads the extension itself, which
+    sets ``scipy.spatial._distance_pybind``; CPython initializes an
+    extension once per process and hands back the same module object.
     """
-    module = sys.modules.get(_KERNEL_MODULE)
+    module = _scipy_module(_KERNEL_MODULE)
     if module is None:
-        module = _scipy_module(_KERNEL_MODULE)
-        if module is None:
-            raise ImportError(f"scipy {scipy_version()} has no compiled module {_KERNEL_MODULE}")
-        sys.modules[_KERNEL_MODULE] = module
+        raise ImportError(f"scipy {scipy_version()} has no compiled module {_KERNEL_MODULE}")
     try:
         return module.cdist_euclidean, module.cdist_sqeuclidean
     except AttributeError as exc:

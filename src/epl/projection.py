@@ -31,9 +31,11 @@ blocking; the KL's bytes depend on the block order and nothing else.
 
 Each kernel build, weight sum, gradient pass and KL pass is split into
 two row halves, cut at the first multiple of _BLOCK_ROWS from n / 2 on.
-Used as a context manager (`tsne_project` does), a workspace runs the
-second half on one helper thread when the process may use two or more
-CPUs and n > _BLOCK_ROWS; otherwise the caller runs both halves in turn.
+Used as a context manager (`tsne_project` does), a workspace queues the
+second half of each pass as a job for one helper thread, runs the first
+itself and then waits for the helper's answer, when the process may use
+two or more CPUs and n > _BLOCK_ROWS; otherwise, and in a standalone
+`kl_gradient` or `kl_divergence` call, the caller runs both halves in turn.
 Every element is computed by the same float operations either way, so
 only the one full reduction could depend on the split: the weight sum S.
 It is always taken as the sums of its two parts, cut where numpy's
@@ -46,11 +48,10 @@ order. The bytes therefore do not depend on the thread count.
 from __future__ import annotations
 
 import contextvars
-import itertools
+import functools
 import math
 import os
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from queue import SimpleQueue
 
@@ -281,33 +282,28 @@ def _side_count(n: int) -> int:
     return thread_count() if n > _BLOCK_ROWS else 1
 
 
-def _in_turn(task) -> None:
-    """Run both halves of `task` on this thread: each one's part up to a
-    yield, then the other's. zip_longest, unlike zip, still runs the second
-    half's last part after the first half has finished."""
-    for _ in itertools.zip_longest(task(0) or (), task(1) or ()):
-        pass
-
-
-def _student_t_weights(coords: np.ndarray, out: np.ndarray, split=_in_turn):
+def _student_t_weights(coords: np.ndarray, out: np.ndarray, split):
     """1 / (1 + squared distance) with a zero diagonal, written into `out`
     one row half per side of `split`; returns their sum, which equals
-    `out.sum()` bit for bit."""
+    `out.sum()` bit for bit. The sum reads every row, so it is a second
+    split, over numpy's two pairwise parts."""
     n = out.shape[0]
     flat = out.reshape(-1)
     parts = [0.0, 0.0]
 
-    def half(side):
+    def weights(side):
         rows = _halves(n)[side]
         block = out[rows]
         cdist_sqeuclidean(coords[rows], coords, out=block)
         np.add(block, 1.0, out=block)
         np.divide(1.0, block, out=block)
         flat[rows.start * (n + 1):rows.stop * (n + 1):n + 1] = 0.0
-        yield  # both halves' rows are written: the sum may read all of them
+
+    def part_sum(side):
         parts[side] = flat[_sum_halves(flat.size)[side]].sum()
 
-    split(half)
+    split(weights)
+    split(part_sum)
     return parts[0] + parts[1]
 
 
@@ -324,10 +320,11 @@ class Workspace:
     non-negative; that array must not change in place while the workspace
     is in use.
 
-    Entering the workspace starts a helper thread that runs the second
-    half of every `split` when `_side_count(n)` is 2; leaving it, also by
-    an exception, stops and joins the helper. Outside a `with`, or when
-    the helper has failed, the caller runs both halves.
+    Entering the workspace starts a helper thread when `_side_count(n)` is
+    2; each `split` queues its second half for the helper as one job and
+    takes the helper's answer after running the first half. Leaving the
+    workspace, also by an exception, stops and joins the helper. Outside a
+    `with` the caller runs both halves.
     """
 
     def __init__(self, n: int):
@@ -341,10 +338,9 @@ class Workspace:
 
     def __enter__(self) -> Workspace:
         if _side_count(self.w.shape[0]) > 1:
-            # Two one-way queues: the helper gets jobs, sync marks (True) and
-            # stops (None); the caller gets a None per mark or end of a job,
-            # or the helper's exception.
-            self._to_helper, self._to_caller = SimpleQueue(), SimpleQueue()
+            # Two one-way queues: the helper gets jobs and a None to stop; the
+            # caller gets None or the exception of each job.
+            self._jobs, self._answers = SimpleQueue(), SimpleQueue()
             self._helper = threading.Thread(target=self._serve, daemon=True,
                                             name="epl-projection-half")
             self._helper.start()
@@ -352,59 +348,37 @@ class Workspace:
 
     def __exit__(self, *exc_info) -> None:
         if self._helper is not None:
-            self._to_helper.put(None)
-            self._join()
-
-    def _join(self) -> None:
-        self._helper.join()
-        self._helper = None
+            self._jobs.put(None)
+            self._helper.join()
+            self._helper = None
 
     def _serve(self) -> None:
-        """The helper: run side 1 of each job, in the caller's context (its
-        numpy error state), until it gets None: the end of the workspace,
-        or the caller's side raised, which the caller re-raises."""
-        while (job := self._to_helper.get()) is not None:
-            context, task = job
+        """The helper: run each job and answer None or its exception, until it gets None."""
+        while (job := self._jobs.get()) is not None:
+            answer = None
             try:
-                if not context.run(self._helper_side, task):
-                    return
+                job()
             except BaseException as exc:  # handed to the caller's `split`, which re-raises it
-                self._to_caller.put(exc)
-                return
-            self._to_caller.put(None)
+                answer = exc
+            self._answers.put(answer)
 
-    def _helper_side(self, task) -> bool:
-        """Side 1 of `task`, meeting the caller at each yield; False if the caller stopped."""
-        for _ in task(1) or ():
-            self._to_caller.put(None)
-            if self._to_helper.get() is None:
-                return False
-        return True
-
-    def _meet(self) -> None:
-        """Wait for the helper's side to reach the caller's; re-raise its exception."""
-        error = self._to_caller.get()
-        if error is not None:
-            raise error
-
-    def split(self, task) -> None:
-        """Run task(0) on the first row half and task(1) on the second; a
-        task with sync points is a generator, and each yield waits for the
-        other half to reach its own. An exception on either side ends the
-        helper and is re-raised here as itself."""
+    def split(self, half) -> None:
+        """Run half(0) on the first row half and half(1) on the second, the
+        latter on the helper, in this thread's context (its numpy error
+        state), when there is one. An exception on either side is re-raised
+        here as itself, the caller's first; the helper's half has ended by
+        then, and the helper serves the next split."""
         if self._helper is None:
-            _in_turn(task)
+            half(0)
+            half(1)
             return
-        self._to_helper.put((contextvars.copy_context(), task))
+        self._jobs.put(functools.partial(contextvars.copy_context().run, half, 1))
         try:
-            for _ in task(0) or ():
-                self._to_helper.put(True)
-                self._meet()
-            self._meet()
-        except BaseException:
-            self._to_helper.put(None)  # stops a helper that is still waiting or working
-            self._join()
-            raise
+            half(0)
+        finally:
+            answer = self._answers.get()
+        if answer is not None:
+            raise answer
 
     def kernel(self, Y: np.ndarray) -> None:
         """Make `w` and `total` hold Y's weights, building them only if they hold another Y's."""
@@ -438,9 +412,9 @@ class Workspace:
 
 def _kernel_args(P, coords, work):
     """P and the coordinates as float64 arrays of matching shapes, and a
-    workspace of their size to use in a `with`: `work`, left as it is, or a
-    fresh one, whose helper thread the `with` ends. P is checked, and its
-    sum p log p taken, once per array (`Workspace.p_log_p`)."""
+    workspace of their size: `work`, or a fresh one that is never entered,
+    so the caller runs both halves. P is checked, and its sum p log p
+    taken, once per array (`Workspace.p_log_p`)."""
     P = np.asarray(P, dtype=np.float64)
     Y = check_matrix(coords, ProjectionError)
     n = Y.shape[0]
@@ -450,7 +424,7 @@ def _kernel_args(P, coords, work):
     if ws.w.shape != (n, n):
         raise ProjectionError(f"the workspace must be {n} x {n} for {n} coordinates")
     ws.p_log_p(P)
-    return P, Y, (ws if work is None else nullcontext(ws))
+    return P, Y, ws
 
 
 def kl_divergence(P, coords, work=None) -> float:
@@ -462,22 +436,21 @@ def kl_divergence(P, coords, work=None) -> float:
     `work` is an optional Workspace for n coordinates; the kernel this call
     builds stays in it.
     """
-    P, Y, lent = _kernel_args(P, coords, work)
+    P, Y, ws = _kernel_args(P, coords, work)
     n = Y.shape[0]
     block_sums = np.empty(-(-n // _BLOCK_ROWS))
-    with lent as ws:
-        ws.kernel(Y)
+    ws.kernel(Y)
 
-        def half(side):
-            for rows, k in _row_blocks(_halves(n)[side]):
-                log_q = ws.scratch[side, 0, :k]
-                np.divide(ws.w[rows], ws.total, out=log_q)
-                np.maximum(log_q, _Q_EPS, out=log_q)
-                np.log(log_q, out=log_q)
-                np.multiply(P[rows], log_q, out=log_q)
-                block_sums[rows.start // _BLOCK_ROWS] = log_q.sum()
+    def half(side):
+        for rows, k in _row_blocks(_halves(n)[side]):
+            log_q = ws.scratch[side, 0, :k]
+            np.divide(ws.w[rows], ws.total, out=log_q)
+            np.maximum(log_q, _Q_EPS, out=log_q)
+            np.log(log_q, out=log_q)
+            np.multiply(P[rows], log_q, out=log_q)
+            block_sums[rows.start // _BLOCK_ROWS] = log_q.sum()
 
-        ws.split(half)
+    ws.split(half)
     cross = 0.0
     for block_sum in block_sums.tolist():
         cross += block_sum
@@ -492,26 +465,25 @@ def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
     elementwise. `work` is an optional Workspace for n coordinates; the
     gradient overwrites its kernel.
     """
-    P, Y, lent = _kernel_args(P, coords, work)
+    P, Y, ws = _kernel_args(P, coords, work)
     n = Y.shape[0]
     row_sums = np.empty(n)
-    with lent as ws:
-        ws.kernel(Y)
-        ws._kernel_of = None
-        w, total = ws.w, ws.total
+    ws.kernel(Y)
+    ws._kernel_of = None
+    w, total = ws.w, ws.total
 
-        def half(side):
-            for rows, k in _row_blocks(_halves(n)[side]):
-                block = ws.scratch[side, 0, :k]
-                np.divide(w[rows], total, out=block)
-                p = P[rows]
-                if exaggeration != 1.0:
-                    p = np.multiply(p, exaggeration, out=ws.scratch[side, 1, :k])
-                np.subtract(p, block, out=block)
-                np.multiply(block, w[rows], out=w[rows])
-                np.sum(w[rows], axis=1, out=row_sums[rows])
+    def half(side):
+        for rows, k in _row_blocks(_halves(n)[side]):
+            block = ws.scratch[side, 0, :k]
+            np.divide(w[rows], total, out=block)
+            p = P[rows]
+            if exaggeration != 1.0:
+                p = np.multiply(p, exaggeration, out=ws.scratch[side, 1, :k])
+            np.subtract(p, block, out=block)
+            np.multiply(block, w[rows], out=w[rows])
+            np.sum(w[rows], axis=1, out=row_sums[rows])
 
-        ws.split(half)
+    ws.split(half)
     return 4.0 * (row_sums[:, None] * Y - w @ Y)
 
 

@@ -7,6 +7,7 @@ same kernels after ``np.asarray``, so the two must agree bit for bit, with
 or without ``out=``, and raise the same ValueErrors.
 """
 
+import importlib.abc
 import importlib.machinery
 import importlib.metadata
 import json
@@ -119,17 +120,19 @@ def _fresh(code: str) -> dict:
 
 
 def test_scipy_spatial_imported_later_reuses_epls_module():
+    # epl registers no scipy module, so scipy's own import of the extension
+    # sets scipy.spatial's attribute and gets the module epl bound from.
     facts = _fresh(
         "import json\n"
         "import epl\n"
-        "mine = sys.modules['scipy.spatial._distance_pybind']\n"
         "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "import scipy.spatial.distance as distance\n"
+        "import scipy.spatial\n"
+        "theirs = scipy.spatial._distance_pybind\n"
         "print(json.dumps({'before': before,\n"
-        "                  'same': distance._distance_pybind is mine,\n"
-        "                  'bound': (epl.dataset.cdist_euclidean is mine.cdist_euclidean and\n"
-        "                            epl.dataset.cdist_sqeuclidean is mine.cdist_sqeuclidean)}))\n")
-    assert facts == {"before": ["scipy.spatial._distance_pybind"], "same": True, "bound": True}
+        "                  'same': theirs is scipy.spatial.distance._distance_pybind,\n"
+        "                  'bound': (epl.dataset.cdist_euclidean is theirs.cdist_euclidean and\n"
+        "                            epl.dataset.cdist_sqeuclidean is theirs.cdist_sqeuclidean)}))\n")
+    assert facts == {"before": [], "same": True, "bound": True}
 
 
 def test_a_missing_extension_names_scipys_version(monkeypatch):
@@ -138,7 +141,6 @@ def test_a_missing_extension_names_scipys_version(monkeypatch):
     def miss(name, path=None, target=None):
         return None if name == "scipy.spatial._distance_pybind" else real(name, path, target)
 
-    monkeypatch.delitem(sys.modules, "scipy.spatial._distance_pybind")
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", staticmethod(miss))
     version = importlib.metadata.version("scipy")
     with pytest.raises(ImportError, match=rf"scipy {re.escape(version)} has no compiled "
@@ -149,7 +151,21 @@ def test_a_missing_extension_names_scipys_version(monkeypatch):
 def test_a_missing_kernel_is_named(monkeypatch):
     stub = types.ModuleType("scipy.spatial._distance_pybind")
     stub.cdist_euclidean = cdist_euclidean
-    monkeypatch.setitem(sys.modules, "scipy.spatial._distance_pybind", stub)
+    real = importlib.machinery.PathFinder.find_spec
+
+    class StubLoader(importlib.abc.Loader):
+        def create_module(self, spec):
+            return stub
+
+        def exec_module(self, module):
+            pass
+
+    def plant(name, path=None, target=None):
+        if name == stub.__name__:
+            return importlib.machinery.ModuleSpec(name, StubLoader())
+        return real(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", staticmethod(plant))
     version = importlib.metadata.version("scipy")
     with pytest.raises(ImportError, match=rf"scipy {re.escape(version)} has no "
                                           r"scipy\.spatial\._distance_pybind\.cdist_sqeuclidean"):

@@ -616,10 +616,12 @@ def test_weight_sum_splits_where_numpy_pairwise_sum_does(size, kind):
 @pytest.mark.parametrize("n", [5, 11, 12, 65, 559, 560])
 def test_weight_sum_equals_the_matrix_sum(n):
     coords = np.random.default_rng(n).normal(0.0, 1.0, (n, 2))
-    out = np.empty((n, n))
-    total = epl.projection._student_t_weights(coords, out)
-    assert np.array_equal(out, ref_weights(coords))
-    assert total == out.sum(), f"numpy {np.__version__}"
+    for sides in (1, 2):
+        out = np.empty((n, n))
+        with _forced_sides(sides), Workspace(n) as work:
+            total = epl.projection._student_t_weights(coords, out, work.split)
+        assert np.array_equal(out, ref_weights(coords))
+        assert total == out.sum(), f"numpy {np.__version__}"
 
 
 @pytest.fixture
@@ -682,11 +684,11 @@ class TestHelperThread:
             return real_cdist(XA, XB, *args, **kwargs)
 
         before = threading.active_count()
-        with _forced_sides(2):
+        with _forced_sides(2), Workspace(self.n) as work:
             monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
             run = {"tsne_project": lambda: tsne_project(X, ProjectionConfig(perplexity=5.0)),
-                   "kl_gradient": lambda: kl_gradient(P, Y),
-                   "kl_divergence": lambda: kl_divergence(P, Y)}[call]
+                   "kl_gradient": lambda: kl_gradient(P, Y, work),
+                   "kl_divergence": lambda: kl_divergence(P, Y, work)}[call]
             with pytest.raises(RuntimeError) as raised:
                 run()
         assert raised.value is boom
@@ -730,20 +732,23 @@ class TestHelperThread:
         P[self.n - 1, 0] = 1e300  # in the helper's half: alpha P overflows there
         results = []
         for sides in (1, 2):
-            with _forced_sides(sides), np.errstate(all="ignore"), warnings.catch_warnings():
+            with _forced_sides(sides), Workspace(self.n) as work, np.errstate(all="ignore"), \
+                    warnings.catch_warnings():
                 warnings.simplefilter("error")
-                results.append(kl_gradient(P, Y, exaggeration=1e10).tobytes())
+                results.append(kl_gradient(P, Y, work, exaggeration=1e10).tobytes())
         assert results[0] == results[1]
 
     def test_a_workspace_keeps_working_after_its_helper_failed(self, monkeypatch):
         _, P, Y = self._inputs()
         real_cdist = epl.projection.cdist_sqeuclidean
-        failures = [1]
+        failures, second_halves = [1], []
 
         def cdist(XA, XB, *args, **kwargs):
-            if failures[0] and not (XA[0] == XB[0]).all():  # once, on the helper's half
-                failures[0] = 0
-                raise MemoryError("injected")
+            if not (XA[0] == XB[0]).all():  # the helper's half
+                second_halves.append(threading.current_thread())
+                if failures:
+                    failures.pop()
+                    raise MemoryError("injected")
             return real_cdist(XA, XB, *args, **kwargs)
 
         with _forced_sides(2):
@@ -751,5 +756,27 @@ class TestHelperThread:
             with Workspace(self.n) as work:
                 with pytest.raises(MemoryError, match="injected"):
                     kl_gradient(P, Y, work)
-                assert not _helpers()
+                [helper] = _helpers()
+                assert helper.is_alive()
                 assert np.array_equal(kl_gradient(P, Y, work), ref_kl_gradient(P, Y))
+        assert second_halves == [helper, helper]
+        assert not helper.is_alive()
+
+    @pytest.mark.parametrize("kernel", [kl_gradient, kl_divergence])
+    def test_a_standalone_kernel_call_runs_on_the_callers_thread(self, monkeypatch, kernel):
+        # Every half of every pass (kernel build, weight sum, gradient or KL)
+        # asks `_halves` or `_sum_halves` for its rows on the thread that runs it.
+        _, P, Y = self._inputs()
+        seen = []
+
+        def spy(real):
+            def recorded(size):
+                seen.append(threading.current_thread().name)
+                return real(size)
+            return recorded
+
+        with _forced_sides(2):
+            for name in ("_halves", "_sum_halves"):
+                monkeypatch.setattr(epl.projection, name, spy(getattr(epl.projection, name)))
+            kernel(P, Y)
+        assert len(seen) == 6 and set(seen) == {threading.current_thread().name}
