@@ -273,15 +273,16 @@ def _forward(params: EncoderParams, X: np.ndarray) -> dict:
     a1, h1, latent = relu_mlp(X, params.w1, params.b1, params.w2, params.b2)
     a2, h2, raw = relu_mlp(latent, params.v1, params.c1, params.v2, params.c2)
     norms = np.sqrt((raw ** 2).sum(axis=1))
-    ok = norms > _NORM_EPS
-    safe_norms = np.where(ok, norms, 1.0)
+    # The zero-norm mask, for this pass and the backward one.
+    zero = ~(norms > _NORM_EPS)
+    safe_norms = np.where(zero, 1.0, norms)
     head = raw
     head /= safe_norms[:, None]
     # Degenerate zero-norm rows map to the first basis vector.
-    head[~ok] = 0.0
-    head[~ok, 0] = 1.0
+    head[zero] = 0.0
+    head[zero, 0] = 1.0
     return {"x": X, "a1": a1, "h1": h1, "latent": latent, "a2": a2,
-            "h2": h2, "safe_norms": safe_norms, "ok": ok, "head": head}
+            "h2": h2, "safe_norms": safe_norms, "zero": zero, "head": head}
 
 
 def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray,
@@ -291,7 +292,7 @@ def _backward(params: EncoderParams, cache: dict, d_head: np.ndarray,
     inner = (d_head * head).sum(axis=1, keepdims=True)
     d_raw = (d_head - inner * head) / cache["safe_norms"][:, None]
     # Degenerate rows are constant in raw, so their gradient is zero.
-    d_raw[~cache["ok"]] = 0.0
+    d_raw[cache["zero"]] = 0.0
     d_a2 = relu_mlp_backward(cache["latent"], cache["a2"], cache["h2"], params.v2, d_raw,
                              (grads.v1, grads.c1, grads.v2, grads.c2))
     relu_mlp_backward(cache["x"], cache["a1"], cache["h1"], params.w2, d_a2 @ params.v1.T,
@@ -339,12 +340,13 @@ def make_view_batch(X: np.ndarray, labels, noise: float, dropout: float, scale, 
 # Losses
 # ---------------------------------------------------------------------------
 
-def _pair_loss(Z: np.ndarray, pos_sum: np.ndarray, counts: np.ndarray, temperature: float,
+def _pair_loss(Z: np.ndarray, pos_sum: np.ndarray, counts, temperature: float,
                with_grad: bool):
     """Mean over anchors of log(sum_{a != i} exp(s_ia)) - mean positive logit.
 
     s = Z Z^T / temperature. pos_sum[i] is the sum of view i's positives
-    and counts[i] their number, so the positive logit needs no B x B mask.
+    and counts[i] their number (or counts one number for every view), so
+    the positive logit needs no B x B mask.
     The gradient with respect to Z, for a symmetric positive relation, is
     ((E Z) / r + E^T (Z / r) - 2 pos_sum / counts) / (n temperature), where
     E = exp(s - row max) and r its row sums: two B x B x d products and no
@@ -355,13 +357,13 @@ def _pair_loss(Z: np.ndarray, pos_sum: np.ndarray, counts: np.ndarray, temperatu
     np.fill_diagonal(s, -np.inf)
     positive = (Z * pos_sum).sum(axis=1) / (temperature * counts)
     total, log_denom = _row_exp(s)  # s now holds E
-    loss = float((log_denom - positive).mean())
+    loss = float((log_denom - positive).sum() / n)
     if not with_grad:
         return loss, None
     grad = s @ Z
     grad /= total
     grad += s.T @ (Z / total)
-    grad -= (2.0 / counts)[:, None] * pos_sum
+    grad -= np.reshape(2.0 / counts, (-1, 1)) * pos_sum
     grad /= n * temperature
     return loss, grad
 
@@ -379,7 +381,9 @@ def ntxent_loss(views: np.ndarray, temperature: float, with_grad: bool):
     n = Z.shape[0]
     if n < 4 or n % 2 != 0:
         raise ContrastiveError("need an even number of views, at least 4")
-    return _pair_loss(Z, Z[np.arange(n) ^ 1], np.ones(n), temperature, with_grad)
+    # Each view's partner: the rows of Z with every pair swapped.
+    partners = Z.reshape(n // 2, 2, -1)[:, ::-1].reshape(Z.shape)
+    return _pair_loss(Z, partners, 1.0, temperature, with_grad)
 
 
 def supcon_loss(views: np.ndarray, labels, temperature: float, with_grad: bool):

@@ -274,10 +274,11 @@ def _distance_kernels():
 cdist_euclidean, cdist_sqeuclidean = _distance_kernels()
 
 
-def distances(A: np.ndarray, B: np.ndarray, error: type[Exception]) -> np.ndarray:
-    """Euclidean distances of finite rows, or ``error`` if one overflows float64.
-    Each entry is computed on its own: a block of rows gets the bytes of a larger matrix's."""
-    return check_finite(cdist_euclidean(A, B), error,
+def distances(A: np.ndarray, B: np.ndarray, error: type[Exception], out=None) -> np.ndarray:
+    """Euclidean distances of finite rows, into ``out`` when given, or ``error``
+    if one overflows float64. Each entry is computed on its own: a block of
+    rows or a subset of columns gets the bytes of a larger matrix's."""
+    return check_finite(cdist_euclidean(A, B, out=out), error,
                         "float64 overflow: a distance between features")
 
 

@@ -7,15 +7,16 @@ propagation roots the forest at externally supplied seed nodes; the
 supervised classifier roots it at prototypes found on the minimum spanning
 tree where classes meet.
 
-Every forest comes from one Prim minimum spanning tree, each node's
-distance row computed once when it joins. Under the strict (weight, i, j)
-edge order the tree is unique. A Kruskal pass over its n - 1 edges then
-gives every node its minimax cost to the seeds, its root and its first
-hop toward that root (the image foresting transform of Falcao, Stolfi and
-Lotufo, restricted to a tree), so memory stays O(n) beyond the features:
-no n x n table is ever built. A cubic Floyd-Warshall minimax oracle is
-included; by the bottleneck shortest path property both routes must
-agree, which the test suite exploits.
+Every forest comes from one Prim minimum spanning tree, each distance
+computed once, when the first of its two nodes joins. Under the strict
+(weight, i, j) edge order the tree is unique. A Kruskal pass over its
+n - 1 edges then gives every node its minimax cost to the seeds, its root
+and its first hop toward that root (the image foresting transform of
+Falcao, Stolfi and Lotufo, restricted to a tree), so memory is the
+features, one packed copy of them and O(n) buffers: no n x n table is
+ever built. A cubic Floyd-Warshall minimax oracle is included; by the
+bottleneck shortest path property both routes must agree, which the test
+suite exploits.
 """
 
 from __future__ import annotations
@@ -85,33 +86,46 @@ def _prim_tree(X: np.ndarray):
     each outside node keeps its lightest link into the tree (equal weights
     to the lower tree node) and each step adopts the least link, so the
     tree is the unique MST under that order, the one Kruskal would build.
-    A node's distance row is computed once, when it joins. Returns
-    ``(edges, weights)``: the (parent, child) edges in adoption order, so
-    every parent joins before its children and node 0 is the root, and
-    their weights, taken verbatim from the distances so that forest costs
-    stay exact selections.
+    The m nodes still outside are packed at the front of four arrays: their
+    ids, a copy of their feature rows, their lightest-link weights and
+    their tree ends. Adopting a node moves the last outside node into its
+    place, and the joining node's distances are computed to those m nodes
+    only, so each distance is computed once, into a prefix of a fixed
+    buffer (an entry does not depend on the other columns of its call).
+    Returns ``(edges, weights)``: the (parent, child) edges in adoption
+    order, so every parent joins before its children and node 0 is the
+    root, and their weights, taken verbatim from the distances so that
+    forest costs stay exact selections.
     """
     n = X.shape[0]
     edges = np.empty((n - 1, 2), dtype=np.int64)
     weights = np.empty(n - 1)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best_w = distances(X[:1], X, OpfError)[0]
-    best_w[0] = np.inf
-    best_from = np.zeros(n, dtype=np.int64)
+    ids = np.arange(1, n)
+    rows = X[1:].copy()
+    best_w = distances(X[:1], rows, OpfError)[0]
+    best_from = np.zeros(n - 1, dtype=np.int64)
+    dist = np.empty((1, n - 1))
+    mask, closer = np.empty(n - 1, dtype=bool), np.empty(n - 1, dtype=bool)
     for step in range(n - 1):
+        m = n - 1 - step
         # among the lightest links, the smallest (lower, higher) endpoint pair
-        cand = np.flatnonzero(best_w == best_w.min())
-        ends = np.sort(np.stack([cand, best_from[cand]]), axis=0)
-        child = int(cand[np.lexsort(ends[::-1])[0]])
-        edges[step] = best_from[child], child
-        weights[step] = best_w[child]
-        in_tree[child] = True
-        best_w[child] = np.inf
-        dist = distances(X[child:child + 1], X, OpfError)[0]
-        closer = ~in_tree & ((dist < best_w) | ((dist == best_w) & (child < best_from)))
-        best_w[closer] = dist[closer]
-        best_from[closer] = child
+        cand = np.flatnonzero(np.equal(best_w[:m], best_w[:m].min(), out=mask[:m]))
+        ends = np.sort(np.stack([ids[cand], best_from[cand]]), axis=0)
+        at = int(cand[np.lexsort(ends[::-1])[0]])
+        child = int(ids[at])
+        edges[step] = best_from[at], child
+        weights[step] = best_w[at]
+        m -= 1
+        for packed in (ids, rows, best_w, best_from):
+            packed[at] = packed[m]
+        d = distances(X[child:child + 1], rows[:m], OpfError, out=dist[:, :m])[0]
+        # closer: a lighter link through child, or an equal one to a lower tree node
+        w, tree_end, c, t = best_w[:m], best_from[:m], closer[:m], mask[:m]
+        np.greater(tree_end, child, out=c)
+        np.logical_and(c, np.equal(d, w, out=t), out=c)
+        np.logical_or(c, np.less(d, w, out=t), out=c)
+        np.copyto(w, d, where=c)
+        np.copyto(tree_end, child, where=c)
     return edges, weights
 
 

@@ -80,16 +80,19 @@ def train_linear(features, labels, lam: float, epochs: int, class_count: int) ->
     W = np.zeros((k, d))
     b = np.zeros(k)
     trace = np.empty(epochs)
+    # The scores after an update give both its objective and the next epoch's margins.
+    scores = X @ W.T + b
     for t in range(1, epochs + 1):
         step = _FIRST_STEP / np.sqrt(t)
-        margins = target * (X @ W.T + b)
+        margins = target * scores
         viol = margins < 1.0
         coeff = target * viol
         grad_w = -(coeff.T @ X) / n + lam * W
         grad_b = -coeff.sum(axis=0) / n
         W -= step * grad_w
         b -= step * grad_b
-        hinge = np.maximum(0.0, 1.0 - target * (X @ W.T + b)).mean(axis=0)
+        scores = X @ W.T + b
+        hinge = np.maximum(0.0, 1.0 - target * scores).mean(axis=0)
         trace[t - 1] = float((hinge + 0.5 * lam * (W ** 2).sum(axis=1)).mean())
     check_finite(trace, ProbeError, "float64 overflow: the linear probe's objective")
     return LinearModel(W, b, trace)

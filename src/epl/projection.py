@@ -495,19 +495,26 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     tracked over the final 50 iterations and its worst consecutive increase
     is reported on the embedding. A descent that overflows float64 raises
     ProjectionError, as every kernel call checks the coordinates and weights.
+    The workspace is allocated before the affinities (`np.empty` touches no
+    page), and memory for either n x n matrix running out raises ProjectionError.
     """
     X = check_matrix(features, ProjectionError)
     n = X.shape[0]
     if n < 4:
         raise ProjectionError("need at least 4 points to project")
-    P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
+    try:
+        work = Workspace(n)
+        P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
+    except MemoryError as exc:
+        raise ProjectionError(f"out of memory: exact t-SNE of {n} points holds two {n} x {n} "
+                              f"float64 matrices, {2 * n * n * 8 / 2 ** 20:.0f} MB") from exc
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
     velocity = np.zeros_like(Y)
     tail_start = max(0, config.iterations - 50)
     kl_tail = []
 
-    with Workspace(n) as work:
+    with work:
         for it in range(config.iterations):
             exaggeration = config.early_exaggeration if it < config.exaggeration_iters else 1.0
             momentum = (config.momentum_start if it < config.momentum_switch

@@ -1,10 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import epl
 from epl.cli import main
 from epl.config import ExperimentConfig
 from epl.dataset import (Dataset, Role, generate_blobs, load_features, load_split, read_table,
@@ -159,6 +164,25 @@ class TestStages:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflow" in err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is a Linux limit")
+    def test_project_out_of_memory_exits_one(self, tmp_path):
+        # Under a 1 GB address-space cap the workspace fits (untouched) and
+        # the affinities' 8000 x 8000 matrix does not.
+        feats = tmp_path / "blobs.csv"
+        assert run(["gen", "--classes", 2, "--per-class", 4000, "--dims", 2,
+                    "--out", feats]) == 0
+        code = ("import resource, sys\n"
+                "from epl.cli import main\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, resource.RLIM_INFINITY))\n"
+                f"sys.exit(main(['project', '--features', {str(feats)!r}, '--iterations', '1',"
+                f" '--out', {str(tmp_path / 'emb.csv')!r}]))\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                                "PYTHONPATH": str(Path(epl.__file__).parent.parent)})
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == ("error: out of memory: exact t-SNE of 8000 points holds two "
+                               "8000 x 8000 float64 matrices, 977 MB\n")
 
     def test_project_nan_perplexity_exits_one(self, tmp_path, capsys):
         path = tmp_path / "feats.bin"

@@ -322,7 +322,7 @@ class TestLossOnly:
         X = rng.normal(size=(8, 5))
         X[3] = 0.0  # every layer maps it to zero, so its head norm is zero
         cache = _forward(params, X)
-        assert cache["ok"].sum() == 7
+        assert cache["zero"].sum() == 1
         assert np.array_equal(cache["head"][3], np.eye(16)[0])
         labels = np.repeat([0, 1, 0, 1], 2)
         for fn in (lambda z, g: ntxent_loss(z, 0.1, g),

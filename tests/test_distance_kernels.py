@@ -75,6 +75,25 @@ def test_out_into_a_row_block_of_a_larger_matrix(metric, seed, n, d, cut):
     assert mine[start:stop].tobytes() == cdist(X, X, metric)[start:stop].tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(metric=st.sampled_from(sorted(KERNELS)), seed=st.integers(0, 2**32 - 1),
+       d=st.integers(1, 40), m=st.integers(1, 300), extra=st.integers(0, 40),
+       scale=st.sampled_from(SCALES))
+def test_out_into_a_prefix_for_a_subset_of_columns(metric, seed, d, m, extra, scale):
+    # The OPF Prim tree measures a joining node against the nodes still
+    # outside, packed in no fixed order, into a prefix of one buffer: an
+    # entry must not depend on which other columns share the call.
+    rng = np.random.default_rng(seed)
+    a, B = (rng.standard_cauchy(shape) * scale for shape in ((1, d), (m + extra, d)))
+    idx = rng.permutation(m + extra)[:m]
+    buf = np.full((1, m + extra + 1), -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert KERNELS[metric](a, B[idx], out=buf[:, :m]) is not None
+        full = KERNELS[metric](a, B)
+    assert buf[:, :m].tobytes() == full[:, idx].tobytes()
+    assert (buf[:, m:] == -1.0).all()
+
+
 @settings(max_examples=80, deadline=None)
 @given(metric=st.sampled_from(sorted(KERNELS)), seed=st.integers(0, 2**32 - 1),
        n=st.integers(2, 30), d=st.integers(2, 20), step=st.integers(2, 3),

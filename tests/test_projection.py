@@ -1,16 +1,21 @@
 import faulthandler
+import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+import epl
 import epl.projection
 from epl.dataset import UNLABELED, generate_blobs
 from epl.metrics import knn_consistency
@@ -384,6 +389,43 @@ class TestBitwiseAgainstReference:
         tsne_project(X, ProjectionConfig(perplexity=8.0, iterations=70, seed=1))
         # 70 gradients and 50 KLs, of which 49 share the next gradient's kernel
         assert len(built) == 70 + 50 - 49
+
+
+# Run in a fresh interpreter that caps its own address space (RLIMIT_AS) at
+# its size now plus `headroom` times one n x n float64 matrix, then projects
+# n points; prints the ProjectionError and the function whose allocation failed.
+_PROJECT_UNDER_RLIMIT = """
+import json, os, resource, sys, traceback
+import numpy as np
+from epl.projection import ProjectionConfig, ProjectionError, tsne_project
+n, headroom = int(sys.argv[1]), float(sys.argv[2])
+X = np.random.default_rng(0).normal(size=(n, 2))
+size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS,
+                   (size + int(headroom * n * n * 8), resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    tsne_project(X, ProjectionConfig(iterations=1))
+except ProjectionError as exc:
+    print(json.dumps([str(exc), type(exc.__cause__).__name__,
+                      traceback.extract_tb(exc.__cause__.__traceback__)[-1].name]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+@pytest.mark.parametrize("headroom, failed_in", [(0.5, "__init__"),
+                                                 (1.5, "conditional_affinities")])
+def test_out_of_memory_for_an_n_by_n_matrix_is_a_projection_error(headroom, failed_in):
+    # With room for half a matrix the workspace, allocated first, fails; with
+    # room for one and a half, the workspace (untouched) fits and the
+    # affinities fail. Neither touches the matrices' pages.
+    done = subprocess.run([sys.executable, "-c", _PROJECT_UNDER_RLIMIT, "8000", str(headroom)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                               "PYTHONPATH": str(Path(epl.__file__).resolve().parent.parent)})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        "out of memory: exact t-SNE of 8000 points holds two 8000 x 8000 float64 matrices, "
+        "977 MB", "MemoryError", failed_in]
 
 
 def test_descent_holds_p_and_one_buffer():
