@@ -92,12 +92,17 @@ def per_class_recall(cm: ConfusionMatrix) -> np.ndarray:
     return out
 
 
+# Rows of the distance matrix that knn_consistency holds at once.
+_KNN_ROWS = 64
+
+
 def knn_consistency(points, labels, k: int) -> float:
     """Mean fraction of each point's k nearest neighbours sharing its label.
 
     Works on any n x m point array (2D embeddings or latent features).
     Distance ties are broken toward the lower index; k, a whole number of
-    at least 1, is capped at n - 1.
+    at least 1, is capped at n - 1. The distances are taken 64 rows at a
+    time, so the memory is O(64 n), not n x n.
     """
     check_at_least("k", k, 1, MetricError)
     points = check_matrix(points, MetricError)
@@ -106,8 +111,11 @@ def knn_consistency(points, labels, k: int) -> float:
     if n < 2:
         raise MetricError("need at least 2 points")
     k = min(k, n - 1)
-    dist = distances(points, points, MetricError)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    same = labels[order] == labels[:, None]
-    return float(same.mean())
+    matches = 0
+    for start in range(0, n, _KNN_ROWS):
+        rows = np.arange(start, min(start + _KNN_ROWS, n))
+        dist = distances(points[rows], points, MetricError)
+        dist[np.arange(rows.size), rows] = np.inf
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        matches += int(np.count_nonzero(labels[order] == labels[rows, None]))
+    return matches / (n * k)

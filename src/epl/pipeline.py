@@ -1,14 +1,14 @@
 """Experiment orchestration: feature quality, propagation quality, and
 pseudo-label training, with manifests and deterministic artifacts.
 
-The arm table ``ARMS`` names the experiment id of each (family, mode)
-arm. Family c1 probes an encoder's latent space with a linear classifier
-and the supervised forest classifier; c2 projects the latent space to
-2D, propagates the few true labels to the unsupervised points, and
-scores the pseudo-labels; c3 trains the softmax probe on raw inputs,
-once on the supervised set alone (the baseline arm) and once per
-pseudo-label source. ``run_family`` runs one family, replica by replica
-and arm by arm, each arm isolated so that its failure is recorded in the
+The arm table ``ARMS`` holds one ``Arm(id, family, encoder)`` record per
+experiment id. Family c1 probes an encoder's latent space with a linear
+classifier and the supervised forest classifier; c2 projects the latent
+space to 2D, propagates the few true labels to the unsupervised points,
+and scores the pseudo-labels; c3 trains the softmax probe on raw inputs,
+on the supervised set alone (C3a, no encoder) or on S plus one encoder's
+pseudo-labels. ``run_family`` runs one family, replica by replica and
+arm by arm, each arm isolated so that its failure is recorded in the
 manifest and the run moves on. Every stage is a pure function of
 (config, base seed); replica r uses seed base + r throughout
 (``RunState.seed``).
@@ -53,13 +53,28 @@ class PipelineError(EplError):
 
 RESULTS_HEADER = "dataset,experiment,classifier,seed,accuracy,kappa,consistency"
 
-# family -> mode -> experiment id, following the a/b/c(/d) lettering of the designs.
-ARMS = {
-    "c1": {"simclr": "C1a", "supcon": "C1b"},
-    "c2": {"simclr": "C2a", "supcon": "C2b", "combined": "C2c"},
-    "c3": {"baseline": "C3a", "simclr": "C3b", "supcon": "C3c", "combined": "C3d"},
-}
-ARM_OF = {exp: (family, mode) for family, arms in ARMS.items() for mode, exp in arms.items()}
+@dataclass(frozen=True)
+class Arm:
+    """An experiment id, its family and the encoder whose latent space it
+    reads: None for the baseline, which trains on S alone."""
+
+    id: str
+    family: str
+    encoder: str | None
+
+    @property
+    def label(self) -> str:
+        """The arm's name in stage names such as ``r0.baseline.c3``."""
+        return self.encoder or "baseline"
+
+
+# A family's ids are lettered a, b, c(, d) in table order.
+ARMS = (Arm("C1a", "c1", "simclr"), Arm("C1b", "c1", "supcon"),
+        Arm("C2a", "c2", "simclr"), Arm("C2b", "c2", "supcon"), Arm("C2c", "c2", "combined"),
+        Arm("C3a", "c3", None), Arm("C3b", "c3", "simclr"), Arm("C3c", "c3", "supcon"),
+        Arm("C3d", "c3", "combined"))
+ARM_OF = {arm.id: arm for arm in ARMS}
+FINETUNES = {"combined": "simclr"}  # encoder -> the encoder it is fine-tuned from
 
 
 @dataclass
@@ -107,12 +122,6 @@ class RunManifest:
         self.config_echo = config_echo
         self.timings: list[tuple[str, float]] = []
         self.errors: list[tuple[str, str]] = []
-
-    def add_timing(self, stage: str, seconds: float) -> None:
-        self.timings.append((stage, seconds))
-
-    def add_error(self, stage: str, message: str) -> None:
-        self.errors.append((stage, message))
 
     def write(self, out_dir) -> Path:
         out_dir = Path(out_dir)
@@ -292,7 +301,7 @@ class RunState:
             return fn()
         finally:
             if self.manifest is not None:
-                self.manifest.add_timing(stage, time.perf_counter() - start)
+                self.manifest.timings.append((stage, time.perf_counter() - start))
 
     @contextmanager
     def arm(self, stage: str):
@@ -303,18 +312,18 @@ class RunState:
         except Exception as exc:
             if self.manifest is None:
                 raise
-            self.manifest.add_error(stage, f"{type(exc).__name__}: {exc}")
+            self.manifest.errors.append((stage, f"{type(exc).__name__}: {exc}"))
 
     def encoder(self, r: int, mode: str) -> EncoderParams:
-        """Replica r's encoder of ``mode``, trained and saved on first use; the
-        combined one fine-tunes the simclr encoder."""
+        """Replica r's encoder of ``mode``, trained and saved on first use; one
+        in ``FINETUNES`` fine-tunes the encoder it names."""
         key = (r, mode)
         if key not in self.encoders:
             seed = self.seed(r)
             config = self.cfg.train_config(seed)
-            if mode == "combined":
-                base = self.encoder(r, "simclr")
-                params = self.timed(f"r{r}.combined.finetune", lambda: contrastive.finetune_supcon(
+            if mode in FINETUNES:
+                base = self.encoder(r, FINETUNES[mode])
+                params = self.timed(f"r{r}.{mode}.finetune", lambda: contrastive.finetune_supcon(
                     base, self.data, self.split(r), config))
             else:
                 params = self.timed(f"r{r}.{mode}.train", lambda: contrastive.train(
@@ -341,10 +350,10 @@ class RunState:
                          *score(pred, truth, self.data.class_count))
 
 
-def _c1_rows(state: RunState, r: int, mode: str):
+def _c1_rows(state: RunState, r: int, arm: Arm):
     """Latent-space separability: linear and forest probes on S, scored on T."""
     cfg, data, split = state.cfg, state.data, state.split(r)
-    params = state.encoder(r, mode)
+    params = state.encoder(r, arm.encoder)
     feats_s = contrastive.extract_features(params, data, split.supervised)
     feats_t = contrastive.extract_features(params, data, split.test)
     labels_s = data.labels[split.supervised]
@@ -352,40 +361,40 @@ def _c1_rows(state: RunState, r: int, mode: str):
 
     linear = train_linear(feats_s, labels_s, cfg.linear_lambda, cfg.linear_epochs,
                           data.class_count)
-    yield state.scored_row(r, ARMS["c1"][mode], "linear", predict(linear, feats_t), labels_t)
+    yield state.scored_row(r, arm.id, "linear", predict(linear, feats_t), labels_t)
 
     forest_model = opfsup_train(feats_s, labels_s)
-    yield state.scored_row(r, ARMS["c1"][mode], "opfsup",
+    yield state.scored_row(r, arm.id, "opfsup",
                            opfsup_classify_batch(forest_model, feats_t), labels_t)
 
 
-def _c2_rows(state: RunState, r: int, mode: str):
+def _c2_rows(state: RunState, r: int, arm: Arm):
     """Propagation quality of the 2D embedding, plus its consistency score."""
-    prop = state.propagation(r, mode)
+    prop = state.propagation(r, arm.encoder)
     seed = state.seed(r)
-    yield ResultRow(state.data.name, ARMS["c2"][mode], "propagation", seed,
+    yield ResultRow(state.data.name, arm.id, "propagation", seed,
                     prop.accuracy, prop.kappa, prop.consistency)
     if state.out_dir is not None:
-        write_embedding_csv(state.out_dir / f"embedding_{mode}_{seed}.csv", prop.indices,
+        write_embedding_csv(state.out_dir / f"embedding_{arm.encoder}_{seed}.csv", prop.indices,
                             prop.embedding.coordinates, prop.labels)
         emit_scatter(prop.embedding.coordinates, prop.seed_values,
-                     state.out_dir / f"scatter_{mode}_{seed}.svg")
+                     state.out_dir / f"scatter_{arm.encoder}_{seed}.svg")
 
 
-def _c3_rows(state: RunState, r: int, mode: str):
+def _c3_rows(state: RunState, r: int, arm: Arm):
     """Softmax probe on raw inputs: S only for the baseline, else S plus pseudo-labeled U."""
     data = state.data
-    if mode == "baseline":
+    if arm.encoder is None:
         train_idx = state.split(r).supervised
         labels = data.labels[train_idx]
     else:
-        prop = state.propagation(r, mode)
+        prop = state.propagation(r, arm.encoder)
         train_idx, labels = prop.indices, prop.labels
     softmax_cfg = state.cfg.softmax_config(state.seed(r))
-    model = state.timed(f"r{r}.{mode}.softmax", lambda: train_softmax(
+    model = state.timed(f"r{r}.{arm.label}.softmax", lambda: train_softmax(
         data.features[train_idx], labels, softmax_cfg, data.class_count))
     test_idx = state.split(r).test
-    yield state.scored_row(r, ARMS["c3"][mode], "softmax",
+    yield state.scored_row(r, arm.id, "softmax",
                            predict(model, data.features[test_idx]), data.labels[test_idx])
 
 
@@ -397,23 +406,25 @@ def run_family(state: RunState, family: str) -> list[ResultRow]:
     in waves of ``arm_workers()`` arms run at once (``epl.workers.run_wave``).
 
     An arm's rows are taken as it yields them, so the rows it finished
-    before a failure are kept. A wave ends before an arm that would train
-    its replica's simclr encoder while another arm of the wave would too.
+    before a failure are kept. An arm's root is the replica's encoder it
+    reads, or the one that encoder is fine-tuned from. So that no encoder
+    trains twice, a wave ends before an arm whose root is untrained and is
+    an earlier arm's root in the wave.
     """
     from .workers import run_wave  # process machinery
-    modes = [m for m in ("baseline", *state.cfg.modes) if m in ARMS[family]]
-    arms = [(r, mode) for r in range(state.cfg.replicas) for mode in modes]
+    arms = [(r, arm) for r in range(state.cfg.replicas) for encoder in (None, *state.cfg.modes)
+            for arm in ARMS if (arm.family, arm.encoder) == (family, encoder)]
     rows: list[ResultRow] = []
     while arms:
-        wave = []
-        for r, mode in arms[:arm_workers()]:
-            if (r, "simclr") not in state.encoders and mode in ("simclr", "combined") and (
-                    (r, "simclr") in wave or (r, "combined") in wave):
+        wave, roots = [], set()
+        for r, arm in arms[:arm_workers()]:
+            root = (r, FINETUNES.get(arm.encoder, arm.encoder))
+            if root not in state.encoders and root in roots:
                 break
-            wave.append((r, mode))
-        rows += run_wave(state, [(f"r{r}.{mode}.{family}",
-                                  partial(_FAMILY_ROWS[family], state, r, mode))
-                                 for r, mode in wave])
+            wave.append((f"r{r}.{arm.label}.{family}",
+                         partial(_FAMILY_ROWS[family], state, r, arm)))
+            roots.add(root)
+        rows += run_wave(state, wave)
         arms = arms[len(wave):]
     return rows
 
@@ -423,7 +434,7 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], i
 
     Returns (rows, exit code): 0 on full success, 2 when any arm failed.
     """
-    if kind != "all" and kind not in ARMS:
+    if kind != "all" and kind not in _FAMILY_ROWS:
         raise PipelineError(f"unknown experiment kind {kind!r}")
     cfg.validate()
     init = (EncoderParams.load(cfg.warm_start_checkpoint)
@@ -436,7 +447,7 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], i
 
     rows: list[ResultRow] = []
     try:
-        for family in (ARMS if kind == "all" else (kind,)):
+        for family in (_FAMILY_ROWS if kind == "all" else (kind,)):
             rows += run_family(state, family)
     finally:
         write_results_csv(rows, out_dir / "results.csv")
@@ -512,12 +523,12 @@ def correlation_report(rows) -> dict:
     """
     cells: dict[tuple, dict] = {}
     for row in rows:
-        family, mode = ARM_OF.get(row.experiment, (None, None))
-        if family not in ("c2", "c3") or mode == "baseline":
+        arm = ARM_OF.get(row.experiment)
+        if arm is None or arm.family not in ("c2", "c3") or arm.encoder is None:
             continue
-        cell = cells.setdefault((row.dataset, mode),
+        cell = cells.setdefault((row.dataset, arm.encoder),
                                 {"consistency": [], "prop": [], "clf": []})
-        if family == "c2":
+        if arm.family == "c2":
             cell["prop"].append(row.kappa)
             if row.consistency is not None:
                 cell["consistency"].append(row.consistency)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epl.dataset import format_row
+from epl.dataset import distances, format_row
 from epl.metrics import (ConfusionMatrix, MetricError, accuracy, cohen_kappa, confusion,
                          knn_consistency, per_class_recall)
 
@@ -209,3 +209,20 @@ class TestKnnConsistency:
         with pytest.raises(MetricError, match=match):
             knn_consistency(pts, np.array([0, 0, 1, 1]), k=k)
         assert knn_consistency(pts, np.array([0, 0, 1, 1]), k=np.int64(1)) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 150), d=st.integers(1, 3), grid=st.integers(0, 4),
+           k=st.integers(1, 160), classes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_row_blocks_equal_the_full_matrix(self, n, d, grid, k, classes, seed):
+        # Points on an integer grid (grid > 0) give distance ties and duplicate
+        # points; n runs below and above the 64-row block, k up to and past n - 1.
+        rng = np.random.default_rng(seed)
+        pts = (rng.integers(0, grid + 1, size=(n, d)).astype(np.float64) if grid
+               else rng.normal(size=(n, d)))
+        labels = rng.integers(0, classes, n)
+        kk = min(k, n - 1)
+        dist = distances(pts, pts, MetricError)
+        np.fill_diagonal(dist, np.inf)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
+        reference = float((labels[order] == labels[:, None]).mean())
+        assert knn_consistency(pts, labels, k) == reference

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import os
 import signal
+import string
 import sys
 import threading
 from dataclasses import fields
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 import epl.pipeline as pipeline
-from epl.config import ExperimentConfig
+from epl.config import VALID_MODES, ExperimentConfig
 from epl.contrastive import TrainConfig
 from epl.dataset import (Role, SplitAssignment, UNLABELED, generate_blobs,
                          stratified_split)
@@ -212,17 +214,19 @@ class TestArmIsolation:
         assert f"r0.simclr.{kind} = RuntimeError: injected failure" in errors
         assert read_results_csv(tmp_path / "fail" / "results.csv") == rows
 
-    @pytest.mark.parametrize("failing", ["simclr", "supcon"])
-    def test_partial_arm_keeps_its_finished_rows(self, tmp_path, monkeypatch, workers, failing):
+    @pytest.mark.parametrize("failing, stage", [("C1a", "r0.simclr.c1"),
+                                                ("C1b", "r0.supcon.c1")])
+    def test_partial_arm_keeps_its_finished_rows(self, tmp_path, monkeypatch, workers, failing,
+                                                 stage):
         # The failing arm's forest raises in whichever process runs that arm;
-        # with two workers the supcon arm runs in a forked child. (A count of
+        # with two workers the C1b arm runs in a forked child. (A count of
         # forest calls would not name the arm: each process counts its own.)
         real_rows, real_train = pipeline._FAMILY_ROWS["c1"], pipeline.opfsup_train
         running = []
 
-        def rows(state, r, mode):
-            running.append(mode)
-            yield from real_rows(state, r, mode)
+        def rows(state, r, arm):
+            running.append(arm.id)
+            yield from real_rows(state, r, arm)
 
         def broken_forest(features, labels):
             if running[-1] == failing:
@@ -235,10 +239,10 @@ class TestArmIsolation:
         rows, code = run_experiment("c1", small_config(out, replicas=1))
         assert code == 2
         finished = [("C1a", "linear"), ("C1a", "opfsup"), ("C1b", "linear"), ("C1b", "opfsup")]
-        finished.remove((pipeline.ARMS["c1"][failing], "opfsup"))
+        finished.remove((failing, "opfsup"))
         assert [(r.experiment, r.classifier) for r in rows] == finished
         assert read_results_csv(out / "results.csv") == rows
-        assert manifest_errors(out) == [f"r0.{failing}.c1 = RuntimeError: injected forest failure"]
+        assert manifest_errors(out) == [f"{stage} = RuntimeError: injected forest failure"]
         assert_no_child_left()
 
     def test_failure_propagates_without_a_manifest(self, monkeypatch):
@@ -363,14 +367,61 @@ class TestArmWorkers:
         assert_no_child_left()
 
     @pytest.mark.parametrize("kind", ["c2", "c3", "all"])
-    @pytest.mark.parametrize("modes", [("simclr", "combined"), ("combined", "simclr")])
+    @pytest.mark.parametrize("modes", [("simclr", "combined"), ("combined", "simclr"),
+                                       ("combined",), ("supcon", "combined", "simclr")])
     def test_simclr_trains_once_per_replica(self, tmp_path, monkeypatch, workers, kind, modes):
+        # Without a simclr arm, or with it after combined's, the combined arm
+        # trains simclr itself.
         log = tmp_path / "trainings.log"
         logged_training(monkeypatch, log)
         rows, code = run_experiment(kind, small_config(tmp_path / "o", replicas=2, epochs=2,
                                                        modes=modes))
         assert code == 0 and rows
-        assert sorted(log.read_text().split()) == ["finetune"] * 2 + ["simclr"] * 2
+        supcon = ["supcon"] * 2 if "supcon" in modes else []
+        assert sorted(log.read_text().split()) == ["finetune"] * 2 + ["simclr"] * 2 + supcon
+
+    @pytest.mark.parametrize("families", [("c3",), ("c2", "c3"), ("c1", "c2", "c3")])
+    @pytest.mark.parametrize("modes", [order for size in (1, 2, 3)
+                                       for order in itertools.permutations(VALID_MODES, size)])
+    def test_root_rule_forms_the_waves_of_the_simclr_combined_rule(self, monkeypatch, families,
+                                                                   modes):
+        # The waves of families run one after another on one state, against the
+        # rule that named simclr and combined: a wave ended before a simclr or
+        # combined arm while its replica's simclr encoder was untrained and the
+        # wave held that replica's simclr or combined arm. An arm's wave trains
+        # its encoders, so a later family finds them trained.
+        force_workers(monkeypatch, 2)
+        cfg = small_config("unused", replicas=2, modes=modes)
+        state = RunState(cfg, generate_blobs(3, 10, 2, 1.0, 5.0, seed=1), None, None)
+        waves = []
+
+        def run_wave(state, arms):
+            waves.append([stage for stage, _ in arms])
+            for _, run in arms:
+                r, arm = run.args[1:]
+                if arm.encoder is not None:
+                    state.encoders[r, arm.encoder] = None
+                    state.encoders[r, pipeline.FINETUNES.get(arm.encoder, arm.encoder)] = None
+            return []
+
+        monkeypatch.setattr("epl.workers.run_wave", run_wave)
+        expected, trained = [], set()
+        for family in families:
+            run_family(state, family)
+            modes_of = {arm.encoder or "baseline" for arm in pipeline.ARMS if arm.family == family}
+            arms = [(r, mode) for r in range(2) for mode in ("baseline", *modes)
+                    if mode in modes_of]
+            while arms:
+                wave = []
+                for r, mode in arms[:2]:
+                    if (r, "simclr") not in trained and mode in ("simclr", "combined") and (
+                            (r, "simclr") in wave or (r, "combined") in wave):
+                        break
+                    wave.append((r, mode))
+                trained |= {(r, "simclr") for r, mode in wave if mode in ("simclr", "combined")}
+                expected.append([f"r{r}.{mode}.{family}" for r, mode in wave])
+                arms = arms[len(wave):]
+        assert waves == expected
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
     def test_no_pipe_or_no_fork_runs_the_arm_here(self, tmp_path, monkeypatch, workers, call):
@@ -495,6 +546,18 @@ class TestArmWorkers:
         with pytest.raises(Stop):
             run_experiment("c1", small_config(tmp_path / "stop", replicas=1, epochs=50))
         assert_no_child_left()
+
+
+def test_arm_table():
+    ids = [arm.id for arm in pipeline.ARMS]
+    assert len(set(ids)) == len(ids)
+    assert {arm.encoder for arm in pipeline.ARMS} - {None} == set(VALID_MODES)
+    for family in {arm.family for arm in pipeline.ARMS}:
+        lettered = [arm.id for arm in pipeline.ARMS if arm.family == family]
+        assert lettered == [family.upper() + letter
+                            for letter in string.ascii_lowercase[:len(lettered)]]
+    assert pipeline.ARM_OF == {arm.id: arm for arm in pipeline.ARMS}
+    assert set(pipeline.FINETUNES.items()) <= set(itertools.product(VALID_MODES, VALID_MODES))
 
 
 def test_unknown_kind_fails_before_touching_disk(tmp_path):
