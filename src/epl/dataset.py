@@ -9,17 +9,16 @@ least one seed per class.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import numbers
-import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
+
+from . import host
 
 # Sentinel for "no label"; never a valid class id.
 UNLABELED = -1
@@ -221,64 +220,11 @@ def check_finite(values, error: type[Exception], what: str):
     return values
 
 
-_KERNEL_MODULE = "scipy.spatial._distance_pybind"
-
-
-def _scipy_module(name: str):
-    """scipy's module `name` run from its file in scipy's tree, or None if
-    there is no such file. Neither scipy's ``__init__.py`` nor that of a
-    subpackage on the way runs, and the module is not registered in
-    ``sys.modules``."""
-    scipy = importlib.util.find_spec("scipy")
-    spec = scipy and importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(d, *name.split(".")[1:-1]) for d in scipy.submodule_search_locations])
-    if spec is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def scipy_version() -> str:
-    """The installed scipy's version, read from ``scipy.version`` as
-    ``scipy.__version__`` is, without importing the package."""
-    module = _scipy_module("scipy.version")
-    return "(not installed)" if module is None else module.version
-
-
-def _distance_kernels():
-    """scipy's compiled ``cdist_euclidean`` and ``cdist_sqeuclidean``, the
-    kernels ``scipy.spatial.distance.cdist(A, B, metric, out=)`` calls for
-    those metrics after ``np.asarray``. They check the rank, the column
-    count and ``out`` themselves, with the same ValueErrors.
-
-    The extension is loaded from scipy's ``spatial`` directory without
-    running ``scipy/spatial/__init__.py``, whose imports (scipy.sparse,
-    scipy.special, scipy.linalg) would more than double the process's
-    memory, and without registering it in ``sys.modules``. A later
-    ``import scipy.spatial`` therefore loads the extension itself, which
-    sets ``scipy.spatial._distance_pybind``; CPython initializes an
-    extension once per process and hands back the same module object.
-    """
-    module = _scipy_module(_KERNEL_MODULE)
-    if module is None:
-        raise ImportError(f"scipy {scipy_version()} has no compiled module {_KERNEL_MODULE}")
-    try:
-        return module.cdist_euclidean, module.cdist_sqeuclidean
-    except AttributeError as exc:
-        raise ImportError(f"scipy {scipy_version()} has no {_KERNEL_MODULE}.{exc.name}") from None
-
-
-# cdist_*(A, B, out=None): all pairwise (squared) Euclidean distances of the
-# rows of A and B, written into ``out`` when it is given.
-cdist_euclidean, cdist_sqeuclidean = _distance_kernels()
-
-
 def distances(A: np.ndarray, B: np.ndarray, error: type[Exception], out=None) -> np.ndarray:
     """Euclidean distances of finite rows, into ``out`` when given, or ``error``
     if one overflows float64. Each entry is computed on its own: a block of
     rows or a subset of columns gets the bytes of a larger matrix's."""
-    return check_finite(cdist_euclidean(A, B, out=out), error,
+    return check_finite(host.cdist_euclidean(A, B, out=out), error,
                         "float64 overflow: a distance between features")
 
 
@@ -609,11 +555,21 @@ def load_split(path) -> SplitAssignment:
             raise ValueError("missing split header")
         try:
             params = _header_params(lines[0])
-            head.update(seed=int(params.get("seed", 0)),
-                        fracs=tuple(float(params.get(k, 0.0))
-                                    for k in ("s_frac", "u_frac", "t_frac")))
         except ValueError as exc:
             raise ValueError(f"bad split header: {exc}") from exc
+
+        def param(key, kind):
+            if key not in params:
+                raise SplitError(f"bad split header: no {key}")
+            try:
+                return kind(params[key])
+            except ValueError:
+                raise SplitError(f"bad split header: {key}={params[key]!r}") from None
+
+        head.update(seed=param("seed", int),
+                    fracs=tuple(param(k, float) for k in ("s_frac", "u_frac", "t_frac")))
+        check_at_least("seed", head["seed"], 0, SplitError)
+        check_fractions(head["fracs"], SplitError)
         return 2, lambda cells: (int(cells[0]), _role(cells[1]))
 
     rows = read_table(path, SplitError, header, header_lines=2, nodes=True)

@@ -22,9 +22,6 @@ rows, manifest lines, encoders and propagations. The rows, artifacts and
 from __future__ import annotations
 
 import hashlib
-import os
-import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field
@@ -34,16 +31,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import contrastive
+from . import contrastive, host
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams
 from .dataset import (UNLABELED, Dataset, EplError, Role, SplitAssignment, check_finite,
-                      generate_blobs, int64, load_features, read_table, scipy_version,
+                      generate_blobs, int64, load_features, read_table,
                       stratified_split, write_table)
+from .host import arm_workers
 from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
 from .probe import predict, train_linear, train_softmax
-from .projection import Embedding2D, ProjectionConfig, thread_count, tsne_project
+from .projection import Embedding2D, ProjectionConfig, tsne_project
 from .scatter import emit_scatter
 
 
@@ -111,10 +109,10 @@ def read_results_csv(path) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 
 class RunManifest:
-    """Resolved config, the thread count of an exact t-SNE projection and the
-    number of arms run at once on this host (the timings depend on them;
-    overlapping arms' times add up to more than the wall clock), the numpy
-    and scipy versions (the bytes may depend on them), per-stage wall clock,
+    """Resolved config, this host's lines (``epl.host.header``: the thread
+    counts and arms run at once that the timings depend on, since
+    overlapping arms' times add up to more than the wall clock, and the
+    libraries and kernels the bytes may depend on), per-stage wall clock,
     failures, and output digests."""
 
     def __init__(self, command: str, config_echo: str):
@@ -131,10 +129,7 @@ class RunManifest:
             f"command = {self.command}",
             f"status = {'partial' if self.errors else 'ok'}",
             f"wall_clock_unix = {time.time()!r}",
-            f"projection_threads = {thread_count()}",
-            f"arm_workers = {arm_workers()}",
-            f"numpy = {np.__version__}",
-            f"scipy = {scipy_version()}",
+            *host.header(),
             "",
             "[config]",
             self.config_echo.rstrip("\n"),
@@ -258,16 +253,6 @@ def read_embedding_csv(path):
 # ---------------------------------------------------------------------------
 # Experiment runner
 # ---------------------------------------------------------------------------
-
-def arm_workers() -> int:
-    """Arms run at once: the projection's CPU rule, 2 when this process
-    may run on two or more CPUs, else 1. It is 1 wherever a fork is not safe:
-    off Linux, and while another thread of this process runs, which could
-    hold a lock that the child would then wait on forever."""
-    forkable = (sys.platform == "linux" and hasattr(os, "fork")
-                and threading.active_count() == 1)
-    return thread_count() if forkable else 1
-
 
 @dataclass
 class RunState:

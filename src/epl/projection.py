@@ -50,15 +50,16 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
 from queue import SimpleQueue
 
 import numpy as np
 
-from .dataset import (EplError, cdist_sqeuclidean, check_at_least, check_finite, check_matrix,
-                      check_non_negative, check_positive)
+from . import host
+from .dataset import (EplError, check_at_least, check_finite, check_matrix, check_non_negative,
+                      check_positive)
+from .host import cdist_sqeuclidean
 
 _Q_EPS = 1e-12
 _INIT_SIGMA = 1e-4
@@ -268,18 +269,8 @@ def _sum_halves(size: int) -> tuple[slice, slice]:
     return slice(0, cut), slice(cut, size)
 
 
-def thread_count() -> int:
-    """Threads a projection of more than _BLOCK_ROWS points splits each step
-    between: 2 when this process may run on two or more CPUs, else 1."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return 2 if cpus >= 2 else 1
-
-
 def _side_count(n: int) -> int:
-    return thread_count() if n > _BLOCK_ROWS else 1
+    return host.cpu_count() if n > _BLOCK_ROWS else 1
 
 
 def _student_t_weights(coords: np.ndarray, out: np.ndarray, split):

@@ -17,6 +17,7 @@ import os
 import pickle
 import signal
 
+from . import host
 from .pipeline import PipelineError
 
 # RunState caches a child's arm may add to and this process takes back.
@@ -124,16 +125,18 @@ class _Forked:
 
 def run_wave(state, arms) -> list:
     """The rows of ``arms``, (stage, run) pairs run at once: the first here,
-    each other one in a forked child, merged in arm order. Every child is
-    reaped before this returns or raises."""
+    each other one in a forked child, merged in arm order, each on one BLAS
+    thread when there are two or more. Every child is reaped before this
+    returns or raises."""
     children = []
-    try:
-        for stage, run in arms[1:]:
-            children.append(_Forked(state, stage, run))
-        rows = _rows(state, *arms[0])
-        for child in children:
-            rows += child.rows()
-        return rows
-    finally:
-        for child in children:
-            child.close()
+    with host.wave_blas_threads(len(arms)):
+        try:
+            for stage, run in arms[1:]:
+                children.append(_Forked(state, stage, run))
+            rows = _rows(state, *arms[0])
+            for child in children:
+                rows += child.rows()
+            return rows
+        finally:
+            for child in children:
+                child.close()

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -252,3 +253,36 @@ class TestStratifiedSplit:
         save_split(split, path)
         assert path.read_text().startswith("# seed=3 s_frac=0.25 u_frac=0.5 t_frac=0.25\n")
         assert load_split(path).fractions == (0.25, 0.5, 0.25)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64), s_frac=st.floats(0.05, 0.45), t_frac=st.floats(0.05, 0.45))
+    def test_every_saved_split_loads(self, tmp_path_factory, seed, s_frac, t_frac):
+        ds = random_dataset(np.random.default_rng(3), n_classes=3, per_class=30)
+        split = stratified_split(ds, s_frac, 1.0 - s_frac - t_frac, t_frac, seed=seed)
+        path = tmp_path_factory.mktemp("split") / "split.csv"
+        save_split(split, path)
+        back = load_split(path)
+        assert (back.seed, back.fractions) == (split.seed, split.fractions)
+        assert np.array_equal(back.roles, split.roles)
+
+    @pytest.mark.parametrize("head, named", [
+        ("# junk=1", "no seed"),
+        ("# seed=-5 s_frac=nan u_frac=-1 t_frac=inf", "seed must be at least 0, got -5"),
+        ("# seed=1.5 s_frac=0.2 u_frac=0.5 t_frac=0.3", "seed='1.5'"),
+        ("# seed=5 u_frac=0.5 t_frac=0.5", "no s_frac"),
+        ("# seed=5 s_frac=nan u_frac=0.5 t_frac=0.5",
+         "s_frac must be positive and finite, got nan"),
+        ("# seed=5 s_frac=0.2 u_frac=-1 t_frac=inf",
+         "u_frac must be positive and finite, got -1"),
+        ("# seed=5 s_frac=0.2 u_frac=0.5 t_frac=inf",
+         "t_frac must be positive and finite, got inf"),
+        ("# seed=5 s_frac=0.2 u_frac=x t_frac=0.3", "u_frac='x'"),
+        ("# seed=5 s_frac=0.2 u_frac=0.5", "no t_frac"),
+        ("# seed=5 s_frac=0.2 u_frac=0.5 t_frac=0.4", "fractions must sum to 1"),
+    ])
+    def test_split_header_it_cannot_read_is_a_split_error_naming_the_value(self, tmp_path,
+                                                                           head, named):
+        path = tmp_path / "split.csv"
+        path.write_text(f"{head}\nindex,role\n0,S\n1,U\n2,T\n")
+        with pytest.raises(SplitError, match=re.escape(named)):
+            load_split(path)

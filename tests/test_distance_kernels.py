@@ -1,6 +1,6 @@
 """epl's bound distance kernels against scipy's public ``cdist``.
 
-``epl.dataset`` loads scipy's compiled ``_distance_pybind`` extension
+``epl.host`` loads scipy's compiled ``_distance_pybind`` extension
 without importing ``scipy.spatial`` and binds its Euclidean and squared
 Euclidean ``cdist`` kernels. ``scipy.spatial.distance.cdist`` calls the
 same kernels after ``np.asarray``, so the two must agree bit for bit, with
@@ -23,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import epl
-from epl import dataset
-from epl.dataset import EplError, cdist_euclidean, cdist_sqeuclidean, distances
+from epl import host
+from epl.dataset import EplError, distances
+from epl.host import cdist_euclidean, cdist_sqeuclidean
 
 KERNELS = {"euclidean": cdist_euclidean, "sqeuclidean": cdist_sqeuclidean}
 # 1e160 squared overflows float64; 1e-170 squared underflows to zero.
@@ -149,8 +150,8 @@ def test_scipy_spatial_imported_later_reuses_epls_module():
         "theirs = scipy.spatial._distance_pybind\n"
         "print(json.dumps({'before': before,\n"
         "                  'same': theirs is scipy.spatial.distance._distance_pybind,\n"
-        "                  'bound': (epl.dataset.cdist_euclidean is theirs.cdist_euclidean and\n"
-        "                            epl.dataset.cdist_sqeuclidean is theirs.cdist_sqeuclidean)}))\n")
+        "                  'bound': (epl.host.cdist_euclidean is theirs.cdist_euclidean and\n"
+        "                            epl.host.cdist_sqeuclidean is theirs.cdist_sqeuclidean)}))\n")
     assert facts == {"before": [], "same": True, "bound": True}
 
 
@@ -164,7 +165,7 @@ def test_a_missing_extension_names_scipys_version(monkeypatch):
     version = importlib.metadata.version("scipy")
     with pytest.raises(ImportError, match=rf"scipy {re.escape(version)} has no compiled "
                                           r"module scipy\.spatial\._distance_pybind"):
-        dataset._distance_kernels()
+        host._distance_kernels()
 
 
 def test_a_missing_kernel_is_named(monkeypatch):
@@ -188,4 +189,4 @@ def test_a_missing_kernel_is_named(monkeypatch):
     version = importlib.metadata.version("scipy")
     with pytest.raises(ImportError, match=rf"scipy {re.escape(version)} has no "
                                           r"scipy\.spatial\._distance_pybind\.cdist_sqeuclidean"):
-        dataset._distance_kernels()
+        host._distance_kernels()

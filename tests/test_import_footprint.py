@@ -3,9 +3,9 @@
 ``scipy.spatial`` pulls in scipy.sparse (and through it numpy.f2py),
 scipy.special and scipy.linalg: about 400 modules and 38 MB on top of
 numpy, for one function. epl binds scipy's compiled distance kernels
-directly (``epl.dataset``) and ranks with numpy, so a whole experiment and
-its report run without any of them. An ``ast`` scan keeps scipy to that
-one module.
+directly (``epl.host``) and ranks with numpy, so a whole experiment and
+its report run without any of them. An ``ast`` scan keeps scipy, the CPU
+and thread counts and the OpenBLAS binding to that one module.
 """
 
 import ast
@@ -39,7 +39,7 @@ write_report(rows, out / "report")
 rho = spearman([1, 2, 2, 3], [3, 1, 2, 2])
 print(json.dumps({"code": code, "rows": len(rows), "rho": rho,
                   "report": sorted(p.name for p in (out / "report").iterdir()),
-                  "kernels": epl.dataset.cdist_sqeuclidean.__module__,
+                  "kernels": epl.host.cdist_sqeuclidean.__module__,
                   "modules": sorted(m for m in sys.modules
                                     if m.split(".")[0] in ("scipy", "numpy"))}))
 """
@@ -60,9 +60,9 @@ def test_an_experiment_and_its_report_import_no_heavy_scipy_module(tmp_path):
     assert not [m for m in facts["modules"] if m.split(".")[0] == "scipy"], facts["modules"]
 
 
-def _scipy_names(path: Path) -> list[str]:
-    """Where the module names scipy, as file:line: an import, a name or
-    attribute, or a string that is a scipy module path."""
+def _names(path: Path, named) -> list[str]:
+    """Where the module names something ``named`` accepts, as file:line: an
+    import, a name, an attribute (also as ``name.attribute``), or a string."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -72,22 +72,33 @@ def _scipy_names(path: Path) -> list[str]:
         elif isinstance(node, ast.Name):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            names = [node.attr, f"{getattr(node.value, 'id', '')}.{node.attr}"]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names = [node.value]
         else:
             continue
-        if any(name.split(".")[0] == "scipy" for name in names):
+        if any(map(named, names)):
             found.append(f"{path.name}:{node.lineno}")
     return found
 
 
-def test_only_the_rule_book_names_scipy():
-    # epl.dataset binds the distance kernels and reads scipy's version;
-    # every other module reaches scipy through it.
+def _only_host_names(named):
     modules = sorted(Path(epl.__file__).parent.glob("*.py"))
-    assert "dataset.py" in [path.name for path in modules]
-    assert _scipy_names(Path(epl.__file__).parent / "dataset.py")
-    found = [site for path in modules if path.name != "dataset.py"
-             for site in _scipy_names(path)]
+    assert "host.py" in [path.name for path in modules]
+    assert _names(Path(epl.__file__).parent / "host.py", named)
+    found = [site for path in modules if path.name != "host.py"
+             for site in _names(path, named)]
     assert not found, found
+
+
+def test_only_the_rule_book_names_scipy():
+    # epl.host binds the distance kernels and reads scipy's version; every
+    # other module reaches scipy through it.
+    _only_host_names(lambda name: name.split(".")[0] == "scipy")
+
+
+def test_only_the_host_module_counts_cpus_threads_and_loads_a_library():
+    # The CPUs of the affinity mask or the machine, the threads a fork must
+    # not outlive, and OpenBLAS's binding are read in epl.host alone.
+    _only_host_names(lambda name: name in ("os.sched_getaffinity", "os.cpu_count",
+                                           "threading.active_count", "ctypes"))

@@ -13,6 +13,7 @@ import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
+import epl.host
 import epl.pipeline as pipeline
 from epl.config import VALID_MODES, ExperimentConfig
 from epl.contrastive import TrainConfig
@@ -274,7 +275,7 @@ def force_workers(monkeypatch, size):
     """Set the wave size through the CPU rule that `arm_workers` reads."""
     if size > 1 and not (sys.platform == "linux" and hasattr(os, "fork")):
         pytest.skip("arms run in forked children only on Linux")
-    monkeypatch.setattr(pipeline, "thread_count", lambda: size)
+    monkeypatch.setattr(epl.host, "cpu_count", lambda: size)
     return size
 
 
@@ -583,7 +584,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_header_names_the_projection_threads(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setattr(pipeline, "thread_count", lambda: threads)
+        monkeypatch.setattr(epl.host, "cpu_count", lambda: threads)
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
         assert f"projection_threads = {threads}" in lines[:lines.index("[config]")]
 
