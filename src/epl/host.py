@@ -12,7 +12,6 @@ import importlib.util
 import os
 import sys
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -92,21 +91,24 @@ cdist_euclidean, cdist_sqeuclidean = _distance_kernels()
 
 def _openblas():
     """The OpenBLAS that numpy's wheels bundle in ``numpy.libs``, bound
-    through ctypes (the library numpy loaded, not a second copy), or None
-    for a numpy built against another BLAS or without these symbols."""
+    through ctypes, or None for a numpy built against another BLAS or
+    without these symbols. ``RTLD_NOLOAD`` binds only a library this
+    process has already loaded: numpy's copy, never a second one."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        name = min(name for name in os.listdir(libs) if name.startswith("libscipy_openblas64_"))
-        lib = ctypes.CDLL(os.path.join(libs, name))
-        get, put, core = (lib.scipy_openblas_get_num_threads64_,
-                          lib.scipy_openblas_set_num_threads64_,
-                          lib.scipy_openblas_get_corename64_)
-    except (OSError, ValueError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    core.argtypes, core.restype = [], ctypes.c_char_p
-    return lib
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (name for name in names if name.startswith("libscipy_openblas64_")):
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD)
+            get, put, core = (lib.scipy_openblas_get_num_threads64_,
+                              lib.scipy_openblas_set_num_threads64_,
+                              lib.scipy_openblas_get_corename64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        core.argtypes, core.restype = [], ctypes.c_char_p
+        return lib
+    return None
 
 
 _BLAS = _openblas()
@@ -117,20 +119,10 @@ def blas_threads() -> int | None:
     return None if _BLAS is None else _BLAS.scipy_openblas_get_num_threads64_()
 
 
-@contextmanager
-def wave_blas_threads(size: int):
-    """Within the block, numpy's OpenBLAS runs one thread when ``size`` arms
-    share this host's CPUs, so a wave's processes start no more BLAS threads
-    than there are CPUs. A forked child inherits the setting; this process
-    gets its own count back when the block ends."""
-    count = blas_threads()
-    if size < 2 or count is None:
-        yield
-        return
-    _BLAS.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
+def set_blas_threads(count: int | None) -> None:
+    """Run numpy's OpenBLAS on ``count`` threads. Without the binding, or
+    for a count of None, nothing changes."""
+    if _BLAS is not None and count is not None:
         _BLAS.scipy_openblas_set_num_threads64_(count)
 
 

@@ -125,18 +125,24 @@ class _Forked:
 
 def run_wave(state, arms) -> list:
     """The rows of ``arms``, (stage, run) pairs run at once: the first here,
-    each other one in a forked child, merged in arm order, each on one BLAS
-    thread when there are two or more. Every child is reaped before this
-    returns or raises."""
-    children = []
-    with host.wave_blas_threads(len(arms)):
-        try:
-            for stage, run in arms[1:]:
-                children.append(_Forked(state, stage, run))
-            rows = _rows(state, *arms[0])
-            for child in children:
-                rows += child.rows()
-            return rows
-        finally:
-            for child in children:
-                child.close()
+    each other one in a forked child, merged in arm order. In a wave of two
+    or more, each process runs numpy's OpenBLAS on one thread, so the wave
+    starts no more BLAS threads than there are CPUs; this process gets its
+    own count back when no child could be forked and when the wave ends.
+    Every child is reaped before this returns or raises."""
+    children, count = [], host.blas_threads()
+    try:
+        if len(arms) > 1:
+            host.set_blas_threads(1)  # before the forks, so each child inherits it
+        for stage, run in arms[1:]:
+            children.append(_Forked(state, stage, run))
+        if not any(child.pid for child in children):  # the arms run here in turn
+            host.set_blas_threads(count)
+        rows = _rows(state, *arms[0])
+        for child in children:
+            rows += child.rows()
+        return rows
+    finally:
+        host.set_blas_threads(count)
+        for child in children:
+            child.close()

@@ -64,15 +64,33 @@ def test_header_names_the_blas_core_and_numpys_simd_targets(tmp_path):
     assert "numpy_simd = X86_V3" in facts["header"]
 
 
+# The libraries mapped into a fresh process once numpy is imported, and
+# the file epl's OpenBLAS binding names after that.
+BOUND = """
+import json, os
+import numpy
+mapped = set(open("/proc/self/maps").read().split())
+from epl import host
+print(json.dumps({"mapped": sorted(mapped), "bound": host._BLAS and host._BLAS._name}))
+"""
+
+
+@pytest.mark.skipif(host.blas_threads() is None or not os.path.exists("/proc/self/maps"),
+                    reason="needs the binding and a process map")
+def test_the_binding_is_the_openblas_numpy_loaded(tmp_path):
+    facts = _fresh(BOUND, tmp_path)
+    assert os.path.realpath(facts["bound"]) in facts["mapped"]
+
+
 @pytest.fixture
 def two_blas_threads():
     """This process's OpenBLAS on two threads, its own count restored after."""
     count = host.blas_threads()
     if count is None:
         pytest.skip("numpy's OpenBLAS is not bound here")
-    host._BLAS.scipy_openblas_set_num_threads64_(2)
+    host.set_blas_threads(2)
     yield
-    host._BLAS.scipy_openblas_set_num_threads64_(count)
+    host.set_blas_threads(count)
 
 
 def _no_child_left():
@@ -97,6 +115,19 @@ def test_each_member_of_a_wave_runs_one_blas_thread(two_blas_threads):
                                  ("r0.supcon.c1", lambda: [host.blas_threads()])])
     assert host.blas_threads() == 2
     _no_child_left()
+
+
+@needs_fork
+def test_a_wave_that_cannot_fork_runs_on_this_processs_count(two_blas_threads, monkeypatch):
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows = workers.run_wave(RunState(None, None, None, None),
+                            [(stage, lambda: [host.blas_threads()])
+                             for stage in ("r0.simclr.c1", "r0.supcon.c1")])
+    assert rows == [2, 2]
+    assert host.blas_threads() == 2
 
 
 @needs_fork
