@@ -1,8 +1,9 @@
 """What this host gives a run, decided in one place: how many CPUs a
-projection splits its passes between, whether a family's arms may run in
-forked children, scipy's compiled distance kernels, and the threads of
-numpy's bundled OpenBLAS. ``header()`` names each decision and the
-libraries whose kernels make the bytes in a run manifest."""
+projection splits its passes between, whether a projection's helper and a
+family's arms may run in forked children, the one way epl forks such a
+child, scipy's compiled distance kernels, and the threads of numpy's
+bundled OpenBLAS. ``header()`` names each decision and the libraries
+whose kernels make the bytes in a run manifest."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import ctypes
 import importlib.machinery
 import importlib.util
 import os
+import pickle
+import signal
 import sys
 import threading
 
@@ -17,8 +20,8 @@ import numpy as np
 
 
 def cpu_count() -> int:
-    """Threads a projection of more than 64 points splits each step
-    between: 2 when this process may run on two or more CPUs, else 1."""
+    """CPUs this process may use, capped at 2: 2 when its affinity mask
+    holds two or more, else 1."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -27,13 +30,76 @@ def cpu_count() -> int:
 
 
 def arm_workers() -> int:
-    """Arms run at once: the projection's CPU rule, 2 when this process
-    may run on two or more CPUs, else 1. It is 1 wherever a fork is not safe:
-    off Linux, and while another thread of this process runs, which could
-    hold a lock that the child would then wait on forever."""
+    """Processes that share the work at once: arms of a family, or the two
+    row halves of a projection of more than 64 points. It is ``cpu_count()``
+    where a fork is safe, else 1: off Linux, and while another thread of
+    this process runs, which could hold a lock that the child would then
+    wait on forever."""
     forkable = (sys.platform == "linux" and hasattr(os, "fork")
                 and threading.active_count() == 1)
     return cpu_count() if forkable else 1
+
+
+def fork(main):
+    """A child process that runs ``main(jobs, answers)`` and exits: with
+    code 0 when main returns or its parent has gone (a broken pipe), else 1.
+    It never returns into the caller's frames. ``jobs`` reads what this
+    process writes to the returned ``jobs``, unbuffered on both sides, and
+    ``answers`` writes what this process reads from the returned
+    ``answers``. Returns (pid, jobs, answers), or None where no pipe or no
+    process can be had."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    jobs_in, jobs_out, answers_in, answers_out = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(jobs_out)
+            os.close(answers_in)
+            with os.fdopen(jobs_in, "rb", buffering=0) as jobs, \
+                    os.fdopen(answers_out, "wb") as answers:
+                main(jobs, answers)
+            code = 0
+        except BrokenPipeError:  # no one is left to answer
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(jobs_in)
+    os.close(answers_out)
+    return pid, os.fdopen(jobs_out, "wb", buffering=0), os.fdopen(answers_in, "rb")
+
+
+def reap(pid: int, kill: bool = False) -> str | None:
+    """Wait for the child ``pid`` to end, after a SIGKILL if ``kill``: None
+    when it exited with code 0, else how it ended, as "exit code 3" or
+    "signal 9"."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return None if code == 0 else f"exit code {code}" if code > 0 else f"signal {-code}"
+
+
+def pickled(value, fallback) -> bytes:
+    """``value`` pickled, or ``fallback(exc)`` pickled when ``value`` cannot be."""
+    try:
+        return pickle.dumps(value)
+    except Exception as exc:
+        return pickle.dumps(fallback(exc))
+
+
+def unpickled(payload: bytes, fallback):
+    """The value ``payload`` holds, or ``fallback(exc)`` when it cannot be read."""
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        return fallback(exc)
 
 
 _KERNEL_MODULE = "scipy.spatial._distance_pybind"
@@ -128,11 +194,12 @@ def set_blas_threads(count: int | None) -> None:
 
 def header() -> list[str]:
     """A run manifest's host lines: the decisions above, then the libraries
-    and kernels the bytes may depend on."""
+    and kernels the bytes may depend on. ``projection_sides`` is what
+    ``epl.projection`` splits a projection of more than 64 points between."""
     threads, core = ("(no OpenBLAS binding)",) * 2 if _BLAS is None else (
         blas_threads(), _BLAS.scipy_openblas_get_corename64_().decode())
     simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    return [f"projection_threads = {cpu_count()}",
+    return [f"projection_sides = {arm_workers()}",
             f"arm_workers = {arm_workers()}",
             f"blas_threads = {threads}",
             f"numpy = {np.__version__}",

@@ -29,30 +29,28 @@ row block at a time. The gradient computes the same float operations as
 the full-matrix form, so its bytes do not depend on the workspace or the
 blocking; the KL's bytes depend on the block order and nothing else.
 
-Each kernel build, weight sum, gradient pass and KL pass is split into
-two row halves, cut at the first multiple of _BLOCK_ROWS from n / 2 on.
-Used as a context manager (`tsne_project` does), a workspace queues the
-second half of each pass as a job for one helper thread, runs the first
-itself and then waits for the helper's answer, when the process may use
-two or more CPUs and n > _BLOCK_ROWS; otherwise, and in a standalone
-`kl_gradient` or `kl_divergence` call, the caller runs both halves in turn.
-Every element is computed by the same float operations either way, so
-only the one full reduction could depend on the split: the weight sum S.
-It is always taken as the sums of its two parts, cut where numpy's
-pairwise sum splits a contiguous array of more than 128 items, so it
-equals `w.sum()` bit for bit on one thread or two. `w @ Y` stays one BLAS
-call on the caller's thread, and the KL adds its per-block sums in block
-order. The bytes therefore do not depend on the thread count.
+Each kernel build, weight sum, gradient pass and KL pass, and the
+perplexity bisection, is split into two row halves, cut at the first
+multiple of _BLOCK_ROWS from n / 2 on. Inside a `with`, a workspace runs
+the second half in a forked helper process over buffers mapped MAP_SHARED,
+P's included (see `Workspace.split`), when `_side_count(n)` is 2;
+otherwise, and in a standalone `kl_gradient` or `kl_divergence` call, the
+caller runs both halves in turn. Every element is computed by the same
+float operations either way, so only the one full reduction could depend
+on the split: the weight sum S. It is always taken as the sums of its two
+parts, cut where numpy's pairwise sum splits a contiguous array of more
+than 128 items, so it equals `w.sum()` bit for bit on one side or two.
+`w @ Y` stays one BLAS call in the caller, the KL adds its per-block sums
+in block order, and each bisected row runs the same `_bisect_row`. The
+bytes therefore do not depend on the side count.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import threading
+import mmap
 from dataclasses import dataclass
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -147,7 +145,7 @@ def _entropy_and_probs(shifted: np.ndarray, beta: float):
 
 
 def conditional_affinities(features, perplexity: float,
-                           tol: float = ProjectionConfig.entropy_tolerance):
+                           tol: float = ProjectionConfig.entropy_tolerance, work=None):
     """Per-row Gaussian conditionals matching the target perplexity.
 
     Returns (conditional matrix with zero diagonal, precision per row).
@@ -156,8 +154,10 @@ def conditional_affinities(features, perplexity: float,
     features, squared distances beyond float64, and squared distances too
     large for the bisection's precisions to scale raise ProjectionError
     before any row is bisected. The squared distances are computed into
-    the returned matrix, and each row's conditional overwrites its
-    distances: no second n x n array.
+    the returned matrix, mapped MAP_SHARED, and each row's conditional
+    overwrites its distances: no second n x n array. `work`, an optional
+    Workspace for n points, is lent the matrix (`Workspace.share`) and
+    splits the bisection's rows.
     """
     X = check_matrix(features, ProjectionError)
     n = X.shape[0]
@@ -167,7 +167,11 @@ def conditional_affinities(features, perplexity: float,
     if not perplexity <= n - 1:
         raise ProjectionError(
             f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
-    cond = cdist_sqeuclidean(X, X)
+    cond = _shared(n * n)
+    if cond is None:
+        raise MemoryError(f"cannot map {n} x {n} float64")
+    cond = cond.reshape(n, n)
+    cdist_sqeuclidean(X, X, out=cond)
     # Finite features give no NaN distance, so an overflow shows as an inf maximum.
     top = check_finite(cond.max(), ProjectionError,
                        "float64 overflow: a squared distance between features")
@@ -175,8 +179,22 @@ def conditional_affinities(features, perplexity: float,
         raise ProjectionError(
             f"squared-distance range 0..{top:.3g} is too wide for the perplexity "
             f"bisection: precisions up to 2**{_BISECT_STEPS} would overflow float64")
-    betas = np.ones(n)
-    for i in range(n):
+    if work is None:
+        betas = np.ones(n)
+        _bisect_rows(cond, betas, slice(0, n), perplexity, tol)
+        return cond, betas
+    work.share(cond)
+    work.betas.fill(1.0)
+    work.scalars[2:] = perplexity, tol
+    work.split(_bisection_half, cond)
+    return cond, work.betas.copy()
+
+
+def _bisect_rows(cond: np.ndarray, betas: np.ndarray, rows: slice, perplexity, tol) -> None:
+    """Replace each row of `cond` in `rows`, its squared distances, by its
+    conditional, and write its precision into `betas`."""
+    n = cond.shape[0]
+    for i in range(rows.start, rows.stop):
         row = np.delete(cond[i], i)
         # All-equal distances (to float resolution) admit no bisection
         # solution: the conditional is uniform for every precision.
@@ -187,7 +205,6 @@ def conditional_affinities(features, perplexity: float,
         cond[i, :i] = p[:i]
         cond[i, i] = 0.0
         cond[i, i + 1:] = p[i:]
-    return cond, betas
 
 
 def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int):
@@ -224,14 +241,15 @@ def _bisect_row(row: np.ndarray, perplexity: float, tol: float, i: int):
 
 
 def pairwise_affinities(features, perplexity: float,
-                        tol: float = ProjectionConfig.entropy_tolerance) -> np.ndarray:
+                        tol: float = ProjectionConfig.entropy_tolerance, work=None) -> np.ndarray:
     """Symmetrized joint affinities (C + C^T) / (2 n), built in C's own buffer.
 
     Each pair of _BLOCK_ROWS-square blocks is summed, scaled and written
     back to both places; c_ij + c_ji = c_ji + c_ij in floating point, so the
-    result equals the out-of-place form bit for bit.
+    result equals the out-of-place form bit for bit. With `work`, the
+    result is the workspace's shared P (`conditional_affinities`).
     """
-    P, _ = conditional_affinities(features, perplexity, tol)
+    P, _ = conditional_affinities(features, perplexity, tol, work)
     n = P.shape[0]
     scale = 2.0 * n
     for a in range(0, n, _BLOCK_ROWS):
@@ -256,8 +274,8 @@ def _row_blocks(rows: slice):
 def _halves(n: int) -> tuple[slice, slice]:
     """The two row halves of an n x n pass, cut at the first multiple of
     _BLOCK_ROWS from n / 2 on; the second is empty when n <= _BLOCK_ROWS.
-    The first half is the larger: the caller's thread runs it and starts
-    while the helper is still waking up."""
+    The first half is the larger: the caller runs it and starts while the
+    helper is still waking up."""
     cut = min(n, _BLOCK_ROWS * -(-n // (2 * _BLOCK_ROWS)))
     return slice(0, cut), slice(cut, n)
 
@@ -270,117 +288,239 @@ def _sum_halves(size: int) -> tuple[slice, slice]:
 
 
 def _side_count(n: int) -> int:
-    return host.cpu_count() if n > _BLOCK_ROWS else 1
+    """Sides a workspace of n points splits its passes between: the
+    processes the host may share work between (`host.arm_workers`), or 1
+    for n <= _BLOCK_ROWS, where the second half is empty."""
+    return host.arm_workers() if n > _BLOCK_ROWS else 1
 
 
-def _student_t_weights(coords: np.ndarray, out: np.ndarray, split):
-    """1 / (1 + squared distance) with a zero diagonal, written into `out`
-    one row half per side of `split`; returns their sum, which equals
-    `out.sum()` bit for bit. The sum reads every row, so it is a second
-    split, over numpy's two pairwise parts."""
-    n = out.shape[0]
-    flat = out.reshape(-1)
-    parts = [0.0, 0.0]
+def _shared(size: int) -> np.ndarray | None:
+    """`size` zeroed float64 items over anonymous MAP_SHARED memory, whose
+    pages a process forked after the map shares; None when the map fails,
+    as it does for want of memory or address space."""
+    try:
+        return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    except (OSError, MemoryError):
+        return None
 
-    def weights(side):
-        rows = _halves(n)[side]
-        block = out[rows]
-        cdist_sqeuclidean(coords[rows], coords, out=block)
-        np.add(block, 1.0, out=block)
-        np.divide(1.0, block, out=block)
-        flat[rows.start * (n + 1):rows.stop * (n + 1):n + 1] = 0.0
 
-    def part_sum(side):
-        parts[side] = flat[_sum_halves(flat.size)[side]].sum()
+# The jobs a split runs, job(workspace, P, side), each on one row half.
+# Everything a job reads or writes but the private `scratch[side]` lies in
+# the workspace's shared buffers.
 
-    split(weights)
-    split(part_sum)
-    return parts[0] + parts[1]
+def _weights_half(ws, _P, side) -> None:
+    """The Student-t weights 1 / (1 + squared distance) of `coords`, with a
+    zero diagonal, into the half's rows of `w`."""
+    n = ws.n
+    rows = _halves(n)[side]
+    block = ws.w[rows]
+    cdist_sqeuclidean(ws.coords[rows], ws.coords, out=block)
+    np.add(block, 1.0, out=block)
+    np.divide(1.0, block, out=block)
+    ws.w.reshape(-1)[rows.start * (n + 1):rows.stop * (n + 1):n + 1] = 0.0
+
+
+def _weight_sum_part(ws, _P, side) -> None:
+    """The sum of one of numpy's two pairwise parts of `w` into `parts`."""
+    flat = ws.w.reshape(-1)
+    ws.parts[side] = flat[_sum_halves(flat.size)[side]].sum()
+
+
+def _gradient_half(ws, P, side) -> None:
+    """(alpha P - w / S) * w over the half's rows into `w`, and its row sums."""
+    total, exaggeration = ws.scalars[0], ws.scalars[1]
+    w = ws.w
+    for rows, k in _row_blocks(_halves(ws.n)[side]):
+        block = ws.scratch[side, 0, :k]
+        np.divide(w[rows], total, out=block)
+        p = P[rows]
+        if exaggeration != 1.0:
+            p = np.multiply(p, exaggeration, out=ws.scratch[side, 1, :k])
+        np.subtract(p, block, out=block)
+        np.multiply(block, w[rows], out=w[rows])
+        np.sum(w[rows], axis=1, out=ws.row_sums[rows])
+
+
+def _kl_half(ws, P, side) -> None:
+    """sum p log q over each block of the half's rows into `block_sums`."""
+    total = ws.scalars[0]
+    for rows, k in _row_blocks(_halves(ws.n)[side]):
+        log_q = ws.scratch[side, 0, :k]
+        np.divide(ws.w[rows], total, out=log_q)
+        np.maximum(log_q, _Q_EPS, out=log_q)
+        np.log(log_q, out=log_q)
+        np.multiply(P[rows], log_q, out=log_q)
+        ws.block_sums[rows.start // _BLOCK_ROWS] = log_q.sum()
+
+
+def _bisection_half(ws, P, side) -> None:
+    """The conditionals and precisions of the half's rows of P, the distances."""
+    _bisect_rows(P, ws.betas, _halves(ws.n)[side], float(ws.scalars[2]), float(ws.scalars[3]))
+
+
+_JOBS = (_weights_half, _weight_sum_part, _gradient_half, _kl_half, _bisection_half)
+_JOB_CODES = {job: bytes((code,)) for code, job in enumerate(_JOBS)}
+
+
+def _half_name(job, n: int) -> str:
+    return f"{job.__name__.strip('_')} on the helper, {n} points"
+
+
+def _run_jobs(ws, jobs, answers) -> None:
+    """The helper: run the second half of each job whose code comes on
+    `jobs`, and answer a zero byte, or a one, the length and the pickled
+    exception; return at EOF."""
+    while code := jobs.read(1):
+        job = _JOBS[code[0]]
+        try:
+            job(ws, ws.p, 1)
+            answer = b"\0"
+        except Exception as exc:
+            payload = host.pickled(exc, lambda error: ProjectionError(
+                f"{_half_name(job, ws.n)}: {type(exc).__name__}: {exc} "
+                f"(not sent back whole: {error})"))
+            answer = b"\1" + len(payload).to_bytes(8, "little") + payload
+        answers.write(answer)
+        answers.flush()
+
+
+def _student_t_weights(ws, Y: np.ndarray):
+    """Y's Student-t weights into `ws.w`, one row half per side; returns their
+    sum, which equals `ws.w.sum()` bit for bit. The sum reads every row, so
+    it is a second split, over numpy's two pairwise parts."""
+    ws.coords[:] = Y
+    ws.split(_weights_half)
+    ws.split(_weight_sum_part)
+    return ws.parts[0] + ws.parts[1]
 
 
 class Workspace:
-    """One n x n float64 buffer, a block scratch per row half, the state they
-    carry between calls, and, inside a `with`, a helper thread.
+    """The n x n weights `w` and the per-call buffers, mapped MAP_SHARED; a
+    block scratch per row half; the state they carry between calls; and,
+    inside a `with`, a helper process.
 
-    `w` and `total` hold the Student-t weights of the coordinates whose
+    `w` and `scalars[0]` hold the Student-t weights of the coordinates whose
     shape and bytes are `_kernel_of`, and their sum. A gradient overwrites
     `w` and clears `_kernel_of`, so the next call rebuilds the weights.
     `scratch[side]` holds two blocks of _BLOCK_ROWS rows for that row
     half. `_p_log_p` is sum p log p over the positive entries of the P
     array object `_p_log_p_of`, which was checked to be finite and
     non-negative; that array must not change in place while the workspace
-    is in use.
+    is in use. `p` is the shared P (`share`), or None. `nbytes` counts the
+    mapped buffers, which `tracemalloc` does not see.
 
-    Entering the workspace starts a helper thread when `_side_count(n)` is
-    2; each `split` queues its second half for the helper as one job and
-    takes the helper's answer after running the first half. Leaving the
-    workspace, also by an exception, stops and joins the helper. Outside a
-    `with` the caller runs both halves.
+    The helper is forked at the first split inside a `with` and computes
+    under the numpy error state of that split. It exits at EOF on its job
+    pipe: leaving the workspace, also by an exception, closes the pipe and
+    reaps it, and a killed caller's pipe closes with it.
     """
 
     def __init__(self, n: int):
-        self.w = np.empty((n, n))
+        # w, coordinates, row sums, the weight sum's two parts, the KL's block
+        # sums, the bisection's precisions, and (S, alpha, perplexity, tol).
+        sizes = (n * n, 2 * n, n, 2, -(-n // _BLOCK_ROWS), n, 4)
+        buffer = _shared(sum(sizes))
+        if buffer is None:
+            raise MemoryError(f"cannot map {n} x {n} float64")
+        (w, coords, self.row_sums, self.parts, self.block_sums, self.betas,
+         self.scalars) = np.split(buffer, np.cumsum(sizes)[:-1])
+        self.n, self.w, self.coords, self._buffer = n, w.reshape(n, n), coords.reshape(n, 2), buffer
         self.scratch = np.empty((2, 2, min(n, _BLOCK_ROWS), n))
-        self.total = 0.0
+        self.p = None
         self._kernel_of = None
         self._p_log_p_of = None
         self._p_log_p = 0.0
+        self._may_fork = False
         self._helper = None
 
+    @property
+    def nbytes(self) -> int:
+        return self._buffer.nbytes + (0 if self.p is None else self.p.nbytes)
+
     def __enter__(self) -> Workspace:
-        if _side_count(self.w.shape[0]) > 1:
-            # Two one-way queues: the helper gets jobs and a None to stop; the
-            # caller gets None or the exception of each job.
-            self._jobs, self._answers = SimpleQueue(), SimpleQueue()
-            self._helper = threading.Thread(target=self._serve, daemon=True,
-                                            name="epl-projection-half")
-            self._helper.start()
+        self._may_fork = True
         return self
 
     def __exit__(self, *exc_info) -> None:
+        self._may_fork = False
+        self._stop()
+
+    def share(self, P: np.ndarray) -> None:
+        """Make P, an n x n array over a `_shared` map, the workspace's `p`,
+        the P whose passes the helper may run. A helper forked before the
+        map cannot see it: it is stopped, and the next split forks another."""
         if self._helper is not None:
-            self._jobs.put(None)
-            self._helper.join()
-            self._helper = None
+            self._stop()
+            self._may_fork = True
+        self.p = P
 
-    def _serve(self) -> None:
-        """The helper: run each job and answer None or its exception, until it gets None."""
-        while (job := self._jobs.get()) is not None:
-            answer = None
-            try:
-                job()
-            except BaseException as exc:  # handed to the caller's `split`, which re-raises it
-                answer = exc
-            self._answers.put(answer)
-
-    def split(self, half) -> None:
-        """Run half(0) on the first row half and half(1) on the second, the
-        latter on the helper, in this thread's context (its numpy error
-        state), when there is one. An exception on either side is re-raised
-        here as itself, the caller's first; the helper's half has ended by
-        then, and the helper serves the next split."""
+    def _stop(self) -> str | None:
+        """Close the helper's pipes and reap it: how it ended (`host.reap`)."""
         if self._helper is None:
-            half(0)
-            half(1)
+            return None
+        pid, jobs, answers = self._helper
+        self._helper = None
+        jobs.close()
+        answers.close()
+        return host.reap(pid)
+
+    def split(self, job, P=None) -> None:
+        """Run job(self, P, 0) on the first row half here and job(self, P, 1)
+        on the second: on the helper when there is one and P is None or `p`,
+        else here after the first. The first split inside a `with` forks the
+        helper when `_side_count(n)` is 2; where the fork fails, the caller
+        runs both halves. The helper gets the job's one-byte code and
+        answers a zero byte, or a one and its pickled exception. An
+        exception on either side is raised here, the caller's first; a
+        helper's comes back with its type and message, or as a
+        ProjectionError naming the half when it cannot be pickled. The
+        helper has ended its half by then and serves the next split."""
+        if self._may_fork:
+            self._may_fork = False
+            if _side_count(self.n) > 1:
+                self._helper = host.fork(functools.partial(_run_jobs, self))
+        if self._helper is None or not (P is None or P is self.p):
+            job(self, P, 0)
+            job(self, P, 1)
             return
-        self._jobs.put(functools.partial(contextvars.copy_context().run, half, 1))
         try:
-            half(0)
+            self._helper[1].write(_JOB_CODES[job])
+        except BrokenPipeError:  # the helper has ended: `_answer` reads EOF and says how
+            pass
+        try:
+            job(self, P, 0)
         finally:
-            answer = self._answers.get()
+            answer = self._answer(job)
         if answer is not None:
             raise answer
 
+    def _answer(self, job) -> BaseException | None:
+        """The helper's answer to `job`: None, or the exception to raise."""
+        answers = self._helper[2]
+        status = answers.read(1)
+        if status == b"\0":
+            return None
+        if status == b"\1":
+            payload = answers.read(int.from_bytes(answers.read(8), "little"))
+            return host.unpickled(payload, lambda exc: ProjectionError(
+                f"{_half_name(job, self.n)}: its exception could not be read: "
+                f"{type(exc).__name__}: {exc}"))
+        how = self._stop() or "exit code 0"
+        return ProjectionError(f"{_half_name(job, self.n)}: the helper process ended "
+                               f"with {how} before answering")
+
     def kernel(self, Y: np.ndarray) -> None:
-        """Make `w` and `total` hold Y's weights, building them only if they hold another Y's."""
+        """Make `w` and `scalars[0]` hold Y's weights and their sum S, building
+        them only if they hold another Y's."""
         key = (Y.shape, Y.tobytes())
         if key != self._kernel_of:
             self._kernel_of = None
-            self.total = _student_t_weights(Y, self.w, self.split)
+            total = _student_t_weights(self, Y)
             # Q = w / total: with every squared distance overflowed, no weight is left.
-            if not self.total > 0:
+            if not total > 0:
                 raise ProjectionError("float64 overflow: no squared distance between "
                                       "coordinates is finite")
+            self.scalars[0] = total
             self._kernel_of = key
 
     def p_log_p(self, P: np.ndarray) -> float:
@@ -428,22 +568,10 @@ def kl_divergence(P, coords, work=None) -> float:
     builds stays in it.
     """
     P, Y, ws = _kernel_args(P, coords, work)
-    n = Y.shape[0]
-    block_sums = np.empty(-(-n // _BLOCK_ROWS))
     ws.kernel(Y)
-
-    def half(side):
-        for rows, k in _row_blocks(_halves(n)[side]):
-            log_q = ws.scratch[side, 0, :k]
-            np.divide(ws.w[rows], ws.total, out=log_q)
-            np.maximum(log_q, _Q_EPS, out=log_q)
-            np.log(log_q, out=log_q)
-            np.multiply(P[rows], log_q, out=log_q)
-            block_sums[rows.start // _BLOCK_ROWS] = log_q.sum()
-
-    ws.split(half)
+    ws.split(_kl_half, P)
     cross = 0.0
-    for block_sum in block_sums.tolist():
+    for block_sum in ws.block_sums.tolist():
         cross += block_sum
     return ws.p_log_p(P) - cross
 
@@ -457,25 +585,16 @@ def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
     gradient overwrites its kernel.
     """
     P, Y, ws = _kernel_args(P, coords, work)
-    n = Y.shape[0]
-    row_sums = np.empty(n)
     ws.kernel(Y)
     ws._kernel_of = None
-    w, total = ws.w, ws.total
+    ws.scalars[1] = exaggeration
+    ws.split(_gradient_half, P)
+    return 4.0 * (ws.row_sums[:, None] * Y - ws.w @ Y)
 
-    def half(side):
-        for rows, k in _row_blocks(_halves(n)[side]):
-            block = ws.scratch[side, 0, :k]
-            np.divide(w[rows], total, out=block)
-            p = P[rows]
-            if exaggeration != 1.0:
-                p = np.multiply(p, exaggeration, out=ws.scratch[side, 1, :k])
-            np.subtract(p, block, out=block)
-            np.multiply(block, w[rows], out=w[rows])
-            np.sum(w[rows], axis=1, out=row_sums[rows])
 
-    ws.split(half)
-    return 4.0 * (row_sums[:, None] * Y - w @ Y)
+def _out_of_memory(n: int) -> ProjectionError:
+    return ProjectionError(f"out of memory: exact t-SNE of {n} points holds two {n} x {n} "
+                           f"float64 matrices, {2 * n * n * 8 / 2 ** 20:.0f} MB")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -486,8 +605,8 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     tracked over the final 50 iterations and its worst consecutive increase
     is reported on the embedding. A descent that overflows float64 raises
     ProjectionError, as every kernel call checks the coordinates and weights.
-    The workspace is allocated before the affinities (`np.empty` touches no
-    page), and memory for either n x n matrix running out raises ProjectionError.
+    The workspace is mapped before the affinities (a map touches no page),
+    and memory for either n x n matrix running out raises ProjectionError.
     """
     X = check_matrix(features, ProjectionError)
     n = X.shape[0]
@@ -495,10 +614,8 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
         raise ProjectionError("need at least 4 points to project")
     try:
         work = Workspace(n)
-        P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance)
     except MemoryError as exc:
-        raise ProjectionError(f"out of memory: exact t-SNE of {n} points holds two {n} x {n} "
-                              f"float64 matrices, {2 * n * n * 8 / 2 ** 20:.0f} MB") from exc
+        raise _out_of_memory(n) from exc
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
     velocity = np.zeros_like(Y)
@@ -506,6 +623,10 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     kl_tail = []
 
     with work:
+        try:
+            P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance, work)
+        except MemoryError as exc:
+            raise _out_of_memory(n) from exc
         for it in range(config.iterations):
             exaggeration = config.early_exaggeration if it < config.exaggeration_iters else 1.0
             momentum = (config.momentum_start if it < config.momentum_switch

@@ -13,9 +13,7 @@ arm writes are written by the process that ran it.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
+import functools
 
 from . import host
 from .pipeline import PipelineError
@@ -46,63 +44,48 @@ def _report(state, stage: str, run) -> tuple:
     return rows, lines, added
 
 
+def _send_report(state, stage: str, run, _jobs, answers) -> None:
+    """A forked child's work: run the arm and write its pickled report, or
+    the exception that escaped it, to ``answers``."""
+    try:
+        value = _report(state, stage, run)
+    except Exception as exc:  # no manifest: this process raises it
+        value = exc
+
+    def unsent(exc):
+        what = (f"{type(value).__name__}: {value}" if isinstance(value, Exception)
+                else "the arm's report")
+        return PipelineError(f"{stage}: {what} (not sent back whole: {exc})")
+
+    answers.write(host.pickled(value, unsent))
+
+
 class _Forked:
-    """An arm run in a forked child. ``rows()`` reads its report, reaps it and
-    merges the report into the state; ``close()`` kills and reaps a child
-    whose report was not read. Where the pipe or the fork fails, the arm
-    runs in this process when its rows are asked for."""
+    """An arm run in a forked child (``host.fork``). ``rows()`` reads its
+    report, reaps it and merges the report into the state; ``close()`` kills
+    and reaps a child whose report was not read. Where the pipe or the fork
+    fails, the arm runs in this process when its rows are asked for."""
 
     def __init__(self, state, stage: str, run):
         self.state, self.stage, self.run, self.pid = state, stage, run, None
-        fds = []
-        try:
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:  # no pipe or no process to spare: the arm runs here
-            for fd in fds:
-                os.close(fd)
-            return
-        read_fd, write_fd = fds
-        if pid == 0:  # the child never returns into the caller's frames
-            code = 1
-            try:
-                os.close(read_fd)
-                try:
-                    value = _report(state, stage, run)
-                except Exception as exc:  # no manifest: this process raises it
-                    value = exc
-                try:
-                    payload = pickle.dumps(value)
-                except Exception as exc:
-                    what = (f"{type(value).__name__}: {value}" if isinstance(value, Exception)
-                            else "the arm's report")
-                    payload = pickle.dumps(PipelineError(
-                        f"{stage}: {what} (not sent back whole: {exc})"))
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(payload)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self.pid, self.pipe = pid, os.fdopen(read_fd, "rb")
+        child = host.fork(functools.partial(_send_report, state, stage, run))
+        if child is not None:
+            self.pid, jobs, self.pipe = child
+            jobs.close()
 
     def rows(self) -> list:
         if self.pid is None:
             return _rows(self.state, self.stage, self.run)
         payload = self.pipe.read()
         self.pipe.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if code != 0:
-            how = f"exit code {code}" if code > 0 else f"signal {-code}"
+        how, self.pid = host.reap(self.pid), None
+        if how is not None:
             report = PipelineError(f"{self.stage}: the arm worker ended with {how} "
                                    "before sending its result")
         else:
-            try:
-                report = pickle.loads(payload)
-            except Exception as exc:
-                report = PipelineError(f"{self.stage}: the arm worker's result could not "
-                                       f"be read: {type(exc).__name__}: {exc}")
+            report = host.unpickled(payload, lambda exc: PipelineError(
+                f"{self.stage}: the arm worker's result could not be read: "
+                f"{type(exc).__name__}: {exc}"))
         if isinstance(report, Exception):  # recorded, or raised without a manifest
             with self.state.arm(self.stage):
                 raise report
@@ -118,8 +101,7 @@ class _Forked:
     def close(self) -> None:
         if self.pid is not None:
             self.pipe.close()
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
+            host.reap(self.pid, kill=True)
             self.pid = None
 
 

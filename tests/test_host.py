@@ -44,13 +44,13 @@ ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
-def test_one_cpu_in_the_affinity_mask_gives_one_thread_and_no_fork(tmp_path):
+def test_one_cpu_in_the_affinity_mask_gives_one_side_and_no_fork(tmp_path):
     facts = _fresh(ONE_CPU + HEADER, tmp_path)
     assert (facts["cpus"], facts["workers"]) == (1, 1)
     header = dict(line.split(" = ", 1) for line in facts["header"])
-    assert list(header)[:5] == ["projection_threads", "arm_workers", "blas_threads",
+    assert list(header)[:5] == ["projection_sides", "arm_workers", "blas_threads",
                                 "numpy", "scipy"]
-    assert (header["projection_threads"], header["arm_workers"]) == ("1", "1")
+    assert (header["projection_sides"], header["arm_workers"]) == ("1", "1")
 
 
 @pytest.mark.skipif(host.blas_threads() is None or "X86_V3" not in SIMD,

@@ -102,3 +102,9 @@ def test_only_the_host_module_counts_cpus_threads_and_loads_a_library():
     # not outlive, and OpenBLAS's binding are read in epl.host alone.
     _only_host_names(lambda name: name in ("os.sched_getaffinity", "os.cpu_count",
                                            "threading.active_count", "ctypes"))
+
+
+def test_only_the_host_module_forks():
+    # The projection's helper and the arm workers are forked, reaped and
+    # answered through epl.host's one primitive.
+    _only_host_names(lambda name: name in ("os.fork", "os.waitpid", "os._exit", "pickle"))

@@ -582,11 +582,27 @@ class TestManifest:
                    for p in out.iterdir() if p.name != "manifest.txt"}
         assert listed == on_disk
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_header_names_the_projection_threads(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setattr(epl.host, "cpu_count", lambda: threads)
+    @pytest.mark.parametrize("sides", [1, 2])
+    def test_header_names_the_projection_sides(self, tmp_path, monkeypatch, sides):
+        force_workers(monkeypatch, sides)
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
-        assert f"projection_threads = {threads}" in lines[:lines.index("[config]")]
+        assert f"projection_sides = {sides}" in lines[:lines.index("[config]")]
+
+    def test_a_process_that_may_not_fork_projects_on_one_side(self, tmp_path, monkeypatch):
+        # While another thread runs, the projection forks no helper, and the
+        # header says so.
+        force_workers(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+            sides = epl.projection._side_count(100)
+        finally:
+            release.set()
+            other.join()
+        assert "projection_sides = 1" in lines[:lines.index("[config]")]
+        assert sides == 1
 
     def test_header_names_the_arm_workers(self, tmp_path, workers):
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()

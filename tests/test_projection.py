@@ -1,9 +1,14 @@
+import ctypes
+import errno
 import faulthandler
 import json
+import mmap
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -16,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import epl
+import epl.host
 import epl.projection
 from epl.dataset import UNLABELED, generate_blobs
 from epl.metrics import knn_consistency
@@ -428,22 +434,56 @@ def test_out_of_memory_for_an_n_by_n_matrix_is_a_projection_error(headroom, fail
         "977 MB", "MemoryError", failed_in]
 
 
-def test_descent_holds_p_and_one_buffer():
+def test_descent_holds_p_and_one_buffer(monkeypatch):
     # P, the workspace's n x n buffer and its two 64-row scratch blocks are
-    # 2.13 n^2 float64 at n = 1000; an exaggerated copy of P, a second
-    # buffer or an n x n KL temporary would pass 3 n^2.
+    # 2.26 n^2 float64 at n = 1000; an exaggerated copy of P, a second
+    # buffer or an n x n KL temporary would pass 3 n^2. P and w are mapped
+    # shared, which tracemalloc does not see: the workspace counts them.
     n = 1000
     X = generate_blobs(4, n // 4, 16, 0.5, 10.0, seed=1).features
     config = ProjectionConfig(perplexity=30.0, iterations=60, exaggeration_iters=30,
                               momentum_switch=30, seed=1)
+    made = []
+
+    class Counted(Workspace):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(epl.projection, "Workspace", Counted)
     tracemalloc.start()
     try:
         emb = tsne_project(X, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    [work] = made
+    assert work.nbytes >= 2 * n * n * 8  # P and w
     assert emb.kl_tail.size == 50
-    assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
+    assert peak + work.nbytes <= 2.5 * n * n * 8, (peak + work.nbytes) / (n * n * 8)
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"),
+                                   MemoryError()], ids=["ENOMEM", "MemoryError"])
+@pytest.mark.parametrize("failing_map", [1, 2], ids=["workspace", "affinities"])
+def test_a_shared_map_that_fails_is_the_out_of_memory_error(monkeypatch, error, failing_map):
+    real_map, maps = mmap.mmap, []
+
+    def map_or_fail(*args, **kwargs):
+        maps.append(args)
+        if len(maps) == failing_map:
+            raise error
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", map_or_fail)
+    X = np.random.default_rng(0).normal(size=(400, 3))
+    with pytest.raises(ProjectionError) as raised:
+        tsne_project(X, ProjectionConfig(iterations=1))
+    assert str(raised.value) == ("out of memory: exact t-SNE of 400 points holds two "
+                                 "400 x 400 float64 matrices, 2 MB")
+    assert isinstance(raised.value.__cause__, MemoryError)
+    assert len(maps) == failing_map
+    _no_child_left()
 
 
 class TestTsne:
@@ -592,14 +632,54 @@ class TestTsne:
 
 @contextmanager
 def _forced_sides(sides):
-    """A context in which every workspace entered runs its halves on `sides` threads."""
+    """A context in which every workspace entered splits its passes between `sides` sides."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(epl.projection, "_side_count", lambda n: sides)
         yield mp
 
 
+@contextmanager
+def _callers(mp, *names):
+    """Wrap each of epl.projection's `names` for the context; yields a
+    function that returns, per name, the ids of the processes that called
+    it so far, a helper's too."""
+    with tempfile.TemporaryDirectory() as directory:
+        log = os.open(os.path.join(directory, "calls"), os.O_RDWR | os.O_CREAT | os.O_APPEND)
+
+        def logged(name, real):
+            def call(*args, **kwargs):
+                os.write(log, f"{name} {os.getpid()}\n".encode())
+                return real(*args, **kwargs)
+            return call
+
+        for name in names:
+            mp.setattr(epl.projection, name, logged(name, getattr(epl.projection, name)))
+
+        def callers():
+            seen = {name: set() for name in names}
+            for line in os.pread(log, 1 << 24, 0).decode().splitlines():
+                name, pid = line.split()
+                seen[name].add(int(pid))
+            return seen
+
+        try:
+            yield callers
+        finally:
+            os.close(log)
+
+
+def _no_child_left():
+    # waitpid raises ChildProcessError only when this process has no child,
+    # running or exited.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="the helper is forked on Linux")
+
+
 class TestSideCount:
-    """One thread or two: the kernels and the descent give the same bytes."""
+    """One side or two: the kernels and the descent give the same bytes."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.one_of(st.sampled_from([4, 11, 12, 63, 64, 65, 127, 129, 191, 193, 257]),
@@ -614,23 +694,19 @@ class TestSideCount:
         Y = rng.normal(0.0, scale, (n, 2))
         config = ProjectionConfig(perplexity=min(5.0, (n - 1) / 2), iterations=60,
                                   exaggeration_iters=20, momentum_switch=20, seed=seed % 97)
-        real_cdist = epl.projection.cdist_sqeuclidean
-        results, threads = {}, {}
+        results, processes = {}, {}
         for sides in (1, 2):
-            seen = set()
-
-            def spy(*args, **kwargs):
-                seen.add(threading.current_thread().name)
-                return real_cdist(*args, **kwargs)
-
-            with _forced_sides(sides) as mp:
-                mp.setattr(epl.projection, "cdist_sqeuclidean", spy)
+            # The weights, the gradient and KL passes, and the bisection.
+            with _forced_sides(sides) as mp, _callers(
+                    mp, "cdist_sqeuclidean", "_row_blocks", "_bisect_rows") as callers:
                 emb = tsne_project(X, config)
                 results[sides] = (kl_gradient(P, Y), kl_gradient(P, Y, exaggeration=12.0),
                                   kl_divergence(P, Y), emb.coordinates, emb.kl_tail)
-            threads[sides] = seen
-        assert threads[1] == {threading.current_thread().name}
-        assert threads[2] == {threading.current_thread().name, "epl-projection-half"}
+                processes[sides] = callers()
+        for pids in processes[1].values():
+            assert pids == {os.getpid()}
+        for pids in processes[2].values():
+            assert os.getpid() in pids and len(pids) == 2
         one, two = results[1], results[2]
         assert all(np.array_equal(a, b) for a, b in zip(one, two))
         assert np.array_equal(one[0], ref_kl_gradient(P, Y))
@@ -642,7 +718,7 @@ class TestSideCount:
                                   313600, 1_000_003])
 def test_weight_sum_splits_where_numpy_pairwise_sum_does(size, kind):
     # The weight sum S is the sum of the two parts `_sum_halves` cuts, so that
-    # it equals w.sum() on one thread or two. A numpy that moves its
+    # it equals w.sum() on one side or two. A numpy that moves its
     # pairwise split fails here by name instead of in every golden digest.
     rng = np.random.default_rng(size)
     a = {"normal": rng.normal, "cauchy": rng.standard_cauchy,
@@ -659,9 +735,9 @@ def test_weight_sum_splits_where_numpy_pairwise_sum_does(size, kind):
 def test_weight_sum_equals_the_matrix_sum(n):
     coords = np.random.default_rng(n).normal(0.0, 1.0, (n, 2))
     for sides in (1, 2):
-        out = np.empty((n, n))
         with _forced_sides(sides), Workspace(n) as work:
-            total = epl.projection._student_t_weights(coords, out, work.split)
+            total = epl.projection._student_t_weights(work, coords)
+            out = work.w.copy()
         assert np.array_equal(out, ref_weights(coords))
         assert total == out.sum(), f"numpy {np.__version__}"
 
@@ -675,13 +751,65 @@ def watchdog():
     faulthandler.cancel_dump_traceback_later()
 
 
-def _helpers():
-    return [t for t in threading.enumerate() if t.name == "epl-projection-half"]
+@pytest.fixture
+def forks(monkeypatch):
+    """The process ids of the helpers forked from here on."""
+    pids, real_fork = [], epl.host.fork
+
+    def recorded(main):
+        child = real_fork(main)  # only this process returns
+        if child is not None:
+            pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(epl.host, "fork", recorded)
+    return pids
 
 
+class TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: its __init__ needs two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+PR_SET_CHILD_SUBREAPER = 36  # prctl option, <linux/prctl.h>
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` still runs: it exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+# A caller whose descent runs until it is killed: after its tenth gradient
+# it prints its helper's process id.
+_KILLED_MID_DESCENT = """
+import numpy as np
+import epl.projection as projection
+projection._side_count = lambda n: 2
+real_gradient, calls = projection.kl_gradient, []
+
+def gradient(P, coords, work=None, exaggeration=1.0):
+    calls.append(1)
+    if len(calls) == 10:
+        print(work._helper[0], flush=True)
+    return real_gradient(P, coords, work, exaggeration)
+
+projection.kl_gradient = gradient
+X = np.random.default_rng(0).normal(size=(200, 3))
+projection.tsne_project(X, projection.ProjectionConfig(perplexity=10.0, iterations=10**7))
+"""
+
+
+@needs_fork
 @pytest.mark.usefixtures("watchdog")
-class TestHelperThread:
-    """The helper thread ends with its call, and a failure on either half is raised, not hung."""
+class TestHelperProcess:
+    """The helper process ends with its call or its caller, and a failure on
+    either half is raised, not hung."""
 
     n = 130
 
@@ -691,9 +819,8 @@ class TestHelperThread:
         return X, pairwise_affinities(X, 5.0), rng.normal(size=(self.n, 2))
 
     @pytest.mark.parametrize("sides", [1, 2])
-    def test_no_thread_outlives_a_call(self, sides):
+    def test_no_child_outlives_a_call(self, sides, forks):
         X, P, Y = self._inputs()
-        before = threading.active_count()
         config = ProjectionConfig(perplexity=5.0, iterations=30, exaggeration_iters=10,
                                   momentum_switch=10)
         with _forced_sides(sides):
@@ -704,44 +831,151 @@ class TestHelperThread:
                        lambda: kl_gradient(P, Y * 1e200), lambda: kl_divergence(P, Y * 1e200)]
             for call in calls:
                 call()
-                assert threading.active_count() == before and not _helpers()
+                _no_child_left()
             for call in failing:
                 with pytest.raises(ProjectionError, match="overflow|not finite"):
                     call()
-                assert threading.active_count() == before and not _helpers()
+                _no_child_left()
+        # Only the projections enter a workspace; standalone kernels fork nothing.
+        assert len(forks) == (2 if sides == 2 else 0)
 
-    @pytest.mark.parametrize("failing_half", ["helper", "caller"])
+    @pytest.mark.parametrize("failing_half", ["helper", "caller", "both"])
     @pytest.mark.parametrize("call", ["tsne_project", "kl_gradient", "kl_divergence"])
-    def test_a_failing_half_is_reraised_as_itself(self, monkeypatch, failing_half, call):
-        X, P, Y = self._inputs()
-        boom = RuntimeError("injected failure on one half")
+    def test_a_failing_half_comes_back_with_its_type_and_message(self, monkeypatch, forks,
+                                                                failing_half, call):
+        # Where both halves fail, the caller's exception is the one raised.
+        X, _, Y = self._inputs()
         real_cdist = epl.projection.cdist_sqeuclidean
-        raised_on = []
 
         def cdist(XA, XB, *args, **kwargs):
             # Row halves come as XA = XB[rows]; the helper's starts past row 0.
-            if len(XA) < len(XB) and (XA[0] == XB[0]).all() == (failing_half == "caller"):
-                raised_on.append(threading.current_thread().name)
-                raise boom
+            if len(XA) < len(XB) and (failing_half == "both" or (
+                    (XA[0] == XB[0]).all() == (failing_half == "caller"))):
+                raise RuntimeError(f"injected failure in process {os.getpid()}")
             return real_cdist(XA, XB, *args, **kwargs)
 
-        before = threading.active_count()
+        # Patched before the fork, so the helper runs it too.
+        monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
         with _forced_sides(2), Workspace(self.n) as work:
-            monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
+            P = pairwise_affinities(X, 5.0, work=work)
             run = {"tsne_project": lambda: tsne_project(X, ProjectionConfig(perplexity=5.0)),
                    "kl_gradient": lambda: kl_gradient(P, Y, work),
                    "kl_divergence": lambda: kl_divergence(P, Y, work)}[call]
             with pytest.raises(RuntimeError) as raised:
                 run()
-        assert raised.value is boom
-        assert raised_on == ["epl-projection-half" if failing_half == "helper"
-                             else threading.current_thread().name]
-        assert threading.active_count() == before and not _helpers()
+        [helper] = forks if call != "tsne_project" else forks[1:]
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == "injected failure in process " + str(
+            helper if failing_half == "helper" else os.getpid())
+        _no_child_left()
 
-    def test_concurrent_projections_under_fast_switching(self):
-        # Three projections at once, each with its helper: six threads on the
-        # host's cores, switching every microsecond. A half that wrote into
-        # another's rows, scratch or sums would change some projection's bytes.
+    @pytest.mark.parametrize("kind, message", [
+        ("unpicklable", "weights_half on the helper, 130 points: LocalError: local "
+         "(not sent back whole: "),
+        ("unreadable", "weights_half on the helper, 130 points: its exception could not "
+         "be read: TypeError: "),
+    ])
+    def test_a_helper_exception_that_cannot_come_back_is_a_projection_error(
+            self, monkeypatch, forks, kind, message):
+        _, P, Y = self._inputs()
+        real_cdist = epl.projection.cdist_sqeuclidean
+
+        class LocalError(Exception):  # pickle cannot find a local class by name
+            pass
+
+        def cdist(XA, XB, *args, **kwargs):
+            if not (XA[0] == XB[0]).all():  # the helper's half
+                raise LocalError("local") if kind == "unpicklable" else TwoArgError("two", "args")
+            return real_cdist(XA, XB, *args, **kwargs)
+
+        monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
+        with _forced_sides(2), Workspace(self.n) as work:
+            with pytest.raises(ProjectionError) as raised:
+                kl_gradient(P, Y, work)
+        assert str(raised.value).startswith(message), str(raised.value)
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_workspace_keeps_working_after_its_helper_failed(self, monkeypatch, forks):
+        X, _, Y = self._inputs()
+        real_cdist = epl.projection.cdist_sqeuclidean
+        failures = [1]  # the helper's copy: one failure in the helper's first half
+
+        def cdist(XA, XB, *args, **kwargs):
+            if len(XA) < len(XB) and not (XA[0] == XB[0]).all() and failures:
+                failures.pop()
+                raise MemoryError("injected")
+            return real_cdist(XA, XB, *args, **kwargs)
+
+        monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
+        with _forced_sides(2), Workspace(self.n) as work:
+            P = pairwise_affinities(X, 5.0, work=work)
+            with pytest.raises(MemoryError, match="injected"):
+                kl_gradient(P, Y, work)
+            assert np.array_equal(kl_gradient(P, Y, work), ref_kl_gradient(P, Y))
+            assert _running(forks[0])
+        assert len(forks) == 1 and failures == [1]
+        _no_child_left()
+
+    def test_a_p_shared_after_the_fork_gets_a_helper_that_sees_it(self, forks):
+        X, P_here, Y = self._inputs()
+        with _forced_sides(2), Workspace(self.n) as work:
+            kl_divergence(P_here, Y, work)  # forks a helper that has no shared P
+            P = pairwise_affinities(X, 5.0, work=work)
+            assert len(forks) == 2 and not _running(forks[0])
+            assert np.array_equal(kl_gradient(P, Y, work), ref_kl_gradient(P, Y))
+        _no_child_left()
+
+    @pytest.mark.parametrize("how, death", [("exit", "exit code 3"), ("signal", "signal 9"),
+                                            ("idle", "signal 9")])
+    def test_a_helper_that_dies_is_a_projection_error(self, monkeypatch, forks, how, death):
+        # The helper exits or is killed in its half, or is killed between splits.
+        X, _, Y = self._inputs()
+        real_cdist, parent = epl.projection.cdist_sqeuclidean, os.getpid()
+
+        def cdist(XA, XB, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3) if how == "exit" else os.kill(os.getpid(), 9)
+            return real_cdist(XA, XB, *args, **kwargs)
+
+        if how != "idle":
+            monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
+        with _forced_sides(2), Workspace(self.n) as work:
+            P = pairwise_affinities(X, 5.0, work=work)
+            if how == "idle":
+                os.kill(forks[0], 9)
+            with pytest.raises(ProjectionError, match=(
+                    f"^weights_half on the helper, 130 points: the helper process ended "
+                    f"with {death} before answering$")):
+                kl_gradient(P, Y, work)
+            _no_child_left()
+            # The caller runs both halves from then on.
+            assert np.array_equal(kl_gradient(P, Y, work), ref_kl_gradient(P, Y))
+        assert len(forks) == 1
+
+    def test_without_a_fork_both_halves_run_here(self, monkeypatch, forks):
+        X, _, _ = self._inputs()
+        config = ProjectionConfig(perplexity=5.0, iterations=60, exaggeration_iters=20,
+                                  momentum_switch=20)
+        with _forced_sides(1):
+            expected = tsne_project(X, config)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with _forced_sides(2) as mp, _callers(mp, "cdist_sqeuclidean") as callers:
+            emb = tsne_project(X, config)
+            assert callers() == {"cdist_sqeuclidean": {os.getpid()}}
+        assert forks == []
+        assert np.array_equal(emb.coordinates, expected.coordinates)
+        assert np.array_equal(emb.kl_tail, expected.kl_tail)
+        _no_child_left()
+
+    def test_projections_from_other_threads_run_one_side(self, forks):
+        # Three projections at once, each on its own thread, under the real
+        # side rule: no fork while another thread runs, and the bytes of a
+        # one-sided projection on the main thread.
         X, _, _ = self._inputs()
         config = ProjectionConfig(perplexity=5.0, iterations=40, exaggeration_iters=10,
                                   momentum_switch=10)
@@ -750,24 +984,57 @@ class TestHelperThread:
         def project(i):
             results[i] = tsne_project(X, config)
 
-        with _forced_sides(2):
+        with _forced_sides(1):
             expected = tsne_project(X, config)
-            threads = [threading.Thread(target=project, args=(i,)) for i in range(3)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(60)
-            finally:
-                sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=project, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         for emb in results:
             assert emb is not None, "a projection raised on its thread"
             assert np.array_equal(emb.coordinates, expected.coordinates)
             assert np.array_equal(emb.kl_tail, expected.kl_tail)
-        assert not _helpers()
+        assert forks == []
+
+    def test_a_killed_caller_leaves_no_helper(self):
+        # As a child subreaper, this process adopts the helper once its caller
+        # dies, so it can reap the helper and read how it ended.
+        libc = ctypes.CDLL(None, use_errno=True)
+        if libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+            pytest.skip("cannot adopt orphaned processes here")
+        try:
+            caller = subprocess.Popen(
+                [sys.executable, "-c", _KILLED_MID_DESCENT], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                     "PYTHONPATH": str(Path(epl.__file__).resolve().parent.parent)})
+            try:
+                line = caller.stdout.readline()
+            finally:
+                caller.kill()
+                _, errors = caller.communicate()
+            assert line.strip().isdigit(), errors
+            helper, status = int(line), None
+            deadline = time.monotonic() + 2.0
+            while status is None and time.monotonic() < deadline:
+                pid, code = os.waitpid(helper, os.WNOHANG)
+                status = os.waitstatus_to_exitcode(code) if pid else None
+                time.sleep(0.01)
+            if status is None:
+                os.kill(helper, 9)
+                os.waitpid(helper, 0)
+        finally:
+            libc.prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
+        # Exit code 0: the helper read EOF on its job pipe and returned.
+        assert status == 0, f"helper {helper} had not ended 2 s after its caller died"
+        _no_child_left()
 
     def test_the_helper_computes_under_the_callers_numpy_error_state(self):
         _, P, Y = self._inputs()
@@ -779,30 +1046,6 @@ class TestHelperThread:
                 warnings.simplefilter("error")
                 results.append(kl_gradient(P, Y, work, exaggeration=1e10).tobytes())
         assert results[0] == results[1]
-
-    def test_a_workspace_keeps_working_after_its_helper_failed(self, monkeypatch):
-        _, P, Y = self._inputs()
-        real_cdist = epl.projection.cdist_sqeuclidean
-        failures, second_halves = [1], []
-
-        def cdist(XA, XB, *args, **kwargs):
-            if not (XA[0] == XB[0]).all():  # the helper's half
-                second_halves.append(threading.current_thread())
-                if failures:
-                    failures.pop()
-                    raise MemoryError("injected")
-            return real_cdist(XA, XB, *args, **kwargs)
-
-        with _forced_sides(2):
-            monkeypatch.setattr(epl.projection, "cdist_sqeuclidean", cdist)
-            with Workspace(self.n) as work:
-                with pytest.raises(MemoryError, match="injected"):
-                    kl_gradient(P, Y, work)
-                [helper] = _helpers()
-                assert helper.is_alive()
-                assert np.array_equal(kl_gradient(P, Y, work), ref_kl_gradient(P, Y))
-        assert second_halves == [helper, helper]
-        assert not helper.is_alive()
 
     @pytest.mark.parametrize("kernel", [kl_gradient, kl_divergence])
     def test_a_standalone_kernel_call_runs_on_the_callers_thread(self, monkeypatch, kernel):
