@@ -416,7 +416,8 @@ def generate_blobs(k: int, per_class: int, d: int, spread: float, center_dist: f
     center_dist * (2 k^(1/d) + 1), sized so placement succeeds with ease
     at desk scale; a bounded retry budget turns pathological parameter
     choices into an explicit error instead of a hang. Samples are laid
-    out in class blocks (class 0 first). Deterministic per seed.
+    out in class blocks (class 0 first). Deterministic per seed. Sizes
+    beyond memory raise DatasetError naming the float64 bytes.
     """
     check_at_least("classes", k, 2, DatasetError)
     check_at_least("per_class", per_class, 2, DatasetError)
@@ -429,26 +430,30 @@ def generate_blobs(k: int, per_class: int, d: int, spread: float, center_dist: f
     if not math.isfinite(d * side * side):
         raise DatasetError(f"center_dist {center_dist} makes the center box of {k} classes "
                            f"in {d} dims too wide: squared distances overflow float64")
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, d))
-    placed = 0
-    for _ in range(1000 * k):
-        cand = rng.uniform(0.0, side, d)
-        if placed == 0 or np.linalg.norm(centers[:placed] - cand, axis=1).min() >= center_dist:
-            centers[placed] = cand
-            placed += 1
-            if placed == k:
-                break
-    else:
-        raise DatasetError(
-            f"could not place {k} centers at least {center_dist} apart after bounded retries"
-        )
-    blocks = [centers[c] + spread * rng.standard_normal((per_class, d)) for c in range(k)]
-    feats = np.vstack(blocks)
-    labels = np.repeat(np.arange(k, dtype=np.int64), per_class)
-    if name is None:
-        name = f"blobs_k{k}_d{d}_s{seed}"
-    return Dataset(feats, labels, k, name)
+    try:
+        rng = np.random.default_rng(seed)
+        centers = np.empty((k, d))
+        placed = 0
+        for _ in range(1000 * k):
+            cand = rng.uniform(0.0, side, d)
+            if placed == 0 or np.linalg.norm(centers[:placed] - cand, axis=1).min() >= center_dist:
+                centers[placed] = cand
+                placed += 1
+                if placed == k:
+                    break
+        else:
+            raise DatasetError(
+                f"could not place {k} centers at least {center_dist} apart after bounded retries"
+            )
+        blocks = [centers[c] + spread * rng.standard_normal((per_class, d)) for c in range(k)]
+        feats = np.vstack(blocks)
+        labels = np.repeat(np.arange(k, dtype=np.int64), per_class)
+        if name is None:
+            name = f"blobs_k{k}_d{d}_s{seed}"
+        return Dataset(feats, labels, k, name)
+    except MemoryError as exc:
+        raise DatasetError(f"out of memory: {k} classes x {per_class} points x {d} dims "
+                           f"of float64 need {k * per_class * d * 8 / 2 ** 20:.0f} MB") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """What this host gives a run, decided in one place: how many CPUs a
 projection splits its passes between, whether a projection's helper and a
 family's arms may run in forked children, the one way epl forks such a
-child, scipy's compiled distance kernels, and the threads of numpy's
-bundled OpenBLAS. ``header()`` names each decision and the libraries
-whose kernels make the bytes in a run manifest."""
+child and asks it for work (``fork``, ``Child``), scipy's compiled
+distance kernels, and the threads of numpy's bundled OpenBLAS.
+``header()`` names each decision and the libraries whose kernels make
+the bytes in a run manifest."""
 
 from __future__ import annotations
 
@@ -40,13 +41,84 @@ def arm_workers() -> int:
     return cpu_count() if forkable else 1
 
 
-def fork(main):
-    """A child process that runs ``main(jobs, answers)`` and exits: with
-    code 0 when main returns or its parent has gone (a broken pipe), else 1.
-    It never returns into the caller's frames. ``jobs`` reads what this
-    process writes to the returned ``jobs``, unbuffered on both sides, and
-    ``answers`` writes what this process reads from the returned
-    ``answers``. Returns (pid, jobs, answers), or None where no pipe or no
+class _Unsent(str):
+    """What a child answers for a value it cannot pickle: what the value
+    was, and why it could not be sent."""
+
+
+def _write_answer(answers, value) -> None:
+    """Write ``value`` as one answer: its pickle after the pickle's length in
+    8 bytes, or 8 zero bytes for None. A value that cannot be pickled is
+    sent as an ``_Unsent`` naming it."""
+    if value is None:
+        answers.write(bytes(8))
+    else:
+        try:
+            payload = pickle.dumps(value)
+        except Exception as exc:
+            what = (f"{type(value).__name__}: {value}" if isinstance(value, BaseException)
+                    else "its answer")
+            payload = pickle.dumps(_Unsent(f"{what} (not sent back whole: {exc})"))
+        answers.write(len(payload).to_bytes(8, "little"))
+        answers.write(payload)
+    answers.flush()
+
+
+class Child:
+    """A forked child that serves one-byte requests (``fork``). ``send(code)``
+    writes a request; ``answer(name, error)`` reads the reply: the value
+    that ``serve(code)`` returned or the exception it raised. A read takes
+    exactly the answer's bytes, so it does not wait for other processes to
+    close their copies of the pipe. ``pid`` is None once the child is reaped."""
+
+    def __init__(self, pid: int, requests, answers):
+        self.pid, self._requests, self._answers = pid, requests, answers
+
+    def send(self, code: int) -> None:
+        try:
+            self._requests.write(bytes((code,)))
+        except BrokenPipeError:  # the child has ended: `answer` says how
+            pass
+
+    def answer(self, name: str, error):
+        """The answer to the request sent last: a value, or an exception to
+        raise. An exception or value the child could not pickle, an answer
+        that cannot be read and a child that ends before answering come
+        back as ``error(f"{name}: ...")``; this never raises."""
+        header = self._answers.read(8)
+        size = int.from_bytes(header, "little")
+        payload = self._answers.read(size)
+        if len(header) < 8 or len(payload) < size:
+            how = self.close() or "exit code 0"
+            return error(f"{name}: the child process ended with {how} before answering")
+        if not size:
+            return None
+        try:
+            value = pickle.loads(payload)
+        except Exception as exc:
+            return error(f"{name}: its answer could not be read: {type(exc).__name__}: {exc}")
+        return error(f"{name}: {value}") if isinstance(value, _Unsent) else value
+
+    def close(self, kill: bool = False) -> str | None:
+        """Close the pipes and wait for the child to end, after a SIGKILL if
+        ``kill``: None when it exited with code 0 or was reaped before, else
+        how it ended, as "exit code 3" or "signal 9"."""
+        if self.pid is None:
+            return None
+        pid, self.pid = self.pid, None
+        self._requests.close()
+        self._answers.close()
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return None if code == 0 else f"exit code {code}" if code > 0 else f"signal {-code}"
+
+
+def fork(serve) -> Child | None:
+    """A child process that answers each one-byte request ``code`` it reads
+    with ``serve(code)`` (``Child``) and never returns into the caller's
+    frames. It exits with code 0 at EOF on its request pipe or when its
+    parent has gone (a broken pipe), else with 1. None where no pipe or no
     process can be had."""
     fds = []
     try:
@@ -57,49 +129,28 @@ def fork(main):
         for fd in fds:
             os.close(fd)
         return None
-    jobs_in, jobs_out, answers_in, answers_out = fds
+    requests_in, requests_out, answers_in, answers_out = fds
     if pid == 0:
         code = 1
         try:
-            os.close(jobs_out)
+            os.close(requests_out)
             os.close(answers_in)
-            with os.fdopen(jobs_in, "rb", buffering=0) as jobs, \
+            with os.fdopen(requests_in, "rb", buffering=0) as requests, \
                     os.fdopen(answers_out, "wb") as answers:
-                main(jobs, answers)
+                while request := requests.read(1):
+                    try:
+                        value = serve(request[0])
+                    except Exception as exc:
+                        value = exc
+                    _write_answer(answers, value)
             code = 0
         except BrokenPipeError:  # no one is left to answer
             code = 0
         finally:
             os._exit(code)
-    os.close(jobs_in)
+    os.close(requests_in)
     os.close(answers_out)
-    return pid, os.fdopen(jobs_out, "wb", buffering=0), os.fdopen(answers_in, "rb")
-
-
-def reap(pid: int, kill: bool = False) -> str | None:
-    """Wait for the child ``pid`` to end, after a SIGKILL if ``kill``: None
-    when it exited with code 0, else how it ended, as "exit code 3" or
-    "signal 9"."""
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return None if code == 0 else f"exit code {code}" if code > 0 else f"signal {-code}"
-
-
-def pickled(value, fallback) -> bytes:
-    """``value`` pickled, or ``fallback(exc)`` pickled when ``value`` cannot be."""
-    try:
-        return pickle.dumps(value)
-    except Exception as exc:
-        return pickle.dumps(fallback(exc))
-
-
-def unpickled(payload: bytes, fallback):
-    """The value ``payload`` holds, or ``fallback(exc)`` when it cannot be read."""
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        return fallback(exc)
+    return Child(pid, os.fdopen(requests_out, "wb", buffering=0), os.fdopen(answers_in, "rb"))
 
 
 _KERNEL_MODULE = "scipy.spatial._distance_pybind"
@@ -194,13 +245,12 @@ def set_blas_threads(count: int | None) -> None:
 
 def header() -> list[str]:
     """A run manifest's host lines: the decisions above, then the libraries
-    and kernels the bytes may depend on. ``projection_sides`` is what
+    and kernels the bytes may depend on. ``arm_workers`` is also the sides
     ``epl.projection`` splits a projection of more than 64 points between."""
     threads, core = ("(no OpenBLAS binding)",) * 2 if _BLAS is None else (
         blas_threads(), _BLAS.scipy_openblas_get_corename64_().decode())
     simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    return [f"projection_sides = {arm_workers()}",
-            f"arm_workers = {arm_workers()}",
+    return [f"arm_workers = {arm_workers()}",
             f"blas_threads = {threads}",
             f"numpy = {np.__version__}",
             f"scipy = {scipy_version()}",

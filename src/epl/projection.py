@@ -8,10 +8,10 @@ Student-t Q by plain gradient descent with momentum, early exaggeration,
 and re-centering after every step. Everything is O(n^2) and bit-stable
 for a fixed seed.
 
-The projection holds P and one n x n buffer through the descent.
-`conditional_affinities` writes the squared distances into the matrix it
-returns and replaces each row by its conditional in turn, and
-`pairwise_affinities` symmetrizes that matrix in place, block pair by
+The projection holds P and one n x n buffer through the descent, both in
+its `Workspace`. `conditional_affinities` writes the squared distances
+into the workspace's P and replaces each row by its conditional in turn,
+and `pairwise_affinities` symmetrizes that matrix in place, block pair by
 block pair, so it becomes P.
 
 The descent computes one gradient per step and no KL until the last 50
@@ -32,8 +32,8 @@ blocking; the KL's bytes depend on the block order and nothing else.
 Each kernel build, weight sum, gradient pass and KL pass, and the
 perplexity bisection, is split into two row halves, cut at the first
 multiple of _BLOCK_ROWS from n / 2 on. Inside a `with`, a workspace runs
-the second half in a forked helper process over buffers mapped MAP_SHARED,
-P's included (see `Workspace.split`), when `_side_count(n)` is 2;
+the second half in a forked helper process (`host.fork`) over its one
+MAP_SHARED map, P included (see `Workspace.split`), when `_side_count(n)` is 2;
 otherwise, and in a standalone `kl_gradient` or `kl_divergence` call, the
 caller runs both halves in turn. Every element is computed by the same
 float operations either way, so only the one full reduction could depend
@@ -47,7 +47,6 @@ bytes therefore do not depend on the side count.
 
 from __future__ import annotations
 
-import functools
 import math
 import mmap
 from dataclasses import dataclass
@@ -154,10 +153,9 @@ def conditional_affinities(features, perplexity: float,
     features, squared distances beyond float64, and squared distances too
     large for the bisection's precisions to scale raise ProjectionError
     before any row is bisected. The squared distances are computed into
-    the returned matrix, mapped MAP_SHARED, and each row's conditional
-    overwrites its distances: no second n x n array. `work`, an optional
-    Workspace for n points, is lent the matrix (`Workspace.share`) and
-    splits the bisection's rows.
+    the returned matrix, and each row's conditional overwrites its
+    distances: no second n x n array. `work`, an optional Workspace for n
+    points, holds the matrix (its `p`) and splits the bisection's rows.
     """
     X = check_matrix(features, ProjectionError)
     n = X.shape[0]
@@ -167,10 +165,11 @@ def conditional_affinities(features, perplexity: float,
     if not perplexity <= n - 1:
         raise ProjectionError(
             f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
-    cond = _shared(n * n)
-    if cond is None:
-        raise MemoryError(f"cannot map {n} x {n} float64")
-    cond = cond.reshape(n, n)
+    if work is None:
+        cond = np.empty((n, n))
+    else:
+        _check_size(work, n)
+        cond, work._p_log_p_of = work.p, None
     cdist_sqeuclidean(X, X, out=cond)
     # Finite features give no NaN distance, so an overflow shows as an inf maximum.
     top = check_finite(cond.max(), ProjectionError,
@@ -183,7 +182,6 @@ def conditional_affinities(features, perplexity: float,
         betas = np.ones(n)
         _bisect_rows(cond, betas, slice(0, n), perplexity, tol)
         return cond, betas
-    work.share(cond)
     work.betas.fill(1.0)
     work.scalars[2:] = perplexity, tol
     work.split(_bisection_half, cond)
@@ -247,7 +245,7 @@ def pairwise_affinities(features, perplexity: float,
     Each pair of _BLOCK_ROWS-square blocks is summed, scaled and written
     back to both places; c_ij + c_ji = c_ji + c_ij in floating point, so the
     result equals the out-of-place form bit for bit. With `work`, the
-    result is the workspace's shared P (`conditional_affinities`).
+    result is the workspace's P (`conditional_affinities`).
     """
     P, _ = conditional_affinities(features, perplexity, tol, work)
     n = P.shape[0]
@@ -294,19 +292,9 @@ def _side_count(n: int) -> int:
     return host.arm_workers() if n > _BLOCK_ROWS else 1
 
 
-def _shared(size: int) -> np.ndarray | None:
-    """`size` zeroed float64 items over anonymous MAP_SHARED memory, whose
-    pages a process forked after the map shares; None when the map fails,
-    as it does for want of memory or address space."""
-    try:
-        return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
-    except (OSError, MemoryError):
-        return None
-
-
 # The jobs a split runs, job(workspace, P, side), each on one row half.
 # Everything a job reads or writes but the private `scratch[side]` lies in
-# the workspace's shared buffers.
+# the workspace's one shared map.
 
 def _weights_half(ws, _P, side) -> None:
     """The Student-t weights 1 / (1 + squared distance) of `coords`, with a
@@ -359,29 +347,7 @@ def _bisection_half(ws, P, side) -> None:
 
 
 _JOBS = (_weights_half, _weight_sum_part, _gradient_half, _kl_half, _bisection_half)
-_JOB_CODES = {job: bytes((code,)) for code, job in enumerate(_JOBS)}
-
-
-def _half_name(job, n: int) -> str:
-    return f"{job.__name__.strip('_')} on the helper, {n} points"
-
-
-def _run_jobs(ws, jobs, answers) -> None:
-    """The helper: run the second half of each job whose code comes on
-    `jobs`, and answer a zero byte, or a one, the length and the pickled
-    exception; return at EOF."""
-    while code := jobs.read(1):
-        job = _JOBS[code[0]]
-        try:
-            job(ws, ws.p, 1)
-            answer = b"\0"
-        except Exception as exc:
-            payload = host.pickled(exc, lambda error: ProjectionError(
-                f"{_half_name(job, ws.n)}: {type(exc).__name__}: {exc} "
-                f"(not sent back whole: {error})"))
-            answer = b"\1" + len(payload).to_bytes(8, "little") + payload
-        answers.write(answer)
-        answers.flush()
+_JOB_CODES = {job: code for code, job in enumerate(_JOBS)}
 
 
 def _student_t_weights(ws, Y: np.ndarray):
@@ -395,10 +361,11 @@ def _student_t_weights(ws, Y: np.ndarray):
 
 
 class Workspace:
-    """The n x n weights `w` and the per-call buffers, mapped MAP_SHARED; a
-    block scratch per row half; the state they carry between calls; and,
-    inside a `with`, a helper process.
+    """The n x n matrices P and `w` and the per-call buffers, in one map
+    shared with a forked helper; a block scratch per row half; the state
+    they carry between calls; and, inside a `with`, a helper process.
 
+    `p` holds the P that `conditional_affinities` builds for the workspace.
     `w` and `scalars[0]` hold the Student-t weights of the coordinates whose
     shape and bytes are `_kernel_of`, and their sum. A gradient overwrites
     `w` and clears `_kernel_of`, so the next call rebuilds the weights.
@@ -406,36 +373,34 @@ class Workspace:
     half. `_p_log_p` is sum p log p over the positive entries of the P
     array object `_p_log_p_of`, which was checked to be finite and
     non-negative; that array must not change in place while the workspace
-    is in use. `p` is the shared P (`share`), or None. `nbytes` counts the
-    mapped buffers, which `tracemalloc` does not see.
+    is in use, unless through `conditional_affinities`. `nbytes` counts the
+    map, which `tracemalloc` does not see. The map touches no page when it
+    is made, so a size that does not fit fails here, before any work.
 
     The helper is forked at the first split inside a `with` and computes
-    under the numpy error state of that split. It exits at EOF on its job
-    pipe: leaving the workspace, also by an exception, closes the pipe and
-    reaps it, and a killed caller's pipe closes with it.
+    under the numpy error state of that split. It exits at EOF on its
+    request pipe: leaving the workspace, also by an exception, closes the
+    pipe and reaps it, and a killed caller's pipe closes with it.
     """
 
     def __init__(self, n: int):
-        # w, coordinates, row sums, the weight sum's two parts, the KL's block
-        # sums, the bisection's precisions, and (S, alpha, perplexity, tol).
-        sizes = (n * n, 2 * n, n, 2, -(-n // _BLOCK_ROWS), n, 4)
-        buffer = _shared(sum(sizes))
-        if buffer is None:
-            raise MemoryError(f"cannot map {n} x {n} float64")
-        (w, coords, self.row_sums, self.parts, self.block_sums, self.betas,
+        # P, w, coordinates, row sums, the weight sum's two parts, the KL's
+        # block sums, the bisection's precisions, and (S, alpha, perplexity, tol).
+        sizes = (n * n, n * n, 2 * n, n, 2, -(-n // _BLOCK_ROWS), n, 4)
+        try:
+            buffer = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+        except OSError as exc:  # for want of memory or address space
+            raise MemoryError(f"cannot map two {n} x {n} float64") from exc
+        (p, w, coords, self.row_sums, self.parts, self.block_sums, self.betas,
          self.scalars) = np.split(buffer, np.cumsum(sizes)[:-1])
-        self.n, self.w, self.coords, self._buffer = n, w.reshape(n, n), coords.reshape(n, 2), buffer
+        self.n, self.p, self.w = n, p.reshape(n, n), w.reshape(n, n)
+        self.coords, self.nbytes = coords.reshape(n, 2), buffer.nbytes
         self.scratch = np.empty((2, 2, min(n, _BLOCK_ROWS), n))
-        self.p = None
         self._kernel_of = None
         self._p_log_p_of = None
         self._p_log_p = 0.0
         self._may_fork = False
         self._helper = None
-
-    @property
-    def nbytes(self) -> int:
-        return self._buffer.nbytes + (0 if self.p is None else self.p.nbytes)
 
     def __enter__(self) -> Workspace:
         self._may_fork = True
@@ -443,71 +408,36 @@ class Workspace:
 
     def __exit__(self, *exc_info) -> None:
         self._may_fork = False
-        self._stop()
-
-    def share(self, P: np.ndarray) -> None:
-        """Make P, an n x n array over a `_shared` map, the workspace's `p`,
-        the P whose passes the helper may run. A helper forked before the
-        map cannot see it: it is stopped, and the next split forks another."""
         if self._helper is not None:
-            self._stop()
-            self._may_fork = True
-        self.p = P
-
-    def _stop(self) -> str | None:
-        """Close the helper's pipes and reap it: how it ended (`host.reap`)."""
-        if self._helper is None:
-            return None
-        pid, jobs, answers = self._helper
-        self._helper = None
-        jobs.close()
-        answers.close()
-        return host.reap(pid)
+            self._helper.close()
 
     def split(self, job, P=None) -> None:
         """Run job(self, P, 0) on the first row half here and job(self, P, 1)
         on the second: on the helper when there is one and P is None or `p`,
         else here after the first. The first split inside a `with` forks the
-        helper when `_side_count(n)` is 2; where the fork fails, the caller
-        runs both halves. The helper gets the job's one-byte code and
-        answers a zero byte, or a one and its pickled exception. An
-        exception on either side is raised here, the caller's first; a
-        helper's comes back with its type and message, or as a
-        ProjectionError naming the half when it cannot be pickled. The
+        helper when `_side_count(n)` is 2; where the fork fails, or once the
+        helper has ended, the caller runs both halves. The helper is sent
+        the job's code and answers (`host.Child`). An exception on either
+        side is raised here, the caller's first; a helper's comes back with
+        its type and message, or as a ProjectionError naming the half. The
         helper has ended its half by then and serves the next split."""
         if self._may_fork:
             self._may_fork = False
             if _side_count(self.n) > 1:
-                self._helper = host.fork(functools.partial(_run_jobs, self))
-        if self._helper is None or not (P is None or P is self.p):
+                self._helper = host.fork(lambda code: _JOBS[code](self, self.p, 1))
+        helper = self._helper
+        if helper is None or helper.pid is None or not (P is None or P is self.p):
             job(self, P, 0)
             job(self, P, 1)
             return
-        try:
-            self._helper[1].write(_JOB_CODES[job])
-        except BrokenPipeError:  # the helper has ended: `_answer` reads EOF and says how
-            pass
+        helper.send(_JOB_CODES[job])
         try:
             job(self, P, 0)
         finally:
-            answer = self._answer(job)
+            answer = helper.answer(f"{job.__name__.strip('_')} on the helper, {self.n} points",
+                                   ProjectionError)
         if answer is not None:
             raise answer
-
-    def _answer(self, job) -> BaseException | None:
-        """The helper's answer to `job`: None, or the exception to raise."""
-        answers = self._helper[2]
-        status = answers.read(1)
-        if status == b"\0":
-            return None
-        if status == b"\1":
-            payload = answers.read(int.from_bytes(answers.read(8), "little"))
-            return host.unpickled(payload, lambda exc: ProjectionError(
-                f"{_half_name(job, self.n)}: its exception could not be read: "
-                f"{type(exc).__name__}: {exc}"))
-        how = self._stop() or "exit code 0"
-        return ProjectionError(f"{_half_name(job, self.n)}: the helper process ended "
-                               f"with {how} before answering")
 
     def kernel(self, Y: np.ndarray) -> None:
         """Make `w` and `scalars[0]` hold Y's weights and their sum S, building
@@ -552,10 +482,14 @@ def _kernel_args(P, coords, work):
     if P.shape != (n, n):
         raise ProjectionError(f"P has shape {P.shape}, expected {n} x {n} for {n} coordinates")
     ws = work if work is not None else Workspace(n)
-    if ws.w.shape != (n, n):
-        raise ProjectionError(f"the workspace must be {n} x {n} for {n} coordinates")
+    _check_size(ws, n)
     ws.p_log_p(P)
     return P, Y, ws
+
+
+def _check_size(ws, n: int) -> None:
+    if ws.n != n:
+        raise ProjectionError(f"the workspace must be {n} x {n} for {n} points")
 
 
 def kl_divergence(P, coords, work=None) -> float:
@@ -605,8 +539,8 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     tracked over the final 50 iterations and its worst consecutive increase
     is reported on the embedding. A descent that overflows float64 raises
     ProjectionError, as every kernel call checks the coordinates and weights.
-    The workspace is mapped before the affinities (a map touches no page),
-    and memory for either n x n matrix running out raises ProjectionError.
+    The workspace, which holds both n x n matrices, is mapped before any
+    work; a map that does not fit raises ProjectionError.
     """
     X = check_matrix(features, ProjectionError)
     n = X.shape[0]
@@ -623,10 +557,7 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     kl_tail = []
 
     with work:
-        try:
-            P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance, work)
-        except MemoryError as exc:
-            raise _out_of_memory(n) from exc
+        P = pairwise_affinities(X, config.perplexity, config.entropy_tolerance, work)
         for it in range(config.iterations):
             exaggeration = config.early_exaggeration if it < config.exaggeration_iters else 1.0
             momentum = (config.momentum_start if it < config.momentum_switch

@@ -260,6 +260,42 @@ def test_gen_bad_argument_is_named(tmp_path, capsys, flag, value, named):
     assert not (tmp_path / "data.csv").exists()
 
 
+# Run in a fresh interpreter that caps its own address space (RLIMIT_AS) at
+# its size now plus 256 MB: `epl gen` with argv[1:4] as classes, per-class
+# count and dims, then the same `generate_blobs` call, whose DatasetError
+# and its cause's type it prints. Exits with the command's code.
+_GEN_UNDER_RLIMIT = """
+import os, resource, sys
+from epl.cli import main
+from epl.dataset import DatasetError, generate_blobs
+size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS, (size + 2 ** 28, resource.getrlimit(resource.RLIMIT_AS)[1]))
+k, per_class, d = sys.argv[1:4]
+code = main(["gen", "--classes", k, "--per-class", per_class, "--dims", d, "--out", sys.argv[4]])
+try:
+    generate_blobs(int(k), int(per_class), int(d), 0.5, 10.0, seed=1)
+except DatasetError as exc:
+    print(exc, type(exc.__cause__).__name__)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+@pytest.mark.parametrize("k, per_class, d", [(4, 200, 10 ** 11), (10 ** 9, 2, 16)])
+def test_gen_beyond_memory_is_an_error_line(tmp_path, k, per_class, d):
+    out = tmp_path / "data.csv"
+    done = subprocess.run([sys.executable, "-c", _GEN_UNDER_RLIMIT, str(k), str(per_class),
+                           str(d), str(out)], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                               "PYTHONPATH": str(Path(epl.__file__).resolve().parent.parent)})
+    message = (f"out of memory: {k} classes x {per_class} points x {d} dims of float64 need "
+               f"{k * per_class * d * 8 / 2 ** 20:.0f} MB")
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == f"error: {message}\n"
+    assert done.stdout == f"{message} MemoryError\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--s-frac", "--u-frac", "--t-frac"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_split_non_finite_fraction_exits_one(tmp_path, capsys, flag, value):

@@ -4,6 +4,7 @@ the kernels behind the bytes."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import epl
 from epl import host, workers
-from epl.pipeline import RunManifest, RunState
+from epl.pipeline import PipelineError, RunManifest, RunState
 
 UNBOUND = "(no OpenBLAS binding)"
 SIMD = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
@@ -48,9 +49,8 @@ def test_one_cpu_in_the_affinity_mask_gives_one_side_and_no_fork(tmp_path):
     facts = _fresh(ONE_CPU + HEADER, tmp_path)
     assert (facts["cpus"], facts["workers"]) == (1, 1)
     header = dict(line.split(" = ", 1) for line in facts["header"])
-    assert list(header)[:5] == ["projection_sides", "arm_workers", "blas_threads",
-                                "numpy", "scipy"]
-    assert (header["projection_sides"], header["arm_workers"]) == ("1", "1")
+    assert list(header)[:4] == ["arm_workers", "blas_threads", "numpy", "scipy"]
+    assert header["arm_workers"] == "1"
 
 
 @pytest.mark.skipif(host.blas_threads() is None or "X86_V3" not in SIMD,
@@ -139,4 +139,51 @@ def test_without_the_binding_a_wave_runs_and_the_header_says_so(tmp_path, monkey
     assert rows == ["r0.simclr.c1", "r0.supcon.c1"]
     lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
     assert {f"blas_threads = {UNBOUND}", f"blas_core = {UNBOUND}"} <= set(lines)
+    _no_child_left()
+
+
+@needs_fork
+def test_an_answer_larger_than_the_pipe_buffer_comes_back_whole():
+    # 1 MiB, past a pipe's 64 KiB buffer; None and a raised exception come
+    # back as answers too.
+    data = bytes(range(256)) * 4096
+
+    def serve(code):
+        if code == 2:
+            raise KeyError("two")
+        return data[code:] if code else None
+
+    child = host.fork(serve)
+    answers = []
+    for code in (1, 0, 2, 3):
+        child.send(code)
+        answers.append(child.answer("serve", RuntimeError))
+    assert answers[0] == data[1:] and answers[1] is None and answers[3] == data[3:]
+    assert type(answers[2]) is KeyError and answers[2].args == ("two",)
+    assert child.close() is None
+    _no_child_left()
+
+
+@needs_fork
+def test_a_child_exits_with_code_0_once_its_request_pipe_closes():
+    child = host.fork(lambda code: code * 2)
+    child.send(21)
+    assert child.answer("double", RuntimeError) == 42
+    assert child.close() is None and child.pid is None
+    assert child.close() is None  # reaped once
+    _no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("dead_before_the_request", [True, False], ids=["dead", "dying"])
+def test_a_request_to_a_dead_child_is_the_typed_error(dead_before_the_request):
+    child = host.fork(lambda code: os.kill(os.getpid(), signal.SIGKILL))
+    if dead_before_the_request:  # the request meets a closed pipe
+        os.kill(child.pid, signal.SIGKILL)
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+    child.send(0)
+    error = child.answer("r0.supcon.c1", PipelineError)
+    assert type(error) is PipelineError
+    assert str(error) == "r0.supcon.c1: the child process ended with signal 9 before answering"
+    assert child.pid is None
     _no_child_left()

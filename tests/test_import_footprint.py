@@ -105,6 +105,8 @@ def test_only_the_host_module_counts_cpus_threads_and_loads_a_library():
 
 
 def test_only_the_host_module_forks():
-    # The projection's helper and the arm workers are forked, reaped and
-    # answered through epl.host's one primitive.
-    _only_host_names(lambda name: name in ("os.fork", "os.waitpid", "os._exit", "pickle"))
+    # The projection's helper and the arm workers are forked, asked, answered
+    # and reaped through epl.host's one protocol: no other module opens,
+    # reads or writes a child's pipe, or pickles.
+    _only_host_names(lambda name: name in ("os.fork", "os.waitpid", "os._exit", "os.pipe",
+                                           "os.fdopen", "pickle"))

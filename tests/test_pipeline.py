@@ -478,8 +478,8 @@ class TestArmWorkers:
         assert_no_child_left()
 
     @pytest.mark.parametrize("error, message", [
-        (lambda: TwoArgError("two", "args"), "r0.supcon.c1: the arm worker's result could not "
-         "be read: TypeError: TwoArgError.__init__() missing 1 required positional argument: 'b'"),
+        (lambda: TwoArgError("two", "args"), "r0.supcon.c1: its answer could not be read: "
+         "TypeError: TwoArgError.__init__() missing 1 required positional argument: 'b'"),
         (lambda: LocalError("local"), "r0.supcon.c1: LocalError: local (not sent back whole: "),
     ], ids=["unreadable", "unpicklable"])
     def test_forked_error_that_cannot_come_back_is_a_pipeline_error(self, monkeypatch,
@@ -527,8 +527,8 @@ class TestArmWorkers:
         assert code == 2
         assert {r.experiment for r in rows} == {"C1a"}
         assert manifest_errors(out) == [
-            f"r0.supcon.c1 = PipelineError: r0.supcon.c1: the arm worker ended with {death} "
-            "before sending its result"]
+            f"r0.supcon.c1 = PipelineError: r0.supcon.c1: the child process ended with {death} "
+            "before answering"]
         assert_no_child_left()
 
     def test_no_child_outlives_a_raise_in_this_process(self, tmp_path, monkeypatch, workers):
@@ -582,12 +582,6 @@ class TestManifest:
                    for p in out.iterdir() if p.name != "manifest.txt"}
         assert listed == on_disk
 
-    @pytest.mark.parametrize("sides", [1, 2])
-    def test_header_names_the_projection_sides(self, tmp_path, monkeypatch, sides):
-        force_workers(monkeypatch, sides)
-        lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
-        assert f"projection_sides = {sides}" in lines[:lines.index("[config]")]
-
     def test_a_process_that_may_not_fork_projects_on_one_side(self, tmp_path, monkeypatch):
         # While another thread runs, the projection forks no helper, and the
         # header says so.
@@ -601,12 +595,14 @@ class TestManifest:
         finally:
             release.set()
             other.join()
-        assert "projection_sides = 1" in lines[:lines.index("[config]")]
+        assert "arm_workers = 1" in lines[:lines.index("[config]")]
         assert sides == 1
 
     def test_header_names_the_arm_workers(self, tmp_path, workers):
+        # They are also the sides a projection of more than 64 points splits between.
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
         assert f"arm_workers = {workers}" in lines[:lines.index("[config]")]
+        assert epl.projection._side_count(100) == workers
 
     def test_header_names_numpy_and_scipy(self, tmp_path):
         lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()

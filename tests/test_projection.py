@@ -418,12 +418,10 @@ except ProjectionError as exc:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
-@pytest.mark.parametrize("headroom, failed_in", [(0.5, "__init__"),
-                                                 (1.5, "conditional_affinities")])
-def test_out_of_memory_for_an_n_by_n_matrix_is_a_projection_error(headroom, failed_in):
-    # With room for half a matrix the workspace, allocated first, fails; with
-    # room for one and a half, the workspace (untouched) fits and the
-    # affinities fail. Neither touches the matrices' pages.
+@pytest.mark.parametrize("headroom", [0.5, 1.5])
+def test_out_of_memory_for_an_n_by_n_matrix_is_a_projection_error(headroom):
+    # The workspace maps both matrices at once, before any work: with room
+    # for half a matrix or for one and a half, its map fails.
     done = subprocess.run([sys.executable, "-c", _PROJECT_UNDER_RLIMIT, "8000", str(headroom)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -431,7 +429,7 @@ def test_out_of_memory_for_an_n_by_n_matrix_is_a_projection_error(headroom, fail
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [
         "out of memory: exact t-SNE of 8000 points holds two 8000 x 8000 float64 matrices, "
-        "977 MB", "MemoryError", failed_in]
+        "977 MB", "MemoryError", "__init__"]
 
 
 def test_descent_holds_p_and_one_buffer(monkeypatch):
@@ -465,15 +463,12 @@ def test_descent_holds_p_and_one_buffer(monkeypatch):
 
 @pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"),
                                    MemoryError()], ids=["ENOMEM", "MemoryError"])
-@pytest.mark.parametrize("failing_map", [1, 2], ids=["workspace", "affinities"])
-def test_a_shared_map_that_fails_is_the_out_of_memory_error(monkeypatch, error, failing_map):
-    real_map, maps = mmap.mmap, []
+def test_a_shared_map_that_fails_is_the_out_of_memory_error(monkeypatch, error):
+    maps = []
 
     def map_or_fail(*args, **kwargs):
         maps.append(args)
-        if len(maps) == failing_map:
-            raise error
-        return real_map(*args, **kwargs)
+        raise error
 
     monkeypatch.setattr(mmap, "mmap", map_or_fail)
     X = np.random.default_rng(0).normal(size=(400, 3))
@@ -482,7 +477,7 @@ def test_a_shared_map_that_fails_is_the_out_of_memory_error(monkeypatch, error, 
     assert str(raised.value) == ("out of memory: exact t-SNE of 400 points holds two "
                                  "400 x 400 float64 matrices, 2 MB")
     assert isinstance(raised.value.__cause__, MemoryError)
-    assert len(maps) == failing_map
+    assert len(maps) == 1
     _no_child_left()
 
 
@@ -624,6 +619,18 @@ class TestTsne:
         for kernel in (kl_gradient, kl_divergence):
             with pytest.raises(ProjectionError, match="5 x 5"):
                 kernel(P, coords, Workspace(6))
+        with pytest.raises(ProjectionError, match="5 x 5"):
+            pairwise_affinities(np.eye(5), 2.0, work=Workspace(6))
+
+    def test_affinities_rebuilt_in_a_workspace_renew_its_p_log_p(self):
+        # The workspace's P is one array: built again, its sum p log p is
+        # taken again.
+        rng = np.random.default_rng(3)
+        X, Y = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+        work = Workspace(40)
+        kl_divergence(pairwise_affinities(X, 5.0, work=work), Y, work)
+        P = pairwise_affinities(X, 9.0, work=work)
+        assert kl_divergence(P, Y, work) == kl_divergence(P.copy(), Y)
 
     def test_embedding_requires_finite_coordinates(self):
         with pytest.raises(ProjectionError):
@@ -759,7 +766,7 @@ def forks(monkeypatch):
     def recorded(main):
         child = real_fork(main)  # only this process returns
         if child is not None:
-            pids.append(child[0])
+            pids.append(child.pid)
         return child
 
     monkeypatch.setattr(epl.host, "fork", recorded)
@@ -796,7 +803,7 @@ real_gradient, calls = projection.kl_gradient, []
 def gradient(P, coords, work=None, exaggeration=1.0):
     calls.append(1)
     if len(calls) == 10:
-        print(work._helper[0], flush=True)
+        print(work._helper.pid, flush=True)
     return real_gradient(P, coords, work, exaggeration)
 
 projection.kl_gradient = gradient
@@ -872,7 +879,7 @@ class TestHelperProcess:
     @pytest.mark.parametrize("kind, message", [
         ("unpicklable", "weights_half on the helper, 130 points: LocalError: local "
          "(not sent back whole: "),
-        ("unreadable", "weights_half on the helper, 130 points: its exception could not "
+        ("unreadable", "weights_half on the helper, 130 points: its answer could not "
          "be read: TypeError: "),
     ])
     def test_a_helper_exception_that_cannot_come_back_is_a_projection_error(
@@ -920,10 +927,10 @@ class TestHelperProcess:
     def test_a_p_shared_after_the_fork_gets_a_helper_that_sees_it(self, forks):
         X, P_here, Y = self._inputs()
         with _forced_sides(2), Workspace(self.n) as work:
-            kl_divergence(P_here, Y, work)  # forks a helper that has no shared P
+            kl_divergence(P_here, Y, work)  # forks the helper before P is built
             P = pairwise_affinities(X, 5.0, work=work)
-            assert len(forks) == 2 and not _running(forks[0])
             assert np.array_equal(kl_gradient(P, Y, work), ref_kl_gradient(P, Y))
+            assert len(forks) == 1 and _running(forks[0])
         _no_child_left()
 
     @pytest.mark.parametrize("how, death", [("exit", "exit code 3"), ("signal", "signal 9"),
@@ -945,7 +952,7 @@ class TestHelperProcess:
             if how == "idle":
                 os.kill(forks[0], 9)
             with pytest.raises(ProjectionError, match=(
-                    f"^weights_half on the helper, 130 points: the helper process ended "
+                    f"^weights_half on the helper, 130 points: the child process ended "
                     f"with {death} before answering$")):
                 kl_gradient(P, Y, work)
             _no_child_left()
