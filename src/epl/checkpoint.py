@@ -9,11 +9,10 @@ sidecar next to the file records the training configuration.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import EplError
+from .dataset import EplError, read_file, write_file
 
 MAGIC = b"EPLCKPT1"
 
@@ -24,13 +23,8 @@ class CheckpointError(EplError):
     """Raised for unreadable or mismatched checkpoint files."""
 
 
-def sidecar_path(path) -> Path:
-    return Path(str(path) + ".cfg")
-
-
 def save_checkpoint(path, kind: int, arrays: dict[str, np.ndarray],
                     config_lines: dict) -> None:
-    path = Path(path)
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<BI", kind, len(arrays))
@@ -44,20 +38,14 @@ def save_checkpoint(path, kind: int, arrays: dict[str, np.ndarray],
             blob += struct.pack("<I", dim)
         payload += arr.tobytes()
     blob += payload
-    path.write_bytes(bytes(blob))
-    text = "".join(f"{key} = {value}\n" for key, value in config_lines.items())
-    sidecar_path(path).write_text(text)
+    write_file(path, blob, CheckpointError)
+    write_file(f"{path}.cfg", "".join(f"{key} = {value}\n" for key, value in config_lines.items()),
+               CheckpointError)
 
 
 def load_checkpoint(path):
     """Return (kind, ordered dict of name -> float64 array)."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no such checkpoint: {path}")
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: {exc.strerror}") from exc
+    blob = read_file(path, CheckpointError)
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic")
     try:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .contrastive import TrainConfig
-from .dataset import EplError, check_at_least, check_fractions, read_text
+from .dataset import EplError, check_at_least, check_fractions, read_file
 from .probe import LINEAR_EPOCHS, LINEAR_LAMBDA, SoftmaxConfig, check_lambda
 from .projection import ProjectionConfig
 
@@ -155,15 +154,8 @@ class ExperimentConfig:
         check_fractions((self.s_frac, self.u_frac, self.t_frac), ConfigError)
         if self.init_mode not in ("scratch", "warm_start"):
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
-        if self.init_mode == "warm_start":
-            if not self.warm_start_checkpoint:
-                raise ConfigError("warm_start requires a checkpoint path")
-            if not Path(self.warm_start_checkpoint).exists():
-                raise ConfigError(
-                    f"warm-start checkpoint not found: {self.warm_start_checkpoint}"
-                )
-        if self.source != "blobs" and not Path(self.source).exists():
-            raise ConfigError(f"dataset file not found: {self.source}")
+        if self.init_mode == "warm_start" and not self.warm_start_checkpoint:
+            raise ConfigError("warm_start requires a checkpoint path")
         for build in (self.train_config, self.projection_config, self.softmax_config):
             build(self.base_seed)
         check_at_least("linear_epochs", self.linear_epochs, 0, ConfigError)
@@ -246,7 +238,4 @@ def config_from_sections(sections: dict[str, dict[str, str]]) -> ExperimentConfi
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
-    return config_from_sections(parse_config_text(read_text(path, ConfigError)))
+    return config_from_sections(parse_config_text(read_file(path, ConfigError, text=True)))

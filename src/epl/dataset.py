@@ -229,15 +229,46 @@ def distances(A: np.ndarray, B: np.ndarray, error: type[Exception], out=None) ->
 
 
 # ---------------------------------------------------------------------------
-# File ingestion
+# Files: every read, write and output directory of epl, each failure as
+# the caller's typed error in one wording
 # ---------------------------------------------------------------------------
 
-def read_text(path, error: type[Exception]) -> str:
-    """A text file's contents; an unreadable or non-UTF-8 file raises ``error``."""
+def read_file(path, error: type[Exception], text: bool = False):
+    """A file's bytes, or with ``text`` its UTF-8 text; otherwise ``error``:
+    ``no such file: PATH`` or ``cannot read PATH: ...``."""
     try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise error(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return _utf8(path, blob, error) if text else blob
+
+
+def _utf8(path, blob: bytes, error: type[Exception]) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def write_file(path, data, error: type[Exception]) -> None:
+    """Write bytes, or a string as UTF-8; otherwise ``error``: ``cannot write PATH: ...``."""
+    try:
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise error(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def make_dir(path, error: type[Exception]) -> Path:
+    """``path`` as an output directory, made with its parents when missing;
+    otherwise ``error``: ``cannot make directory PATH: ...``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise error(f"cannot make directory {path}: {exc.strerror or exc}") from exc
+    return path
 
 
 # Every CSV table (datasets, splits, embeddings, forests, results, reports)
@@ -261,14 +292,14 @@ def format_row(row) -> str:
     return ",".join(map(_cell, row))
 
 
-def write_table(path, header: list[str], rows) -> None:
+def write_table(path, header: list[str], rows, error: type[Exception]) -> None:
     """Write the header lines, then one ``format_row`` line per row."""
     lines = header + [format_row(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n", error)
 
 
 def read_table(path, error: type[Exception], header, header_lines: int = 1,
-               nodes: bool = False) -> list:
+               nodes: bool = False, blob: bytes | None = None) -> list:
     """The rows of a table written by ``write_table``, each through a parser.
 
     ``header`` gets the first ``header_lines`` lines and returns the field
@@ -277,9 +308,11 @@ def read_table(path, error: type[Exception], header, header_lines: int = 1,
     right into exactly that many fields. With ``nodes`` the first parsed
     value of each row is a node id: the rows must be nodes 0..n-1, each
     once, and come back in node order. Every failure raises ``error``, a
-    row's prefixed with ``path: line N:``.
+    row's prefixed with ``path: line N:``. ``blob`` is the file's bytes
+    when the caller has read them.
     """
-    lines = read_text(path, error).splitlines()
+    lines = (read_file(path, error, text=True) if blob is None
+             else _utf8(path, blob, error)).splitlines()
     try:
         width, parse = header(lines[:header_lines])
     except ValueError as exc:
@@ -320,14 +353,13 @@ def _header_params(line: str) -> dict[str, str]:
 
 def save_features(dataset: Dataset, path, format: str) -> None:
     """Write a dataset in the delimited-text or raw-binary format."""
-    path = Path(path)
     if format == "text":
         has = 1 if dataset.has_labels else 0
         k = dataset.class_count if dataset.has_labels else 0
         rows = dataset.features.tolist()
         if has:
             rows = [row + [label] for row, label in zip(rows, dataset.labels.tolist())]
-        write_table(path, [f"# d={dataset.dim} labels={has} k={k}"], rows)
+        write_table(path, [f"# d={dataset.dim} labels={has} k={k}"], rows, DatasetError)
     elif format == "binary":
         n, d = dataset.features.shape
         has = 1 if dataset.has_labels else 0
@@ -338,7 +370,7 @@ def save_features(dataset: Dataset, path, format: str) -> None:
         blob += np.ascontiguousarray(dataset.features, dtype="<f8").tobytes()
         if has:
             blob += np.ascontiguousarray(dataset.labels, dtype="<u4").tobytes()
-        path.write_bytes(bytes(blob))
+        write_file(path, blob, DatasetError)
     else:
         raise DatasetError(f"unknown format {format!r}")
 
@@ -351,14 +383,11 @@ def load_features(path) -> Dataset:
     row and column.
     """
     path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        binary = fh.read(4) in _BINARY_HEADERS
-    return (_load_binary if binary else _load_text)(path, path.stem)
+    blob = read_file(path, DatasetError)
+    return (_load_binary if blob[:4] in _BINARY_HEADERS else _load_text)(path, blob)
 
 
-def _load_text(path: Path, name: str) -> Dataset:
+def _load_text(path: Path, blob: bytes) -> Dataset:
     head = {}
 
     def header(lines):
@@ -374,19 +403,16 @@ def _load_text(path: Path, name: str) -> Dataset:
         return d + has, lambda cells: ([float(c) for c in cells[:d]],
                                        int64(cells[d]) if has else None)
 
-    rows = read_table(path, DatasetError, header)
+    rows = read_table(path, DatasetError, header, blob=blob)
     feats = np.asarray([feats for feats, _ in rows], dtype=np.float64)
     if head["labels"]:
         labels = np.asarray([label for _, label in rows], dtype=np.int64)
-        return Dataset(feats, labels, head["k"], name)
-    return Dataset(feats, None, 0, name)
+        return Dataset(feats, labels, head["k"], path.stem)
+    return Dataset(feats, None, 0, path.stem)
 
 
-def _load_binary(path: Path, name: str) -> Dataset:
-    blob = path.read_bytes()
-    header = _BINARY_HEADERS.get(blob[:4])
-    if header is None:
-        raise DatasetError(f"{path}: bad magic")
+def _load_binary(path: Path, blob: bytes) -> Dataset:
+    header = _BINARY_HEADERS[blob[:4]]
     off = 4 + struct.calcsize(header)
     if len(blob) < off:
         raise DatasetError(f"{path}: truncated header ({len(blob)} < {off} bytes)")
@@ -400,8 +426,8 @@ def _load_binary(path: Path, name: str) -> Dataset:
         labels = labels.astype(np.int64)
         # EPL1 stores no class count: infer it from the largest label.
         k = stored_k[0] if stored_k else (int(labels.max()) + 1 if n else 0)
-        return Dataset(feats.copy(), labels, k, name)
-    return Dataset(feats.copy(), None, 0, name)
+        return Dataset(feats.copy(), labels, k, path.stem)
+    return Dataset(feats.copy(), None, 0, path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +566,8 @@ def save_split(split: SplitAssignment, path) -> None:
     """Write a split as 'index,role' CSV with the parameters in the header."""
     s, u, t = map(_cell, split.fractions)
     write_table(path, [f"# seed={split.seed} s_frac={s} u_frac={u} t_frac={t}", "index,role"],
-                ((i, _ROLE_LETTERS[Role(int(role))]) for i, role in enumerate(split.roles)))
+                ((i, _ROLE_LETTERS[Role(int(role))]) for i, role in enumerate(split.roles)),
+                SplitError)
 
 
 def _role(letter: str) -> int:
@@ -550,9 +577,6 @@ def _role(letter: str) -> int:
 
 
 def load_split(path) -> SplitAssignment:
-    path = Path(path)
-    if not path.exists():
-        raise SplitError(f"no such split file: {path}")
     head = {}
 
     def header(lines):

@@ -51,7 +51,7 @@ class OptimumPathForest:
     def to_csv(self, path) -> None:
         write_table(path, [_CSV_HEADER], (
             (i, self.cost[i], self.predecessor[i] if self.predecessor[i] >= 0 else None,
-             self.root[i], self.label[i]) for i in range(len(self.cost))))
+             self.root[i], self.label[i]) for i in range(len(self.cost))), OpfError)
 
     @classmethod
     def from_csv(cls, path) -> "OptimumPathForest":

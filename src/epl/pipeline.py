@@ -35,8 +35,8 @@ from . import contrastive, host
 from .config import ExperimentConfig, format_config
 from .contrastive import EncoderParams
 from .dataset import (UNLABELED, Dataset, EplError, Role, SplitAssignment, check_finite,
-                      generate_blobs, int64, load_features, read_table,
-                      stratified_split, write_table)
+                      generate_blobs, int64, load_features, make_dir, read_file, read_table,
+                      stratified_split, write_file, write_table)
 from .host import arm_workers
 from .metrics import accuracy, cohen_kappa, confusion, knn_consistency
 from .opf import opfsemi_propagate, opfsup_classify_batch, opfsup_train
@@ -87,7 +87,7 @@ class ResultRow:
 
 
 def write_results_csv(rows, path) -> None:
-    write_table(path, [RESULTS_HEADER], (astuple(row) for row in rows))
+    write_table(path, [RESULTS_HEADER], (astuple(row) for row in rows), PipelineError)
 
 
 def _metric(cell: str) -> float:
@@ -144,9 +144,9 @@ class RunManifest:
         for file in sorted(out_dir.rglob("*")):
             if file.is_dir() or file == manifest_path:
                 continue
-            digest = hashlib.sha256(file.read_bytes()).hexdigest()
+            digest = hashlib.sha256(read_file(file, PipelineError)).hexdigest()
             lines.append(f"{file.relative_to(out_dir)} = sha256:{digest}")
-        manifest_path.write_text("\n".join(lines) + "\n")
+        write_file(manifest_path, "\n".join(lines) + "\n", PipelineError)
         return manifest_path
 
 
@@ -229,7 +229,7 @@ def write_embedding_csv(path, indices, coordinates, labels=None) -> None:
     header, columns = "node,x,y", [indices, coordinates[:, 0], coordinates[:, 1]]
     if labels is not None:
         header, columns = header + ",label", columns + [labels]
-    write_table(path, [header], zip(*columns))
+    write_table(path, [header], zip(*columns), PipelineError)
 
 
 def read_embedding_csv(path):
@@ -424,11 +424,10 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], i
     cfg.validate()
     init = (EncoderParams.load(cfg.warm_start_checkpoint)
             if cfg.init_mode == "warm_start" else None)
-    data = dataset_from_config(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(f"experiment {kind}", format_config(cfg.to_sections()))
-    state = RunState(cfg, data, out_dir, manifest, init)
+    state = RunState(cfg, dataset_from_config(cfg), Path(cfg.out_dir), manifest, init)
+    state.split(0)  # fails on class counts and fractions alone: in every replica or in none
+    out_dir = make_dir(state.out_dir, PipelineError)
 
     rows: list[ResultRow] = []
     try:
@@ -537,12 +536,11 @@ def correlation_report(rows) -> dict:
 
 
 def write_report(rows, out_dir) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir, PipelineError)
     write_table(out_dir / "summary.csv",
                 ["dataset,experiment,classifier,replicas,"
                  "accuracy_mean,accuracy_std,kappa_mean,kappa_std"],
-                (entry.values() for entry in aggregate_rows(rows)))
+                (entry.values() for entry in aggregate_rows(rows)), PipelineError)
     try:
         corr = correlation_report(rows)
         series = [(name, "undefined" if rho is None else rho, corr["cells"])
@@ -551,4 +549,4 @@ def write_report(rows, out_dir) -> None:
     except PipelineError as exc:
         # the reason goes in the first column, the only one that may hold commas
         series = [(f"unavailable: {exc}", None, 0)]
-    write_table(out_dir / "correlation.csv", ["series,rho,cells"], series)
+    write_table(out_dir / "correlation.csv", ["series,rho,cells"], series, PipelineError)

@@ -6,9 +6,7 @@ unlabeled points black. Output bytes depend only on the inputs.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .dataset import UNLABELED, EplError, check_labels, check_matrix
+from .dataset import UNLABELED, EplError, check_labels, check_matrix, write_file
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
@@ -62,4 +60,4 @@ def emit_scatter(coordinates, labels, path) -> None:
             f'fill="{class_color(int(labels[i]))}"/>'
         )
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n", EplError)

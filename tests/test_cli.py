@@ -369,6 +369,7 @@ def _with_shape(name, shape):
 
 def _command(kind, files, bad, tmp):
     return {
+        "data.csv": ["split", "--data", bad, "--out", tmp / "split.csv"],
         "split.csv": ["probe", "--data", files["data.csv"], "--split", bad, "--kind", "linear"],
         "emb.csv": ["propagate", "--embedding", bad, "--data", files["data.csv"],
                     "--split", files["split.csv"], "--out", tmp / "forest.csv"],
@@ -377,6 +378,7 @@ def _command(kind, files, bad, tmp):
         "forest.csv": ["probe", "--data", files["data.csv"], "--split", files["split.csv"],
                        "--kind", "softmax", "--pseudo", bad],
         "results.csv": ["report", "--results", bad, "--out", tmp / "report"],
+        "experiment.cfg": ["experiment", "c1", "--config", bad, "--out", tmp / "o"],
     }[kind]
 
 
@@ -413,6 +415,67 @@ def test_malformed_file_exits_one(artifacts, tmp_path, capsys, case):
     capsys.readouterr()
     assert run(_command(kind, artifacts, bad, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["data.csv", "split.csv", "enc.bin", "emb.csv", "forest.csv",
+                                  "results.csv", "experiment.cfg"])
+def test_missing_or_directory_input_exits_one(artifacts, tmp_path, capsys, kind):
+    missing = tmp_path / f"missing_{kind}"
+    capsys.readouterr()
+    assert run(_command(kind, artifacts, missing, tmp_path)) == 1
+    _one_error_line(capsys, f"no such file: {missing}\n")
+    folder = tmp_path / f"dir_{kind}"
+    folder.mkdir()
+    assert run(_command(kind, artifacts, folder, tmp_path)) == 1
+    _one_error_line(capsys, f"cannot read {folder}: ")
+    assert not (tmp_path / "o").exists()
+
+
+# Each stage command with valid inputs, all its arguments but --out.
+BAD_OUTPUTS = {
+    "gen": lambda f: ["gen"],
+    "split": lambda f: ["split", "--data", f["data.csv"], "--s-frac", 0.1, "--u-frac", 0.6,
+                        "--t-frac", 0.3],
+    "train": lambda f: ["train", "--data", f["data.csv"], "--split", f["split.csv"],
+                        "--mode", "simclr", "--epochs", 1, "--batch-size", 8],
+    "extract": lambda f: ["extract", "--data", f["data.csv"], "--checkpoint", f["enc.bin"]],
+    "project": lambda f: ["project", "--features", f["feats.bin"], "--perplexity", 5,
+                          "--iterations", 30],
+    "propagate": lambda f: ["propagate", "--embedding", f["emb.csv"], "--data", f["data.csv"],
+                            "--split", f["split.csv"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_OUTPUTS))
+def test_directory_output_exits_one(artifacts, tmp_path, capsys, command):
+    capsys.readouterr()
+    assert run(BAD_OUTPUTS[command](artifacts) + ["--out", tmp_path]) == 1
+    _one_error_line(capsys, f"cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("command, name", [("gen", "x.txt"), ("train", "c.bin")])
+def test_output_in_a_missing_directory_exits_one(artifacts, tmp_path, capsys, command, name):
+    out = tmp_path / "missing" / name
+    capsys.readouterr()
+    assert run(BAD_OUTPUTS[command](artifacts) + ["--out", out]) == 1
+    _one_error_line(capsys, f"cannot write {out}: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "report"])
+def test_file_as_output_directory_exits_one(artifacts, capsys, command):
+    results = artifacts["results.csv"]
+    before = results.read_bytes()
+    args = ["experiment", "c1"] if command == "experiment" else ["report", "--results", results]
+    capsys.readouterr()
+    assert run(args + ["--out", results]) == 1
+    _one_error_line(capsys, f"cannot make directory {results}: ")
+    assert results.read_bytes() == before
 
 
 class TestExperimentCommand:
@@ -477,6 +540,30 @@ class TestExperimentCommand:
     def test_config_error_exits_one(self, tmp_path, capsys):
         assert run(["experiment", "c1", "--config", tmp_path / "missing.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, extra", [
+        ("dataset", "source", ""),
+        ("contrastive", "warm_start_checkpoint", "init = warm_start\n"),
+    ])
+    def test_missing_input_file_exits_one_before_the_out_directory(self, tmp_path, capsys,
+                                                                  section, key, extra):
+        missing = tmp_path / "missing.bin"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{_tiny_cfg(tmp_path).read_text()}[{section}]\n{extra}{key} = {missing}\n")
+        out = tmp_path / "o"
+        assert run(["experiment", "all", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+        assert not out.exists()
+
+    def test_split_no_replica_can_make_exits_one_before_the_out_directory(self, tmp_path,
+                                                                          capsys):
+        # 4 classes of 20 at 1% supervision: a budget of 1, whatever the seed.
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[dataset]\nper_class = 20\n")
+        out = tmp_path / "o"
+        assert run(["experiment", "c2", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: supervised budget 1 cannot cover 4 classes\n"
+        assert not out.exists()
 
     def test_invalid_config_value_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -123,5 +123,5 @@ class TestErrors:
             config_from_sections(parse_config_text(f"[{section}]\n{key} = {value}\n"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="no such config file"):
+        with pytest.raises(ConfigError, match="no such file"):
             load_config(tmp_path / "absent.cfg")

@@ -1,11 +1,14 @@
+import ast
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+import epl
 from epl.config import ExperimentConfig
 from epl.dataset import (Dataset, DatasetError, Role, SplitAssignment, SplitError,
                          generate_blobs, load_features, load_split, save_features,
@@ -46,6 +49,15 @@ class TestIngestion:
     def test_missing_file(self):
         with pytest.raises(DatasetError, match="no such file"):
             load_features("/nonexistent/nowhere.csv")
+
+    def test_text_file_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "tiny.csv"
+        save_features(generate_blobs(2, 3, 2, 1.0, 5.0, seed=1), path, "text")
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or read_bytes(p))
+        assert load_features(path).sample_count == 6
+        assert reads == [path]
 
     def test_label_beyond_int64_reports_line(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -286,3 +298,30 @@ class TestStratifiedSplit:
         path.write_text(f"{head}\nindex,role\n0,S\n1,U\n2,T\n")
         with pytest.raises(SplitError, match=re.escape(named)):
             load_split(path)
+
+
+# Names that open, read, write, make or test files and directories.
+_FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir", "exists"}
+
+
+def _file_calls(path: Path) -> list[str]:
+    """Where the module names one of ``_FILE_CALLS``, as file:line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        name = (node.attr if isinstance(node, ast.Attribute) else
+                node.id if isinstance(node, ast.Name) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in _FILE_CALLS:
+            found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    return found
+
+
+def test_only_the_rule_book_touches_files():
+    # Every other module reads, writes and makes directories through
+    # read_file, write_file and make_dir, so a failure has one wording.
+    modules = sorted(Path(epl.__file__).parent.glob("*.py"))
+    assert "dataset.py" in [path.name for path in modules]
+    assert _file_calls(Path(epl.__file__).parent / "dataset.py")
+    found = [site for path in modules if path.name != "dataset.py"
+             for site in _file_calls(path)]
+    assert not found, found
