@@ -5,7 +5,7 @@ forest dumps) so any step can be rerun from a previous step's output.
 The experiment subcommand reproduces the full designs with replicas,
 a results table, scatterplots, and a manifest. Exit codes: 0 on full
 success, 1 on configuration or usage errors, 2 when some experimental
-arms failed but others completed.
+arms failed but others completed, 130 when interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -307,6 +307,9 @@ def main(argv=None) -> int:
     except EplError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

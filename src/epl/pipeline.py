@@ -14,9 +14,9 @@ manifest and the run moves on. Every stage is a pure function of
 (``RunState.seed``).
 
 The arms of a family run ``arm_workers()`` at a time (``epl.workers``):
-the first of a wave here, the other in a forked child that sends back its
-rows, manifest lines, encoders and propagations. The rows, artifacts and
-``[errors]`` lines are those of one arm at a time.
+the first of a wave here, the other in a forked child that sends back
+what it added to the run's record (``RunState.journal``). The record is
+that of one arm at a time.
 """
 
 from __future__ import annotations
@@ -112,22 +112,20 @@ class RunManifest:
     """Resolved config, this host's lines (``epl.host.header``: the thread
     counts and arms run at once that the timings depend on, since
     overlapping arms' times add up to more than the wall clock, and the
-    libraries and kernels the bytes may depend on), per-stage wall clock,
-    failures, and output digests."""
+    libraries and kernels the bytes may depend on), and a run state's
+    record: per-stage wall clock, failures, and its files' digests."""
 
     def __init__(self, command: str, config_echo: str):
         self.command = command
         self.config_echo = config_echo
-        self.timings: list[tuple[str, float]] = []
-        self.errors: list[tuple[str, str]] = []
 
-    def write(self, out_dir) -> Path:
+    def write(self, out_dir, state: RunState, interrupted: bool = False) -> Path:
         out_dir = Path(out_dir)
         lines = [
             "# run manifest",
             f"version = {__version__}",
             f"command = {self.command}",
-            f"status = {'partial' if self.errors else 'ok'}",
+            f"status = {'interrupted' if interrupted else 'partial' if state.errors else 'ok'}",
             f"wall_clock_unix = {time.time()!r}",
             *host.header(),
             "",
@@ -136,16 +134,14 @@ class RunManifest:
             "",
             "[timing]",
         ]
-        lines += [f"{stage} = {seconds:.3f}" for stage, seconds in self.timings]
+        lines += [f"{stage} = {seconds:.3f}" for stage, seconds in state.timings]
         lines += ["", "[errors]"]
-        lines += [f"{stage} = {message}" for stage, message in self.errors]
+        lines += [f"{stage} = {message}" for stage, message in state.errors]
         lines += ["", "[digests]"]
+        lines += [f"{name} = sha256:"
+                  f"{hashlib.sha256(read_file(out_dir / name, PipelineError)).hexdigest()}"
+                  for name in sorted(state.files)]
         manifest_path = out_dir / "manifest.txt"
-        for file in sorted(out_dir.rglob("*")):
-            if file.is_dir() or file == manifest_path:
-                continue
-            digest = hashlib.sha256(read_file(file, PipelineError)).hexdigest()
-            lines.append(f"{file.relative_to(out_dir)} = sha256:{digest}")
         write_file(manifest_path, "\n".join(lines) + "\n", PipelineError)
         return manifest_path
 
@@ -270,6 +266,17 @@ class RunState:
     encoders: dict = field(default_factory=dict)
     propagations: dict = field(default_factory=dict)
     splits: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)
+    files: list = field(default_factory=list)
+    timings: list = field(default_factory=list)
+    errors: list = field(default_factory=list)
+
+    def journal(self) -> dict:
+        """The run's record by name: the lists an arm appends to (result rows,
+        the names of the files written under ``out_dir``, ``[timing]`` and
+        ``[errors]`` lines), then the caches it adds keys to."""
+        return {name: getattr(self, name) for name in
+                ("rows", "files", "timings", "errors", "encoders", "propagations")}
 
     def seed(self, r: int) -> int:
         return self.cfg.base_seed + r
@@ -285,8 +292,14 @@ class RunState:
         try:
             return fn()
         finally:
-            if self.manifest is not None:
-                self.manifest.timings.append((stage, time.perf_counter() - start))
+            self.timings.append((stage, time.perf_counter() - start))
+
+    @contextmanager
+    def artifact(self, name: str, *sidecars: str):
+        """The path of ``name`` under ``out_dir`` for the body to write; ``name``
+        and the ``sidecars`` written beside it go into ``files`` once it has."""
+        yield self.out_dir / name
+        self.files += [name, *sidecars]
 
     @contextmanager
     def arm(self, stage: str):
@@ -297,7 +310,7 @@ class RunState:
         except Exception as exc:
             if self.manifest is None:
                 raise
-            self.manifest.errors.append((stage, f"{type(exc).__name__}: {exc}"))
+            self.errors.append((stage, f"{type(exc).__name__}: {exc}"))
 
     def encoder(self, r: int, mode: str) -> EncoderParams:
         """Replica r's encoder of ``mode``, trained and saved on first use; one
@@ -315,8 +328,9 @@ class RunState:
                     mode, self.data, self.split(r), config, init=self.init))
             self.encoders[key] = params
             if self.out_dir is not None:
-                params.save(self.out_dir / f"ckpt_{mode}_{seed}.bin",
-                            {"mode": mode, **asdict(config), "init": self.cfg.init_mode})
+                name = f"ckpt_{mode}_{seed}.bin"
+                with self.artifact(name, f"{name}.cfg") as path:
+                    params.save(path, {"mode": mode, **asdict(config), "init": self.cfg.init_mode})
         return self.encoders[key]
 
     def propagation(self, r: int, mode: str) -> _Propagation:
@@ -360,10 +374,10 @@ def _c2_rows(state: RunState, r: int, arm: Arm):
     yield ResultRow(state.data.name, arm.id, "propagation", seed,
                     prop.accuracy, prop.kappa, prop.consistency)
     if state.out_dir is not None:
-        write_embedding_csv(state.out_dir / f"embedding_{arm.encoder}_{seed}.csv", prop.indices,
-                            prop.embedding.coordinates, prop.labels)
-        emit_scatter(prop.embedding.coordinates, prop.seed_values,
-                     state.out_dir / f"scatter_{arm.encoder}_{seed}.svg")
+        with state.artifact(f"embedding_{arm.encoder}_{seed}.csv") as path:
+            write_embedding_csv(path, prop.indices, prop.embedding.coordinates, prop.labels)
+        with state.artifact(f"scatter_{arm.encoder}_{seed}.svg") as path:
+            emit_scatter(prop.embedding.coordinates, prop.seed_values, path)
 
 
 def _c3_rows(state: RunState, r: int, arm: Arm):
@@ -390,16 +404,17 @@ def run_family(state: RunState, family: str) -> list[ResultRow]:
     """Every arm of one family, replica by replica, each in its own arm isolation,
     in waves of ``arm_workers()`` arms run at once (``epl.workers.run_wave``).
 
-    An arm's rows are taken as it yields them, so the rows it finished
-    before a failure are kept. An arm's root is the replica's encoder it
-    reads, or the one that encoder is fine-tuned from. So that no encoder
-    trains twice, a wave ends before an arm whose root is untrained and is
-    an earlier arm's root in the wave.
+    An arm's rows go into the state's record as it yields them, so the rows
+    it finished before a failure are kept; this returns the family's slice
+    of them. An arm's root is the replica's encoder it reads, or the one
+    that encoder is fine-tuned from. So that no encoder trains twice, a
+    wave ends before an arm whose root is untrained and is an earlier arm's
+    root in the wave.
     """
     from .workers import run_wave  # process machinery
     arms = [(r, arm) for r in range(state.cfg.replicas) for encoder in (None, *state.cfg.modes)
             for arm in ARMS if (arm.family, arm.encoder) == (family, encoder)]
-    rows: list[ResultRow] = []
+    start = len(state.rows)
     while arms:
         wave, roots = [], set()
         for r, arm in arms[:arm_workers()]:
@@ -409,15 +424,16 @@ def run_family(state: RunState, family: str) -> list[ResultRow]:
             wave.append((f"r{r}.{arm.label}.{family}",
                          partial(_FAMILY_ROWS[family], state, r, arm)))
             roots.add(root)
-        rows += run_wave(state, wave)
+        run_wave(state, wave)
         arms = arms[len(wave):]
-    return rows
+    return state.rows[start:]
 
 
 def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
     """Run one experiment family (or all) and write results + manifest.
 
-    Returns (rows, exit code): 0 on full success, 2 when any arm failed.
+    Returns (rows, exit code): 0 on full success, 2 when any arm failed. A
+    run that ends early, by an interrupt too, writes what it recorded.
     """
     if kind != "all" and kind not in _FAMILY_ROWS:
         raise PipelineError(f"unknown experiment kind {kind!r}")
@@ -429,14 +445,16 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], i
     state.split(0)  # fails on class counts and fractions alone: in every replica or in none
     out_dir = make_dir(state.out_dir, PipelineError)
 
-    rows: list[ResultRow] = []
+    finished = False
     try:
         for family in (_FAMILY_ROWS if kind == "all" else (kind,)):
-            rows += run_family(state, family)
+            run_family(state, family)
+        finished = True
     finally:
-        write_results_csv(rows, out_dir / "results.csv")
-        manifest.write(out_dir)
-    return rows, (2 if manifest.errors else 0)
+        with state.artifact("results.csv") as path:
+            write_results_csv(state.rows, path)
+        manifest.write(out_dir, state, interrupted=not finished)
+    return state.rows, (2 if state.errors else 0)
 
 
 # ---------------------------------------------------------------------------

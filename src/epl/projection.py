@@ -24,18 +24,20 @@ early exaggeration, so P is never copied; a KL only reads `w`. A call
 rebuilds the weights only for other coordinates than the ones they hold,
 so in the last 50 steps the kernel that the KL of step t builds is the
 one the gradient of step t + 1 uses: one kernel per step, not two. The
-KL is sum p log p, taken once per P array, minus sum p log q, summed one
-row block at a time. The gradient computes the same float operations as
-the full-matrix form, so its bytes do not depend on the workspace or the
-blocking; the KL's bytes depend on the block order and nothing else.
+KL is sum p log p, taken once per P the workspace holds, minus sum p log
+q, summed one row block at a time. The gradient computes the same float
+operations as the full-matrix form, so its bytes do not depend on the
+workspace or the blocking; the KL's bytes depend on the block order and
+nothing else.
 
 Each kernel build, weight sum, gradient pass and KL pass, and the
 perplexity bisection, is split into two row halves, cut at the first
 multiple of _BLOCK_ROWS from n / 2 on. Inside a `with`, a workspace runs
 the second half in a forked helper process (`host.fork`) over its one
-MAP_SHARED map, P included (see `Workspace.split`), when `_side_count(n)` is 2;
-otherwise, and in a standalone `kl_gradient` or `kl_divergence` call, the
-caller runs both halves in turn. Every element is computed by the same
+MAP_SHARED map, P included (a kernel call copies another P in:
+`Workspace.hold`), when `_side_count(n)` is 2; otherwise, and in a
+standalone `kl_gradient` or `kl_divergence` call, the caller runs both
+halves in turn. Every element is computed by the same
 float operations either way, so only the one full reduction could depend
 on the split: the weight sum S. It is always taken as the sums of its two
 parts, cut where numpy's pairwise sum splits a contiguous array of more
@@ -154,8 +156,9 @@ def conditional_affinities(features, perplexity: float,
     large for the bisection's precisions to scale raise ProjectionError
     before any row is bisected. The squared distances are computed into
     the returned matrix, and each row's conditional overwrites its
-    distances: no second n x n array. `work`, an optional Workspace for n
-    points, holds the matrix (its `p`) and splits the bisection's rows.
+    distances: no second n x n array. The matrix is the `p` of `work`, a
+    Workspace for n points, which splits the bisection's rows; without one,
+    of a fresh Workspace that is never entered, so both halves run here.
     """
     X = check_matrix(features, ProjectionError)
     n = X.shape[0]
@@ -165,11 +168,9 @@ def conditional_affinities(features, perplexity: float,
     if not perplexity <= n - 1:
         raise ProjectionError(
             f"perplexity {perplexity} exceeds n - 1 = {n - 1}, the most {n} points can realize")
-    if work is None:
-        cond = np.empty((n, n))
-    else:
-        _check_size(work, n)
-        cond, work._p_log_p_of = work.p, None
+    work = Workspace(n) if work is None else work
+    _check_size(work, n)
+    cond, work.p_log_p = work.p, None
     cdist_sqeuclidean(X, X, out=cond)
     # Finite features give no NaN distance, so an overflow shows as an inf maximum.
     top = check_finite(cond.max(), ProjectionError,
@@ -178,13 +179,9 @@ def conditional_affinities(features, perplexity: float,
         raise ProjectionError(
             f"squared-distance range 0..{top:.3g} is too wide for the perplexity "
             f"bisection: precisions up to 2**{_BISECT_STEPS} would overflow float64")
-    if work is None:
-        betas = np.ones(n)
-        _bisect_rows(cond, betas, slice(0, n), perplexity, tol)
-        return cond, betas
     work.betas.fill(1.0)
     work.scalars[2:] = perplexity, tol
-    work.split(_bisection_half, cond)
+    work.split(_bisection_half)
     return cond, work.betas.copy()
 
 
@@ -244,8 +241,8 @@ def pairwise_affinities(features, perplexity: float,
 
     Each pair of _BLOCK_ROWS-square blocks is summed, scaled and written
     back to both places; c_ij + c_ji = c_ji + c_ij in floating point, so the
-    result equals the out-of-place form bit for bit. With `work`, the
-    result is the workspace's P (`conditional_affinities`).
+    result equals the out-of-place form bit for bit. The result is the `p`
+    of `work`, or of a fresh workspace (`conditional_affinities`).
     """
     P, _ = conditional_affinities(features, perplexity, tol, work)
     n = P.shape[0]
@@ -292,11 +289,11 @@ def _side_count(n: int) -> int:
     return host.arm_workers() if n > _BLOCK_ROWS else 1
 
 
-# The jobs a split runs, job(workspace, P, side), each on one row half.
+# The jobs a split runs, job(workspace, side), each on one row half.
 # Everything a job reads or writes but the private `scratch[side]` lies in
-# the workspace's one shared map.
+# the workspace's one shared map, P (`p`) included.
 
-def _weights_half(ws, _P, side) -> None:
+def _weights_half(ws, side) -> None:
     """The Student-t weights 1 / (1 + squared distance) of `coords`, with a
     zero diagonal, into the half's rows of `w`."""
     n = ws.n
@@ -308,20 +305,20 @@ def _weights_half(ws, _P, side) -> None:
     ws.w.reshape(-1)[rows.start * (n + 1):rows.stop * (n + 1):n + 1] = 0.0
 
 
-def _weight_sum_part(ws, _P, side) -> None:
+def _weight_sum_part(ws, side) -> None:
     """The sum of one of numpy's two pairwise parts of `w` into `parts`."""
     flat = ws.w.reshape(-1)
     ws.parts[side] = flat[_sum_halves(flat.size)[side]].sum()
 
 
-def _gradient_half(ws, P, side) -> None:
+def _gradient_half(ws, side) -> None:
     """(alpha P - w / S) * w over the half's rows into `w`, and its row sums."""
     total, exaggeration = ws.scalars[0], ws.scalars[1]
     w = ws.w
     for rows, k in _row_blocks(_halves(ws.n)[side]):
         block = ws.scratch[side, 0, :k]
         np.divide(w[rows], total, out=block)
-        p = P[rows]
+        p = ws.p[rows]
         if exaggeration != 1.0:
             p = np.multiply(p, exaggeration, out=ws.scratch[side, 1, :k])
         np.subtract(p, block, out=block)
@@ -329,7 +326,7 @@ def _gradient_half(ws, P, side) -> None:
         np.sum(w[rows], axis=1, out=ws.row_sums[rows])
 
 
-def _kl_half(ws, P, side) -> None:
+def _kl_half(ws, side) -> None:
     """sum p log q over each block of the half's rows into `block_sums`."""
     total = ws.scalars[0]
     for rows, k in _row_blocks(_halves(ws.n)[side]):
@@ -337,13 +334,13 @@ def _kl_half(ws, P, side) -> None:
         np.divide(ws.w[rows], total, out=log_q)
         np.maximum(log_q, _Q_EPS, out=log_q)
         np.log(log_q, out=log_q)
-        np.multiply(P[rows], log_q, out=log_q)
+        np.multiply(ws.p[rows], log_q, out=log_q)
         ws.block_sums[rows.start // _BLOCK_ROWS] = log_q.sum()
 
 
-def _bisection_half(ws, P, side) -> None:
-    """The conditionals and precisions of the half's rows of P, the distances."""
-    _bisect_rows(P, ws.betas, _halves(ws.n)[side], float(ws.scalars[2]), float(ws.scalars[3]))
+def _bisection_half(ws, side) -> None:
+    """The conditionals and precisions of the half's rows of `p`, the distances."""
+    _bisect_rows(ws.p, ws.betas, _halves(ws.n)[side], float(ws.scalars[2]), float(ws.scalars[3]))
 
 
 _JOBS = (_weights_half, _weight_sum_part, _gradient_half, _kl_half, _bisection_half)
@@ -365,17 +362,16 @@ class Workspace:
     shared with a forked helper; a block scratch per row half; the state
     they carry between calls; and, inside a `with`, a helper process.
 
-    `p` holds the P that `conditional_affinities` builds for the workspace.
-    `w` and `scalars[0]` hold the Student-t weights of the coordinates whose
-    shape and bytes are `_kernel_of`, and their sum. A gradient overwrites
-    `w` and clears `_kernel_of`, so the next call rebuilds the weights.
-    `scratch[side]` holds two blocks of _BLOCK_ROWS rows for that row
-    half. `_p_log_p` is sum p log p over the positive entries of the P
-    array object `_p_log_p_of`, which was checked to be finite and
-    non-negative; that array must not change in place while the workspace
-    is in use, unless through `conditional_affinities`. `nbytes` counts the
-    map, which `tracemalloc` does not see. The map touches no page when it
-    is made, so a size that does not fit fails here, before any work.
+    `p` holds the P that `conditional_affinities` builds for the workspace
+    or that a kernel call copies in (`hold`), and `p_log_p` its sum p log
+    p, or None until a kernel call takes it. `w` and `scalars[0]` hold the
+    Student-t weights of the coordinates whose shape and bytes are
+    `_kernel_of`, and their sum. A gradient overwrites `w` and clears
+    `_kernel_of`, so the next call rebuilds the weights. `scratch[side]`
+    holds two blocks of _BLOCK_ROWS rows for that row half. `nbytes`
+    counts the map, which `tracemalloc` does not see. The map touches no
+    page when it is made, so a size that does not fit fails here, before
+    any work.
 
     The helper is forked at the first split inside a `with` and computes
     under the numpy error state of that split. It exits at EOF on its
@@ -397,8 +393,7 @@ class Workspace:
         self.coords, self.nbytes = coords.reshape(n, 2), buffer.nbytes
         self.scratch = np.empty((2, 2, min(n, _BLOCK_ROWS), n))
         self._kernel_of = None
-        self._p_log_p_of = None
-        self._p_log_p = 0.0
+        self.p_log_p = None
         self._may_fork = False
         self._helper = None
 
@@ -411,10 +406,10 @@ class Workspace:
         if self._helper is not None:
             self._helper.close()
 
-    def split(self, job, P=None) -> None:
-        """Run job(self, P, 0) on the first row half here and job(self, P, 1)
-        on the second: on the helper when there is one and P is None or `p`,
-        else here after the first. The first split inside a `with` forks the
+    def split(self, job) -> None:
+        """Run job(self, 0) on the first row half here and job(self, 1) on the
+        second: on the helper when there is one, else here after the first.
+        The first split inside a `with` forks the
         helper when `_side_count(n)` is 2; where the fork fails, or once the
         helper has ended, the caller runs both halves. The helper is sent
         the job's code and answers (`host.Child`). An exception on either
@@ -424,15 +419,15 @@ class Workspace:
         if self._may_fork:
             self._may_fork = False
             if _side_count(self.n) > 1:
-                self._helper = host.fork(lambda code: _JOBS[code](self, self.p, 1))
+                self._helper = host.fork(lambda code: _JOBS[code](self, 1))
         helper = self._helper
-        if helper is None or helper.pid is None or not (P is None or P is self.p):
-            job(self, P, 0)
-            job(self, P, 1)
+        if helper is None or helper.pid is None:
+            job(self, 0)
+            job(self, 1)
             return
         helper.send(_JOB_CODES[job])
         try:
-            job(self, P, 0)
+            job(self, 0)
         finally:
             answer = helper.answer(f"{job.__name__.strip('_')} on the helper, {self.n} points",
                                    ProjectionError)
@@ -453,38 +448,40 @@ class Workspace:
             self.scalars[0] = total
             self._kernel_of = key
 
-    def p_log_p(self, P: np.ndarray) -> float:
-        """sum p log p over P's positive entries, summed by row blocks, computed
-        only if it is another array's. A negative or non-finite entry raises
-        ProjectionError; a block's min and max show it, NaN included."""
-        if P is not self._p_log_p_of:
+    def hold(self, P) -> None:
+        """Make `p` hold P, copied in unless P is `p`, and `p_log_p` its sum
+        p log p over the positive entries, summed by row blocks: taken once
+        per copy and once per `conditional_affinities`. A P of another shape,
+        or with a negative or non-finite entry, raises ProjectionError; a
+        block's min and max show the entry, NaN included."""
+        if P is not self.p:
+            P = np.asarray(P, dtype=np.float64)
+            if P.shape != self.p.shape:
+                raise ProjectionError(f"P has shape {P.shape}, expected {self.n} x {self.n} "
+                                      f"for {self.n} coordinates")
+            self.p[:], self.p_log_p = P, None
+        if self.p_log_p is None:
             total = 0.0
-            for rows, _ in _row_blocks(slice(0, P.shape[0])):
-                block = P[rows]
+            for rows, _ in _row_blocks(slice(0, self.n)):
+                block = self.p[rows]
                 if not (block.min() >= 0.0 and block.max() < np.inf):
                     i, j = np.argwhere(~((block >= 0.0) & (block < np.inf)))[0]
                     raise ProjectionError(f"P[{rows.start + i}, {j}] is {block[i, j]}: "
                                           "P must be finite and non-negative")
                 p = block[block > 0]
                 total += float((p * np.log(p)).sum())
-            self._p_log_p_of, self._p_log_p = P, total
-        return self._p_log_p
+            self.p_log_p = total
 
 
 def _kernel_args(P, coords, work):
-    """P and the coordinates as float64 arrays of matching shapes, and a
-    workspace of their size: `work`, or a fresh one that is never entered,
-    so the caller runs both halves. P is checked, and its sum p log p
-    taken, once per array (`Workspace.p_log_p`)."""
-    P = np.asarray(P, dtype=np.float64)
+    """The coordinates as a float64 matrix, and a workspace of their size
+    that holds P (`Workspace.hold`): `work`, or a fresh one that is never
+    entered, so the caller runs both halves."""
     Y = check_matrix(coords, ProjectionError)
-    n = Y.shape[0]
-    if P.shape != (n, n):
-        raise ProjectionError(f"P has shape {P.shape}, expected {n} x {n} for {n} coordinates")
-    ws = work if work is not None else Workspace(n)
-    _check_size(ws, n)
-    ws.p_log_p(P)
-    return P, Y, ws
+    ws = work if work is not None else Workspace(Y.shape[0])
+    _check_size(ws, Y.shape[0])
+    ws.hold(P)
+    return Y, ws
 
 
 def _check_size(ws, n: int) -> None:
@@ -501,13 +498,13 @@ def kl_divergence(P, coords, work=None) -> float:
     `work` is an optional Workspace for n coordinates; the kernel this call
     builds stays in it.
     """
-    P, Y, ws = _kernel_args(P, coords, work)
+    Y, ws = _kernel_args(P, coords, work)
     ws.kernel(Y)
-    ws.split(_kl_half, P)
+    ws.split(_kl_half)
     cross = 0.0
     for block_sum in ws.block_sums.tolist():
         cross += block_sum
-    return ws.p_log_p(P) - cross
+    return ws.p_log_p - cross
 
 
 def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
@@ -518,11 +515,11 @@ def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
     elementwise. `work` is an optional Workspace for n coordinates; the
     gradient overwrites its kernel.
     """
-    P, Y, ws = _kernel_args(P, coords, work)
+    Y, ws = _kernel_args(P, coords, work)
     ws.kernel(Y)
     ws._kernel_of = None
     ws.scalars[1] = exaggeration
-    ws.split(_gradient_half, P)
+    ws.split(_gradient_half)
     return 4.0 * (ws.row_sums[:, None] * Y - ws.w @ Y)
 
 

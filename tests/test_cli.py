@@ -615,6 +615,24 @@ class TestExperimentCommand:
         assert {r.experiment for r in rows} == {"C2a", "C2b"}
 
 
+    def test_an_interrupt_is_one_line_and_exit_code_130(self, tmp_path, capsys, monkeypatch):
+        # KeyboardInterrupt, which Python's SIGINT handler raises, in the first
+        # arm of the first wave: the arm that runs in this process.
+        real_rows = epl.pipeline._FAMILY_ROWS["c2"]
+
+        def rows(state, r, arm):
+            if arm.encoder == "simclr":
+                raise KeyboardInterrupt
+            yield from real_rows(state, r, arm)
+
+        monkeypatch.setitem(epl.pipeline._FAMILY_ROWS, "c2", rows)
+        out = tmp_path / "o"
+        assert run(["experiment", "c2", "--config", _tiny_cfg(tmp_path), "--replicas", 1,
+                    "--mode", "both", "--out", out]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert "status = interrupted" in (out / "manifest.txt").read_text().splitlines()
+        assert read_results_csv(out / "results.csv") == []
+
     def test_c1_on_a_finite_extreme_feature_records_arm_errors(self, tmp_path):
         data = generate_blobs(3, 40, 5, 0.5, 10.0, seed=2)
         split = stratified_split(data, 0.06, 0.64, 0.30, seed=3)

@@ -36,8 +36,9 @@ def _fresh(code: str, out: Path, **env) -> dict:
 HEADER = """
 import json
 from epl import host
-from epl.pipeline import RunManifest
-lines = RunManifest("experiment c1", "").write(sys.argv[1]).read_text().splitlines()
+from epl.pipeline import RunManifest, RunState
+lines = RunManifest("experiment c1", "").write(
+    sys.argv[1], RunState(None, None, None, None)).read_text().splitlines()
 print(json.dumps({"cpus": host.cpu_count(), "workers": host.arm_workers(),
                   "header": lines[5:lines.index("")]}))
 """
@@ -137,7 +138,8 @@ def test_without_the_binding_a_wave_runs_and_the_header_says_so(tmp_path, monkey
                             [(stage, lambda stage=stage: [stage])
                              for stage in ("r0.simclr.c1", "r0.supcon.c1")])
     assert rows == ["r0.simclr.c1", "r0.supcon.c1"]
-    lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+    lines = RunManifest("experiment c1", "").write(
+        tmp_path, RunState(None, None, None, None)).read_text().splitlines()
     assert {f"blas_threads = {UNBOUND}", f"blas_core = {UNBOUND}"} <= set(lines)
     _no_child_left()
 

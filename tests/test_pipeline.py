@@ -264,6 +264,38 @@ def manifest_errors(out_dir):
     return lines[lines.index("[errors]") + 1:lines.index("[digests]") - 1]
 
 
+def manifest_digests(out_dir):
+    """File name -> sha256 hex digest, as the manifest's [digests] lists them."""
+    lines = (out_dir / "manifest.txt").read_text().splitlines()
+    entries = (line.split(" = ") for line in lines[lines.index("[digests]") + 1:])
+    return {name: digest.removeprefix("sha256:") for name, digest in entries}
+
+
+def recorded_states(monkeypatch):
+    """The run state of each manifest written from now on, as it was written."""
+    states, write = [], RunManifest.write
+
+    def recording(self, out_dir, state, **kwargs):
+        states.append(state)
+        return write(self, out_dir, state, **kwargs)
+
+    monkeypatch.setattr(RunManifest, "write", recording)
+    return states
+
+
+def interrupt_arm(monkeypatch, family, encoder):
+    """The ``encoder`` arms of ``family`` raise KeyboardInterrupt, as Python's
+    SIGINT handler does, before their first row."""
+    real_rows = pipeline._FAMILY_ROWS[family]
+
+    def rows(state, r, arm):
+        if arm.encoder == encoder:
+            raise KeyboardInterrupt
+        yield from real_rows(state, r, arm)
+
+    monkeypatch.setitem(pipeline._FAMILY_ROWS, family, rows)
+
+
 def assert_no_child_left():
     # waitpid raises ChildProcessError only when this process has no child,
     # running or exited.
@@ -354,7 +386,9 @@ class TestArmWorkers:
 
     @pytest.mark.parametrize("kind", sorted(ROWS))
     def test_same_bytes_with_one_worker_or_two(self, tmp_path, monkeypatch, kind):
-        results = {}
+        # The run's record too: its rows, the files in the order they were
+        # written, the timed stages and the errors.
+        results, states = {}, recorded_states(monkeypatch)
         for size in (2, 1):
             force_workers(monkeypatch, size)
             out = tmp_path / f"workers{size}"
@@ -363,7 +397,11 @@ class TestArmWorkers:
             assert read_results_csv(out / "results.csv") == rows
             header = (out / "manifest.txt").read_text().splitlines()
             assert f"arm_workers = {size}" in header
-            results[size] = rows, artifact_digests(out), manifest_timings(out)
+            state = states[-1]
+            record = (state.rows, state.files, [stage for stage, _ in state.timings],
+                      state.errors)
+            assert manifest_digests(out) == artifact_digests(out)
+            results[size] = rows, artifact_digests(out), manifest_timings(out), record
         assert results[2] == results[1]
         assert_no_child_left()
 
@@ -531,6 +569,27 @@ class TestArmWorkers:
             "before answering"]
         assert_no_child_left()
 
+    def test_an_interrupted_run_writes_every_finished_arm(self, tmp_path, monkeypatch,
+                                                         workers):
+        # The combined arm, the first of c2's second wave with two workers, is
+        # interrupted in this process once the simclr and supcon arms have
+        # ended (with two workers, supcon's in a forked child).
+        interrupt_arm(monkeypatch, "c2", "combined")
+        out = tmp_path / "interrupted"
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment("all", small_config(out, replicas=1))
+        assert [(r.experiment, r.classifier) for r in read_results_csv(out / "results.csv")] == [
+            ("C1a", "linear"), ("C1a", "opfsup"), ("C1b", "linear"), ("C1b", "opfsup"),
+            ("C2a", "propagation"), ("C2b", "propagation")]
+        assert "status = interrupted" in (out / "manifest.txt").read_text().splitlines()
+        assert manifest_errors(out) == []
+        assert manifest_digests(out) == artifact_digests(out)
+        assert set(artifact_digests(out)) == {
+            "results.csv", *(f"{kind}_{mode}_7.{ext}" for mode in ("simclr", "supcon")
+                             for kind, ext in (("embedding", "csv"), ("scatter", "svg"))),
+            *(f"ckpt_{mode}_7.bin{cfg}" for mode in ("simclr", "supcon") for cfg in ("", ".cfg"))}
+        assert_no_child_left()
+
     def test_no_child_outlives_a_raise_in_this_process(self, tmp_path, monkeypatch, workers):
         class Stop(BaseException):  # not an Exception: no arm isolation catches it
             pass
@@ -582,6 +641,16 @@ class TestManifest:
                    for p in out.iterdir() if p.name != "manifest.txt"}
         assert listed == on_disk
 
+    def test_only_this_runs_files_are_digested(self, tmp_path):
+        # A c1 run into the directory of a c2 run lists its own files alone.
+        out = tmp_path / "reused"
+        run_experiment("c2", small_config(out, replicas=1, modes=("simclr",)))
+        run_experiment("c1", small_config(out, replicas=1, modes=("supcon",)))
+        assert "embedding_simclr_7.csv" in artifact_digests(out)
+        assert set(manifest_digests(out)) == {"ckpt_supcon_7.bin", "ckpt_supcon_7.bin.cfg",
+                                              "results.csv"}
+        assert manifest_digests(out).items() <= artifact_digests(out).items()
+
     def test_a_process_that_may_not_fork_projects_on_one_side(self, tmp_path, monkeypatch):
         # While another thread runs, the projection forks no helper, and the
         # header says so.
@@ -590,7 +659,8 @@ class TestManifest:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+            lines = RunManifest("experiment c1", "").write(
+                tmp_path, RunState(None, None, None, None)).read_text().splitlines()
             sides = epl.projection._side_count(100)
         finally:
             release.set()
@@ -600,12 +670,14 @@ class TestManifest:
 
     def test_header_names_the_arm_workers(self, tmp_path, workers):
         # They are also the sides a projection of more than 64 points splits between.
-        lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+        lines = RunManifest("experiment c1", "").write(
+            tmp_path, RunState(None, None, None, None)).read_text().splitlines()
         assert f"arm_workers = {workers}" in lines[:lines.index("[config]")]
         assert epl.projection._side_count(100) == workers
 
     def test_header_names_numpy_and_scipy(self, tmp_path):
-        lines = RunManifest("experiment c1", "").write(tmp_path).read_text().splitlines()
+        lines = RunManifest("experiment c1", "").write(
+            tmp_path, RunState(None, None, None, None)).read_text().splitlines()
         header = lines[:lines.index("[config]")]
         assert f"numpy = {np.__version__}" in header
         assert f"scipy = {scipy.__version__}" in header
