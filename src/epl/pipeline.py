@@ -445,15 +445,17 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], i
     state.split(0)  # fails on class counts and fractions alone: in every replica or in none
     out_dir = make_dir(state.out_dir, PipelineError)
 
-    finished = False
+    interrupted = False
     try:
         for family in (_FAMILY_ROWS if kind == "all" else (kind,)):
             run_family(state, family)
-        finished = True
+    except KeyboardInterrupt:
+        interrupted = True
+        raise
     finally:
         with state.artifact("results.csv") as path:
             write_results_csv(state.rows, path)
-        manifest.write(out_dir, state, interrupted=not finished)
+        manifest.write(out_dir, state, interrupted=interrupted)
     return state.rows, (2 if state.errors else 0)
 
 

@@ -496,7 +496,9 @@ def kl_divergence(P, coords, work=None) -> float:
     Q is floored at 1e-12 before the log. The KL is sum p log p minus the
     sum of p log q over blocks of _BLOCK_ROWS rows, added in block order.
     `work` is an optional Workspace for n coordinates; the kernel this call
-    builds stays in it.
+    builds stays in it, and a P that is not `work.p` is copied into `work.p`
+    (`Workspace.hold`), replacing the array `pairwise_affinities` returned
+    for that workspace, a P that then fails the check included.
     """
     Y, ws = _kernel_args(P, coords, work)
     ws.kernel(Y)
@@ -513,7 +515,8 @@ def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
     dC/dy_i = 4 sum_j (alpha p_ij - q_ij) (y_i - y_j) / (1 + |y_i - y_j|^2),
     where alpha is the exaggeration; P[rows] * alpha equals (P * alpha)[rows]
     elementwise. `work` is an optional Workspace for n coordinates; the
-    gradient overwrites its kernel.
+    gradient overwrites its kernel, and a P that is not `work.p` is copied
+    into `work.p` as in `kl_divergence`.
     """
     Y, ws = _kernel_args(P, coords, work)
     ws.kernel(Y)

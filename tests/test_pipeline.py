@@ -283,14 +283,14 @@ def recorded_states(monkeypatch):
     return states
 
 
-def interrupt_arm(monkeypatch, family, encoder):
-    """The ``encoder`` arms of ``family`` raise KeyboardInterrupt, as Python's
-    SIGINT handler does, before their first row."""
+def interrupt_arm(monkeypatch, family, encoder, error=KeyboardInterrupt):
+    """The ``encoder`` arms of ``family`` raise ``error`` before their first
+    row: by default KeyboardInterrupt, as Python's SIGINT handler does."""
     real_rows = pipeline._FAMILY_ROWS[family]
 
     def rows(state, r, arm):
         if arm.encoder == encoder:
-            raise KeyboardInterrupt
+            raise error
         yield from real_rows(state, r, arm)
 
     monkeypatch.setitem(pipeline._FAMILY_ROWS, family, rows)
@@ -588,6 +588,19 @@ class TestArmWorkers:
             "results.csv", *(f"{kind}_{mode}_7.{ext}" for mode in ("simclr", "supcon")
                              for kind, ext in (("embedding", "csv"), ("scatter", "svg"))),
             *(f"ckpt_{mode}_7.bin{cfg}" for mode in ("simclr", "supcon") for cfg in ("", ".cfg"))}
+        assert_no_child_left()
+
+    def test_a_raise_that_is_not_an_interrupt_is_not_reported_as_one(self, tmp_path,
+                                                                    monkeypatch, workers):
+        class Stop(BaseException):  # not an Exception: no arm isolation catches it
+            pass
+
+        interrupt_arm(monkeypatch, "c2", "combined", Stop)
+        out = tmp_path / "stopped"
+        with pytest.raises(Stop):
+            run_experiment("all", small_config(out, replicas=1))
+        assert "status = ok" in (out / "manifest.txt").read_text().splitlines()
+        assert manifest_digests(out) == artifact_digests(out)
         assert_no_child_left()
 
     def test_no_child_outlives_a_raise_in_this_process(self, tmp_path, monkeypatch, workers):

@@ -632,6 +632,24 @@ class TestTsne:
         P = pairwise_affinities(X, 9.0, work=work)
         assert kl_divergence(P, Y, work) == kl_divergence(P.copy(), Y)
 
+    def test_a_kernel_given_another_p_replaces_the_workspaces_p(self):
+        # The array pairwise_affinities returned for a workspace is its P, and
+        # a kernel call with that workspace and another P copies the other P
+        # into it: the returned array changes, an invalid P included.
+        rng = np.random.default_rng(4)
+        X, Y = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+        for kernel in (kl_gradient, kl_divergence):
+            work = Workspace(40)
+            P = pairwise_affinities(X, 5.0, work=work)
+            other = pairwise_affinities(X, 9.0)
+            kernel(other, Y, work)
+            assert P is work.p and np.array_equal(P, other)
+            bad = other.copy()
+            bad[1, 2] = -1.0
+            with pytest.raises(ProjectionError, match=r"P\[1, 2\] is -1.0"):
+                kernel(bad, Y, work)
+            assert np.array_equal(P, bad)
+
     def test_embedding_requires_finite_coordinates(self):
         with pytest.raises(ProjectionError):
             Embedding2D(np.array([[0.0, np.inf]]), np.empty(0))
