@@ -252,16 +252,13 @@ def read_embedding_csv(path):
 
 @dataclass
 class RunState:
-    """Shared per-run cache so the experiment families reuse trained arms.
-
-    Without an output directory nothing is written, and without a manifest
-    an arm's failure propagates.
-    """
+    """Shared per-run cache so the experiment families reuse trained arms,
+    and the run's record: what its arms wrote under ``out_dir``, an
+    existing directory, and what they returned and failed with."""
 
     cfg: ExperimentConfig
     data: Dataset
-    out_dir: Path | None
-    manifest: RunManifest | None
+    out_dir: Path
     init: EncoderParams | None = None  # warm-start weights of the simclr and supcon arms
     encoders: dict = field(default_factory=dict)
     propagations: dict = field(default_factory=dict)
@@ -304,12 +301,10 @@ class RunState:
     @contextmanager
     def arm(self, stage: str):
         """Arm isolation: a failure inside is recorded under ``stage`` and the
-        run moves on to the next arm; without a manifest it propagates."""
+        run moves on to the next arm."""
         try:
             yield
         except Exception as exc:
-            if self.manifest is None:
-                raise
             self.errors.append((stage, f"{type(exc).__name__}: {exc}"))
 
     def encoder(self, r: int, mode: str) -> EncoderParams:
@@ -327,10 +322,9 @@ class RunState:
                 params = self.timed(f"r{r}.{mode}.train", lambda: contrastive.train(
                     mode, self.data, self.split(r), config, init=self.init))
             self.encoders[key] = params
-            if self.out_dir is not None:
-                name = f"ckpt_{mode}_{seed}.bin"
-                with self.artifact(name, f"{name}.cfg") as path:
-                    params.save(path, {"mode": mode, **asdict(config), "init": self.cfg.init_mode})
+            name = f"ckpt_{mode}_{seed}.bin"
+            with self.artifact(name, f"{name}.cfg") as path:
+                params.save(path, {"mode": mode, **asdict(config), "init": self.cfg.init_mode})
         return self.encoders[key]
 
     def propagation(self, r: int, mode: str) -> _Propagation:
@@ -373,11 +367,10 @@ def _c2_rows(state: RunState, r: int, arm: Arm):
     seed = state.seed(r)
     yield ResultRow(state.data.name, arm.id, "propagation", seed,
                     prop.accuracy, prop.kappa, prop.consistency)
-    if state.out_dir is not None:
-        with state.artifact(f"embedding_{arm.encoder}_{seed}.csv") as path:
-            write_embedding_csv(path, prop.indices, prop.embedding.coordinates, prop.labels)
-        with state.artifact(f"scatter_{arm.encoder}_{seed}.svg") as path:
-            emit_scatter(prop.embedding.coordinates, prop.seed_values, path)
+    with state.artifact(f"embedding_{arm.encoder}_{seed}.csv") as path:
+        write_embedding_csv(path, prop.indices, prop.embedding.coordinates, prop.labels)
+    with state.artifact(f"scatter_{arm.encoder}_{seed}.svg") as path:
+        emit_scatter(prop.embedding.coordinates, prop.seed_values, path)
 
 
 def _c3_rows(state: RunState, r: int, arm: Arm):
@@ -400,21 +393,19 @@ def _c3_rows(state: RunState, r: int, arm: Arm):
 _FAMILY_ROWS = {"c1": _c1_rows, "c2": _c2_rows, "c3": _c3_rows}
 
 
-def run_family(state: RunState, family: str) -> list[ResultRow]:
+def run_family(state: RunState, family: str) -> None:
     """Every arm of one family, replica by replica, each in its own arm isolation,
     in waves of ``arm_workers()`` arms run at once (``epl.workers.run_wave``).
 
     An arm's rows go into the state's record as it yields them, so the rows
-    it finished before a failure are kept; this returns the family's slice
-    of them. An arm's root is the replica's encoder it reads, or the one
-    that encoder is fine-tuned from. So that no encoder trains twice, a
-    wave ends before an arm whose root is untrained and is an earlier arm's
-    root in the wave.
+    it finished before a failure are kept. An arm's root is the replica's
+    encoder it reads, or the one that encoder is fine-tuned from. So that
+    no encoder trains twice, a wave ends before an arm whose root is
+    untrained and is an earlier arm's root in the wave.
     """
     from .workers import run_wave  # process machinery
     arms = [(r, arm) for r in range(state.cfg.replicas) for encoder in (None, *state.cfg.modes)
             for arm in ARMS if (arm.family, arm.encoder) == (family, encoder)]
-    start = len(state.rows)
     while arms:
         wave, roots = [], set()
         for r, arm in arms[:arm_workers()]:
@@ -426,7 +417,6 @@ def run_family(state: RunState, family: str) -> list[ResultRow]:
             roots.add(root)
         run_wave(state, wave)
         arms = arms[len(wave):]
-    return state.rows[start:]
 
 
 def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], int]:
@@ -441,7 +431,7 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> tuple[list[ResultRow], i
     init = (EncoderParams.load(cfg.warm_start_checkpoint)
             if cfg.init_mode == "warm_start" else None)
     manifest = RunManifest(f"experiment {kind}", format_config(cfg.to_sections()))
-    state = RunState(cfg, dataset_from_config(cfg), Path(cfg.out_dir), manifest, init)
+    state = RunState(cfg, dataset_from_config(cfg), Path(cfg.out_dir), init)
     state.split(0)  # fails on class counts and fractions alone: in every replica or in none
     out_dir = make_dir(state.out_dir, PipelineError)
 

@@ -119,7 +119,7 @@ class Embedding2D:
     kl_tail: np.ndarray
 
     def __post_init__(self):
-        self.coordinates = check_matrix(self.coordinates, ProjectionError)
+        self.coordinates = check_matrix(self.coordinates, ProjectionError, cols=2)
 
     def __len__(self) -> int:
         return self.coordinates.shape[0]
@@ -371,7 +371,7 @@ class Workspace:
     holds two blocks of _BLOCK_ROWS rows for that row half. `nbytes`
     counts the map, which `tracemalloc` does not see. The map touches no
     page when it is made, so a size that does not fit fails here, before
-    any work.
+    any work, as a ProjectionError naming n and the matrices' size.
 
     The helper is forked at the first split inside a `with` and computes
     under the numpy error state of that split. It exits at EOF on its
@@ -385,8 +385,10 @@ class Workspace:
         sizes = (n * n, n * n, 2 * n, n, 2, -(-n // _BLOCK_ROWS), n, 4)
         try:
             buffer = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-        except OSError as exc:  # for want of memory or address space
-            raise MemoryError(f"cannot map two {n} x {n} float64") from exc
+        except (OSError, MemoryError) as exc:  # for want of memory or address space
+            raise ProjectionError(
+                f"out of memory: exact t-SNE of {n} points holds two {n} x {n} float64 "
+                f"matrices, {2 * n * n * 8 / 2 ** 20:.0f} MB") from exc
         (p, w, coords, self.row_sums, self.parts, self.block_sums, self.betas,
          self.scalars) = np.split(buffer, np.cumsum(sizes)[:-1])
         self.n, self.p, self.w = n, p.reshape(n, n), w.reshape(n, n)
@@ -474,10 +476,10 @@ class Workspace:
 
 
 def _kernel_args(P, coords, work):
-    """The coordinates as a float64 matrix, and a workspace of their size
-    that holds P (`Workspace.hold`): `work`, or a fresh one that is never
-    entered, so the caller runs both halves."""
-    Y = check_matrix(coords, ProjectionError)
+    """The coordinates as an n x 2 float64 matrix, and a workspace of their
+    size that holds P (`Workspace.hold`): `work`, or a fresh one that is
+    never entered, so the caller runs both halves."""
+    Y = check_matrix(coords, ProjectionError, cols=2)
     ws = work if work is not None else Workspace(Y.shape[0])
     _check_size(ws, Y.shape[0])
     ws.hold(P)
@@ -516,19 +518,16 @@ def kl_gradient(P, coords, work=None, exaggeration: float = 1.0) -> np.ndarray:
     where alpha is the exaggeration; P[rows] * alpha equals (P * alpha)[rows]
     elementwise. `work` is an optional Workspace for n coordinates; the
     gradient overwrites its kernel, and a P that is not `work.p` is copied
-    into `work.p` as in `kl_divergence`.
+    into `work.p` as in `kl_divergence`. The exaggeration must be positive
+    and finite.
     """
+    check_positive("exaggeration", exaggeration, ProjectionError)
     Y, ws = _kernel_args(P, coords, work)
     ws.kernel(Y)
     ws._kernel_of = None
     ws.scalars[1] = exaggeration
     ws.split(_gradient_half)
     return 4.0 * (ws.row_sums[:, None] * Y - ws.w @ Y)
-
-
-def _out_of_memory(n: int) -> ProjectionError:
-    return ProjectionError(f"out of memory: exact t-SNE of {n} points holds two {n} x {n} "
-                           f"float64 matrices, {2 * n * n * 8 / 2 ** 20:.0f} MB")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -546,10 +545,7 @@ def tsne_project(features, config: ProjectionConfig) -> Embedding2D:
     n = X.shape[0]
     if n < 4:
         raise ProjectionError("need at least 4 points to project")
-    try:
-        work = Workspace(n)
-    except MemoryError as exc:
-        raise _out_of_memory(n) from exc
+    work = Workspace(n)
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, _INIT_SIGMA, (n, 2))
     velocity = np.zeros_like(Y)

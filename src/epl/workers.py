@@ -34,8 +34,7 @@ def _appended(state, stage: str, run) -> dict:
 
 def _append(state, stage: str, answer) -> None:
     """A child's answer appended to each part of the record; an answer that
-    is an exception is recorded in the arm's isolation, or raised without a
-    manifest."""
+    is an exception is recorded in the arm's isolation."""
     if isinstance(answer, Exception):
         with state.arm(stage):
             raise answer
@@ -44,18 +43,17 @@ def _append(state, stage: str, answer) -> None:
         (part.update if isinstance(part, dict) else part.extend)(answer[name])
 
 
-def run_wave(state, arms) -> list:
+def run_wave(state, arms) -> None:
     """Run ``arms``, (stage, run) pairs, at once: the first here, each other
-    one in a forked child, appended to the record in arm order; returns the
-    rows they appended. Where the pipe or the fork fails, the arm runs here
-    in its turn. In a wave of two or more, each process runs numpy's
-    OpenBLAS on one thread, so the wave starts no more BLAS threads than
-    there are CPUs; this process gets its own count back when no child
-    could be forked and when the wave ends. Every child is killed and
-    reaped before this returns or raises: one that answered only waits for
-    another request, and a kill does not wait for the EOF that a later
-    child's copy of its pipe would hold back."""
-    children, count, start = [], host.blas_threads(), len(state.rows)
+    one in a forked child, appended to the record in arm order. Where the
+    pipe or the fork fails, the arm runs here in its turn. In a wave of two
+    or more, each process runs numpy's OpenBLAS on one thread, so the wave
+    starts no more BLAS threads than there are CPUs; this process gets its
+    own count back when no child could be forked and when the wave ends.
+    Every child is killed and reaped before this returns or raises: one
+    that answered only waits for another request, and a kill does not wait
+    for the EOF that a later child's copy of its pipe would hold back."""
+    children, count = [], host.blas_threads()
     try:
         if len(arms) > 1:
             host.set_blas_threads(1)  # before the forks, so each child inherits it
@@ -72,7 +70,6 @@ def run_wave(state, arms) -> list:
                 _run(state, stage, run)
             else:
                 _append(state, stage, child.answer(stage, PipelineError))
-        return state.rows[start:]
     finally:
         host.set_blas_threads(count)
         for child in children:

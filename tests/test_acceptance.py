@@ -181,17 +181,19 @@ def test_criterion_5_kappa_correctness(criterion_report):
     assert ok
 
 
-def test_criterion_6_high_separation_pipeline(criterion_report):
+def test_criterion_6_high_separation_pipeline(tmp_path, criterion_report):
     start = time.perf_counter()
     cfg = ExperimentConfig(classes=4, per_class=200, dims=16, spread=0.5,
                            center_dist=10.0, dataset_seed=1,
                            dataset_name="separated",
                            s_frac=0.01, u_frac=0.69, t_frac=0.30,
-                           base_seed=7, replicas=3, out_dir="unused")
+                           base_seed=7, replicas=3, out_dir=str(tmp_path))
     data = dataset_from_config(cfg)
-    state = RunState(cfg, data, None, None)
-    rows = run_family(state, "c2")
+    state = RunState(cfg, data, tmp_path)
+    run_family(state, "c2")
+    rows = state.rows
     elapsed = time.perf_counter() - start
+    assert not state.errors
     assert len(rows) == 9
     by_mode = {}
     for row in rows:
@@ -203,21 +205,25 @@ def test_criterion_6_high_separation_pipeline(criterion_report):
     assert ok
 
 
-def test_criterion_7_separation_chain_correlation(criterion_report):
+def test_criterion_7_separation_chain_correlation(tmp_path, criterion_report):
     start = time.perf_counter()
     rows = []
     for spread in (0.5, 2.0, 4.0, 6.0, 7.0, 8.0, 10.0, 12.0):
+        out = tmp_path / f"overlap_{spread}"
+        out.mkdir()
         cfg = ExperimentConfig(classes=4, per_class=150, dims=8, spread=spread,
                                center_dist=10.0, dataset_seed=3,
                                dataset_name=f"overlap_{spread}",
                                s_frac=0.01, u_frac=0.69, t_frac=0.30,
                                base_seed=7, replicas=1, iterations=400,
                                exaggeration_iters=100, momentum_switch=100,
-                               out_dir="unused")
+                               out_dir=str(out))
         data = dataset_from_config(cfg)
-        state = RunState(cfg, data, None, None)
-        rows += run_family(state, "c2")
-        rows += run_family(state, "c3")
+        state = RunState(cfg, data, out)
+        run_family(state, "c2")
+        run_family(state, "c3")
+        assert not state.errors
+        rows += state.rows
     corr = correlation_report(rows)
     elapsed = time.perf_counter() - start
     ok = (corr["rho_propagation"] >= 0.8 and corr["rho_classifier"] >= 0.8
@@ -228,17 +234,19 @@ def test_criterion_7_separation_chain_correlation(criterion_report):
     assert ok
 
 
-def test_criterion_8_pseudo_label_gain(criterion_report):
+def test_criterion_8_pseudo_label_gain(tmp_path, criterion_report):
     cfg = ExperimentConfig(classes=4, per_class=200, dims=8, spread=7.0,
                            center_dist=10.0, dataset_seed=5,
                            dataset_name="moderate",
                            s_frac=0.01, u_frac=0.69, t_frac=0.30,
                            base_seed=7, replicas=3, iterations=500,
                            exaggeration_iters=125, momentum_switch=125,
-                           out_dir="unused")
+                           out_dir=str(tmp_path))
     data = dataset_from_config(cfg)
-    state = RunState(cfg, data, None, None)
-    rows = run_family(state, "c3")
+    state = RunState(cfg, data, tmp_path)
+    run_family(state, "c3")
+    assert not state.errors
+    rows = state.rows
     kappa_by_arm = {}
     for row in rows:
         kappa_by_arm.setdefault(row.experiment, []).append(row.kappa)

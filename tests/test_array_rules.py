@@ -58,6 +58,7 @@ MATRICES = {
     "1-d": (lambda M: M[:, 0], "2-d matrix"),
     "3-d": (lambda M: M[:, :, None], "2-d matrix"),
     "one-column-short": (lambda M: M[:, :-1], "dimension"),
+    "one-column-long": (lambda M: np.hstack([M, M[:, :1]]), "dimension"),
 }
 LABEL_VECTORS = {
     "short": lambda y: y[:-1],
@@ -104,13 +105,14 @@ ENTRIES = [
      "nan inf 1-d 3-d", ()),
     ("tsne_project", lambda M, _, __: tsne_project(
         M, ProjectionConfig(perplexity=3.0, iterations=3)), X, None, "nan inf 1-d 3-d", ()),
-    ("kl_gradient", lambda M, _, __: kl_gradient(P, M), COORDS, None, "nan inf 1-d 3-d", ()),
-    ("kl_divergence", lambda M, _, __: kl_divergence(P, M), COORDS, None, "nan inf 1-d 3-d",
-     ()),
+    ("kl_gradient", lambda M, _, __: kl_gradient(P, M), COORDS, None,
+     "nan inf 1-d 3-d one-column-short one-column-long", ()),
+    ("kl_divergence", lambda M, _, __: kl_divergence(P, M), COORDS, None,
+     "nan inf 1-d 3-d one-column-short one-column-long", ()),
     ("Embedding2D", lambda M, _, __: Embedding2D(M, np.empty(0)), COORDS, None,
-     "nan inf 1-d 3-d", ()),
+     "nan inf 1-d 3-d one-column-short one-column-long", ()),
     ("emit_scatter", lambda M, y, out: emit_scatter(M, y, out), COORDS, SEEDS,
-     "nan inf 1-d 3-d one-column-short", SEEDED),
+     "nan inf 1-d 3-d one-column-short one-column-long", SEEDED),
     ("extract_features", lambda _, idx, __: extract_features(ENCODER, DATA, idx), None, ROWS,
      "", ("column", "half", "above", "below-unlabeled", "unlabeled", "ragged")),
     ("supcon_loss", lambda _, y, __: supcon_loss(np.eye(12), y, 0.1, True), None, LABELS, "",

@@ -101,19 +101,21 @@ def _no_child_left():
 
 @needs_fork
 def test_each_member_of_a_wave_runs_one_blas_thread(two_blas_threads):
-    state = RunState(None, None, None, None)
-    rows = workers.run_wave(state, [(stage, lambda: [host.blas_threads()])
-                                    for stage in ("r0.simclr.c1", "r0.supcon.c1")])
-    assert rows == [1, 1]
+    state = RunState(None, None, None)
+    workers.run_wave(state, [(stage, lambda: [host.blas_threads()])
+                             for stage in ("r0.simclr.c1", "r0.supcon.c1")])
+    assert state.rows == [1, 1]
     assert host.blas_threads() == 2
-    assert workers.run_wave(state, [("r0.simclr.c1", lambda: [host.blas_threads()])]) == [2]
+    workers.run_wave(state, [("r0.simclr.c1", lambda: [host.blas_threads()])])
+    assert state.rows == [1, 1, 2]
 
     def failing():
         raise ValueError("this process's arm")
 
-    with pytest.raises(ValueError, match="this process's arm"):
-        workers.run_wave(state, [("r0.simclr.c1", failing),
-                                 ("r0.supcon.c1", lambda: [host.blas_threads()])])
+    workers.run_wave(state, [("r0.simclr.c1", failing),
+                             ("r0.supcon.c1", lambda: [host.blas_threads()])])
+    assert state.rows == [1, 1, 2, 1]
+    assert state.errors == [("r0.simclr.c1", "ValueError: this process's arm")]
     assert host.blas_threads() == 2
     _no_child_left()
 
@@ -124,20 +126,20 @@ def test_a_wave_that_cannot_fork_runs_on_this_processs_count(two_blas_threads, m
         raise OSError("no process to spare")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    rows = workers.run_wave(RunState(None, None, None, None),
-                            [(stage, lambda: [host.blas_threads()])
+    state = RunState(None, None, None)
+    workers.run_wave(state, [(stage, lambda: [host.blas_threads()])
                              for stage in ("r0.simclr.c1", "r0.supcon.c1")])
-    assert rows == [2, 2]
+    assert state.rows == [2, 2]
     assert host.blas_threads() == 2
 
 
 @needs_fork
 def test_without_the_binding_a_wave_runs_and_the_header_says_so(tmp_path, monkeypatch):
     monkeypatch.setattr(host, "_BLAS", None)
-    rows = workers.run_wave(RunState(None, None, None, None),
-                            [(stage, lambda stage=stage: [stage])
+    state = RunState(None, None, None)
+    workers.run_wave(state, [(stage, lambda stage=stage: [stage])
                              for stage in ("r0.simclr.c1", "r0.supcon.c1")])
-    assert rows == ["r0.simclr.c1", "r0.supcon.c1"]
+    assert state.rows == ["r0.simclr.c1", "r0.supcon.c1"]
     lines = RunManifest("experiment c1", "").write(
         tmp_path, RunState(None, None, None, None)).read_text().splitlines()
     assert {f"blas_threads = {UNBOUND}", f"blas_core = {UNBOUND}"} <= set(lines)

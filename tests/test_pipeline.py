@@ -246,13 +246,6 @@ class TestArmIsolation:
         assert manifest_errors(out) == [f"{stage} = RuntimeError: injected forest failure"]
         assert_no_child_left()
 
-    def test_failure_propagates_without_a_manifest(self, monkeypatch):
-        _break_simclr_training(monkeypatch)
-        cfg = small_config("unused", replicas=1)
-        state = RunState(cfg, pipeline.dataset_from_config(cfg), None, None)
-        with pytest.raises(RuntimeError, match="injected failure"):
-            run_family(state, "c1")
-
 
 def artifact_digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -515,33 +508,43 @@ class TestArmWorkers:
             "r0.combined.c3 = LocalError: local", "r1.supcon.c3 = TwoArgError: two args"]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("error, message", [
+    @pytest.mark.parametrize("row, message", [
         (lambda: TwoArgError("two", "args"), "r0.supcon.c1: its answer could not be read: "
          "TypeError: TwoArgError.__init__() missing 1 required positional argument: 'b'"),
-        (lambda: LocalError("local"), "r0.supcon.c1: LocalError: local (not sent back whole: "),
+        (lambda: LocalError("local"), "r0.supcon.c1: its answer (not sent back whole: "),
     ], ids=["unreadable", "unpicklable"])
-    def test_forked_error_that_cannot_come_back_is_a_pipeline_error(self, monkeypatch,
-                                                                     error, message):
-        # Without a manifest the forked arm's error is raised after the wave.
+    def test_forked_answer_that_cannot_come_back_is_a_pipeline_error(self, tmp_path,
+                                                                      monkeypatch, row, message):
+        # A forked arm's own error comes back as its [errors] line. An answer
+        # that does not pickle or unpickle, here for a row, is recorded under
+        # the arm as a PipelineError, and none of that arm's rows come back.
         force_workers(monkeypatch, 2)
-        break_supcon_training(monkeypatch, error)
-        cfg = small_config("unused", replicas=1)
-        state = RunState(cfg, pipeline.dataset_from_config(cfg), None, None)
-        with pytest.raises(PipelineError) as raised:
-            run_family(state, "c1")
-        assert str(raised.value).startswith(message)
-        assert (0, "simclr") in state.encoders  # this process's arm ran to its end
+        real_rows = pipeline._FAMILY_ROWS["c1"]
+
+        def rows(state, r, arm):
+            yield from real_rows(state, r, arm)
+            if arm.encoder == "supcon":
+                yield row()
+
+        monkeypatch.setitem(pipeline._FAMILY_ROWS, "c1", rows)
+        cfg = small_config(tmp_path, replicas=1)
+        state = RunState(cfg, pipeline.dataset_from_config(cfg), tmp_path)
+        run_family(state, "c1")
+        [(stage, recorded)] = state.errors
+        assert stage == "r0.supcon.c1" and recorded.startswith(f"PipelineError: {message}")
+        assert {r.experiment for r in state.rows} == {"C1a"}  # this process's arm ran to its end
         assert_no_child_left()
 
-    def test_forked_error_is_raised_after_the_wave_without_a_manifest(self, monkeypatch):
+    def test_forked_error_is_recorded_and_the_next_wave_runs(self, tmp_path, monkeypatch):
         force_workers(monkeypatch, 2)
         break_supcon_training(monkeypatch, lambda: pipeline.contrastive.ContrastiveError(
             "injected supcon failure"))
-        cfg = small_config("unused", replicas=2)
-        state = RunState(cfg, pipeline.dataset_from_config(cfg), None, None)
-        with pytest.raises(pipeline.contrastive.ContrastiveError, match="injected supcon"):
-            run_family(state, "c1")
-        assert set(state.encoders) == {(0, "simclr")}  # replica 1's wave never ran
+        cfg = small_config(tmp_path, replicas=2)
+        state = RunState(cfg, pipeline.dataset_from_config(cfg), tmp_path)
+        run_family(state, "c1")
+        assert state.errors == [(f"r{r}.supcon.c1", "ContrastiveError: injected supcon failure")
+                                for r in (0, 1)]
+        assert set(state.encoders) == {(0, "simclr"), (1, "simclr")}
         assert_no_child_left()
 
     @pytest.mark.parametrize("how, death", [

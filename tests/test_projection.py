@@ -302,6 +302,18 @@ class TestGradient:
                 fd[i, j] = (kl_divergence(P, plus) - kl_divergence(P, minus)) / (2 * h)
         assert np.abs(grad - fd).max() / np.abs(fd).max() <= 1e-4
 
+    @pytest.mark.parametrize("exaggeration", [np.nan, np.inf, 0.0, -1.0])
+    def test_exaggeration_must_be_positive_and_finite(self, exaggeration):
+        # The rule ProjectionConfig.early_exaggeration follows: never a NaN
+        # gradient or an overflow warning.
+        rng = np.random.default_rng(6)
+        P = pairwise_affinities(rng.normal(size=(12, 3)), 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProjectionError, match="exaggeration must be positive and "
+                                                      f"finite, got {exaggeration}"):
+                kl_gradient(P, rng.normal(size=(12, 2)), exaggeration=exaggeration)
+
 
 class TestScratchBuffers:
     """A reused workspace is scratch only: results equal the fresh-buffer calls."""
@@ -429,7 +441,7 @@ def test_out_of_memory_for_an_n_by_n_matrix_is_a_projection_error(headroom):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [
         "out of memory: exact t-SNE of 8000 points holds two 8000 x 8000 float64 matrices, "
-        "977 MB", "MemoryError", "__init__"]
+        "977 MB", "OSError", "__init__"]
 
 
 def test_descent_holds_p_and_one_buffer(monkeypatch):
@@ -461,9 +473,23 @@ def test_descent_holds_p_and_one_buffer(monkeypatch):
     assert peak + work.nbytes <= 2.5 * n * n * 8, (peak + work.nbytes) / (n * n * 8)
 
 
+_MAP_X = np.random.default_rng(0).normal(size=(400, 3))
+_MAP_P = np.full((400, 400), 1.0 / 400 ** 2)
+
+
 @pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"),
                                    MemoryError()], ids=["ENOMEM", "MemoryError"])
-def test_a_shared_map_that_fails_is_the_out_of_memory_error(monkeypatch, error):
+@pytest.mark.parametrize("call", [
+    lambda: tsne_project(_MAP_X, ProjectionConfig(iterations=1)),
+    lambda: pairwise_affinities(_MAP_X, 30.0),
+    lambda: conditional_affinities(_MAP_X, 30.0),
+    lambda: kl_gradient(_MAP_P, _MAP_X[:, :2]),
+    lambda: kl_divergence(_MAP_P, _MAP_X[:, :2]),
+], ids=["tsne_project", "pairwise_affinities", "conditional_affinities", "kl_gradient",
+        "kl_divergence"])
+def test_a_shared_map_that_fails_is_the_out_of_memory_error(monkeypatch, call, error):
+    # Every entry point maps its workspace first, and a map that fails is
+    # the same ProjectionError in each.
     maps = []
 
     def map_or_fail(*args, **kwargs):
@@ -471,12 +497,11 @@ def test_a_shared_map_that_fails_is_the_out_of_memory_error(monkeypatch, error):
         raise error
 
     monkeypatch.setattr(mmap, "mmap", map_or_fail)
-    X = np.random.default_rng(0).normal(size=(400, 3))
     with pytest.raises(ProjectionError) as raised:
-        tsne_project(X, ProjectionConfig(iterations=1))
+        call()
     assert str(raised.value) == ("out of memory: exact t-SNE of 400 points holds two "
                                  "400 x 400 float64 matrices, 2 MB")
-    assert isinstance(raised.value.__cause__, MemoryError)
+    assert raised.value.__cause__ is error
     assert len(maps) == 1
     _no_child_left()
 
